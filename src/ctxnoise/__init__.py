@@ -15,7 +15,6 @@ from .classifiers import (
     MlrModel,
     aux_predictions,
     load_mlr,
-    predict,
     predict_proba,
     save_mlr,
     train_aux,

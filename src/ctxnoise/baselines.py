@@ -99,7 +99,7 @@ def probabilistic_scores(
     P = predict_proba(classifier, X)
     n = P.shape[1]
     mismatch = P.argmax(axis=1) != a
-    entropy = -(P * np.log(P)).sum(axis=1) / np.log(n)
+    entropy = -(P * np.log(np.where(P > 0, P, 1.0))).sum(axis=1) / np.log(n)  # 0 * log 0 = 0
     s = np.where(mismatch, 1.0 - P[np.arange(len(a)), a], 0.5 * entropy)
 
     order = sorted(

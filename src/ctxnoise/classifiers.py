@@ -119,11 +119,6 @@ def predict_proba(model: MlrModel, features: np.ndarray) -> np.ndarray:
     return P[0] if single else P
 
 
-def predict(model: MlrModel, features: np.ndarray) -> np.ndarray | int:
-    p = predict_proba(model, features)
-    return int(p.argmax()) if p.ndim == 1 else p.argmax(axis=1)
-
-
 def mlr_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float) -> float:
     """Mean cross-entropy plus (l2/2)·||W||²; the objective train_mlr descends."""
     P = _softmax(features @ weights.T + bias)

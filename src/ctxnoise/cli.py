@@ -23,6 +23,7 @@ from .harness import (
     detection_result_rows,
     learning_result_rows,
     load_config,
+    load_experiment_dataset,
     run_active_learning,
     run_detection_suite,
     run_pseudo,
@@ -90,9 +91,10 @@ def _cmd_detect(args: argparse.Namespace) -> None:
 
 def _run_learning(args: argparse.Namespace, runner, prefix: str) -> None:
     config, out_dir = _prepare(args)
+    dataset, _ = load_experiment_dataset(config)
     logs = []
     for seed in config.seeds:
-        log = runner(config, seed)
+        log = runner(config, seed, dataset)
         logs.append(log)
         if args.verbose:
             for r in log.records:
@@ -108,6 +110,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     """One summary row per (omega, beta): accuracy gain of the context filter
     over learning on unfiltered noisy labels, mean +/- std across seeds."""
     config, out_dir = _prepare(args)
+    dataset, _ = load_experiment_dataset(config)
     rows = []
     summary = {}
     for omega in config.omegas:
@@ -115,10 +118,10 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
             gains = []
             for seed in config.seeds:
                 filtered = run_active_learning(
-                    replace(config, mode="cnld", omega=omega, beta=beta), seed
+                    replace(config, mode="cnld", omega=omega, beta=beta), seed, dataset
                 )
                 unfiltered = run_active_learning(
-                    replace(config, mode="sn", omega=omega, beta=beta), seed
+                    replace(config, mode="sn", omega=omega, beta=beta), seed, dataset
                 )
                 gains.append(100.0 * (filtered.final_accuracy - unfiltered.final_accuracy))
                 rows.append(

@@ -41,17 +41,16 @@ class CoraFormatError(ValueError):
 
 @dataclass(eq=False)
 class Instance:
-    """One data point: features, labels, attribute observations and links.
+    """One data point: features, label, attribute observations and links.
 
-    ``true_label`` is the hidden ground truth; ``assigned_label`` is whatever
-    an annotation step produced (None until then).  ``attribute_obs`` holds
-    one distribution over the m attribute classes per observed attribute.
+    ``true_label`` is the hidden ground truth; annotated labels travel beside
+    the ids, never on the instance.  ``attribute_obs`` holds one
+    distribution over the m attribute classes per observed attribute.
     """
 
     id: int
     features: np.ndarray
     true_label: int
-    assigned_label: int | None = None
     attribute_obs: list[np.ndarray] = field(default_factory=list)
     link_ids: list[int] = field(default_factory=list)
 
@@ -61,7 +60,6 @@ class Instance:
         return (
             self.id == other.id
             and self.true_label == other.true_label
-            and self.assigned_label == other.assigned_label
             and np.array_equal(self.features, other.features)
             and len(self.attribute_obs) == len(other.attribute_obs)
             and all(np.array_equal(a, b) for a, b in zip(self.attribute_obs, other.attribute_obs))

@@ -14,6 +14,7 @@ against the batch maximum and thresholded at beta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -56,16 +57,18 @@ class DetectionResult:
         return {i for i, v in zip(self.ids, self.verdicts) if v != REMOVE}
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    # inputs are smoothed, hence strictly positive
-    return float(np.sum(p * np.log(p / q)))
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p[j] || q[j]) for every row j, with 0 * log 0 = 0: a saturated
+    classifier gives posteriors with exact zeros."""
+    return (p * np.log(np.where(p > 0, p / q, 1.0))).sum(axis=1)
 
 
 def dissimilarity(prior: Conditionals, posterior, assigned_class: int) -> float:
     """Hinge-summed KL gap of the assigned class against every other class.
 
     Parts whose evidence is absent (no data edges / no attribute edges) are
-    omitted.  Natural-log KL; inputs must be strictly positive rows.
+    omitted.  Natural-log KL with 0 * log 0 = 0; the prior rows must be
+    strictly positive.  A non-finite total raises ValueError.
     """
     n = prior.data_rows.shape[0]
     if not 0 <= assigned_class < n:
@@ -74,14 +77,16 @@ def dissimilarity(prior: Conditionals, posterior, assigned_class: int) -> float:
     if posterior.data_rows is not None:
         if posterior.data_rows.shape != prior.data_rows.shape:
             raise ValueError("posterior and prior data conditionals have different shapes")
-        kls = np.array([_kl(posterior.data_rows[j], prior.data_rows[j]) for j in range(n)])
+        kls = _kl_rows(posterior.data_rows, prior.data_rows)
         total += float(np.maximum(kls[assigned_class] - kls, 0.0).sum()) / n
     if posterior.attr_rows is not None:
         if prior.attr_rows is None or posterior.attr_rows.shape != prior.attr_rows.shape:
             raise ValueError("posterior and prior attribute conditionals have different shapes")
         m = prior.attr_rows.shape[1]
-        kls = np.array([_kl(posterior.attr_rows[j], prior.attr_rows[j]) for j in range(n)])
+        kls = _kl_rows(posterior.attr_rows, prior.attr_rows)
         total += float(np.maximum(kls[assigned_class] - kls, 0.0).sum()) / m
+    if not math.isfinite(total):
+        raise ValueError(f"non-finite dissimilarity {total} for assigned class {assigned_class}")
     return total if total > SCORE_FLOOR else 0.0
 
 
@@ -109,6 +114,12 @@ def _score_batch(
     classifier: MlrModel,
     relationship: RelationshipModel,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and has-context flags of a queried batch, as both verdict rules
+    need them."""
+    if len(queried_ids) == 0:
+        raise ValueError("empty query set")
+    if len(queried_ids) != len(assigned_labels):
+        raise ValueError("queried ids and assigned labels must align")
     prior = prior_conditionals(relationship)
     scores = np.zeros(len(queried_ids))
     has_context = np.ones(len(queried_ids), dtype=bool)
@@ -138,11 +149,6 @@ def cnld_detect(
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    if len(queried_ids) == 0:
-        raise ValueError("empty query set")
-    if len(queried_ids) != len(assigned_labels):
-        raise ValueError("queried ids and assigned labels must align")
-
     scores, has_context = _score_batch(queried_ids, assigned_labels, dataset, classifier, relationship)
     weights = batch_weights(scores)
     verdicts = []
@@ -181,11 +187,6 @@ def detect_topk(
         raise ValueError("removal_count must be >= 0")
     if removal_count > len(queried_ids):
         raise ValueError("removal_count exceeds batch size")
-    if len(queried_ids) == 0:
-        raise ValueError("empty query set")
-    if len(queried_ids) != len(assigned_labels):
-        raise ValueError("queried ids and assigned labels must align")
-
     scores, has_context = _score_batch(queried_ids, assigned_labels, dataset, classifier, relationship)
     order = sorted(range(len(queried_ids)), key=lambda i: (-scores[i], queried_ids[i]))
     removed = set(order[:removal_count])

@@ -1,20 +1,28 @@
 """Batch-incremental active-learning experiments with simulated annotation noise.
 
 A run trains the classifier and the relationship model on a correctly
-labeled initial batch, then walks the remaining batches: select informative
-instances, simulate annotation (true labels plus injected noise), filter per
-the configured mode, update both models on the kept labels, and score
-accuracy on the held-out test set.
+labeled initial batch, then walks the remaining batches in one loop shared
+by every mode: select informative instances, obtain labels, filter the
+candidate labels per the mode, update both models on the kept labels, and
+score accuracy on the held-out test set.
 
-Modes for :func:`run_active_learning`:
+Each batch's labels are fixed labels, trusted as given, then candidate
+labels, which the mode's filter may remove; the kept labels are the fixed
+ones followed by the surviving candidates, in that order.
 
-* ``sn``    update with the noisy labels as they come (no filter)
-* ``pb``    remove by the probabilistic detector, budgeted to match cnld
-* ``cl``    remove truly flipped labels (ground-truth upper bound), budgeted
-* ``cnld``  remove by the context detector's beta threshold
+* :func:`run_active_learning` modes have no fixed labels; the candidates
+  are the queried ids with NCAR/NAR noise injected.  ``sn`` keeps them all,
+  ``cnld`` applies ``cnld_detect``'s beta threshold, and ``pb`` (the
+  probabilistic detector) and ``cl`` (truly flipped labels only, a
+  ground-truth upper bound) remove as many as ``cnld_detect`` would.
+* :func:`run_pseudo` modes fix the queried ids' true labels; the candidates
+  are the rest of the batch, sorted, with argmax pseudo-labels (none for
+  ``manual``), filtered by ``cnld_detect`` in ``manual_pseudo_cnld`` only.
 
-Modes for :func:`run_pseudo` (queried labels are noise-free there):
-``manual``, ``manual_pseudo``, ``manual_pseudo_cnld``.
+A candidate is flipped when its label differs from the true one;
+ER1/ER2/NEP are reported for filtered batches.  With ``replay`` every
+update retrains the classifier on all labels accepted so far, batch 0
+included, instead of on the batch's kept labels alone.
 
 :func:`run_detection_suite` is the pure detection benchmark: train on batch
 0, inject noise into the evaluation split, and remove a fixed fraction with
@@ -23,8 +31,8 @@ every detector.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -57,6 +65,7 @@ from .relationship import DEFAULT_SMOOTHING, build_relationship, update_relation
 
 LEARNING_MODES = ("sn", "pb", "cl", "cnld")
 PSEUDO_MODES = ("manual", "manual_pseudo", "manual_pseudo_cnld")
+FILTERED_MODES = ("pb", "cl", "cnld", "manual_pseudo_cnld")
 SELECTION_STRATEGIES = ("entropy", "random")
 NOISE_MODELS = ("ncar", "nar")
 
@@ -72,7 +81,12 @@ _SALT_AUX = 6
 
 
 class ConfigError(ValueError):
-    """Bad or missing experiment configuration."""
+    """Bad or missing experiment configuration; ``key`` names the config key
+    at fault, when there is one."""
+
+    def __init__(self, message: str, key: str | None = None) -> None:
+        super().__init__(message)
+        self.key = key
 
 
 def derive_seed(seed: int, *salts: int) -> int:
@@ -109,33 +123,35 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.dataset_kind not in ("synthetic", "cora"):
-            raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
+            raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}", "dataset")
         if self.dataset_kind == "synthetic" and self.synthetic is None:
             raise ConfigError("missing required config key: synthetic.n_classes")
         if self.dataset_kind == "cora" and not (self.cora_content and self.cora_cites):
             raise ConfigError("missing required config key: cora_content / cora_cites")
-        if not 0.0 < self.query_fraction <= 1.0:
-            raise ConfigError("query_fraction must lie in (0, 1]")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must lie in (0, 1)")
-        if self.selection not in SELECTION_STRATEGIES:
-            raise ConfigError(f"unknown selection strategy {self.selection!r}")
-        if self.mode not in LEARNING_MODES + PSEUDO_MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.noise not in NOISE_MODELS:
-            raise ConfigError(f"unknown noise model {self.noise!r}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigError("beta must lie in [0, 1)")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ConfigError("omega must lie in [0, 1]")
-        if self.n_batches < 2:
-            raise ConfigError("n_batches must be >= 2")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if not 0 <= self.cora_fold < CORA_FOLDS:
-            raise ConfigError(f"cora_fold must lie in [0, {CORA_FOLDS})")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        # each check is written so that NaN fails it
+        checks = (
+            ("query_fraction", 0.0 < self.query_fraction <= 1.0, "must lie in (0, 1]"),
+            ("test_fraction", 0.0 < self.test_fraction < 1.0, "must lie in (0, 1)"),
+            ("selection", self.selection in SELECTION_STRATEGIES, f"{self.selection!r} is unknown"),
+            ("mode", self.mode in LEARNING_MODES + PSEUDO_MODES, f"{self.mode!r} is unknown"),
+            ("noise", self.noise in NOISE_MODELS, f"{self.noise!r} is unknown"),
+            ("beta", 0.0 <= self.beta < 1.0, "must lie in [0, 1)"),
+            ("omega", 0.0 <= self.omega <= 1.0, "must lie in [0, 1]"),
+            ("n_batches", self.n_batches >= 2, "must be >= 2"),
+            ("seeds", len(self.seeds) > 0, "must name at least one seed"),
+            ("omegas", len(self.omegas) > 0 and all(0.0 <= w <= 1.0 for w in self.omegas), "must be values in [0, 1]"),
+            ("betas", len(self.betas) > 0 and all(0.0 <= b < 1.0 for b in self.betas), "must be values in [0, 1)"),
+            ("cora_fold", 0 <= self.cora_fold < CORA_FOLDS, f"must lie in [0, {CORA_FOLDS})"),
+            ("epsilon", 0.0 < self.epsilon < math.inf, "must be positive and finite"),
+            ("mlr_learning_rate", 0.0 < self.mlr_learning_rate < math.inf, "must be positive and finite"),
+            ("mlr_l2", 0.0 <= self.mlr_l2 < math.inf, "must be >= 0 and finite"),
+            ("mlr_epochs", self.mlr_epochs >= 1, "must be >= 1"),
+            ("mlr_batch_size", self.mlr_batch_size is None or self.mlr_batch_size >= 1, "must be >= 1 or none"),
+            ("knn_k", self.knn_k >= 1, "must be >= 1"),
+        )
+        for key, ok, requirement in checks:
+            if not ok:
+                raise ConfigError(f"{key} {requirement}", key)
 
     def mlr_config(self, n_classes: int, seed: int) -> MlrConfig:
         return MlrConfig(
@@ -146,10 +162,6 @@ class ExperimentConfig:
             batch_size=self.mlr_batch_size,
             seed=seed,
         )
-
-
-def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(dump_config(config).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -170,7 +182,6 @@ class ExperimentLog:
     mode: str
     omega: float
     seed: int
-    config_hash: str
     records: list[BatchRecord]
 
     @property
@@ -240,7 +251,7 @@ def select_informative(
         raise ValueError(f"unknown selection strategy {strategy!r}")
     X = np.stack([inst.features for inst in ordered])
     P = predict_proba(classifier, X)
-    H = -(P * np.log(P)).sum(axis=1)
+    H = -(P * np.log(np.where(P > 0, P, 1.0))).sum(axis=1)  # 0 * log 0 = 0
     ranked = sorted(range(len(ordered)), key=lambda i: (-H[i], ordered[i].id))
     return [ordered[i].id for i in ranked[:k]]
 
@@ -255,27 +266,52 @@ def _initial_models(dataset: Dataset, pool: Sequence[int], config: ExperimentCon
     return model, rel, X, y
 
 
-def run_active_learning(config: ExperimentConfig, seed: int | None = None) -> ExperimentLog:
-    """One noisy-annotation active-learning run; returns per-batch records."""
+def run_active_learning(
+    config: ExperimentConfig, seed: int | None = None, dataset: Dataset | None = None
+) -> ExperimentLog:
+    """One noisy-annotation active-learning run; returns per-batch records.
+
+    ``dataset`` skips loading the configured one; it is only read.
+    """
     config.validate()
     if config.mode not in LEARNING_MODES:
         raise ConfigError(f"mode {config.mode!r} is not an active-learning mode")
-    seed = config.seeds[0] if seed is None else seed
+    return _run_batches(config, seed, dataset)
 
-    dataset, _ = load_experiment_dataset(config)
+
+def run_pseudo(
+    config: ExperimentConfig, seed: int | None = None, dataset: Dataset | None = None
+) -> ExperimentLog:
+    """Pseudo-labeling run: queried labels are correct, the rest of each batch
+    gets classifier predictions, optionally filtered by the context detector.
+
+    ``dataset`` skips loading the configured one; it is only read.
+    """
+    config.validate()
+    if config.mode not in PSEUDO_MODES:
+        raise ConfigError(f"mode {config.mode!r} is not a pseudo-labeling mode")
+    return _run_batches(config, seed, dataset)
+
+
+def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | None) -> ExperimentLog:
+    """The batch loop behind both run functions; the mode table is in the
+    module docstring."""
+    seed = config.seeds[0] if seed is None else seed
+    if dataset is None:
+        dataset, _ = load_experiment_dataset(config)
+    pseudo = config.mode in PSEUDO_MODES
     train_ids, test_ids = split_train_test(dataset, config, seed)
     plan = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
     model, rel, pool_X, pool_y = _initial_models(dataset, plan.batches[0], config, seed)
     n = dataset.n_classes
 
     transition = None
-    if config.noise == "nar":
-        transition = estimate_transition(pool_X, pool_y, n, seed)
+    if not pseudo and config.noise == "nar":
+        transition = estimate_transition(pool_X, pool_y, n)
 
     test_instances = [dataset.by_id(i) for i in test_ids]
     accepted: list[tuple[int, int]] = [(i, dataset.by_id(i).true_label) for i in plan.batches[0]]
     records: list[BatchRecord] = []
-    chash = config_hash(config)
 
     for t in range(1, config.n_batches):
         start = time.perf_counter()
@@ -288,111 +324,42 @@ def run_active_learning(config: ExperimentConfig, seed: int | None = None) -> Ex
             config.selection,
             derive_seed(seed, _SALT_SELECT, t),
         )
-        true_q = dataset.true_labels(queried)
-        noise_seed = derive_seed(seed, _SALT_NOISE, t)
-        if config.noise == "ncar":
-            noise_plan = inject_ncar(true_q, n, config.omega, noise_seed)
-        else:
-            noise_plan = inject_nar(true_q, transition, noise_seed)
-        assigned = noise_plan.assigned
-        flip_mask = {qid: bool(f) for qid, f in zip(queried, noise_plan.flipped)}
 
-        if config.mode == "sn":
-            removed: set[int] = set()
-            batch_metrics = None
+        # fixed labels are trusted as given; candidates may be filtered
+        if pseudo:
+            fixed = [(qid, dataset.by_id(qid).true_label) for qid in queried]
+            queried_set = set(queried)
+            candidates = [] if config.mode == "manual" else sorted(i for i in batch_ids if i not in queried_set)
+            labels = predict_proba(model, dataset.feature_matrix(candidates)).argmax(axis=1) if candidates else []
         else:
-            det = cnld_detect(queried, assigned, dataset, model, rel, config.beta)
-            budget = len(det.removed_ids())
-            if config.mode == "cnld":
-                removed = det.removed_ids()
-            elif config.mode == "pb":
-                removed = probabilistic_detect(
-                    model, [dataset.by_id(i) for i in queried], assigned, budget
-                )
-            else:  # cl: drop truly flipped labels only, up to the shared budget
-                flipped_ids = sorted(qid for qid in queried if flip_mask[qid])
-                removed = set(flipped_ids[: min(budget, len(flipped_ids))])
-            batch_metrics = detection_metrics(removed, flip_mask)
-
-        kept = [(qid, int(a)) for qid, a in zip(queried, assigned) if qid not in removed]
-        if kept:
-            accepted.extend(kept)
-            if config.replay:
-                ids = [i for i, _ in accepted]
-                X = dataset.feature_matrix(ids)
-                y = np.array([c for _, c in accepted])
+            fixed = []
+            candidates = queried
+            noise_seed = derive_seed(seed, _SALT_NOISE, t)
+            true_q = dataset.true_labels(queried)
+            if config.noise == "ncar":
+                labels = inject_ncar(true_q, n, config.omega, noise_seed).assigned
             else:
-                X = dataset.feature_matrix([i for i, _ in kept])
-                y = np.array([c for _, c in kept])
-            model = train_mlr(
-                model, X, y, config.mlr_config(n, derive_seed(seed, _SALT_MLR, t))
-            )
-            rel = update_relationship(rel, dataset, dict(kept))
-
-        records.append(
-            BatchRecord(
-                batch=t,
-                accuracy=accuracy(model, test_instances),
-                removed=len(removed),
-                kept=len(kept),
-                er1=batch_metrics.er1 if batch_metrics else None,
-                er2=batch_metrics.er2 if batch_metrics else None,
-                nep=batch_metrics.nep if batch_metrics else None,
-                queried=list(queried),
-                elapsed=time.perf_counter() - start,
-            )
-        )
-    return ExperimentLog(mode=config.mode, omega=config.omega, seed=seed, config_hash=chash, records=records)
-
-
-def run_pseudo(config: ExperimentConfig, seed: int | None = None) -> ExperimentLog:
-    """Pseudo-labeling run: queried labels are correct, the rest of each batch
-    gets classifier predictions, optionally filtered by the context detector."""
-    config.validate()
-    if config.mode not in PSEUDO_MODES:
-        raise ConfigError(f"mode {config.mode!r} is not a pseudo-labeling mode")
-    seed = config.seeds[0] if seed is None else seed
-
-    dataset, _ = load_experiment_dataset(config)
-    train_ids, test_ids = split_train_test(dataset, config, seed)
-    plan = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
-    model, rel, _, _ = _initial_models(dataset, plan.batches[0], config, seed)
-    n = dataset.n_classes
-    test_instances = [dataset.by_id(i) for i in test_ids]
-    records: list[BatchRecord] = []
-    chash = config_hash(config)
-
-    for t in range(1, config.n_batches):
-        start = time.perf_counter()
-        batch_ids = plan.batches[t]
-        k = min(len(batch_ids), max(1, _round_half_up(config.query_fraction * len(batch_ids))))
-        queried = select_informative(
-            model,
-            [dataset.by_id(i) for i in batch_ids],
-            k,
-            config.selection,
-            derive_seed(seed, _SALT_SELECT, t),
-        )
-        queried_set = set(queried)
-        rest = sorted(i for i in batch_ids if i not in queried_set)
-        kept = [(qid, dataset.by_id(qid).true_label) for qid in queried]
+                labels = inject_nar(true_q, transition, noise_seed).assigned
 
         removed: set[int] = set()
         batch_metrics = None
-        if rest and config.mode != "manual":
-            pseudo = predict_proba(model, dataset.feature_matrix(rest)).argmax(axis=1)
-            if config.mode == "manual_pseudo_cnld":
-                det = cnld_detect(rest, pseudo, dataset, model, rel, config.beta)
-                removed = det.removed_ids()
-                flip_mask = {
-                    rid: int(p) != dataset.by_id(rid).true_label for rid, p in zip(rest, pseudo)
-                }
-                batch_metrics = detection_metrics(removed, flip_mask)
-            kept.extend((rid, int(p)) for rid, p in zip(rest, pseudo) if rid not in removed)
+        if candidates and config.mode in FILTERED_MODES:
+            flip_mask = dict(zip(candidates, (labels != dataset.true_labels(candidates)).tolist()))
+            removed = cnld_detect(candidates, labels, dataset, model, rel, config.beta).removed_ids()
+            if config.mode == "pb":
+                removed = probabilistic_detect(
+                    model, [dataset.by_id(i) for i in candidates], labels, len(removed)
+                )
+            elif config.mode == "cl":  # drop truly flipped labels only, up to the cnld budget
+                removed = set(sorted(i for i in candidates if flip_mask[i])[: len(removed)])
+            batch_metrics = detection_metrics(removed, flip_mask)
 
+        kept = fixed + [(i, int(c)) for i, c in zip(candidates, labels) if i not in removed]
         if kept:
-            X = dataset.feature_matrix([i for i, _ in kept])
-            y = np.array([c for _, c in kept])
+            accepted.extend(kept)
+            rows = accepted if config.replay else kept
+            X = dataset.feature_matrix([i for i, _ in rows])
+            y = np.array([c for _, c in rows])
             model = train_mlr(model, X, y, config.mlr_config(n, derive_seed(seed, _SALT_MLR, t)))
             rel = update_relationship(rel, dataset, dict(kept))
 
@@ -409,7 +376,7 @@ def run_pseudo(config: ExperimentConfig, seed: int | None = None) -> ExperimentL
                 elapsed=time.perf_counter() - start,
             )
         )
-    return ExperimentLog(mode=config.mode, omega=config.omega, seed=seed, config_hash=chash, records=records)
+    return ExperimentLog(mode=config.mode, omega=config.omega, seed=seed, records=records)
 
 
 def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
@@ -450,7 +417,7 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
                 noise_plan = inject_ncar(y_test, n, omega, noise_seed)
                 cells.append((omega, noise_plan, _round_half_up(omega * len(test_ids))))
         else:
-            transition = estimate_transition(pool_X, pool_y, n, seed)
+            transition = estimate_transition(pool_X, pool_y, n)
             noise_plan = inject_nar(y_test, transition, derive_seed(seed, _SALT_NOISE, 0))
             cells = [(noise_plan.rate, noise_plan, int(noise_plan.flipped.sum()))]
 
@@ -588,87 +555,86 @@ def write_summary_json(path: str | Path, summary: dict) -> None:
 # ---------------------------------------------------------------------------
 # key=value config files
 
-_SYN_FIELDS = {f.name: f.type for f in fields(SyntheticConfig)}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-_INT_KEYS = {"n_batches", "cora_fold", "mlr_epochs", "knn_k"}
-_FLOAT_KEYS = {"query_fraction", "omega", "beta", "test_fraction", "mlr_learning_rate", "mlr_l2", "epsilon"}
-_STR_KEYS = {"selection", "mode", "noise", "cora_content", "cora_cites"}
-_BOOL_KEYS = {"replay"}
-_INT_LIST_KEYS = {"seeds"}
-_FLOAT_LIST_KEYS = {"omegas", "betas"}
-_SYN_INT_KEYS = {
-    "n_classes",
-    "n_features",
-    "instances_per_class",
-    "m_attribute_classes",
-    "links_per_instance",
-    "attributes_per_instance",
-    "seed",
+
+# converter of every top-level key and every synthetic.* key
+_KEY_TYPES = {
+    **dict.fromkeys(("n_batches", "cora_fold", "mlr_epochs", "knn_k"), int),
+    **dict.fromkeys(("query_fraction", "omega", "beta", "test_fraction", "mlr_learning_rate", "mlr_l2", "epsilon"), float),
+    **dict.fromkeys(("selection", "mode", "noise", "cora_content", "cora_cites"), str),
+    "replay": lambda v: _BOOLEANS[v.lower()],
+    "seeds": lambda v: [int(t) for t in v.replace(",", " ").split()],
+    "omegas": lambda v: [float(t) for t in v.replace(",", " ").split()],
+    "betas": lambda v: [float(t) for t in v.replace(",", " ").split()],
+    "mlr_batch_size": lambda v: None if v.lower() == "none" else int(v),
 }
-_SYN_FLOAT_KEYS = {"concentration", "separation", "noise_scale"}
+_SYN_KEY_TYPES = {
+    **dict.fromkeys(
+        ("n_classes", "n_features", "instances_per_class", "m_attribute_classes",
+         "links_per_instance", "attributes_per_instance", "seed"),
+        int,
+    ),
+    **dict.fromkeys(("concentration", "separation", "noise_scale"), float),
+}
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    """Parse the documented ``key = value`` format (# starts a comment)."""
-    values: dict[str, str] = {}
+    """Parse the documented ``key = value`` format (# starts a comment).
+
+    Every error names ``source:line`` when one line is at fault.  Booleans
+    are true/false, yes/no or 1/0, in any case.
+    """
+    values: dict[str, tuple[str, str]] = {}  # key -> (value, "source:line")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = value
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        values[key] = (value, where)
+
+    def typed(key: str, types: dict):
+        value, where = values[key]
+        convert = types.get(key.removeprefix("synthetic."))
+        if convert is None:
+            raise ConfigError(f"{where}: unknown config key: {key}")
+        try:
+            return convert(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{where}: bad value {value!r} for {key}") from None
 
     if "dataset" not in values:
         raise ConfigError("missing required config key: dataset")
-    kind = values.pop("dataset")
-
-    syn_values: dict[str, str] = {}
-    for key in list(values):
-        if key.startswith("synthetic."):
-            syn_values[key.removeprefix("synthetic.")] = values.pop(key)
+    kind, kind_where = values.pop("dataset")
 
     config = ExperimentConfig(dataset_kind=kind)
     if kind == "synthetic":
         for required in ("n_classes", "n_features", "instances_per_class"):
-            if required not in syn_values:
+            if f"synthetic.{required}" not in values:
                 raise ConfigError(f"missing required config key: synthetic.{required}")
-        syn_kwargs = {}
-        for key, value in syn_values.items():
-            if key in _SYN_INT_KEYS:
-                syn_kwargs[key] = int(value)
-            elif key in _SYN_FLOAT_KEYS:
-                syn_kwargs[key] = float(value)
-            else:
-                raise ConfigError(f"unknown config key: synthetic.{key}")
-        config.synthetic = SyntheticConfig(**syn_kwargs)
-    elif kind == "cora":
-        pass  # paths parsed below
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+        config.synthetic = SyntheticConfig(**{
+            key.removeprefix("synthetic."): typed(key, _SYN_KEY_TYPES)
+            for key in values
+            if key.startswith("synthetic.")
+        })
+    elif kind != "cora":
+        raise ConfigError(f"{kind_where}: unknown dataset kind {kind!r}")
 
-    for key, value in values.items():
-        if key in _INT_KEYS:
-            setattr(config, key, int(value))
-        elif key in _FLOAT_KEYS:
-            setattr(config, key, float(value))
-        elif key in _STR_KEYS:
-            setattr(config, key, value)
-        elif key in _BOOL_KEYS:
-            setattr(config, key, value.lower() in ("1", "true", "yes"))
-        elif key in _INT_LIST_KEYS:
-            setattr(config, key, [int(t) for t in value.replace(",", " ").split()])
-        elif key in _FLOAT_LIST_KEYS:
-            setattr(config, key, [float(t) for t in value.replace(",", " ").split()])
-        elif key == "mlr_batch_size":
-            config.mlr_batch_size = None if value.lower() == "none" else int(value)
-        else:
-            raise ConfigError(f"unknown config key: {key}")
+    for key in values:
+        if not key.startswith("synthetic."):
+            setattr(config, key, typed(key, _KEY_TYPES))
 
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        if exc.key in values:
+            raise ConfigError(f"{values[exc.key][1]}: {exc}", exc.key) from None
+        raise
     return config
 
 
@@ -678,13 +644,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def dump_config(config: ExperimentConfig) -> str:
-    """Canonical key=value rendering; input for the config hash."""
+    """Canonical key=value rendering of every config key."""
     lines = [f"dataset = {config.dataset_kind}"]
     if config.synthetic is not None:
         for f in fields(SyntheticConfig):
             lines.append(f"synthetic.{f.name} = {getattr(config.synthetic, f.name)!r}")
-    for key in sorted(
-        _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS | _INT_LIST_KEYS | _FLOAT_LIST_KEYS | {"mlr_batch_size"}
-    ):
+    for key in sorted(_KEY_TYPES):
         lines.append(f"{key} = {getattr(config, key)!r}")
     return "\n".join(lines) + "\n"

@@ -91,9 +91,7 @@ def inject_nar(labels: np.ndarray, transition: TransitionMatrix | np.ndarray, se
     return NoisePlan(assigned=assigned, flipped=flipped, rate=float(flipped.mean()), seed=seed)
 
 
-def estimate_transition(
-    features: np.ndarray, labels: np.ndarray, n_classes: int, seed: int = 0
-) -> TransitionMatrix:
+def estimate_transition(features: np.ndarray, labels: np.ndarray, n_classes: int) -> TransitionMatrix:
     """Estimate a transition matrix from feature-space class overlap.
 
     Runs Lloyd's iterations with one center per class, initialized at the
@@ -101,8 +99,7 @@ def estimate_transition(
     class; collisions are resolved greedily by cluster size (larger cluster
     claims the class, the other takes its next-most-frequent unclaimed one).
     Row y of the result is the class composition of the cluster representing
-    class y.  Fully deterministic; ``seed`` is accepted for interface
-    stability but unused.
+    class y.  Fully deterministic.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)

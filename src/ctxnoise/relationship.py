@@ -9,7 +9,7 @@ detector compares against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -34,12 +34,10 @@ class RelationshipModel:
     data_counts: np.ndarray          # (n, n)
     attr_counts: np.ndarray | None   # (n, m), None when m == 0
     epsilon: float = DEFAULT_SMOOTHING
-    labels: dict[int, int] = None    # type: ignore[assignment]
+    labels: dict[int, int] = field(default_factory=dict)
     hard_attributes: bool = False
 
     def __post_init__(self) -> None:
-        if self.labels is None:
-            self.labels = {}
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 

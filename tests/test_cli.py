@@ -1,7 +1,9 @@
 import time
+from pathlib import Path
 
 import pytest
 
+from ctxnoise import cli, generate_synthetic, load_config
 from ctxnoise.cli import main
 
 TINY = """
@@ -97,6 +99,29 @@ def test_sweep_emits_one_summary_row_per_cell(tmp_path, tiny_config):
         "omega=0.4,beta=0.8",
         "omega=0.4,beta=0.9",
     }
+
+
+def test_sweep_shares_one_dataset_and_leaves_it_unchanged(tmp_path, monkeypatch):
+    config_path = Path(__file__).parent.parent / "configs" / "tiny_detect.cfg"
+    loaded, used = [], []
+    load, run = cli.load_experiment_dataset, cli.run_active_learning
+
+    def load_probe(config):
+        result = load(config)
+        loaded.append(result[0])
+        return result
+
+    def run_probe(config, seed, dataset):
+        used.append(dataset)
+        return run(config, seed, dataset)
+
+    monkeypatch.setattr(cli, "load_experiment_dataset", load_probe)
+    monkeypatch.setattr(cli, "run_active_learning", run_probe)
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    assert len(loaded) == 1
+    assert len(used) == 2 * 3 * 2  # omegas x betas x (cnld, sn)
+    assert all(dataset is loaded[0] for dataset in used)
+    assert loaded[0] == generate_synthetic(load_config(config_path).synthetic)[0]
 
 
 def test_reruns_are_byte_identical(tmp_path, tiny_config):

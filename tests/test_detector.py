@@ -77,6 +77,20 @@ class TestDissimilarity:
         with pytest.raises(ValueError):
             dissimilarity(conds([[0.5, 0.5], [0.5, 0.5]]), post([[0.5, 0.5], [0.5, 0.5]]), 5)
 
+    def test_zero_posterior_entries_count_as_zero(self):
+        prior = [[0.9, 0.1], [0.1, 0.9]]
+        value = dissimilarity(conds(prior), post([[1.0, 0.0], [0.0, 1.0]]), 0)
+        assert value == 0.0
+        value = dissimilarity(conds(prior), post([[0.0, 1.0], [0.0, 1.0]]), 0)
+        assert abs(value - 0.5 * np.log(9.0)) < 1e-12  # (log 10 - log(1/0.9)) / 2
+
+    def test_non_finite_score_raises(self):
+        # a zero in the prior row is infinitely surprising: fail, do not score 0
+        with pytest.raises(ValueError, match="non-finite"):
+            dissimilarity(conds([[1.0, 0.0], [0.0, 1.0]]), post([[0.5, 0.5], [0.5, 0.5]]), 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dissimilarity(conds([[0.5, 0.5], [0.5, 0.5]]), post([[np.nan, 0.5], [0.5, 0.5]]), 0)
+
     @given(st.integers(0, 2), st.lists(st.floats(0.05, 1.0), min_size=9, max_size=9))
     @settings(max_examples=100, deadline=None)
     def test_nonnegative_and_zero_iff_assigned_kl_minimal(self, assigned, raw):

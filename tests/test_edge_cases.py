@@ -1,4 +1,5 @@
-"""Edge paths: empty kept sets, forced removals, malformed files, concurrency."""
+"""Edge paths: empty kept sets, forced removals, saturated classifiers,
+malformed files, concurrency."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,10 +15,14 @@ from ctxnoise import (
     build_relationship,
     cnld_detect,
     detect_topk,
+    generate_synthetic,
     inject_ncar,
     load_cora,
     load_synthetic,
+    predict_proba,
     run_active_learning,
+    select_informative,
+    train_mlr,
 )
 
 from test_relationship import linked_dataset
@@ -58,6 +63,42 @@ def test_detect_topk_can_be_forced_to_remove_unfilterable():
     result = detect_topk([0, 1, 2], [0, 1, 2], ds, model, rel, removal_count=3)
     assert result.removed_ids() == {0, 1, 2}
     assert result.verdicts == ["remove", "remove", "remove"]
+
+
+def saturated_setup():
+    """Single-link graph and a classifier scaled until softmax underflows to
+    exact zeros; 24 of the 60 batch labels are flipped."""
+    dataset, _ = generate_synthetic(
+        SyntheticConfig(n_classes=3, n_features=6, instances_per_class=80, links_per_instance=1, seed=5)
+    )
+    ids = [int(i) for i in np.random.default_rng(0).permutation(dataset.ids())]
+    pool, batch = ids[:120], sorted(ids[120:180])
+    model = train_mlr(None, dataset.feature_matrix(pool), dataset.true_labels(pool), MlrConfig(n_classes=3, seed=0))
+    model = MlrModel(model.weights * 1e4, model.bias * 1e4, model.config)
+    rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+    return dataset, batch, model, rel
+
+
+def test_saturated_classifier_still_detects_flips():
+    # 0 * log 0 used to give NaN scores, which were read as 0: nothing removed
+    dataset, batch, model, rel = saturated_setup()
+    assert (predict_proba(model, dataset.feature_matrix(batch)) == 0).any()
+    plan = inject_ncar(dataset.true_labels(batch), 3, 0.4, seed=1)
+    assert plan.flipped.sum() == 24
+    result = cnld_detect(batch, plan.assigned, dataset, model, rel, beta=0.85)
+    assert np.isfinite(result.scores).all()
+    removed = result.removed_ids()
+    flipped = {i for i, f in zip(batch, plan.flipped) if f}
+    assert len(removed & flipped) > len(removed) / 2 > 0
+
+
+def test_saturated_classifier_entropy_selection():
+    # NaN entropies used to make the selection fall back to id order, which
+    # picks a one-hot prediction here
+    dataset, batch, model, _ = saturated_setup()
+    assert np.count_nonzero(predict_proba(model, dataset.by_id(batch[0]).features)) == 1
+    picked = select_informative(model, [dataset.by_id(i) for i in batch], 1, "entropy", seed=0)
+    assert np.count_nonzero(predict_proba(model, dataset.by_id(picked[0]).features)) > 1
 
 
 def test_duplicate_cora_id_rejected(tmp_path):

@@ -15,8 +15,11 @@ from ctxnoise import (
     summarize_detection,
     summarize_learning,
 )
+from ctxnoise import harness
+from ctxnoise.cli import main
 from ctxnoise.dataset import Instance
 from ctxnoise.harness import (
+    LEARNING_MODES,
     detection_result_rows,
     dump_config,
     learning_result_rows,
@@ -169,6 +172,27 @@ class TestRunPseudo:
             run_pseudo(small_config(mode="cnld"), seed=0)
 
 
+@pytest.mark.parametrize("mode", ["cnld", "manual", "manual_pseudo_cnld"])
+@pytest.mark.parametrize("replay", [False, True])
+def test_replay_trains_on_every_accepted_label(mode, replay, monkeypatch):
+    rows = []
+    train = harness.train_mlr
+
+    def probe(model, features, labels, config=None):
+        rows.append(len(features))
+        return train(model, features, labels, config)
+
+    monkeypatch.setattr(harness, "train_mlr", probe)
+    runner = run_active_learning if mode in LEARNING_MODES else run_pseudo
+    log = runner(small_config(mode=mode, replay=replay), seed=0)
+    total, expected = rows[0], rows[:1]  # the initial fit on batch 0
+    for record in log.records:
+        total += record.kept
+        if record.kept:
+            expected.append(total if replay else record.kept)
+    assert rows == expected
+
+
 class TestRunDetectionSuite:
     def test_bookkeeping_identities_and_shape(self):
         config = small_config(omegas=[0.1, 0.3], seeds=[0, 1])
@@ -284,6 +308,51 @@ mlr_batch_size = none
             parse_config(self.GOOD.replace("omega = 0.3", "omega = 1.5"))
         with pytest.raises(ConfigError):
             parse_config(self.GOOD.replace("mode = cnld", "mode = nonsense"))
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "replay = ture",
+            "replay = ",
+            "mlr_epochs = -5",
+            "mlr_epochs = 0",
+            "mlr_learning_rate = -1",
+            "mlr_learning_rate = nan",
+            "mlr_l2 = inf",
+            "mlr_batch_size = 0",
+            "epsilon = nan",
+            "epsilon = 0",
+            "knn_k = abc",
+            "knn_k = 0",
+            "omega = nan",
+            "n_batches = 2.5",
+            "seeds = 0, x",
+            "omegas = 0.1, high",
+            "omegas = ",
+            "omegas = 0.1, 1.5",
+            "betas = 1.0",
+            "synthetic.seed = 1.5",
+            "synthetic.separation = wide",
+        ],
+    )
+    def test_bad_line_names_source_and_line(self, bad_line, tmp_path, capsys):
+        key = bad_line.split("=")[0].strip()
+        kept = [line for line in self.GOOD.splitlines() if line.split("=")[0].strip() != key]
+        text = "\n".join(kept + [bad_line]) + "\n"
+        lineno = len(kept) + 1
+        with pytest.raises(ConfigError, match=f"^<config>:{lineno}: "):
+            parse_config(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["detect", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{lineno}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spelling", ["true", "True", "YES", "1", "false", "no", "0"])
+    def test_boolean_spellings(self, spelling):
+        config = parse_config(self.GOOD + f"replay = {spelling}\n")
+        assert config.replay is (spelling.lower() in ("true", "yes", "1"))
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "exp.cfg"
