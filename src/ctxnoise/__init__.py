@@ -23,6 +23,7 @@ from .classifiers import (
 from .dataset import (
     BatchPlan,
     CoraFormatError,
+    CsrIndex,
     Dataset,
     GroundTruth,
     Instance,
@@ -63,6 +64,7 @@ from .inference import (
     InstanceGraph,
     NoContextError,
     PosteriorConditionals,
+    batch_posterior_rows,
     build_instance_graph,
     clamped_leaf_marginals,
     posterior_conditionals,

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import AuxEnsemble, MlrModel, aux_predictions, predict_proba
+from .classifiers import MlrModel, predict_proba
 from .dataset import Instance
 
 
@@ -24,7 +24,8 @@ def _features(instances: Sequence[Instance]) -> np.ndarray:
 
 
 def voting_scores(
-    ensemble: AuxEnsemble,
+    predictions: np.ndarray,
+    mlr_proba: np.ndarray,
     instances: Sequence[Instance],
     assigned: Sequence[int],
     min_disagreements: int,
@@ -32,19 +33,23 @@ def voting_scores(
     """Rank suspects: flagged instances first, then ascending confidence in
     the assigned class, ties toward the lower id.
 
-    An instance is flagged when at least ``min_disagreements`` of the three
-    members predict something other than the assigned label.
+    ``predictions`` holds the ensemble members' class predictions, one row
+    per instance as :func:`aux_predictions` returns them, and ``mlr_proba``
+    the logistic member's class distributions.  Neither depends on the
+    assigned labels, so one pair serves every noise level.  An instance is
+    flagged when at least ``min_disagreements`` members predict something
+    other than the assigned label.
     """
-    if ensemble is None:
-        raise ValueError("ensemble is not trained")
     if len(instances) != len(assigned):
         raise ValueError("instances and assigned labels must align")
-    X = _features(instances)
+    preds = np.asarray(predictions)
+    proba = np.asarray(mlr_proba)
+    if preds.ndim != 2 or preds.shape[0] != len(instances) or proba.ndim != 2 or proba.shape[0] != len(instances):
+        raise ValueError("member predictions and probabilities need one row per instance")
     a = np.asarray(assigned, dtype=int)
-    preds = aux_predictions(ensemble, X)
     disagree = preds != a[:, None]
     flagged = disagree.sum(axis=1) >= min_disagreements
-    p_assigned = predict_proba(ensemble.mlr, X)[np.arange(len(a)), a]
+    p_assigned = proba[np.arange(len(a)), a]
 
     order = sorted(
         range(len(instances)),
@@ -68,17 +73,25 @@ def _removed_by_rank(scores: list[BaselineScore], removal_count: int) -> set[int
 
 
 def majority_detect(
-    ensemble: AuxEnsemble, instances: Sequence[Instance], assigned: Sequence[int], removal_count: int
+    predictions: np.ndarray,
+    mlr_proba: np.ndarray,
+    instances: Sequence[Instance],
+    assigned: Sequence[int],
+    removal_count: int,
 ) -> set[int]:
     """Flag when at least 2 of 3 members disagree with the assigned label."""
-    return _removed_by_rank(voting_scores(ensemble, instances, assigned, 2), removal_count)
+    return _removed_by_rank(voting_scores(predictions, mlr_proba, instances, assigned, 2), removal_count)
 
 
 def consensus_detect(
-    ensemble: AuxEnsemble, instances: Sequence[Instance], assigned: Sequence[int], removal_count: int
+    predictions: np.ndarray,
+    mlr_proba: np.ndarray,
+    instances: Sequence[Instance],
+    assigned: Sequence[int],
+    removal_count: int,
 ) -> set[int]:
     """Flag only when all 3 members disagree with the assigned label."""
-    return _removed_by_rank(voting_scores(ensemble, instances, assigned, 3), removal_count)
+    return _removed_by_rank(voting_scores(predictions, mlr_proba, instances, assigned, 3), removal_count)
 
 
 def probabilistic_scores(

@@ -15,6 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+# The array kernels (kNN distances, star scoring) work in blocks whose
+# temporaries stay under this many bytes each, so that memory does not grow
+# with the batch.
+BLOCK_BYTES = 256 * 1024
+
 
 @dataclass
 class MlrConfig:
@@ -255,13 +260,29 @@ def train_aux(features: np.ndarray, labels: np.ndarray, config: AuxConfig) -> Au
 
 
 def _knn_predict(ensemble: AuxEnsemble, X: np.ndarray) -> np.ndarray:
+    """Majority label of each query's k nearest stored points.
+
+    The neighbours are the first k of a stable sort by distance: everything
+    strictly closer than the k-th distance, then the points at exactly that
+    distance in store order.  Vote ties fall to the smallest class index.
+    """
     Q = ensemble._transform(X)
+    if not np.isfinite(Q).all():
+        raise ValueError("query features contain non-finite values")
+    store, k = ensemble.knn_features, ensemble.knn_k
+    one_hot = np.eye(ensemble.n_classes)[ensemble.knn_labels]
+    step = max(1, BLOCK_BYTES // max(1, store.nbytes))  # queries per block
     out = np.empty(Q.shape[0], dtype=int)
-    for i, q in enumerate(Q):
-        dists = ((ensemble.knn_features - q) ** 2).sum(axis=1)
-        nearest = np.argsort(dists, kind="stable")[: ensemble.knn_k]
-        votes = np.bincount(ensemble.knn_labels[nearest], minlength=ensemble.n_classes)
-        out[i] = int(votes.argmax())  # ties fall to the smallest class index
+    for start in range(0, Q.shape[0], step):
+        # one expression, so that numpy squares the difference in place and
+        # frees it before the next block's is made
+        dists = ((store[None, :, :] - Q[start : start + step, None, :]) ** 2).sum(axis=2)
+        kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
+        closer = dists < kth
+        ties = dists == kth
+        ties &= np.cumsum(ties, axis=1) <= k - closer.sum(axis=1, keepdims=True)
+        votes = (closer | ties) @ one_hot
+        out[start : start + step] = votes.argmax(axis=1)
     return out
 
 

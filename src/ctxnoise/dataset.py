@@ -24,6 +24,7 @@ Floats are written with repr precision and round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -67,9 +68,55 @@ class Instance:
         )
 
 
+def _indptr(counts: Sequence[int]) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+@dataclass(frozen=True)
+class CsrIndex:
+    """Per-row slices of one stacked array: row r owns
+    ``values[indptr[r]:indptr[r + 1]]``."""
+
+    indptr: np.ndarray  # (N + 1,)
+    values: np.ndarray  # (indptr[-1], ...)
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slices of ``rows`` stacked in order, plus their own indptr."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = _indptr(counts)
+        positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        return self.values[positions], indptr
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _feature_store(instances: Sequence[Instance]) -> np.ndarray:
+    """One read-only (N, d) float matrix of the instances' features."""
+    if not instances:
+        return _read_only(np.empty((0, 0)))
+    d = instances[0].features.shape
+    for inst in instances:
+        if inst.features.shape != d or len(d) != 1:
+            raise ValueError(f"instance {inst.id}: feature length {inst.features.shape} != {d}")
+    return _read_only(np.array([inst.features for inst in instances], dtype=float))
+
+
 @dataclass(eq=False)
 class Dataset:
-    """Immutable collection of instances with symmetric link structure."""
+    """Immutable collection of instances with symmetric link structure.
+
+    Construction indexes the instances by row, in list order: ``features``
+    is one read-only (N, d) matrix whose rows the instances' ``features``
+    become views of, ``links`` maps a row to its neighbours' rows and
+    ``attributes`` to its stacked attribute observations, both as CSR.
+    """
 
     instances: list[Instance]
     n_classes: int
@@ -78,9 +125,22 @@ class Dataset:
     seed: int = -1
 
     def __post_init__(self) -> None:
-        self._by_id = {inst.id: inst for inst in self.instances}
-        if len(self._by_id) != len(self.instances):
+        self._rows = {inst.id: row for row, inst in enumerate(self.instances)}
+        if len(self._rows) != len(self.instances):
             raise ValueError("duplicate instance ids")
+        self.features = _feature_store(self.instances)
+        for row, inst in enumerate(self.instances):
+            inst.features = self.features[row]
+            for obs in inst.attribute_obs:
+                if obs.shape != (self.m_attribute_classes,):
+                    raise ValueError(f"instance {inst.id}: attribute observation has wrong length")
+        link_counts = [len(inst.link_ids) for inst in self.instances]
+        obs_counts = [len(inst.attribute_obs) for inst in self.instances]
+        neighbours = self.rows(v for inst in self.instances for v in inst.link_ids)
+        stacked = [obs for inst in self.instances for obs in inst.attribute_obs]
+        observations = np.array(stacked, dtype=float) if stacked else np.empty((0, self.m_attribute_classes))
+        self.links = CsrIndex(_read_only(_indptr(link_counts)), _read_only(neighbours))
+        self.attributes = CsrIndex(_read_only(_indptr(obs_counts)), _read_only(observations))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -95,9 +155,16 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.instances)
 
+    def rows(self, instance_ids: Iterable[int]) -> np.ndarray:
+        """Row of each id in ``instances``, ``features`` and the CSR indexes."""
+        try:
+            return np.fromiter((self._rows[i] for i in instance_ids), dtype=np.intp)
+        except KeyError as exc:
+            raise KeyError(f"unknown instance id {exc.args[0]}") from None
+
     def by_id(self, instance_id: int) -> Instance:
         try:
-            return self._by_id[instance_id]
+            return self.instances[self._rows[instance_id]]
         except KeyError:
             raise KeyError(f"unknown instance id {instance_id}") from None
 
@@ -106,29 +173,26 @@ class Dataset:
 
     @property
     def n_features(self) -> int:
-        return int(self.instances[0].features.shape[0]) if self.instances else 0
+        return self.features.shape[1]
 
     def feature_matrix(self, instance_ids: Sequence[int]) -> np.ndarray:
-        return np.stack([self.by_id(i).features for i in instance_ids])
+        return self.features[self.rows(instance_ids)]
 
     def true_labels(self, instance_ids: Sequence[int]) -> np.ndarray:
         return np.array([self.by_id(i).true_label for i in instance_ids], dtype=int)
 
     def validate(self) -> None:
-        """Check structural invariants; raises ValueError on the first failure."""
+        """Check structural invariants; raises ValueError on the first failure.
+
+        Feature and attribute-observation lengths are already checked at
+        construction.
+        """
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
-        if not self.instances:
-            return
-        d = self.instances[0].features.shape[0]
         for inst in self.instances:
-            if inst.features.shape != (d,):
-                raise ValueError(f"instance {inst.id}: feature length {inst.features.shape} != ({d},)")
             if not 0 <= inst.true_label < self.n_classes:
                 raise ValueError(f"instance {inst.id}: true_label {inst.true_label} out of range")
             for obs in inst.attribute_obs:
-                if obs.shape != (self.m_attribute_classes,):
-                    raise ValueError(f"instance {inst.id}: attribute observation has wrong length")
                 if (obs < 0).any() or abs(float(obs.sum()) - 1.0) > 1e-9:
                     raise ValueError(f"instance {inst.id}: attribute observation is not a distribution")
             if inst.id in inst.link_ids:
@@ -169,25 +233,30 @@ class SyntheticConfig:
     attributes_per_instance: int = 0
     seed: int = 0
 
+    def checks(self) -> tuple[tuple[str, bool, str], ...]:
+        """(field, holds, requirement) for every range rule; each is written
+        so that NaN fails it."""
+        return (
+            ("n_classes", self.n_classes >= 2, "must be >= 2"),
+            ("n_features", self.n_features >= 1, "must be positive"),
+            ("instances_per_class", self.instances_per_class >= 1, "must be positive"),
+            ("m_attribute_classes", self.m_attribute_classes >= 0, "must be >= 0"),
+            ("concentration", 0.0 <= self.concentration <= 1.0, "must lie in [0, 1]"),
+            ("separation", 0.0 <= self.separation < math.inf, "must be >= 0 and finite"),
+            ("noise_scale", 0.0 <= self.noise_scale < math.inf, "must be >= 0 and finite"),
+            ("links_per_instance", self.links_per_instance >= 0, "must be >= 0"),
+            ("attributes_per_instance", self.attributes_per_instance >= 0, "must be >= 0"),
+            (
+                "attributes_per_instance",
+                self.attributes_per_instance == 0 or self.m_attribute_classes > 0,
+                "> 0 requires m_attribute_classes > 0",
+            ),
+        )
+
     def validate(self) -> None:
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if self.n_features < 1:
-            raise ValueError("n_features must be positive")
-        if self.instances_per_class < 1:
-            raise ValueError("instances_per_class must be positive")
-        if self.m_attribute_classes < 0:
-            raise ValueError("m_attribute_classes must be >= 0")
-        if not 0.0 <= self.concentration <= 1.0:
-            raise ValueError("concentration must lie in [0, 1]")
-        if self.separation < 0:
-            raise ValueError("separation must be >= 0")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
-        if self.links_per_instance < 0 or self.attributes_per_instance < 0:
-            raise ValueError("link/attribute counts must be >= 0")
-        if self.attributes_per_instance > 0 and self.m_attribute_classes == 0:
-            raise ValueError("attributes_per_instance > 0 requires m_attribute_classes > 0")
+        for name, holds, requirement in self.checks():
+            if not holds:
+                raise ValueError(f"{name} {requirement}")
 
 
 @dataclass
@@ -289,11 +358,13 @@ def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
                 inst_id = int(parts[0])
             except ValueError:
                 raise CoraFormatError(f"{content_path}:{lineno}: non-integer id {parts[0]!r}") from None
-            feats = np.empty(d)
+            # bools until the Dataset copies them into its float matrix, so
+            # the float features are never held twice
+            feats = np.empty(d, dtype=bool)
             for k, tok in enumerate(parts[1:-1]):
                 if tok not in ("0", "1"):
                     raise CoraFormatError(f"{content_path}:{lineno}: feature {k} is {tok!r}, expected 0 or 1")
-                feats[k] = float(tok)
+                feats[k] = tok == "1"
             label = parts[-1]
             if not label:
                 raise CoraFormatError(f"{content_path}:{lineno}: empty label")

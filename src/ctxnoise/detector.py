@@ -21,9 +21,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifiers import MlrModel
+from .classifiers import BLOCK_BYTES, MlrModel, predict_proba
 from .dataset import Dataset
-from .inference import NoContextError, build_instance_graph, posterior_conditionals
+from .inference import batch_posterior_rows
 from .relationship import Conditionals, RelationshipModel, prior_conditionals
 
 KEEP = "keep"
@@ -58,9 +58,20 @@ class DetectionResult:
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p[j] || q[j]) for every row j, with 0 * log 0 = 0: a saturated
-    classifier gives posteriors with exact zeros."""
-    return (p * np.log(np.where(p > 0, p / q, 1.0))).sum(axis=1)
+    """KL(p[..., j, :] || q[j, :]) for every row j, with 0 * log 0 = 0: a
+    saturated classifier gives posteriors with exact zeros.  A zero in q
+    gives inf or NaN, without a warning; the callers raise on it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (p * np.log(np.where(p > 0, p / q, 1.0))).sum(axis=-1)
+
+
+def _hinge_gaps(posterior: np.ndarray, prior: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    """The hinged KL gap of the assigned class, divided by the number of
+    leaf classes, for every star of a (B, n, c) block of posterior rows."""
+    kls = _kl_rows(posterior, prior)
+    assigned_kl = kls[np.arange(len(kls)), assigned]
+    with np.errstate(invalid="ignore"):
+        return np.maximum(assigned_kl[:, None] - kls, 0.0).sum(axis=-1) / prior.shape[1]
 
 
 def dissimilarity(prior: Conditionals, posterior, assigned_class: int) -> float:
@@ -77,14 +88,11 @@ def dissimilarity(prior: Conditionals, posterior, assigned_class: int) -> float:
     if posterior.data_rows is not None:
         if posterior.data_rows.shape != prior.data_rows.shape:
             raise ValueError("posterior and prior data conditionals have different shapes")
-        kls = _kl_rows(posterior.data_rows, prior.data_rows)
-        total += float(np.maximum(kls[assigned_class] - kls, 0.0).sum()) / n
+        total += float(_hinge_gaps(posterior.data_rows[None], prior.data_rows, [assigned_class])[0])
     if posterior.attr_rows is not None:
         if prior.attr_rows is None or posterior.attr_rows.shape != prior.attr_rows.shape:
             raise ValueError("posterior and prior attribute conditionals have different shapes")
-        m = prior.attr_rows.shape[1]
-        kls = _kl_rows(posterior.attr_rows, prior.attr_rows)
-        total += float(np.maximum(kls[assigned_class] - kls, 0.0).sum()) / m
+        total += float(_hinge_gaps(posterior.attr_rows[None], prior.attr_rows, [assigned_class])[0])
     if not math.isfinite(total):
         raise ValueError(f"non-finite dissimilarity {total} for assigned class {assigned_class}")
     return total if total > SCORE_FLOOR else 0.0
@@ -94,11 +102,14 @@ def batch_weights(scores: Sequence[float]) -> np.ndarray:
     """Weights 1 - l/max(l) over a batch; an all-zero batch keeps everything.
 
     The normalization is undefined at max = 0, and a batch whose every score
-    is zero shows no contextual inconsistency, so all weights become 1.
+    is zero shows no contextual inconsistency, so all weights become 1.  A
+    non-finite score raises ValueError: NaN would turn every weight NaN.
     """
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise ValueError("empty score batch")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     if (s < 0).any():
         raise ValueError("scores must be nonnegative")
     top = float(s.max())
@@ -115,22 +126,66 @@ def _score_batch(
     relationship: RelationshipModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scores and has-context flags of a queried batch, as both verdict rules
-    need them."""
+    need them.
+
+    Every star is scored as :func:`dissimilarity` scores the posterior
+    conditionals of its instance graph, but block by block over the
+    dataset's CSR link and attribute indexes: one classifier call for a
+    block's data leaves, :func:`batch_posterior_rows` for its rows and one
+    expression for its KL gaps.
+    """
     if len(queried_ids) == 0:
         raise ValueError("empty query set")
     if len(queried_ids) != len(assigned_labels):
         raise ValueError("queried ids and assigned labels must align")
+    if classifier.n_features != dataset.n_features:
+        raise ValueError("classifier feature dimension does not match the dataset")
+    if classifier.n_classes != relationship.n_classes:
+        raise ValueError("classifier and relationship class counts differ")
+    rows = dataset.rows(queried_ids)
+    assigned = np.asarray(assigned_labels, dtype=int)
+    leaf_rows, link_ptr = dataset.links.gather(rows)
+    observations, obs_ptr = dataset.attributes.gather(rows)
+    has_context = (np.diff(link_ptr) > 0) | (np.diff(obs_ptr) > 0)
+    if obs_ptr[-1] > 0:
+        if relationship.attr_counts is None:
+            raise ValueError("instance has attribute observations but the relationship model has none")
+        if relationship.m_attribute_classes != dataset.m_attribute_classes:
+            raise ValueError("relationship and dataset attribute class counts differ")
+    n = relationship.n_classes
+    out_of_range = has_context & ((assigned < 0) | (assigned >= n))
+    if out_of_range.any():
+        bad = int(assigned[out_of_range.argmax()])
+        raise ValueError(f"assigned class {bad} out of range [0, {n})")
+    assigned = np.where(has_context, assigned, 0)  # an unscored label is never checked
+
     prior = prior_conditionals(relationship)
-    scores = np.zeros(len(queried_ids))
-    has_context = np.ones(len(queried_ids), dtype=bool)
-    for i, (qid, assigned) in enumerate(zip(queried_ids, assigned_labels)):
-        try:
-            graph = build_instance_graph(dataset.by_id(qid), dataset, classifier, relationship)
-        except NoContextError:
-            has_context[i] = False
-            continue
-        posterior = posterior_conditionals(graph)
-        scores[i] = dissimilarity(prior, posterior, int(assigned))
+    data_edge = relationship.data_counts + relationship.epsilon
+    attr_edge = None if relationship.attr_counts is None else relationship.attr_counts + relationship.epsilon
+    per_leaf = 8 * max(dataset.n_features, n * n, n * relationship.m_attribute_classes)
+    leaves_per_block = max(1, BLOCK_BYTES // per_leaf)
+    leaves = link_ptr + obs_ptr  # leaves before each star
+    scores = np.zeros(len(rows))
+    start = 0
+    while start < len(rows):
+        stop = int(np.searchsorted(leaves, leaves[start] + leaves_per_block, side="right")) - 1
+        stop = min(max(stop, start + 1), len(rows))
+        block = slice(start, stop)
+        a, b = link_ptr[start], link_ptr[stop]
+        if b > a:
+            potentials = predict_proba(classifier, dataset.features[leaf_rows[a:b]])
+            posterior = batch_posterior_rows(data_edge, potentials, link_ptr[start : stop + 1] - a)
+            scores[block] += _hinge_gaps(posterior, prior.data_rows, assigned[block])
+        a, b = obs_ptr[start], obs_ptr[stop]
+        if b > a:
+            posterior = batch_posterior_rows(attr_edge, observations[a:b], obs_ptr[start : stop + 1] - a)
+            scores[block] += _hinge_gaps(posterior, prior.attr_rows, assigned[block])
+        start = stop
+
+    if not np.isfinite(scores).all():
+        bad = int(np.argmin(np.isfinite(scores)))
+        raise ValueError(f"non-finite dissimilarity {scores[bad]} for assigned class {assigned[bad]}")
+    scores[scores <= SCORE_FLOOR] = 0.0
     return scores, has_context
 
 

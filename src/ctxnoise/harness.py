@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -45,6 +45,7 @@ from .classifiers import (
     AuxConfig,
     MlrConfig,
     MlrModel,
+    aux_predictions,
     predict_proba,
     train_aux,
     train_mlr,
@@ -149,6 +150,8 @@ class ExperimentConfig:
             ("mlr_batch_size", self.mlr_batch_size is None or self.mlr_batch_size >= 1, "must be >= 1 or none"),
             ("knn_k", self.knn_k >= 1, "must be >= 1"),
         )
+        if self.dataset_kind == "synthetic":
+            checks += tuple((f"synthetic.{name}", ok, req) for name, ok, req in self.synthetic.checks())
         for key, ok, requirement in checks:
             if not ok:
                 raise ConfigError(f"{key} {requirement}", key)
@@ -187,13 +190,6 @@ class ExperimentLog:
     @property
     def final_accuracy(self) -> float:
         return self.records[-1].accuracy
-
-    def key_rows(self) -> list[tuple]:
-        """Deterministic content (everything except wall-clock timing)."""
-        return [
-            (r.batch, r.accuracy, r.removed, r.kept, r.er1, r.er2, r.nep, tuple(r.queried))
-            for r in self.records
-        ]
 
 
 @dataclass
@@ -409,6 +405,10 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
         )
         test_instances = [dataset.by_id(i) for i in test_ids]
         y_test = dataset.true_labels(test_ids)
+        # the voting baselines' inputs do not depend on the injected labels
+        X_test = dataset.feature_matrix(test_ids)
+        member_preds = aux_predictions(aux, X_test)
+        mlr_proba = predict_proba(aux.mlr, X_test)
 
         if config.noise == "ncar":
             cells = []
@@ -435,9 +435,9 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
             )
             removed = probabilistic_detect(model, test_instances, assigned, removal_count)
             rows.append(DetectionSuiteRow("probabilistic", omega, seed, detection_metrics(removed, flip_mask)))
-            removed = consensus_detect(aux, test_instances, assigned, removal_count)
+            removed = consensus_detect(member_preds, mlr_proba, test_instances, assigned, removal_count)
             rows.append(DetectionSuiteRow("consensus", omega, seed, detection_metrics(removed, flip_mask)))
-            removed = majority_detect(aux, test_instances, assigned, removal_count)
+            removed = majority_detect(member_preds, mlr_proba, test_instances, assigned, removal_count)
             rows.append(DetectionSuiteRow("majority", omega, seed, detection_metrics(removed, flip_mask)))
     return rows
 
@@ -642,13 +642,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     return parse_config(path.read_text(), source=str(path))
 
-
-def dump_config(config: ExperimentConfig) -> str:
-    """Canonical key=value rendering of every config key."""
-    lines = [f"dataset = {config.dataset_kind}"]
-    if config.synthetic is not None:
-        for f in fields(SyntheticConfig):
-            lines.append(f"synthetic.{f.name} = {getattr(config.synthetic, f.name)!r}")
-    for key in sorted(_KEY_TYPES):
-        lines.append(f"{key} = {getattr(config, key)!r}")
-    return "\n".join(lines) + "\n"

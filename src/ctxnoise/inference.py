@@ -10,9 +10,14 @@ marginal is closed-form on a star:
 
     marginal(leaf) ∝ edge_potential[j, :] * leaf_potential
 
-and equals row j of that edge's pairwise belief, row-normalized.  A general
-two-pass sum-product engine over trees is provided as the independent route
-and for non-star trees.
+and equals row j of that edge's pairwise belief, row-normalized.
+
+:func:`batch_posterior_rows` computes the posterior rows of a whole block
+of stars at once from stacked leaf potentials; it is what the detector
+runs.  The per-star route (:func:`build_instance_graph`,
+:func:`posterior_conditionals`) is kept as the reference the tests compare
+it against, and a general two-pass sum-product engine over trees as the
+independent route and for non-star trees.
 """
 
 from __future__ import annotations
@@ -256,6 +261,28 @@ def posterior_conditionals(graph: InstanceGraph) -> PosteriorConditionals:
         attr_rows = prod.mean(axis=1)
         attr_rows /= attr_rows.sum(axis=1, keepdims=True)
     return PosteriorConditionals(data_rows=data_rows, attr_rows=attr_rows)
+
+
+def batch_posterior_rows(edge: np.ndarray, leaf_potentials: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Posterior rows of a block of stars for one kind of leaf, as
+    :func:`posterior_conditionals` computes them for one star.
+
+    ``edge`` is the (n, c) edge potential and ``leaf_potentials`` the (L, c)
+    leaf potentials stacked star by star: star b owns rows
+    ``indptr[b]:indptr[b + 1]``.  Row j of star b is the mean over its
+    leaves v of ``edge[j] * pot[v] / (pot[v] · edge[j])``, renormalized to
+    sum one.  Returns (B, n, c); a star without leaves gets all-zero rows.
+    """
+    degree = np.diff(indptr)
+    out = np.zeros((len(degree), edge.shape[0], edge.shape[1]))
+    filled = degree > 0
+    if filled.any():
+        prod = edge[None, :, :] * leaf_potentials[:, None, :]
+        prod /= prod.sum(axis=2, keepdims=True)
+        rows = np.add.reduceat(prod, indptr[:-1][filled], axis=0) / degree[filled, None, None]
+        rows /= rows.sum(axis=2, keepdims=True)
+        out[filled] = rows
+    return out
 
 
 def dump_graph(graph: InstanceGraph, path: str | Path) -> None:

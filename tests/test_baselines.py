@@ -11,7 +11,7 @@ from ctxnoise import (
     train_aux,
     voting_scores,
 )
-from ctxnoise.classifiers import MlrConfig, MlrModel
+from ctxnoise.classifiers import MlrConfig, MlrModel, predict_proba
 from ctxnoise.dataset import Instance
 
 
@@ -20,29 +20,32 @@ def instances_from(X):
 
 
 def blob_ensemble(seed=0):
+    """Blob data, labels and the voting inputs (member predictions, logistic
+    probabilities) of an ensemble trained on it."""
     rng = np.random.default_rng(seed)
     centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
     X = np.concatenate([c + 0.3 * rng.normal(size=(25, 2)) for c in centers])
     y = np.repeat(np.arange(3), 25)
-    return X, y, train_aux(X, y, AuxConfig(n_classes=3, seed=seed))
+    ensemble = train_aux(X, y, AuxConfig(n_classes=3, seed=seed))
+    return X, y, (aux_predictions(ensemble, X), predict_proba(ensemble.mlr, X))
 
 
 class TestVotingDetectors:
     def test_agreement_means_not_flagged(self):
         X, y, ensemble = blob_ensemble()
         insts = instances_from(X)
-        scores = voting_scores(ensemble, insts, y, min_disagreements=2)
+        scores = voting_scores(*ensemble, insts, y, min_disagreements=2)
         assert all(not any(s.disagreements) for s in scores)
-        assert majority_detect(ensemble, insts, y, 0) == set()
+        assert majority_detect(*ensemble, insts, y, 0) == set()
 
     def test_two_of_three_flags_majority_only(self):
         X, y, ensemble = blob_ensemble()
         insts = instances_from(X)
-        preds = aux_predictions(ensemble, X)
+        preds, _ = ensemble
         assert (preds == y[:, None]).all()
         wrong = (y + 1) % 3  # all three members disagree with these labels
-        maj = voting_scores(ensemble, insts, wrong, min_disagreements=2)
-        con = voting_scores(ensemble, insts, wrong, min_disagreements=3)
+        maj = voting_scores(*ensemble, insts, wrong, min_disagreements=2)
+        con = voting_scores(*ensemble, insts, wrong, min_disagreements=3)
         assert all(sum(s.disagreements) == 3 for s in maj)
         assert {s.instance_id for s in con if s.rank < 10} <= {
             s.instance_id for s in maj if s.rank < 10
@@ -53,11 +56,11 @@ class TestVotingDetectors:
         insts = instances_from(X)
         assigned = y.copy()
         assigned[:5] = (y[:5] + 1) % 3  # five flagged instances
-        removed = majority_detect(ensemble, insts, assigned, 3)
+        removed = majority_detect(*ensemble, insts, assigned, 3)
         assert len(removed) == 3
         assert removed <= {0, 1, 2, 3, 4}
         # they are the three flagged instances with the lowest p(assigned)
-        scores = voting_scores(ensemble, insts, assigned, 2)
+        scores = voting_scores(*ensemble, insts, assigned, 2)
         flagged = sorted((s for s in scores if s.instance_id < 5), key=lambda s: s.rank)
         assert {s.instance_id for s in flagged[:3]} == removed
 
@@ -66,8 +69,8 @@ class TestVotingDetectors:
         X, y, ensemble = blob_ensemble()
         insts = instances_from(X)
         assigned = rng.integers(0, 3, size=len(y))
-        maj = voting_scores(ensemble, insts, assigned, 2)
-        con = voting_scores(ensemble, insts, assigned, 3)
+        maj = voting_scores(*ensemble, insts, assigned, 2)
+        con = voting_scores(*ensemble, insts, assigned, 3)
         maj_flagged = {s.instance_id for s in maj if sum(s.disagreements) >= 2}
         con_flagged = {s.instance_id for s in con if sum(s.disagreements) >= 3}
         assert con_flagged <= maj_flagged
@@ -78,15 +81,17 @@ class TestVotingDetectors:
         insts = instances_from(X)
         assigned = rng.integers(0, 3, size=len(y))
         for count in (0, 5, 20, len(insts)):
-            a = consensus_detect(ensemble, insts, assigned, count)
-            b = consensus_detect(ensemble, insts, assigned, count)
+            a = consensus_detect(*ensemble, insts, assigned, count)
+            b = consensus_detect(*ensemble, insts, assigned, count)
             assert len(a) == count
             assert a == b
 
     def test_untrained_ensemble_rejected(self):
         insts = instances_from(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            majority_detect(None, insts, [0, 0], 1)
+            aux_predictions(None, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            majority_detect(None, None, insts, [0, 0], 1)
 
 
 class TestProbabilisticDetector:

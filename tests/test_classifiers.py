@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ctxnoise import (
     train_aux,
     train_mlr,
 )
+from ctxnoise import classifiers
 from ctxnoise.classifiers import mlr_gradient, mlr_loss
 
 
@@ -216,3 +218,40 @@ class TestAuxEnsemble:
         assert ensemble.feature_mean is not None
         preds = aux_predictions(ensemble, scaled)
         assert (preds[:, 2] == y).all()
+
+
+def knn_reference(store, labels, k, n_classes, queries):
+    """Per-query stable argsort: the k nearest, ties by lower store index."""
+    out = []
+    for q in queries:
+        dists = ((store - q) ** 2).sum(axis=1)
+        nearest = np.argsort(dists, kind="stable")[:k]
+        out.append(int(np.bincount(labels[nearest], minlength=n_classes).argmax()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 3, 5, 9])
+@pytest.mark.parametrize("block_bytes", [1, classifiers.BLOCK_BYTES])
+def test_knn_matches_stable_sort_under_distance_ties(seed, k, block_bytes):
+    # integer grid points repeat, so many stored points tie at the k-th distance
+    rng = np.random.default_rng(seed)
+    store = rng.integers(0, 3, size=(40, 2)).astype(float)
+    labels = rng.integers(0, 4, size=40)
+    labels[:4] = np.arange(4)
+    queries = np.array([[x, y] for x in np.arange(-1.0, 3.5, 0.5) for y in np.arange(-1.0, 3.5, 0.5)])
+    ensemble = train_aux(store, labels, AuxConfig(n_classes=4, knn_k=k, seed=0, svm_epochs=1))
+    with mock.patch.object(classifiers, "BLOCK_BYTES", block_bytes):
+        got = aux_predictions(ensemble, queries)[:, 2]
+    assert np.array_equal(got, knn_reference(store, labels, k, 4, queries))
+    # the ties really straddle the k-th place for some queries
+    dists = ((store[None] - queries[:, None]) ** 2).sum(axis=2)
+    kth = np.sort(dists, axis=1)[:, k - 1 : k]
+    assert ((dists < kth).sum(axis=1) + (dists == kth).sum(axis=1) > k).any()
+
+
+def test_knn_rejects_non_finite_queries():
+    X = np.array([[0.0], [1.0], [2.0]])
+    ensemble = train_aux(X, np.array([0, 1, 1]), AuxConfig(n_classes=2, knn_k=1, seed=0))
+    with pytest.raises(ValueError, match="non-finite"):
+        aux_predictions(ensemble, np.array([[np.nan]]))

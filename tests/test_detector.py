@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,17 +7,26 @@ from hypothesis import strategies as st
 
 from ctxnoise import (
     Conditionals,
+    Dataset,
+    Instance,
     MlrConfig,
     MlrModel,
+    NoContextError,
     batch_weights,
+    build_instance_graph,
     build_relationship,
     cnld_detect,
     detect_topk,
     detection_to_csv,
     dissimilarity,
     inject_ncar,
+    load_relationship,
+    posterior_conditionals,
+    prior_conditionals,
     ranking_auc,
+    save_relationship,
 )
+from ctxnoise import detector
 from ctxnoise.inference import PosteriorConditionals
 
 from test_relationship import linked_dataset
@@ -122,13 +133,23 @@ class TestBatchWeights:
         with pytest.raises(ValueError):
             batch_weights([1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # NaN used to make every weight NaN, so cnld_detect removed the batch
+        with pytest.raises(ValueError, match="finite"):
+            batch_weights([bad, 1.0])
+
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20), st.floats(0.1, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_bounds_and_scale_invariance(self, scores, scale):
         w = batch_weights(scores)
         assert (w >= 0).all() and (w <= 1).all()
-        scaled = batch_weights([s * scale for s in scores])
-        assert np.allclose(w, scaled, atol=1e-9)
+        # scaling keeps the ratios to the maximum only while the maximum stays
+        # a normal float: [5e-324] * 0.5 underflows to the all-zero batch
+        top = max(scores)
+        if top == 0 or min(top, top * scale) >= np.finfo(float).tiny:
+            scaled = batch_weights([s * scale for s in scores])
+            assert np.allclose(w, scaled, atol=1e-9)
         if max(scores) > 0:
             assert int(np.argmin(w)) == int(np.argmax(np.asarray(scores)))
 
@@ -200,6 +221,9 @@ class TestCnldDetect:
         result = cnld_detect([0, 1, 2], [0, 1, 2], ds, model, rel, beta=0.85)
         assert result.verdicts[2] == "unfilterable"
         assert 2 in result.kept_ids()
+        # an isolated instance's label is never scored, so it is not range-checked
+        result = cnld_detect([0, 1, 2], [0, 1, 7], ds, model, rel, beta=0.85)
+        assert result.verdicts[2] == "unfilterable"
 
     def test_empty_query_rejected(self):
         ds, rel, model = uniform_evidence_setup()
@@ -273,3 +297,106 @@ def test_detection_csv(tmp_path, trained_setup):
     lines = path.read_text().splitlines()
     assert lines[0] == "id,assigned,l,gamma,verdict,truly_flipped"
     assert len(lines) == 11
+
+
+def reference_scores(queried, assigned, dataset, model, rel):
+    """Per-star route: one instance graph, its posterior conditionals and
+    dissimilarity per queried instance."""
+    prior = prior_conditionals(rel)
+    scores, has_context = [], []
+    for qid, label in zip(queried, assigned):
+        try:
+            graph = build_instance_graph(dataset.by_id(qid), dataset, model, rel)
+        except NoContextError:
+            scores.append(0.0)
+            has_context.append(False)
+            continue
+        scores.append(dissimilarity(prior, posterior_conditionals(graph), int(label)))
+        has_context.append(True)
+    return np.array(scores), np.array(has_context)
+
+
+@st.composite
+def scoring_cases(draw, max_degree=4):
+    """A small linked dataset, a model, a relationship and a labeled query.
+
+    Features and MLR weights lie on an integer grid (weights times a scale up
+    to 1e4), so the logits are exact and both routes see bit-identical
+    classifier outputs; at large scales the probabilities hold exact zeros.
+    Attribute observations hold exact zeros too.
+    """
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(0, 3))
+    size = draw(st.integers(2, 9))
+    d = 2
+    pairs = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=3 * size))
+    links = [set() for _ in range(size)]
+    for u, v in pairs:
+        if u != v and len(links[u]) < max_degree and len(links[v]) < max_degree:
+            links[u].add(v)
+            links[v].add(u)
+    grid = st.integers(-2, 2)
+    instances = []
+    for i in range(size):
+        obs = []
+        for _ in range(draw(st.integers(0, max_degree)) if m > 0 else 0):
+            mass = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]), min_size=m, max_size=m)))
+            if mass.sum() == 0:
+                mass[draw(st.integers(0, m - 1))] = 1.0
+            obs.append(mass / mass.sum())
+        instances.append(Instance(
+            id=10 * i + 3,  # ids differ from rows
+            features=np.array(draw(st.lists(grid, min_size=d, max_size=d)), dtype=float),
+            true_label=draw(st.integers(0, n - 1)),
+            attribute_obs=obs,
+            link_ids=sorted(10 * v + 3 for v in links[i]),
+        ))
+    dataset = Dataset(instances, n, m, [f"c{c}" for c in range(n)])
+    dataset.validate()
+    scale = draw(st.sampled_from([1.0, 10.0, 100.0, 1e4]))
+    weights = scale * np.array(draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d)), dtype=float)
+    bias = scale * np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    model = MlrModel(weights.reshape(n, d), bias, MlrConfig(n_classes=n))
+    labeled = draw(st.lists(st.sampled_from(dataset.ids()), unique=True))
+    rel = build_relationship(
+        dataset,
+        {i: draw(st.integers(0, n - 1)) for i in labeled},
+        epsilon=draw(st.sampled_from([1e-6, 1e-2, 1.0])),
+    )
+    queried = draw(st.permutations(dataset.ids()))
+    assigned = [draw(st.integers(0, n - 1)) for _ in queried]
+    return queried, assigned, dataset, model, rel
+
+
+class TestBatchKernel:
+    @given(scoring_cases(), st.sampled_from([1, 400, detector.BLOCK_BYTES]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_star_reference(self, case, block_bytes):
+        # block_bytes=1 puts every star in its own block, 400 a few leaves per block
+        queried, assigned, dataset, model, rel = case
+        with mock.patch.object(detector, "BLOCK_BYTES", block_bytes):
+            scores, has_context = detector._score_batch(queried, assigned, dataset, model, rel)
+        want_scores, want_context = reference_scores(queried, assigned, dataset, model, rel)
+        assert np.array_equal(has_context, want_context)
+        assert np.isfinite(scores).all() and (scores >= 0).all()
+        assert np.abs(scores - want_scores).max() <= 1e-12
+
+    def test_corrupt_counts_raise_without_warnings(self, tmp_path):
+        # a NaN count, as a damaged relationship dump holds; pytest turns
+        # RuntimeWarnings into errors, so only the ValueError may surface
+        ds = linked_dataset(labels=(0, 1), links=((0, 1),), n_classes=2)
+        rel = build_relationship(ds, {0: 0, 1: 1})
+        path = tmp_path / "rel.txt"
+        save_relationship(rel, path)
+        path.write_text(path.read_text().replace("1.0", "nan", 1))
+        model = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(n_classes=2))
+        with pytest.raises(ValueError, match="non-finite"):
+            cnld_detect([0, 1], [0, 1], ds, model, load_relationship(path))
+
+    def test_attribute_class_count_mismatch_rejected(self):
+        # the kernel would broadcast a one-column relationship over m columns
+        ds = linked_dataset(labels=(0, 1), links=(), n_classes=2, m=2, attr_obs={0: [[1.0, 0.0]]})
+        rel = build_relationship(linked_dataset(labels=(0, 1), links=(), n_classes=2, m=1, attr_obs={0: [[1.0]]}), {0: 0})
+        model = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(n_classes=2))
+        with pytest.raises(ValueError, match="attribute class counts differ"):
+            cnld_detect([0, 1], [0, 1], ds, model, rel)
