@@ -1,13 +1,6 @@
 """Context-based noisy-label detection and noise-robust active learning."""
 
-from .baselines import (
-    BaselineScore,
-    consensus_detect,
-    majority_detect,
-    probabilistic_detect,
-    probabilistic_scores,
-    voting_scores,
-)
+from .baselines import consensus_detect, majority_detect, probabilistic_detect
 from .classifiers import (
     AuxConfig,
     AuxEnsemble,

@@ -1,37 +1,43 @@
-"""Voting and probabilistic noisy-label detectors used for comparison."""
+"""Voting and probabilistic noisy-label detectors used for comparison.
+
+Each detector ranks a batch by keys computed from label-free classifier
+outputs and the assigned labels, and removes the first ``removal_count``
+ids; ties go to the lower id.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .classifiers import MlrModel, predict_proba
-from .dataset import Instance
+from .classifiers import entropy
 
 
-@dataclass
-class BaselineScore:
-    instance_id: int
-    disagreements: tuple[bool, ...]  # per ensemble member, prediction != assigned
-    score: float
-    rank: int  # 0 = removed first
+def _first(ids: Sequence[int], removal_count: int, *keys: np.ndarray) -> set[int]:
+    """The ``removal_count`` ids that sort first by ``keys``, the first key
+    most significant, ties going to the lower id."""
+    ids = np.asarray(ids)
+    if not 0 <= removal_count <= len(ids):
+        raise ValueError("removal_count out of range")
+    order = np.lexsort((ids, *reversed(keys)))
+    return set(ids[order[:removal_count]].tolist())
 
 
-def _features(instances: Sequence[Instance]) -> np.ndarray:
-    return np.stack([inst.features for inst in instances])
+def _checked(ids: Sequence[int], assigned: Sequence[int], *rows: np.ndarray) -> np.ndarray:
+    """The assigned labels as an int array, after checking that they and
+    every array of ``rows`` hold one entry per id."""
+    a = np.asarray(assigned, dtype=int)
+    if len(a) != len(ids):
+        raise ValueError("ids and assigned labels must align")
+    if any(r.ndim != 2 or len(r) != len(ids) for r in rows):
+        raise ValueError("member predictions and probabilities need one row per instance")
+    return a
 
 
-def voting_scores(
-    predictions: np.ndarray,
-    mlr_proba: np.ndarray,
-    instances: Sequence[Instance],
-    assigned: Sequence[int],
-    min_disagreements: int,
-) -> list[BaselineScore]:
-    """Rank suspects: flagged instances first, then ascending confidence in
-    the assigned class, ties toward the lower id.
+def _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, min_disagreements) -> set[int]:
+    """Flagged instances first, then ascending confidence in the assigned
+    class.
 
     ``predictions`` holds the ensemble members' class predictions, one row
     per instance as :func:`aux_predictions` returns them, and ``mlr_proba``
@@ -40,97 +46,46 @@ def voting_scores(
     flagged when at least ``min_disagreements`` members predict something
     other than the assigned label.
     """
-    if len(instances) != len(assigned):
-        raise ValueError("instances and assigned labels must align")
-    preds = np.asarray(predictions)
-    proba = np.asarray(mlr_proba)
-    if preds.ndim != 2 or preds.shape[0] != len(instances) or proba.ndim != 2 or proba.shape[0] != len(instances):
-        raise ValueError("member predictions and probabilities need one row per instance")
-    a = np.asarray(assigned, dtype=int)
-    disagree = preds != a[:, None]
-    flagged = disagree.sum(axis=1) >= min_disagreements
-    p_assigned = proba[np.arange(len(a)), a]
-
-    order = sorted(
-        range(len(instances)),
-        key=lambda i: (not flagged[i], p_assigned[i], instances[i].id),
-    )
-    scores = [None] * len(instances)
-    for rank, i in enumerate(order):
-        scores[i] = BaselineScore(
-            instance_id=instances[i].id,
-            disagreements=tuple(bool(v) for v in disagree[i]),
-            score=float(flagged[i]) + float(1.0 - p_assigned[i]),
-            rank=rank,
-        )
-    return scores
-
-
-def _removed_by_rank(scores: list[BaselineScore], removal_count: int) -> set[int]:
-    if removal_count < 0 or removal_count > len(scores):
-        raise ValueError("removal_count out of range")
-    return {s.instance_id for s in scores if s.rank < removal_count}
+    preds, proba = np.asarray(predictions), np.asarray(mlr_proba)
+    a = _checked(ids, assigned, preds, proba)
+    flagged = (preds != a[:, None]).sum(axis=1) >= min_disagreements
+    return _first(ids, removal_count, ~flagged, proba[np.arange(len(a)), a])
 
 
 def majority_detect(
     predictions: np.ndarray,
     mlr_proba: np.ndarray,
-    instances: Sequence[Instance],
+    ids: Sequence[int],
     assigned: Sequence[int],
     removal_count: int,
 ) -> set[int]:
     """Flag when at least 2 of 3 members disagree with the assigned label."""
-    return _removed_by_rank(voting_scores(predictions, mlr_proba, instances, assigned, 2), removal_count)
+    return _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, 2)
 
 
 def consensus_detect(
     predictions: np.ndarray,
     mlr_proba: np.ndarray,
-    instances: Sequence[Instance],
+    ids: Sequence[int],
     assigned: Sequence[int],
     removal_count: int,
 ) -> set[int]:
     """Flag only when all 3 members disagree with the assigned label."""
-    return _removed_by_rank(voting_scores(predictions, mlr_proba, instances, assigned, 3), removal_count)
-
-
-def probabilistic_scores(
-    classifier: MlrModel, instances: Sequence[Instance], assigned: Sequence[int]
-) -> list[BaselineScore]:
-    """Suspicion from prediction mismatch and predictive entropy.
-
-    Mismatched instances score 1 - p(assigned) and always outrank matched
-    ones, which score half their normalized entropy; ties fall to the lower
-    id.
-    """
-    if classifier is None:
-        raise ValueError("classifier is not trained")
-    if len(instances) != len(assigned):
-        raise ValueError("instances and assigned labels must align")
-    X = _features(instances)
-    a = np.asarray(assigned, dtype=int)
-    P = predict_proba(classifier, X)
-    n = P.shape[1]
-    mismatch = P.argmax(axis=1) != a
-    entropy = -(P * np.log(np.where(P > 0, P, 1.0))).sum(axis=1) / np.log(n)  # 0 * log 0 = 0
-    s = np.where(mismatch, 1.0 - P[np.arange(len(a)), a], 0.5 * entropy)
-
-    order = sorted(
-        range(len(instances)),
-        key=lambda i: (not mismatch[i], -s[i], instances[i].id),
-    )
-    scores = [None] * len(instances)
-    for rank, i in enumerate(order):
-        scores[i] = BaselineScore(
-            instance_id=instances[i].id,
-            disagreements=(bool(mismatch[i]),),
-            score=float(s[i]),
-            rank=rank,
-        )
-    return scores
+    return _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, 3)
 
 
 def probabilistic_detect(
-    classifier: MlrModel, instances: Sequence[Instance], assigned: Sequence[int], removal_count: int
+    proba: np.ndarray, ids: Sequence[int], assigned: Sequence[int], removal_count: int
 ) -> set[int]:
-    return _removed_by_rank(probabilistic_scores(classifier, instances, assigned), removal_count)
+    """Suspicion from prediction mismatch and predictive entropy.
+
+    ``proba`` holds the classifier's class distributions, one row per id.
+    Mismatched instances score 1 - p(assigned) and always outrank matched
+    ones, which score half their normalized entropy; the highest scores are
+    removed first.
+    """
+    P = np.asarray(proba)
+    a = _checked(ids, assigned, P)
+    mismatch = P.argmax(axis=1) != a
+    s = np.where(mismatch, 1.0 - P[np.arange(len(a)), a], 0.5 * (entropy(P) / np.log(P.shape[1])))
+    return _first(ids, removal_count, ~mismatch, -s)

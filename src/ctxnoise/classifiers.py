@@ -124,6 +124,12 @@ def predict_proba(model: MlrModel, features: np.ndarray) -> np.ndarray:
     return P[0] if single else P
 
 
+def entropy(proba: np.ndarray) -> np.ndarray:
+    """Natural-log entropy of each row of class distributions, with
+    0 * log 0 = 0: a saturated classifier gives exact zeros."""
+    return -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=1)
+
+
 def mlr_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float) -> float:
     """Mean cross-entropy plus (l2/2)·||W||²; the objective train_mlr descends."""
     P = _softmax(features @ weights.T + bias)

@@ -246,6 +246,7 @@ class SyntheticConfig:
             ("noise_scale", 0.0 <= self.noise_scale < math.inf, "must be >= 0 and finite"),
             ("links_per_instance", self.links_per_instance >= 0, "must be >= 0"),
             ("attributes_per_instance", self.attributes_per_instance >= 0, "must be >= 0"),
+            ("seed", self.seed >= 0, "must be >= 0"),
             (
                 "attributes_per_instance",
                 self.attributes_per_instance == 0 or self.m_attribute_classes > 0,

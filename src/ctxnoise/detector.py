@@ -206,20 +206,13 @@ def cnld_detect(
         raise ValueError("beta must lie in [0, 1)")
     scores, has_context = _score_batch(queried_ids, assigned_labels, dataset, classifier, relationship)
     weights = batch_weights(scores)
-    verdicts = []
-    for i in range(len(queried_ids)):
-        if not has_context[i]:
-            verdicts.append(UNFILTERABLE)
-        elif weights[i] > beta:
-            verdicts.append(KEEP)
-        else:
-            verdicts.append(REMOVE)
+    verdicts = np.where(has_context, np.where(weights > beta, KEEP, REMOVE), UNFILTERABLE)
     return DetectionResult(
         ids=list(queried_ids),
         assigned=np.asarray(assigned_labels, dtype=int),
         scores=scores,
         weights=weights,
-        verdicts=verdicts,
+        verdicts=verdicts.tolist(),
         max_score=float(scores.max()),
         beta=beta,
     )
@@ -243,22 +236,15 @@ def detect_topk(
     if removal_count > len(queried_ids):
         raise ValueError("removal_count exceeds batch size")
     scores, has_context = _score_batch(queried_ids, assigned_labels, dataset, classifier, relationship)
-    order = sorted(range(len(queried_ids)), key=lambda i: (-scores[i], queried_ids[i]))
-    removed = set(order[:removal_count])
-    verdicts = []
-    for i in range(len(queried_ids)):
-        if i in removed:
-            verdicts.append(REMOVE)
-        elif has_context[i]:
-            verdicts.append(KEEP)
-        else:
-            verdicts.append(UNFILTERABLE)
+    removed = np.zeros(len(scores), dtype=bool)
+    removed[np.lexsort((np.asarray(queried_ids), -scores))[:removal_count]] = True
+    verdicts = np.where(removed, REMOVE, np.where(has_context, KEEP, UNFILTERABLE))
     return DetectionResult(
         ids=list(queried_ids),
         assigned=np.asarray(assigned_labels, dtype=int),
         scores=scores,
         weights=batch_weights(scores),
-        verdicts=verdicts,
+        verdicts=verdicts.tolist(),
         max_score=float(scores.max()),
         removal_count=removal_count,
     )

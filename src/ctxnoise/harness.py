@@ -46,6 +46,7 @@ from .classifiers import (
     MlrConfig,
     MlrModel,
     aux_predictions,
+    entropy,
     predict_proba,
     train_aux,
     train_mlr,
@@ -53,7 +54,6 @@ from .classifiers import (
 from .dataset import (
     Dataset,
     GroundTruth,
-    Instance,
     SyntheticConfig,
     generate_synthetic,
     load_cora,
@@ -139,7 +139,7 @@ class ExperimentConfig:
             ("beta", 0.0 <= self.beta < 1.0, "must lie in [0, 1)"),
             ("omega", 0.0 <= self.omega <= 1.0, "must lie in [0, 1]"),
             ("n_batches", self.n_batches >= 2, "must be >= 2"),
-            ("seeds", len(self.seeds) > 0, "must name at least one seed"),
+            ("seeds", len(self.seeds) > 0 and min(self.seeds) >= 0, "must name at least one seed, each >= 0"),
             ("omegas", len(self.omegas) > 0 and all(0.0 <= w <= 1.0 for w in self.omegas), "must be values in [0, 1]"),
             ("betas", len(self.betas) > 0 and all(0.0 <= b < 1.0 for b in self.betas), "must be values in [0, 1)"),
             ("cora_fold", 0 <= self.cora_fold < CORA_FOLDS, f"must lie in [0, {CORA_FOLDS})"),
@@ -225,31 +225,29 @@ def split_train_test(dataset: Dataset, config: ExperimentConfig, seed: int) -> t
 
 def select_informative(
     classifier: MlrModel,
-    batch_instances: Sequence[Instance],
+    dataset: Dataset,
+    batch_ids: Sequence[int],
     k: int,
     strategy: str,
     seed: int,
 ) -> list[int]:
-    """Pick k instances to query: top prediction entropy, or uniform at random.
+    """Pick k of the batch's ids to query: top prediction entropy, or
+    uniform at random over the sorted ids.
 
     Entropy ties break toward the lower instance id.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > len(batch_instances):
+    if k > len(batch_ids):
         raise ValueError("k exceeds the batch size")
-    ordered = sorted(batch_instances, key=lambda inst: inst.id)
+    ordered = np.sort(np.asarray(batch_ids, dtype=int))
     if strategy == "random":
         rng = np.random.default_rng(seed)
-        picks = rng.choice(len(ordered), size=k, replace=False)
-        return [ordered[i].id for i in picks]
+        return ordered[rng.choice(len(ordered), size=k, replace=False)].tolist()
     if strategy != "entropy":
         raise ValueError(f"unknown selection strategy {strategy!r}")
-    X = np.stack([inst.features for inst in ordered])
-    P = predict_proba(classifier, X)
-    H = -(P * np.log(np.where(P > 0, P, 1.0))).sum(axis=1)  # 0 * log 0 = 0
-    ranked = sorted(range(len(ordered)), key=lambda i: (-H[i], ordered[i].id))
-    return [ordered[i].id for i in ranked[:k]]
+    H = entropy(predict_proba(classifier, dataset.feature_matrix(ordered)))
+    return ordered[np.lexsort((ordered, -H))[:k]].tolist()
 
 
 def _initial_models(dataset: Dataset, pool: Sequence[int], config: ExperimentConfig, seed: int):
@@ -305,7 +303,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
     if not pseudo and config.noise == "nar":
         transition = estimate_transition(pool_X, pool_y, n)
 
-    test_instances = [dataset.by_id(i) for i in test_ids]
+    X_test, y_test = dataset.feature_matrix(test_ids), dataset.true_labels(test_ids)
     accepted: list[tuple[int, int]] = [(i, dataset.by_id(i).true_label) for i in plan.batches[0]]
     records: list[BatchRecord] = []
 
@@ -314,11 +312,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
         batch_ids = plan.batches[t]
         k = min(len(batch_ids), max(1, _round_half_up(config.query_fraction * len(batch_ids))))
         queried = select_informative(
-            model,
-            [dataset.by_id(i) for i in batch_ids],
-            k,
-            config.selection,
-            derive_seed(seed, _SALT_SELECT, t),
+            model, dataset, batch_ids, k, config.selection, derive_seed(seed, _SALT_SELECT, t)
         )
 
         # fixed labels are trusted as given; candidates may be filtered
@@ -343,9 +337,8 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
             flip_mask = dict(zip(candidates, (labels != dataset.true_labels(candidates)).tolist()))
             removed = cnld_detect(candidates, labels, dataset, model, rel, config.beta).removed_ids()
             if config.mode == "pb":
-                removed = probabilistic_detect(
-                    model, [dataset.by_id(i) for i in candidates], labels, len(removed)
-                )
+                proba = predict_proba(model, dataset.feature_matrix(candidates))
+                removed = probabilistic_detect(proba, candidates, labels, len(removed))
             elif config.mode == "cl":  # drop truly flipped labels only, up to the cnld budget
                 removed = set(sorted(i for i in candidates if flip_mask[i])[: len(removed)])
             batch_metrics = detection_metrics(removed, flip_mask)
@@ -362,7 +355,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
         records.append(
             BatchRecord(
                 batch=t,
-                accuracy=accuracy(model, test_instances),
+                accuracy=accuracy(model, X_test, y_test),
                 removed=len(removed),
                 kept=len(kept),
                 er1=batch_metrics.er1 if batch_metrics else None,
@@ -403,10 +396,10 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
                 seed=derive_seed(seed, _SALT_AUX),
             ),
         )
-        test_instances = [dataset.by_id(i) for i in test_ids]
         y_test = dataset.true_labels(test_ids)
-        # the voting baselines' inputs do not depend on the injected labels
+        # the baselines' classifier outputs do not depend on the injected labels
         X_test = dataset.feature_matrix(test_ids)
+        test_proba = predict_proba(model, X_test)
         member_preds = aux_predictions(aux, X_test)
         mlr_proba = predict_proba(aux.mlr, X_test)
 
@@ -433,11 +426,11 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
             rows.append(
                 DetectionSuiteRow("cnld", omega, seed, detection_metrics(det.removed_ids(), flip_mask), auc)
             )
-            removed = probabilistic_detect(model, test_instances, assigned, removal_count)
+            removed = probabilistic_detect(test_proba, test_ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("probabilistic", omega, seed, detection_metrics(removed, flip_mask)))
-            removed = consensus_detect(member_preds, mlr_proba, test_instances, assigned, removal_count)
+            removed = consensus_detect(member_preds, mlr_proba, test_ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("consensus", omega, seed, detection_metrics(removed, flip_mask)))
-            removed = majority_detect(member_preds, mlr_proba, test_instances, assigned, removal_count)
+            removed = majority_detect(member_preds, mlr_proba, test_ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("majority", omega, seed, detection_metrics(removed, flip_mask)))
     return rows
 
@@ -622,7 +615,11 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             for key in values
             if key.startswith("synthetic.")
         })
-    elif kind != "cora":
+    elif kind == "cora":
+        stray = next((key for key in values if key.startswith("synthetic.")), None)
+        if stray is not None:
+            raise ConfigError(f"{values[stray][1]}: {stray} does not apply to dataset = cora", stray)
+    else:
         raise ConfigError(f"{kind_where}: unknown dataset kind {kind!r}")
 
     for key in values:

@@ -8,7 +8,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .classifiers import MlrModel, predict_proba
-from .dataset import Instance
 
 
 @dataclass
@@ -55,36 +54,32 @@ def detection_metrics(removed_ids: Iterable[int], flip_mask: Mapping[int, bool])
     )
 
 
-def accuracy(classifier: MlrModel, test_instances: Sequence[Instance]) -> float:
-    """Fraction of argmax predictions agreeing with the true labels."""
-    if len(test_instances) == 0:
+def accuracy(classifier: MlrModel, features: np.ndarray, labels: Sequence[int]) -> float:
+    """Fraction of argmax predictions on ``features`` agreeing with ``labels``."""
+    y = np.asarray(labels)
+    if len(y) == 0:
         raise ValueError("empty test set")
-    X = np.stack([inst.features for inst in test_instances])
-    y = np.array([inst.true_label for inst in test_instances])
-    return float((predict_proba(classifier, X).argmax(axis=1) == y).mean())
+    if len(features) != len(y):
+        raise ValueError("features and labels must align")
+    return float((predict_proba(classifier, features).argmax(axis=1) == y).mean())
 
 
 def ranking_auc(scores: Sequence[float], positive: Sequence[bool]) -> float:
     """Probability a positive outranks a negative, ties counted half.
 
     Rank-sum (Mann-Whitney) formulation with average ranks on ties; needs at
-    least one positive and one negative.
+    least one positive and one negative, and finite scores.
     """
     s = np.asarray(scores, dtype=float)
     pos = np.asarray(positive, dtype=bool)
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     n_pos = int(pos.sum())
     n_neg = len(s) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need both positive and negative examples")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, tie_run, run_length = np.unique(s, return_inverse=True, return_counts=True)
+    last = np.cumsum(run_length)  # 1-based rank of the last score of each run
+    ranks = (last - 0.5 * (run_length - 1))[tie_run]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -53,6 +53,12 @@ def test_missing_config_key_names_it(tmp_path, capsys):
     assert "synthetic.n_classes" in capsys.readouterr().err
 
 
+def test_negative_seed_override_rejected(tmp_path, tiny_config, capsys):
+    # it used to fail deep inside numpy: "error: expected non-negative integer"
+    assert main(["detect", "--config", str(tiny_config), "--out", str(tmp_path), "--seeds=-2"]) == 1
+    assert capsys.readouterr().err == "error: seeds must name at least one seed, each >= 0\n"
+
+
 def test_gen_data_writes_dataset(tmp_path, tiny_config):
     out = tmp_path / "outdir"
     assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0

@@ -76,7 +76,7 @@ class TestSyntheticGenerator:
             dataset.true_labels(train),
             MlrConfig(n_classes=4, seed=0),
         )
-        acc = accuracy(model, [dataset.by_id(int(i)) for i in test])
+        acc = accuracy(model, dataset.feature_matrix(test), dataset.true_labels(test))
         assert abs(acc - 0.25) <= 0.1
 
     def test_attribute_observations_are_smoothed_distributions(self):

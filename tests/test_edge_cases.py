@@ -97,7 +97,7 @@ def test_saturated_classifier_entropy_selection():
     # picks a one-hot prediction here
     dataset, batch, model, _ = saturated_setup()
     assert np.count_nonzero(predict_proba(model, dataset.by_id(batch[0]).features)) == 1
-    picked = select_informative(model, [dataset.by_id(i) for i in batch], 1, "entropy", seed=0)
+    picked = select_informative(model, dataset, batch, 1, "entropy", seed=0)
     assert np.count_nonzero(predict_proba(model, dataset.by_id(picked[0]).features)) > 1
 
 

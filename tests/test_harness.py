@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctxnoise import (
     ConfigError,
@@ -20,10 +22,11 @@ from ctxnoise import (
 )
 from ctxnoise import harness
 from ctxnoise.cli import main
-from ctxnoise.dataset import Instance
+from ctxnoise.dataset import Dataset, Instance
 from ctxnoise.harness import (
     LEARNING_MODES,
     _KEY_TYPES,
+    _SYN_KEY_TYPES,
     detection_result_rows,
     learning_result_rows,
     load_config,
@@ -78,37 +81,41 @@ class TestSelectInformative:
         rows = np.asarray(rows, dtype=float)
         return MlrModel(np.log(rows).T, np.zeros(rows.shape[1]), MlrConfig(n_classes=rows.shape[1]))
 
-    def instances(self, count):
-        return [Instance(id=i, features=np.eye(count)[i], true_label=0) for i in range(count)]
+    def pick(self, model, count, k, strategy, seed):
+        """Select from a batch of ``count`` one-hot instances, whose
+        predictions are the rows of ``model``'s fixed table."""
+        instances = [Instance(id=i, features=np.eye(count)[i], true_label=0) for i in range(count)]
+        dataset = Dataset(instances, n_classes=2, m_attribute_classes=0, class_names=["a", "b"])
+        return select_informative(model, dataset, list(range(count)), k, strategy, seed)
 
     def test_entropy_prefers_uncertain(self):
         model = self.fixed_model([[0.5, 0.5], [0.99, 0.01]])
-        picked = select_informative(model, self.instances(2), 1, "entropy", seed=0)
+        picked = self.pick(model, 2, 1, "entropy", seed=0)
         assert picked == [0]
 
     def test_k_equals_batch_selects_all(self):
         model = self.fixed_model(np.full((4, 2), 0.5))
         for strategy in ("entropy", "random"):
-            picked = select_informative(model, self.instances(4), 4, strategy, seed=1)
+            picked = self.pick(model, 4, 4, strategy, seed=1)
             assert sorted(picked) == [0, 1, 2, 3]
 
     def test_uniform_ties_select_lowest_ids(self):
         model = self.fixed_model(np.full((5, 3), 1 / 3))
-        picked = select_informative(model, self.instances(5), 3, "entropy", seed=0)
+        picked = self.pick(model, 5, 3, "entropy", seed=0)
         assert picked == [0, 1, 2]
 
     def test_random_is_seeded(self):
         model = self.fixed_model(np.full((6, 2), 0.5))
-        a = select_informative(model, self.instances(6), 3, "random", seed=4)
-        b = select_informative(model, self.instances(6), 3, "random", seed=4)
-        c = select_informative(model, self.instances(6), 3, "random", seed=5)
+        a = self.pick(model, 6, 3, "random", seed=4)
+        b = self.pick(model, 6, 3, "random", seed=4)
+        c = self.pick(model, 6, 3, "random", seed=5)
         assert a == b
         assert a != c
 
     def test_zero_k_rejected(self):
         model = self.fixed_model(np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
-            select_informative(model, self.instances(2), 0, "entropy", seed=0)
+            self.pick(model, 2, 0, "entropy", seed=0)
 
 
 def essentials(log):
@@ -293,6 +300,12 @@ seeds = 0, 1
 mlr_epochs = 50
 mlr_batch_size = none
 """
+    CORA = """
+dataset = cora
+cora_content = missing.content
+cora_cites = missing.cites
+seeds = 0
+"""
 
     def test_parse_fields(self):
         config = parse_config(self.GOOD)
@@ -332,8 +345,8 @@ mlr_batch_size = none
             parse_config(self.GOOD.replace("mode = cnld", "mode = nonsense"))
 
     @pytest.mark.parametrize(
-        "bad_line",
-        [
+        "base, bad_line",
+        [pytest.param("GOOD", line, id=line) for line in (
             "replay = ture",
             "replay = ",
             "mlr_epochs = -5",
@@ -362,11 +375,18 @@ mlr_batch_size = none
             "synthetic.concentration = nan",
             "synthetic.instances_per_class = 0",
             "synthetic.links_per_instance = -1",
-        ],
+            "synthetic.seed = -1",
+            "seeds = 0, -2",
+        )]
+        # with dataset = cora every synthetic.* key is ignored, typos included
+        + [pytest.param("CORA", line, id=f"cora: {line}") for line in (
+            "synthetic.n_clases = 3",
+            "synthetic.n_classes = 3",
+        )],
     )
-    def test_bad_line_names_source_and_line(self, bad_line, tmp_path, capsys):
+    def test_bad_line_names_source_and_line(self, base, bad_line, tmp_path, capsys):
         key = bad_line.split("=")[0].strip()
-        kept = [line for line in self.GOOD.splitlines() if line.split("=")[0].strip() != key]
+        kept = [line for line in getattr(self, base).splitlines() if line.split("=")[0].strip() != key]
         text = "\n".join(kept + [bad_line]) + "\n"
         lineno = len(kept) + 1
         with pytest.raises(ConfigError, match=f"^<config>:{lineno}: "):
@@ -382,6 +402,47 @@ mlr_batch_size = none
     def test_boolean_spellings(self, spelling):
         config = parse_config(self.GOOD + f"replay = {spelling}\n")
         assert config.replay is (spelling.lower() in ("true", "yes", "1"))
+
+    FUZZ_KEYS = (
+        ["dataset", "typo_key", "synthetic.typo", "synthetic.", "synthetic", ""]
+        + sorted(_KEY_TYPES)
+        + [f"synthetic.{key}" for key in sorted(_SYN_KEY_TYPES)]
+    )
+    FUZZ_VALUES = [
+        "synthetic", "cora", "", "0", "1", "-1", "2", "3", "0.5", "1.5", "-0.0", "nan", "inf", "-inf",
+        "1e309", "abc", "true", "ture", "none", "0, 1", "0, -2", "0.1, 0.9", "1 2 x", "ncar", "nar",
+        "cnld", "entropy", "random", "=", "4 = 5", "0x10", "1_000", "\u0663",
+    ]
+
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)).map(" = ".join),
+                st.sampled_from(["", "# comment", "no equals sign", "   "]),
+            ),
+            max_size=12,
+        ),
+        base=st.sampled_from([None, "GOOD", "CORA"]),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_config_raises_config_error_only(self, lines, base, tmp_path, capsys):
+        # on a valid base, the drawn lines replace the base lines of their keys
+        drawn = {line.split("=")[0].strip() for line in lines}
+        base_lines = getattr(self, base).splitlines() if base else []
+        kept = [line for line in base_lines if line.split("=")[0].strip() not in drawn]
+        text = "\n".join(kept + lines) + "\n"
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
+        else:
+            return  # an accepted config would run a whole experiment
+        path = tmp_path / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["detect", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "exp.cfg"

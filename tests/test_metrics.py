@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxnoise import MlrConfig, MlrModel, accuracy, detection_metrics, ranking_auc
-from ctxnoise.dataset import Instance
 
 
 class TestDetectionMetrics:
@@ -64,37 +63,34 @@ class TestDetectionMetrics:
             assert m.nep * m.removed == pytest.approx(m.mislabeled_removed)
 
 
-def make_instances(features, labels):
-    return [
-        Instance(id=i, features=np.asarray(f, dtype=float), true_label=int(y))
-        for i, (f, y) in enumerate(zip(features, labels))
-    ]
-
-
 class TestAccuracy:
     def test_constant_predictor_on_balanced_set(self):
         model = MlrModel(np.zeros((4, 2)), np.array([5.0, 0.0, 0.0, 0.0]), MlrConfig(n_classes=4))
-        insts = make_instances(np.random.default_rng(0).normal(size=(40, 2)), np.tile(np.arange(4), 10))
-        assert accuracy(model, insts) == 0.25
+        X = np.random.default_rng(0).normal(size=(40, 2))
+        assert accuracy(model, X, np.tile(np.arange(4), 10)) == 0.25
 
     def test_perfect_memorizer(self):
         X = np.eye(3)
         model = MlrModel(np.eye(3) * 10, np.zeros(3), MlrConfig(n_classes=3))
-        insts = make_instances(X, [0, 1, 2])
-        assert accuracy(model, insts) == 1.0
+        assert accuracy(model, X, [0, 1, 2]) == 1.0
 
     def test_uniform_predictor_near_chance(self):
         rng = np.random.default_rng(1)
         # zero weights -> uniform probabilities -> argmax always class 0
         model = MlrModel(rng.normal(size=(4, 6)), rng.normal(size=4), MlrConfig(n_classes=4))
-        insts = make_instances(rng.normal(size=(10_000, 6)), rng.integers(0, 4, size=10_000))
+        X, y = rng.normal(size=(10_000, 6)), rng.integers(0, 4, size=10_000)
         # random labels, unrelated features: accuracy is binomial around 0.25
-        assert abs(accuracy(model, insts) - 0.25) < 0.02
+        assert abs(accuracy(model, X, y) - 0.25) < 0.02
 
     def test_empty_test_set_rejected(self):
         model = MlrModel(np.zeros((2, 2)), np.zeros(2), MlrConfig(n_classes=2))
         with pytest.raises(ValueError):
-            accuracy(model, [])
+            accuracy(model, np.empty((0, 2)), [])
+
+    def test_misaligned_labels_rejected(self):
+        model = MlrModel(np.zeros((2, 2)), np.zeros(2), MlrConfig(n_classes=2))
+        with pytest.raises(ValueError, match="align"):
+            accuracy(model, np.zeros((3, 2)), [0, 1])
 
 
 class TestRankingAuc:
@@ -116,3 +112,9 @@ class TestRankingAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             ranking_auc([0.1, 0.2], [True, True])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        # NaN scores used to give 0.5 here without a word
+        with pytest.raises(ValueError, match="finite"):
+            ranking_auc([bad, 0.1, bad, 0.3], [True, False, False, True])
