@@ -94,20 +94,54 @@ def train_mlr(
         W = np.zeros((cfg.n_classes, X.shape[1]))
         b = np.zeros(cfg.n_classes)
 
-    Y = np.zeros((X.shape[0], cfg.n_classes))
-    Y[np.arange(X.shape[0]), y] = 1.0
+    N, n = X.shape[0], cfg.n_classes
+    Y = np.zeros((N, n))
+    Y[np.arange(N), y] = 1.0
     rng = np.random.default_rng(cfg.seed)
-    size = cfg.batch_size or X.shape[0]
+    size = cfg.batch_size or N
 
+    # A step is P = softmax(X_b W^T + b), G = (P - Y_b) / |b|,
+    # W -= lr * (G^T X_b + l2 W) and b -= lr * sum_rows(G).  Each operation
+    # and its operand order are those of the plain expressions (the reference
+    # loop in tests/oracles.py), so the weights are bit-identical to theirs;
+    # but every temporary lives in a buffer made once, with out passed
+    # positionally, which numpy parses faster, and the rows are gathered in
+    # epoch order once per epoch into C-ordered buffers, as X[idx] makes them.
+    if cfg.batch_size:
+        Xo, Yo = np.empty(X.shape), np.empty(Y.shape)
+    else:
+        Xo, Yo = np.ascontiguousarray(X), Y
+    P_buf, row_buf = np.empty((min(size, N), n)), np.empty((min(size, N), 1))
+    steps = []  # (rows, P, row max/sum, row count) of each step of an epoch
+    for start in range(0, N, size):
+        k = min(size, N - start)
+        steps.append((slice(start, start + k), P_buf[:k], row_buf[:k], k))
+    grad_W, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.learning_rate / math.sqrt(epoch)
-        order = rng.permutation(X.shape[0]) if cfg.batch_size else np.arange(X.shape[0])
-        for start in range(0, X.shape[0], size):
-            idx = order[start : start + size]
-            P = _softmax(X[idx] @ W.T + b)
-            G = (P - Y[idx]) / len(idx)
-            W -= lr * (G.T @ X[idx] + cfg.l2 * W)
-            b -= lr * G.sum(axis=0)
+        if cfg.batch_size:
+            order = rng.permutation(N)
+            np.take(X, order, 0, Xo, "clip")  # "clip" skips the copy that "raise" makes of out
+            np.take(Y, order, 0, Yo, "clip")
+        for rows, P, row, k in steps:
+            Xb = Xo[rows]
+            np.matmul(Xb, W.T, P)
+            np.add(P, b, P)
+            np.maximum.reduce(P, 1, None, row, True)
+            np.subtract(P, row, P)
+            np.exp(P, P)
+            np.add.reduce(P, 1, None, row, True)
+            np.divide(P, row, P)  # softmax
+            np.subtract(P, Yo[rows], P)
+            np.divide(P, k, P)  # G
+            np.matmul(P.T, Xb, grad_W)
+            np.multiply(cfg.l2, W, decay)
+            np.add(grad_W, decay, grad_W)
+            np.multiply(lr, grad_W, grad_W)
+            np.subtract(W, grad_W, W)
+            np.add.reduce(P, 0, None, grad_b)
+            np.multiply(lr, grad_b, grad_b)
+            np.subtract(b, grad_b, b)
 
     return MlrModel(weights=W, bias=b, config=cfg)
 

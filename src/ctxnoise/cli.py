@@ -60,7 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _prepare(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     config = load_config(args.config)
     if args.seeds:
-        config.seeds = [int(t) for t in args.seeds.replace(",", " ").split()]
+        try:
+            config.seeds = [int(t) for t in args.seeds.replace(",", " ").split()]
+        except ValueError:
+            raise ConfigError(
+                f"--seeds expects comma-separated non-negative integers, got {args.seeds!r}"
+            ) from None
         config.validate()
     out_dir = Path(args.out or os.environ.get(OUT_ENV_VAR, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -25,6 +25,7 @@ Floats are written with repr precision and round-trip exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -189,12 +190,21 @@ class Dataset:
         """
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
+        # the link rules, checked on the whole CSR index at once; the per-link
+        # checks below run only when that fails, to name the first broken link
+        indptr, neighbours = self.links.indptr, self.links.values
+        rows = np.repeat(np.arange(len(self)), np.diff(indptr))
+        links_ok = not (rows == neighbours).any() and np.array_equal(
+            np.sort(rows * len(self) + neighbours), np.sort(neighbours * len(self) + rows)
+        )
         for inst in self.instances:
             if not 0 <= inst.true_label < self.n_classes:
                 raise ValueError(f"instance {inst.id}: true_label {inst.true_label} out of range")
             for obs in inst.attribute_obs:
                 if (obs < 0).any() or abs(float(obs.sum()) - 1.0) > 1e-9:
                     raise ValueError(f"instance {inst.id}: attribute observation is not a distribution")
+            if links_ok:
+                continue
             if inst.id in inst.link_ids:
                 raise ValueError(f"instance {inst.id}: self-link")
             for other in inst.link_ids:
@@ -269,6 +279,13 @@ class GroundTruth:
     attr_conditionals: np.ndarray | None  # (n, m) or None when m == 0
 
 
+def _choice_cdfs(rows: np.ndarray) -> list[list[float]]:
+    """Each row's CDF as ``Generator.choice`` normalizes it."""
+    cdf = rows.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf.tolist()
+
+
 def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
     """Sample a linked dataset whose context structure is known exactly.
 
@@ -293,35 +310,43 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
 
     labels = np.repeat(np.arange(n), per)
     features = means[labels] + config.noise_scale * rng.standard_normal((total, d))
-    members = [np.flatnonzero(labels == c) for c in range(n)]
 
+    # Draws are made one by one, in the order of the per-draw loop that
+    # defined the stream: ``rng.choice(k, p=row)`` is one ``rng.random()``
+    # bisected into the row's normalized CDF, and class z's pool is the id
+    # range z*per .. z*per + per - 1, less u itself when z is u's class.
+    random, integers = rng.random, rng.integers
+    link_cdf = _choice_cdfs(data_rows)
     link_sets: list[set[int]] = [set() for _ in range(total)]
-    for u in range(total):
+    for u, own in enumerate(labels.tolist()):
+        cdf = link_cdf[own]
         for _ in range(config.links_per_instance):
-            z = int(rng.choice(n, p=data_rows[labels[u]]))
-            pool = members[z]
-            if z == labels[u]:
-                pool = pool[pool != u]
-            if len(pool) == 0:
+            z = bisect_right(cdf, random())
+            if z != own:
+                v = z * per + int(integers(per))
+            elif per > 1:
+                v = z * per + int(integers(per - 1))
+                v += v >= u  # skip u's own position
+            else:
                 continue
-            v = int(pool[rng.integers(len(pool))])
             link_sets[u].add(v)
             link_sets[v].add(u)
 
+    if m > 0:
+        attr_cdf = _choice_cdfs(attr_rows)
+        one_hots = np.full((m, m), ATTRIBUTE_SMOOTHING / m)
+        one_hots[np.arange(m), np.arange(m)] += 1.0 - ATTRIBUTE_SMOOTHING
     instances = []
-    for u in range(total):
+    for u, own in enumerate(labels.tolist()):
         obs = []
         if m > 0:
-            for _ in range(config.attributes_per_instance):
-                a = int(rng.choice(m, p=attr_rows[labels[u]]))
-                vec = np.full(m, ATTRIBUTE_SMOOTHING / m)
-                vec[a] += 1.0 - ATTRIBUTE_SMOOTHING
-                obs.append(vec)
+            cdf = attr_cdf[own]
+            obs = [one_hots[bisect_right(cdf, random())].copy() for _ in range(config.attributes_per_instance)]
         instances.append(
             Instance(
                 id=u,
                 features=features[u],
-                true_label=int(labels[u]),
+                true_label=own,
                 attribute_obs=obs,
                 link_ids=sorted(link_sets[u]),
             )

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classifiers import BLOCK_BYTES, MlrModel, predict_proba
-from .dataset import Dataset
+from .dataset import Dataset, _read_only
 from .inference import batch_posterior_rows
 from .relationship import Conditionals, RelationshipModel, prior_conditionals
 
@@ -65,13 +65,12 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return (p * np.log(np.where(p > 0, p / q, 1.0))).sum(axis=-1)
 
 
-def _hinge_gaps(posterior: np.ndarray, prior: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+def _hinge(kls: np.ndarray, assigned, leaf_classes: int) -> np.ndarray:
     """The hinged KL gap of the assigned class, divided by the number of
-    leaf classes, for every star of a (B, n, c) block of posterior rows."""
-    kls = _kl_rows(posterior, prior)
+    leaf classes, for every star of a (B, n) table of KL rows."""
     assigned_kl = kls[np.arange(len(kls)), assigned]
     with np.errstate(invalid="ignore"):
-        return np.maximum(assigned_kl[:, None] - kls, 0.0).sum(axis=-1) / prior.shape[1]
+        return np.maximum(assigned_kl[:, None] - kls, 0.0).sum(axis=-1) / leaf_classes
 
 
 def dissimilarity(prior: Conditionals, posterior, assigned_class: int) -> float:
@@ -88,11 +87,12 @@ def dissimilarity(prior: Conditionals, posterior, assigned_class: int) -> float:
     if posterior.data_rows is not None:
         if posterior.data_rows.shape != prior.data_rows.shape:
             raise ValueError("posterior and prior data conditionals have different shapes")
-        total += float(_hinge_gaps(posterior.data_rows[None], prior.data_rows, [assigned_class])[0])
+        total += float(_hinge(_kl_rows(posterior.data_rows, prior.data_rows)[None], [assigned_class], n)[0])
     if posterior.attr_rows is not None:
         if prior.attr_rows is None or posterior.attr_rows.shape != prior.attr_rows.shape:
             raise ValueError("posterior and prior attribute conditionals have different shapes")
-        total += float(_hinge_gaps(posterior.attr_rows[None], prior.attr_rows, [assigned_class])[0])
+        m = prior.attr_rows.shape[1]
+        total += float(_hinge(_kl_rows(posterior.attr_rows, prior.attr_rows)[None], [assigned_class], m)[0])
     if not math.isfinite(total):
         raise ValueError(f"non-finite dissimilarity {total} for assigned class {assigned_class}")
     return total if total > SCORE_FLOOR else 0.0
@@ -118,95 +118,136 @@ def batch_weights(scores: Sequence[float]) -> np.ndarray:
     return 1.0 - s / top
 
 
-def _score_batch(
+@dataclass(frozen=True, eq=False)
+class StarDivergences:
+    """The label-free half of scoring a queried batch, row b for ``ids[b]``.
+
+    ``data_kl[b, j]`` is KL(post_j || prior_j) of star b's data leaves with
+    its center clamped to class j, and ``attr_kl`` the same for its
+    attribute leaves; a star without leaves of a kind has a zero row, and a
+    table is None when no star of the batch has leaves of its kind.  Only
+    the hinge against the assigned class reads labels, so one table serves
+    every label vector of the same stars and models.
+    """
+
+    ids: np.ndarray            # (B,)
+    has_context: np.ndarray    # (B,) bool: the star has any leaf
+    data_kl: np.ndarray | None  # (B, n)
+    attr_kl: np.ndarray | None  # (B, n)
+    n_classes: int
+    m_attribute_classes: int
+
+
+def star_divergences(
     queried_ids: Sequence[int],
-    assigned_labels: Sequence[int],
     dataset: Dataset,
     classifier: MlrModel,
     relationship: RelationshipModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and has-context flags of a queried batch, as both verdict rules
-    need them.
+) -> StarDivergences:
+    """KL rows of every queried star, as :func:`dissimilarity` computes them
+    from the posterior conditionals of its instance graph.
 
-    Every star is scored as :func:`dissimilarity` scores the posterior
-    conditionals of its instance graph, but block by block over the
-    dataset's CSR link and attribute indexes: one classifier call for a
-    block's data leaves, :func:`batch_posterior_rows` for its rows and one
-    expression for its KL gaps.
+    Stars are scored block by block over the dataset's CSR link and
+    attribute indexes: one classifier call for a block's data leaves,
+    :func:`batch_posterior_rows` for its rows and one expression for its KL
+    rows.
     """
     if len(queried_ids) == 0:
         raise ValueError("empty query set")
-    if len(queried_ids) != len(assigned_labels):
-        raise ValueError("queried ids and assigned labels must align")
     if classifier.n_features != dataset.n_features:
         raise ValueError("classifier feature dimension does not match the dataset")
     if classifier.n_classes != relationship.n_classes:
         raise ValueError("classifier and relationship class counts differ")
     rows = dataset.rows(queried_ids)
-    assigned = np.asarray(assigned_labels, dtype=int)
     leaf_rows, link_ptr = dataset.links.gather(rows)
     observations, obs_ptr = dataset.attributes.gather(rows)
-    has_context = (np.diff(link_ptr) > 0) | (np.diff(obs_ptr) > 0)
     if obs_ptr[-1] > 0:
         if relationship.attr_counts is None:
             raise ValueError("instance has attribute observations but the relationship model has none")
         if relationship.m_attribute_classes != dataset.m_attribute_classes:
             raise ValueError("relationship and dataset attribute class counts differ")
     n = relationship.n_classes
+
+    prior = prior_conditionals(relationship)
+    data_edge = relationship.data_counts + relationship.epsilon
+    attr_edge = None if relationship.attr_counts is None else relationship.attr_counts + relationship.epsilon
+    data_kl = np.zeros((len(rows), n)) if link_ptr[-1] > 0 else None
+    attr_kl = np.zeros((len(rows), n)) if obs_ptr[-1] > 0 else None
+    per_leaf = 8 * max(dataset.n_features, n * n, n * relationship.m_attribute_classes)
+    leaves_per_block = max(1, BLOCK_BYTES // per_leaf)
+    leaves = link_ptr + obs_ptr  # leaves before each star
+    start = 0
+    while start < len(rows):
+        stop = int(np.searchsorted(leaves, leaves[start] + leaves_per_block, side="right")) - 1
+        stop = min(max(stop, start + 1), len(rows))
+        a, b = link_ptr[start], link_ptr[stop]
+        if b > a:
+            potentials = predict_proba(classifier, dataset.features[leaf_rows[a:b]])
+            posterior = batch_posterior_rows(data_edge, potentials, link_ptr[start : stop + 1] - a)
+            data_kl[start:stop] = _kl_rows(posterior, prior.data_rows)
+        a, b = obs_ptr[start], obs_ptr[stop]
+        if b > a:
+            posterior = batch_posterior_rows(attr_edge, observations[a:b], obs_ptr[start : stop + 1] - a)
+            attr_kl[start:stop] = _kl_rows(posterior, prior.attr_rows)
+        start = stop
+
+    return StarDivergences(
+        ids=_read_only(np.array(queried_ids, dtype=int)),
+        has_context=_read_only((np.diff(link_ptr) > 0) | (np.diff(obs_ptr) > 0)),
+        data_kl=None if data_kl is None else _read_only(data_kl),
+        attr_kl=None if attr_kl is None else _read_only(attr_kl),
+        n_classes=n,
+        m_attribute_classes=relationship.m_attribute_classes,
+    )
+
+
+def _scores(
+    queried_ids: Sequence[int], assigned_labels: Sequence[int], divergences: StarDivergences
+) -> np.ndarray:
+    """Dissimilarity of each queried star against its assigned label: the
+    hinge over the table's KL rows, the data gap first, then the attribute
+    gap.  A star without context scores 0 whatever its label."""
+    if len(queried_ids) != len(assigned_labels):
+        raise ValueError("queried ids and assigned labels must align")
+    if not np.array_equal(np.asarray(queried_ids), divergences.ids):
+        raise ValueError("queried ids differ from the ids the star divergences were computed for")
+    assigned = np.asarray(assigned_labels, dtype=int)
+    has_context, n = divergences.has_context, divergences.n_classes
     out_of_range = has_context & ((assigned < 0) | (assigned >= n))
     if out_of_range.any():
         bad = int(assigned[out_of_range.argmax()])
         raise ValueError(f"assigned class {bad} out of range [0, {n})")
     assigned = np.where(has_context, assigned, 0)  # an unscored label is never checked
 
-    prior = prior_conditionals(relationship)
-    data_edge = relationship.data_counts + relationship.epsilon
-    attr_edge = None if relationship.attr_counts is None else relationship.attr_counts + relationship.epsilon
-    per_leaf = 8 * max(dataset.n_features, n * n, n * relationship.m_attribute_classes)
-    leaves_per_block = max(1, BLOCK_BYTES // per_leaf)
-    leaves = link_ptr + obs_ptr  # leaves before each star
-    scores = np.zeros(len(rows))
-    start = 0
-    while start < len(rows):
-        stop = int(np.searchsorted(leaves, leaves[start] + leaves_per_block, side="right")) - 1
-        stop = min(max(stop, start + 1), len(rows))
-        block = slice(start, stop)
-        a, b = link_ptr[start], link_ptr[stop]
-        if b > a:
-            potentials = predict_proba(classifier, dataset.features[leaf_rows[a:b]])
-            posterior = batch_posterior_rows(data_edge, potentials, link_ptr[start : stop + 1] - a)
-            scores[block] += _hinge_gaps(posterior, prior.data_rows, assigned[block])
-        a, b = obs_ptr[start], obs_ptr[stop]
-        if b > a:
-            posterior = batch_posterior_rows(attr_edge, observations[a:b], obs_ptr[start : stop + 1] - a)
-            scores[block] += _hinge_gaps(posterior, prior.attr_rows, assigned[block])
-        start = stop
-
+    scores = np.zeros(len(assigned))
+    if divergences.data_kl is not None:
+        scores += _hinge(divergences.data_kl, assigned, n)
+    if divergences.attr_kl is not None:
+        scores += _hinge(divergences.attr_kl, assigned, divergences.m_attribute_classes)
     if not np.isfinite(scores).all():
         bad = int(np.argmin(np.isfinite(scores)))
         raise ValueError(f"non-finite dissimilarity {scores[bad]} for assigned class {assigned[bad]}")
     scores[scores <= SCORE_FLOOR] = 0.0
-    return scores, has_context
+    return scores
 
 
 def cnld_detect(
     queried_ids: Sequence[int],
     assigned_labels: Sequence[int],
-    dataset: Dataset,
-    classifier: MlrModel,
-    relationship: RelationshipModel,
+    divergences: StarDivergences,
     beta: float = DEFAULT_BETA,
 ) -> DetectionResult:
     """Score a queried batch and keep instances whose weight exceeds beta.
 
-    Instances without any context cannot be checked: they are marked
-    unfilterable and kept.
+    ``divergences`` is :func:`star_divergences` of the same ids.  Instances
+    without any context cannot be checked: they are marked unfilterable and
+    kept.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    scores, has_context = _score_batch(queried_ids, assigned_labels, dataset, classifier, relationship)
+    scores = _scores(queried_ids, assigned_labels, divergences)
     weights = batch_weights(scores)
-    verdicts = np.where(has_context, np.where(weights > beta, KEEP, REMOVE), UNFILTERABLE)
+    verdicts = np.where(divergences.has_context, np.where(weights > beta, KEEP, REMOVE), UNFILTERABLE)
     return DetectionResult(
         ids=list(queried_ids),
         assigned=np.asarray(assigned_labels, dtype=int),
@@ -221,24 +262,23 @@ def cnld_detect(
 def detect_topk(
     queried_ids: Sequence[int],
     assigned_labels: Sequence[int],
-    dataset: Dataset,
-    classifier: MlrModel,
-    relationship: RelationshipModel,
+    divergences: StarDivergences,
     removal_count: int,
 ) -> DetectionResult:
     """Remove exactly the ``removal_count`` highest-scoring instances.
 
-    Ties break toward the lower instance id.  Used when the evaluation
-    protocol fixes the removal budget instead of thresholding on beta.
+    ``divergences`` is :func:`star_divergences` of the same ids.  Ties break
+    toward the lower instance id.  Used when the evaluation protocol fixes
+    the removal budget instead of thresholding on beta.
     """
     if removal_count < 0:
         raise ValueError("removal_count must be >= 0")
     if removal_count > len(queried_ids):
         raise ValueError("removal_count exceeds batch size")
-    scores, has_context = _score_batch(queried_ids, assigned_labels, dataset, classifier, relationship)
+    scores = _scores(queried_ids, assigned_labels, divergences)
     removed = np.zeros(len(scores), dtype=bool)
     removed[np.lexsort((np.asarray(queried_ids), -scores))[:removal_count]] = True
-    verdicts = np.where(removed, REMOVE, np.where(has_context, KEEP, UNFILTERABLE))
+    verdicts = np.where(removed, REMOVE, np.where(divergences.has_context, KEEP, UNFILTERABLE))
     return DetectionResult(
         ids=list(queried_ids),
         assigned=np.asarray(assigned_labels, dtype=int),

@@ -19,6 +19,8 @@ ones followed by the surviving candidates, in that order.
   are the rest of the batch, sorted, with argmax pseudo-labels (none for
   ``manual``), filtered by ``cnld_detect`` in ``manual_pseudo_cnld`` only.
 
+A filtered batch computes its candidates' ``star_divergences`` once, from
+the current models, and ``cnld_detect`` hinges its labels against them.
 A candidate is flipped when its label differs from the true one;
 ER1/ER2/NEP are reported for filtered batches.  With ``replay`` every
 update retrains the classifier on all labels accepted so far, batch 0
@@ -26,7 +28,9 @@ included, instead of on the batch's kept labels alone.
 
 :func:`run_detection_suite` is the pure detection benchmark: train on batch
 0, inject noise into the evaluation split, and remove a fixed fraction with
-every detector.
+every detector.  Everything the detectors read that does not depend on the
+injected labels, the star divergences included, is computed once per seed
+and serves every noise level.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .dataset import (
     load_cora,
     split_batches,
 )
-from .detector import DEFAULT_BETA, cnld_detect, detect_topk
+from .detector import DEFAULT_BETA, cnld_detect, detect_topk, star_divergences
 from .metrics import DetectionMetrics, accuracy, detection_metrics, ranking_auc
 from .noise import inject_nar, inject_ncar, estimate_transition, _round_half_up
 from .relationship import DEFAULT_SMOOTHING, build_relationship, update_relationship
@@ -335,7 +339,8 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
         batch_metrics = None
         if candidates and config.mode in FILTERED_MODES:
             flip_mask = dict(zip(candidates, (labels != dataset.true_labels(candidates)).tolist()))
-            removed = cnld_detect(candidates, labels, dataset, model, rel, config.beta).removed_ids()
+            divergences = star_divergences(candidates, dataset, model, rel)
+            removed = cnld_detect(candidates, labels, divergences, config.beta).removed_ids()
             if config.mode == "pb":
                 proba = predict_proba(model, dataset.feature_matrix(candidates))
                 removed = probabilistic_detect(proba, candidates, labels, len(removed))
@@ -397,8 +402,10 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
             ),
         )
         y_test = dataset.true_labels(test_ids)
-        # the baselines' classifier outputs do not depend on the injected labels
+        # the detectors' classifier outputs and star divergences do not
+        # depend on the injected labels
         X_test = dataset.feature_matrix(test_ids)
+        divergences = star_divergences(test_ids, dataset, model, rel)
         test_proba = predict_proba(model, X_test)
         member_preds = aux_predictions(aux, X_test)
         mlr_proba = predict_proba(aux.mlr, X_test)
@@ -419,7 +426,7 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
             assigned = noise_plan.assigned
             flip_mask = {tid: bool(f) for tid, f in zip(test_ids, noise_plan.flipped)}
 
-            det = detect_topk(test_ids, assigned, dataset, model, rel, removal_count)
+            det = detect_topk(test_ids, assigned, divergences, removal_count)
             auc = None
             if 0 < noise_plan.flipped.sum() < len(test_ids):
                 auc = ranking_auc(det.scores, noise_plan.flipped)

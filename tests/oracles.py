@@ -6,6 +6,7 @@ paths with the package's message-passing or clamped-inference routines.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -65,3 +66,28 @@ def random_tree(rng, max_nodes=6, max_card=5):
         u = int(rng.integers(0, v))
         edges.append((u, v, rng.uniform(0.1, 1.0, size=(cards[u], cards[v]))))
     return pots, edges
+
+
+def reference_train_mlr(weights, bias, features, labels, config):
+    """The plain mini-batch SGD loop of ``train_mlr``: softmax, gradient and
+    update written as one expression each, with fresh temporaries at every
+    step.  ``weights`` and ``bias`` are the start point (zeros for a cold
+    start) and are not modified."""
+    X = np.asarray(features, dtype=float)
+    W, b = weights.copy(), bias.copy()
+    Y = np.zeros((X.shape[0], config.n_classes))
+    Y[np.arange(X.shape[0]), labels] = 1.0
+    rng = np.random.default_rng(config.seed)
+    size = config.batch_size or X.shape[0]
+    for epoch in range(1, config.epochs + 1):
+        lr = config.learning_rate / math.sqrt(epoch)
+        order = rng.permutation(X.shape[0]) if config.batch_size else np.arange(X.shape[0])
+        for start in range(0, X.shape[0], size):
+            idx = order[start : start + size]
+            Z = X[idx] @ W.T + b
+            E = np.exp(Z - Z.max(axis=-1, keepdims=True))
+            P = E / E.sum(axis=-1, keepdims=True)
+            G = (P - Y[idx]) / len(idx)
+            W -= lr * (G.T @ X[idx] + config.l2 * W)
+            b -= lr * G.sum(axis=0)
+    return W, b

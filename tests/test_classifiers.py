@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxnoise import (
     AuxConfig,
@@ -19,6 +21,8 @@ from ctxnoise import (
 )
 from ctxnoise import classifiers
 from ctxnoise.classifiers import mlr_gradient, mlr_loss
+
+from oracles import reference_train_mlr
 
 
 def separable_1d():
@@ -123,6 +127,32 @@ class TestTrainMlr:
             if acc_warm < acc_cold - 0.02:
                 worse += 1
         assert worse == 0
+
+
+@given(
+    N=st.integers(1, 100),
+    d=st.integers(1, 20),
+    n=st.integers(2, 5),
+    batch_size=st.sampled_from([None, 1, 7, 32]),
+    warm=st.booleans(),
+    l2=st.sampled_from([0.0, 1e-4]),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_train_mlr_is_bit_identical_to_the_plain_loop(N, d, n, batch_size, warm, l2, fortran, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, d)) * rng.choice([0.1, 1.0, 10.0])
+    if fortran:  # a column-major input, as a transposed feature store would be
+        X = np.asfortranarray(X)
+    y = rng.integers(0, n, N)
+    config = MlrConfig(n_classes=n, learning_rate=0.5, l2=l2, epochs=3, batch_size=batch_size, seed=seed)
+    W0 = rng.standard_normal((n, d)) if warm else np.zeros((n, d))
+    b0 = rng.standard_normal(n) if warm else np.zeros(n)
+    model = train_mlr(MlrModel(W0.copy(), b0.copy(), config) if warm else None, X, y, config)
+    W, b = reference_train_mlr(W0, b0, X, y, config)
+    assert np.array_equal(model.weights, W)
+    assert np.array_equal(model.bias, b)
 
 
 class TestPredictProba:

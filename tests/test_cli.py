@@ -59,6 +59,15 @@ def test_negative_seed_override_rejected(tmp_path, tiny_config, capsys):
     assert capsys.readouterr().err == "error: seeds must name at least one seed, each >= 0\n"
 
 
+@pytest.mark.parametrize("value", ["x", "1.5"])
+def test_malformed_seed_override_names_the_flag(tmp_path, tiny_config, capsys, value):
+    # it used to print "error: invalid literal for int() with base 10: 'x'"
+    assert main(["detect", "--config", str(tiny_config), "--out", str(tmp_path), f"--seeds={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --seeds expects comma-separated non-negative integers, got {value!r}\n"
+    assert "Traceback" not in err
+
+
 def test_gen_data_writes_dataset(tmp_path, tiny_config):
     out = tmp_path / "outdir"
     assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0

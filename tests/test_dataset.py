@@ -3,6 +3,8 @@ import pytest
 
 from ctxnoise import (
     CoraFormatError,
+    Dataset,
+    Instance,
     MlrConfig,
     SyntheticConfig,
     generate_synthetic,
@@ -118,6 +120,27 @@ def write_cora(tmp_path, content_lines, cites_lines):
     content.write_text("".join(line + "\n" for line in content_lines))
     cites.write_text("".join(line + "\n" for line in cites_lines))
     return content, cites
+
+
+class TestValidateLinks:
+    def dataset(self, links):
+        instances = [Instance(id=i, features=np.zeros(1), true_label=i % 2, link_ids=ids) for i, ids in enumerate(links)]
+        return Dataset(instances, n_classes=2, m_attribute_classes=0, class_names=["a", "b"])
+
+    @pytest.mark.parametrize(
+        "links, message",
+        [
+            ([[1], [0, 2], [2, 1]], "instance 2: self-link"),
+            ([[1, 2], [0], []], "link 0->2 is not symmetric"),
+            ([[1], [0, 2], [1], [1]], "link 3->1 is not symmetric"),
+        ],
+    )
+    def test_first_broken_link_is_named(self, links, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.dataset(links).validate()
+
+    def test_repeated_link_with_a_return_link_passes(self):
+        self.dataset([[1, 1], [0], []]).validate()
 
 
 class TestCoraLoader:

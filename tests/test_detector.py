@@ -25,6 +25,7 @@ from ctxnoise import (
     prior_conditionals,
     ranking_auc,
     save_relationship,
+    star_divergences,
 )
 from ctxnoise import detector
 from ctxnoise.inference import PosteriorConditionals
@@ -167,14 +168,15 @@ class TestCnldDetect:
     def test_uniform_evidence_keeps_everything(self):
         ds, rel, model = uniform_evidence_setup()
         ids = ds.ids()
-        result = cnld_detect(ids, [ds.by_id(i).true_label for i in ids], ds, model, rel, beta=0.85)
+        table = star_divergences(ids, ds, model, rel)
+        result = cnld_detect(ids, [ds.by_id(i).true_label for i in ids], table, beta=0.85)
         assert result.verdicts == ["keep"] * len(ids)
         assert np.allclose(result.scores, 0.0, atol=1e-12)
         assert np.array_equal(result.weights, np.ones(len(ids)))
 
     def test_single_instance_batch_composition_rule(self):
         ds, rel, model = uniform_evidence_setup()
-        result = cnld_detect([0], [ds.by_id(0).true_label], ds, model, rel, beta=0.85)
+        result = cnld_detect([0], [ds.by_id(0).true_label], star_divergences([0], ds, model, rel), beta=0.85)
         assert result.verdicts == ["keep"]
         assert result.weights[0] == 1.0
 
@@ -184,7 +186,7 @@ class TestCnldDetect:
         rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
         qid = rest[0]
         wrong = (dataset.by_id(qid).true_label + 1) % 4
-        result = cnld_detect([qid], [wrong], dataset, model, rel, beta=0.85)
+        result = cnld_detect([qid], [wrong], star_divergences([qid], dataset, model, rel), beta=0.85)
         assert result.weights[0] in (0.0, 1.0)
         if result.scores[0] > 0:
             assert result.verdicts == ["remove"]
@@ -194,7 +196,7 @@ class TestCnldDetect:
         rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
         queried = rest[:40]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.5, seed=1)
-        result = cnld_detect(queried, plan.assigned, dataset, model, rel, beta=0.0)
+        result = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel), beta=0.0)
         removed = result.removed_ids()
         top = {qid for qid, w in zip(queried, result.weights) if w == 0.0}
         assert removed == top
@@ -206,7 +208,7 @@ class TestCnldDetect:
         aucs, gaps = [], []
         for seed in range(5):
             plan = inject_ncar(dataset.true_labels(rest), 4, 0.4, seed=seed)
-            result = cnld_detect(rest, plan.assigned, dataset, model, rel)
+            result = cnld_detect(rest, plan.assigned, star_divergences(rest, dataset, model, rel))
             flipped = plan.flipped
             gaps.append(result.scores[flipped].mean() - result.scores[~flipped].mean())
             aucs.append(ranking_auc(result.scores, flipped))
@@ -218,30 +220,30 @@ class TestCnldDetect:
         ds = linked_dataset(labels=(0, 1, 2), links=((0, 1),))  # instance 2 isolated
         rel = build_relationship(ds, {0: 0, 1: 1, 2: 2})
         model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
-        result = cnld_detect([0, 1, 2], [0, 1, 2], ds, model, rel, beta=0.85)
+        result = cnld_detect([0, 1, 2], [0, 1, 2], star_divergences([0, 1, 2], ds, model, rel), beta=0.85)
         assert result.verdicts[2] == "unfilterable"
         assert 2 in result.kept_ids()
         # an isolated instance's label is never scored, so it is not range-checked
-        result = cnld_detect([0, 1, 2], [0, 1, 7], ds, model, rel, beta=0.85)
+        result = cnld_detect([0, 1, 2], [0, 1, 7], star_divergences([0, 1, 2], ds, model, rel), beta=0.85)
         assert result.verdicts[2] == "unfilterable"
 
     def test_empty_query_rejected(self):
         ds, rel, model = uniform_evidence_setup()
         with pytest.raises(ValueError):
-            cnld_detect([], [], ds, model, rel)
+            cnld_detect([], [], star_divergences([], ds, model, rel))
 
     def test_invalid_beta_rejected(self):
         ds, rel, model = uniform_evidence_setup()
         with pytest.raises(ValueError):
-            cnld_detect([0], [0], ds, model, rel, beta=1.0)
+            cnld_detect([0], [0], star_divergences([0], ds, model, rel), beta=1.0)
 
     def test_deterministic(self, trained_setup):
         dataset, pool, rest, model = trained_setup
         rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
         queried = rest[:30]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.3, seed=0)
-        a = cnld_detect(queried, plan.assigned, dataset, model, rel)
-        b = cnld_detect(queried, plan.assigned, dataset, model, rel)
+        a = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
+        b = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
         assert np.array_equal(a.scores, b.scores)
         assert a.verdicts == b.verdicts
 
@@ -251,8 +253,9 @@ class TestCnldDetect:
         rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
         queried = rest[:20]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=2)
-        full = cnld_detect(queried, plan.assigned, dataset, model, rel)
-        partial = cnld_detect(queried[1:], plan.assigned[1:], dataset, model, rel)
+        full = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
+        table = star_divergences(queried[1:], dataset, model, rel)
+        partial = cnld_detect(queried[1:], plan.assigned[1:], table)
         assert np.allclose(full.scores[1:], partial.scores, atol=0)
 
 
@@ -261,7 +264,8 @@ class TestDetectTopk:
         dataset, pool, rest, model = trained_setup
         rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
         queried = rest[:15]
-        result = detect_topk(queried, dataset.true_labels(queried), dataset, model, rel, 0)
+        table = star_divergences(queried, dataset, model, rel)
+        result = detect_topk(queried, dataset.true_labels(queried), table, 0)
         assert result.removed_ids() == set()
 
     def test_full_budget_removes_everything(self, trained_setup):
@@ -269,21 +273,23 @@ class TestDetectTopk:
         rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
         queried = rest[:15]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=0)
-        result = detect_topk(queried, plan.assigned, dataset, model, rel, len(queried))
+        table = star_divergences(queried, dataset, model, rel)
+        result = detect_topk(queried, plan.assigned, table, len(queried))
         assert result.removed_ids() == set(queried)
 
     def test_ties_break_toward_lower_id(self):
         ds, rel, model = uniform_evidence_setup()  # all scores exactly zero
         ids = ds.ids()
-        result = detect_topk(ids, [ds.by_id(i).true_label for i in ids], ds, model, rel, 2)
+        table = star_divergences(ids, ds, model, rel)
+        result = detect_topk(ids, [ds.by_id(i).true_label for i in ids], table, 2)
         assert result.removed_ids() == {0, 1}
 
     def test_budget_validation(self):
         ds, rel, model = uniform_evidence_setup()
         with pytest.raises(ValueError):
-            detect_topk([0], [0], ds, model, rel, removal_count=2)
+            detect_topk([0], [0], star_divergences([0], ds, model, rel), removal_count=2)
         with pytest.raises(ValueError):
-            detect_topk([0], [0], ds, model, rel, removal_count=-1)
+            detect_topk([0], [0], star_divergences([0], ds, model, rel), removal_count=-1)
 
 
 def test_detection_csv(tmp_path, trained_setup):
@@ -291,7 +297,7 @@ def test_detection_csv(tmp_path, trained_setup):
     rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
     queried = rest[:10]
     plan = inject_ncar(dataset.true_labels(queried), 4, 0.3, seed=0)
-    result = cnld_detect(queried, plan.assigned, dataset, model, rel)
+    result = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
     path = tmp_path / "det.csv"
     detection_to_csv(result, path, flip_mask={q: bool(f) for q, f in zip(queried, plan.flipped)})
     lines = path.read_text().splitlines()
@@ -369,17 +375,33 @@ def scoring_cases(draw, max_degree=4):
 
 
 class TestBatchKernel:
-    @given(scoring_cases(), st.sampled_from([1, 400, detector.BLOCK_BYTES]))
+    @given(scoring_cases(), st.sampled_from([1, 400, detector.BLOCK_BYTES]), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_star_reference(self, case, block_bytes):
+    def test_matches_per_star_reference(self, case, block_bytes, data):
         # block_bytes=1 puts every star in its own block, 400 a few leaves per block
         queried, assigned, dataset, model, rel = case
         with mock.patch.object(detector, "BLOCK_BYTES", block_bytes):
-            scores, has_context = detector._score_batch(queried, assigned, dataset, model, rel)
-        want_scores, want_context = reference_scores(queried, assigned, dataset, model, rel)
-        assert np.array_equal(has_context, want_context)
-        assert np.isfinite(scores).all() and (scores >= 0).all()
-        assert np.abs(scores - want_scores).max() <= 1e-12
+            table = star_divergences(queried, dataset, model, rel)
+        # one table serves every label vector of the same stars
+        label = st.integers(0, dataset.n_classes - 1)
+        others = data.draw(st.lists(st.lists(label, min_size=len(queried), max_size=len(queried)), max_size=3))
+        for labels in [assigned, *others]:
+            scores = detect_topk(queried, labels, table, 0).scores
+            want_scores, want_context = reference_scores(queried, labels, dataset, model, rel)
+            assert np.array_equal(table.has_context, want_context)
+            assert np.isfinite(scores).all() and (scores >= 0).all()
+            assert np.abs(scores - want_scores).max() <= 1e-12
+
+    def test_ids_and_labels_must_match_the_table(self):
+        ds, rel, model = uniform_evidence_setup()
+        table = star_divergences([0, 1, 2], ds, model, rel)
+        with pytest.raises(ValueError, match="differ from the ids"):
+            cnld_detect([0, 2, 1], [0, 0, 0], table)
+        with pytest.raises(ValueError, match="differ from the ids"):
+            detect_topk([0, 1], [0, 0], table, 0)
+        with pytest.raises(ValueError, match="must align"):
+            detect_topk([0, 1, 2], [0, 0], table, 0)
+        assert not table.data_kl.flags.writeable
 
     def test_corrupt_counts_raise_without_warnings(self, tmp_path):
         # a NaN count, as a damaged relationship dump holds; pytest turns
@@ -390,8 +412,9 @@ class TestBatchKernel:
         save_relationship(rel, path)
         path.write_text(path.read_text().replace("1.0", "nan", 1))
         model = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(n_classes=2))
+        table = star_divergences([0, 1], ds, model, load_relationship(path))
         with pytest.raises(ValueError, match="non-finite"):
-            cnld_detect([0, 1], [0, 1], ds, model, load_relationship(path))
+            cnld_detect([0, 1], [0, 1], table)
 
     def test_attribute_class_count_mismatch_rejected(self):
         # the kernel would broadcast a one-column relationship over m columns
@@ -399,4 +422,4 @@ class TestBatchKernel:
         rel = build_relationship(linked_dataset(labels=(0, 1), links=(), n_classes=2, m=1, attr_obs={0: [[1.0]]}), {0: 0})
         model = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(n_classes=2))
         with pytest.raises(ValueError, match="attribute class counts differ"):
-            cnld_detect([0, 1], [0, 1], ds, model, rel)
+            cnld_detect([0, 1], [0, 1], star_divergences([0, 1], ds, model, rel))

@@ -22,6 +22,7 @@ from ctxnoise import (
     predict_proba,
     run_active_learning,
     select_informative,
+    star_divergences,
     train_mlr,
 )
 
@@ -60,7 +61,7 @@ def test_detect_topk_can_be_forced_to_remove_unfilterable():
     ds = linked_dataset(labels=(0, 1, 2), links=((0, 1),))  # instance 2 isolated
     rel = build_relationship(ds, {0: 0, 1: 1, 2: 2})
     model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
-    result = detect_topk([0, 1, 2], [0, 1, 2], ds, model, rel, removal_count=3)
+    result = detect_topk([0, 1, 2], [0, 1, 2], star_divergences([0, 1, 2], ds, model, rel), removal_count=3)
     assert result.removed_ids() == {0, 1, 2}
     assert result.verdicts == ["remove", "remove", "remove"]
 
@@ -85,7 +86,7 @@ def test_saturated_classifier_still_detects_flips():
     assert (predict_proba(model, dataset.feature_matrix(batch)) == 0).any()
     plan = inject_ncar(dataset.true_labels(batch), 3, 0.4, seed=1)
     assert plan.flipped.sum() == 24
-    result = cnld_detect(batch, plan.assigned, dataset, model, rel, beta=0.85)
+    result = cnld_detect(batch, plan.assigned, star_divergences(batch, dataset, model, rel), beta=0.85)
     assert np.isfinite(result.scores).all()
     removed = result.removed_ids()
     flipped = {i for i, f in zip(batch, plan.flipped) if f}
@@ -134,11 +135,11 @@ def test_parallel_scoring_matches_sequential(trained_setup):
     rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
     queried = rest[:40]
     plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=9)
-    sequential = cnld_detect(queried, plan.assigned, dataset, model, rel)
+    sequential = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
 
     def score_one(pair):
         qid, assigned = pair
-        return cnld_detect([qid], [assigned], dataset, model, rel).scores[0]
+        return cnld_detect([qid], [assigned], star_divergences([qid], dataset, model, rel)).scores[0]
 
     with ThreadPoolExecutor(max_workers=8) as pool_exec:
         parallel = list(pool_exec.map(score_one, zip(queried, plan.assigned)))

@@ -1,5 +1,5 @@
-"""Byte-level guard on the learning result CSVs of every mode and on the
-detection result files.
+"""Byte-level guard on the learning result CSVs of every mode, on the
+detection result files and on generated synthetic datasets.
 
 The learning CSVs under ``tests/golden/`` were written by the two separate
 active-learning and pseudo-labeling loops that preceded the shared batch
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxnoise import run_active_learning, run_pseudo
+from ctxnoise import SyntheticConfig, generate_synthetic, run_active_learning, run_pseudo, save_synthetic
 from ctxnoise.cli import main
 from ctxnoise.harness import LEARNING_MODES, learning_result_rows, write_results_csv
 
@@ -75,3 +75,28 @@ def test_detection_files_match_golden(name, tmp_path):
     assert main(["detect", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "detection_results.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
     assert (tmp_path / "detection_summary.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# Datasets written by the generator's first, per-draw ``rng.choice`` loop;
+# the generator must keep its random stream.  Attribute draws follow every
+# link draw, so a missing or extra draw shows in the ``attributes`` case, and
+# one instance per class leaves the own-class pool empty, which is skipped
+# without a draw.
+SYNTHETIC_CASES = {
+    "detect": dict(n_classes=3, n_features=4, instances_per_class=30, links_per_instance=4, seed=3),
+    "attributes": dict(
+        n_classes=4, n_features=3, instances_per_class=10, m_attribute_classes=3,
+        concentration=0.7, links_per_instance=3, attributes_per_instance=2, seed=11,
+    ),
+    "singletons": dict(
+        n_classes=3, n_features=2, instances_per_class=1, m_attribute_classes=2,
+        concentration=0.5, links_per_instance=3, attributes_per_instance=1, seed=7,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
+def test_synthetic_dataset_matches_golden(name, tmp_path):
+    dataset, _ = generate_synthetic(SyntheticConfig(**SYNTHETIC_CASES[name]))
+    save_synthetic(dataset, tmp_path / "dataset.txt")
+    assert (tmp_path / "dataset.txt").read_bytes() == (GOLDEN / f"synthetic-{name}.txt").read_bytes()

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ctxnoise import (
     summarize_detection,
     summarize_learning,
 )
-from ctxnoise import harness
+from ctxnoise import detector, harness
 from ctxnoise.cli import main
 from ctxnoise.dataset import Dataset, Instance
 from ctxnoise.harness import (
@@ -265,6 +266,15 @@ class TestRunDetectionSuite:
         for row in (r for r in rows if r.method == "cnld"):
             assert row.metrics.nep >= 0.9
             assert row.auc > 0.95
+
+    def test_stars_are_scored_once_per_seed(self):
+        # the star divergences do not read the injected labels, so every
+        # noise level of a seed hinges against the same table
+        config = small_config(omegas=[0.1, 0.2, 0.3], seeds=[0, 1])
+        with mock.patch.object(harness, "star_divergences", wraps=detector.star_divergences) as spy:
+            rows = run_detection_suite(config)
+        assert spy.call_count == len(config.seeds)
+        assert len(rows) == 3 * 2 * 4
 
     def test_nar_suite(self):
         config = small_config(noise="nar", seeds=[0])

@@ -6,8 +6,6 @@ must match a reference written here with ``sorted`` over the documented key,
 ties going to the lower id, or, for the AUC, with explicit pair counts.
 """
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +15,7 @@ from ctxnoise import (
     Instance,
     MlrConfig,
     MlrModel,
+    StarDivergences,
     cnld_detect,
     consensus_detect,
     detect_topk,
@@ -25,7 +24,6 @@ from ctxnoise import (
     ranking_auc,
     select_informative,
 )
-from ctxnoise import detector
 from ctxnoise.classifiers import entropy, predict_proba
 from ctxnoise.detector import KEEP, REMOVE, UNFILTERABLE
 
@@ -42,6 +40,13 @@ def grid(data, shape, low=0, high=3) -> np.ndarray:
     return np.array(data.draw(st.lists(st.integers(low, high), min_size=size, max_size=size))).reshape(shape)
 
 
+def scored(ids, scores, has_context) -> StarDivergences:
+    """A two-class table whose stars score ``scores`` against class 0: the
+    KL row (2s, 0) hinges to (2s - 0) / 2 = s, exactly for s on the grid."""
+    kls = np.stack([2.0 * scores, np.zeros(len(ids))], axis=1)
+    return StarDivergences(np.array(ids), has_context, kls, None, n_classes=2, m_attribute_classes=0)
+
+
 def first(ids, count, key):
     """The ``count`` ids that ``sorted`` puts first by ``key(row)``, then id."""
     order = sorted(range(len(ids)), key=lambda r: (*key(r), ids[r]))
@@ -54,8 +59,8 @@ def test_detect_topk_and_verdicts(batch, data):
     ids, count = batch
     scores = grid(data, len(ids)) / 2.0
     has_context = grid(data, len(ids), high=1).astype(bool)
-    with mock.patch.object(detector, "_score_batch", return_value=(scores, has_context)):
-        result = detect_topk(ids, [0] * len(ids), None, None, None, count)
+    result = detect_topk(ids, [0] * len(ids), scored(ids, scores, has_context), count)
+    assert np.array_equal(result.scores, scores)
     removed = first(ids, count, lambda r: (-scores[r],))
     assert result.removed_ids() == removed
     assert result.verdicts == [
@@ -69,8 +74,8 @@ def test_cnld_verdicts(batch, data, beta):
     ids, _ = batch
     scores = grid(data, len(ids)) / 2.0
     has_context = grid(data, len(ids), high=1).astype(bool)
-    with mock.patch.object(detector, "_score_batch", return_value=(scores, has_context)):
-        result = cnld_detect(ids, [0] * len(ids), None, None, None, beta)
+    result = cnld_detect(ids, [0] * len(ids), scored(ids, scores, has_context), beta)
+    assert np.array_equal(result.scores, scores)
     assert result.verdicts == [
         UNFILTERABLE if not has_context[r] else KEEP if result.weights[r] > beta else REMOVE
         for r in range(len(ids))
