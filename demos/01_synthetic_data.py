@@ -24,15 +24,16 @@ config = SyntheticConfig(
 )
 dataset, truth = generate_synthetic(config)
 
-n_links = sum(len(inst.link_ids) for inst in dataset.instances) // 2
+# row r of the dataset's arrays is instance dataset.ids[r]; links and
+# attribute observations are CSR indexes over those rows
+n_links = len(dataset.links.values) // 2
 print(f"{len(dataset)} instances, {n_links} undirected links, "
-      f"{sum(len(i.attribute_obs) for i in dataset.instances)} attribute observations")
+      f"{len(dataset.attributes.values)} attribute observations")
 
-# empirical neighbour-class frequencies vs the generating co-occurrence rows
+# empirical neighbour-class frequencies vs the generating co-occurrence rows:
+# one count per (row, neighbour row) entry of the link index
 hist = np.zeros((config.n_classes, config.n_classes))
-for inst in dataset.instances:
-    for v in inst.link_ids:
-        hist[inst.true_label, dataset.by_id(v).true_label] += 1
+np.add.at(hist, (dataset.labels[dataset.links.owners()], dataset.labels[dataset.links.values]), 1)
 rows = hist / hist.sum(axis=1, keepdims=True)
 
 print("\ngenerating co-occurrence rows:")

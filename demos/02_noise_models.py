@@ -22,8 +22,8 @@ config = SyntheticConfig(
     seed=1,
 )
 dataset, _ = generate_synthetic(config)
-labels = dataset.true_labels(dataset.ids())
-features = dataset.feature_matrix(dataset.ids())
+labels = dataset.labels
+features = dataset.features
 
 # symmetric noise: exact per-class counts, never flips to the original class
 plan = inject_ncar(labels, config.n_classes, omega=0.3, seed=0)

@@ -55,17 +55,7 @@ from .harness import (
     summarize_detection,
     summarize_learning,
 )
-from .inference import (
-    InstanceGraph,
-    NoContextError,
-    PosteriorConditionals,
-    batch_posterior_rows,
-    build_instance_graph,
-    clamped_leaf_marginals,
-    posterior_conditionals,
-    star_as_tree,
-    sum_product,
-)
+from .inference import batch_posterior_rows
 from .metrics import DetectionMetrics, accuracy, detection_metrics, ranking_auc
 from .noise import (
     NoisePlan,

@@ -164,24 +164,6 @@ def entropy(proba: np.ndarray) -> np.ndarray:
     return -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=1)
 
 
-def mlr_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float) -> float:
-    """Mean cross-entropy plus (l2/2)·||W||²; the objective train_mlr descends."""
-    P = _softmax(features @ weights.T + bias)
-    nll = -np.log(P[np.arange(len(labels)), labels]).mean()
-    return float(nll + 0.5 * l2 * (weights**2).sum())
-
-
-def mlr_gradient(
-    weights: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic full-batch gradient of :func:`mlr_loss` in (W, b)."""
-    P = _softmax(features @ weights.T + bias)
-    Y = np.zeros_like(P)
-    Y[np.arange(len(labels)), labels] = 1.0
-    G = (P - Y) / len(labels)
-    return G.T @ features + l2 * weights, G.sum(axis=0)
-
-
 def save_mlr(model: MlrModel, path: str | Path) -> None:
     """Checkpoint format: header ``mlr n d lr l2 epochs batch_size seed``,
     then n row-major weight lines and one bias line, repr-precision floats."""
@@ -228,7 +210,6 @@ class AuxConfig:
     svm_l2: float = 1e-4
     svm_epochs: int = 200
     seed: int = 0
-    mlr: MlrConfig | None = None
 
 
 @dataclass
@@ -263,8 +244,8 @@ def train_aux(features: np.ndarray, labels: np.ndarray, config: AuxConfig) -> Au
     if config.knn_k > X.shape[0]:
         raise ValueError(f"knn_k={config.knn_k} exceeds store size {X.shape[0]}")
 
-    mlr_cfg = config.mlr or MlrConfig(n_classes=config.n_classes, seed=config.seed)
-    mlr = train_mlr(None, X, y, mlr_cfg)
+    # the logistic member trains with MlrConfig defaults, not the experiment's mlr_* keys
+    mlr = train_mlr(None, X, y, MlrConfig(n_classes=config.n_classes, seed=config.seed))
 
     # One-vs-rest hinge loss by full-batch subgradient descent.
     n = config.n_classes

@@ -63,9 +63,9 @@ def _prepare(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
         try:
             config.seeds = [int(t) for t in args.seeds.replace(",", " ").split()]
         except ValueError:
-            raise ConfigError(
-                f"--seeds expects comma-separated non-negative integers, got {args.seeds!r}"
-            ) from None
+            config.seeds = []
+        if not config.seeds or min(config.seeds) < 0:
+            raise ConfigError(f"--seeds expects comma-separated non-negative integers, got {args.seeds!r}")
         config.validate()
     out_dir = Path(args.out or os.environ.get(OUT_ENV_VAR, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -79,7 +79,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
     dataset, _ = generate_synthetic(config.synthetic)
     path = out_dir / "dataset.txt"
     save_synthetic(dataset, path)
-    n_links = sum(len(inst.link_ids) for inst in dataset.instances) // 2
+    n_links = len(dataset.links.values) // 2
     print(
         f"wrote {path}: {len(dataset)} instances, {dataset.n_classes} classes, "
         f"{dataset.n_features} features, {n_links} links"

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,11 +44,10 @@ class CoraFormatError(ValueError):
 
 @dataclass(eq=False)
 class Instance:
-    """One data point: features, label, attribute observations and links.
+    """One data point as a record, for building a :class:`Dataset` by hand.
 
-    ``true_label`` is the hidden ground truth; annotated labels travel beside
-    the ids, never on the instance.  ``attribute_obs`` holds one
-    distribution over the m attribute classes per observed attribute.
+    ``attribute_obs`` holds one distribution over the m attribute classes
+    per observed attribute; ``link_ids`` names the linked instances.
     """
 
     id: int
@@ -56,18 +56,6 @@ class Instance:
     attribute_obs: list[np.ndarray] = field(default_factory=list)
     link_ids: list[int] = field(default_factory=list)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.true_label == other.true_label
-            and np.array_equal(self.features, other.features)
-            and len(self.attribute_obs) == len(other.attribute_obs)
-            and all(np.array_equal(a, b) for a, b in zip(self.attribute_obs, other.attribute_obs))
-            and self.link_ids == other.link_ids
-        )
-
 
 def _indptr(counts: Sequence[int]) -> np.ndarray:
     indptr = np.zeros(len(counts) + 1, dtype=np.intp)
@@ -75,13 +63,17 @@ def _indptr(counts: Sequence[int]) -> np.ndarray:
     return indptr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsrIndex:
     """Per-row slices of one stacked array: row r owns
-    ``values[indptr[r]:indptr[r + 1]]``."""
+    ``values[indptr[r]:indptr[r + 1]]``.  Both arrays are read-only copies."""
 
     indptr: np.ndarray  # (N + 1,)
     values: np.ndarray  # (indptr[-1], ...)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "indptr", _read_only(np.array(self.indptr, dtype=np.intp)))
+        object.__setattr__(self, "values", _read_only(np.array(self.values)))
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The slices of ``rows`` stacked in order, plus their own indptr."""
@@ -91,6 +83,10 @@ class CsrIndex:
         positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
         return self.values[positions], indptr
 
+    def owners(self) -> np.ndarray:
+        """The row of every value."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
@@ -98,79 +94,132 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _feature_store(instances: Sequence[Instance]) -> np.ndarray:
-    """One read-only (N, d) float matrix of the instances' features."""
-    if not instances:
-        return _read_only(np.empty((0, 0)))
-    d = instances[0].features.shape
+def _id_order(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows in ascending id order, and the ids in that order."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
+        raise ValueError("duplicate instance ids")
+    return order, sorted_ids
+
+
+def _find_rows(order: np.ndarray, sorted_ids: np.ndarray, wanted) -> np.ndarray:
+    """Row of each wanted id, from ``_id_order``; raises KeyError on the
+    first unknown one."""
+    wanted = np.asarray(wanted)
+    pos = np.searchsorted(sorted_ids, wanted)
+    found = pos < len(sorted_ids)
+    found[found] = sorted_ids[pos[found]] == wanted[found]
+    if not found.all():
+        raise KeyError(f"unknown instance id {wanted[~found][0]}")
+    return order[pos]
+
+
+def _link_index(heads: np.ndarray, tails: np.ndarray, order: np.ndarray) -> CsrIndex:
+    """CSR of the undirected links ``heads[k]``--``tails[k]`` (rows), each
+    listed once at both ends with its neighbours in ascending id order;
+    ``order`` lists the rows in ascending id order."""
+    n = len(order)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    heads, tails = heads.astype(np.int64), tails.astype(np.int64)
+    keys = np.sort(np.concatenate([heads * n + rank[tails], tails * n + rank[heads]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique would hash, which is slower here
+    rows, ranks = np.divmod(keys, n)
+    return CsrIndex(_indptr(np.bincount(rows, minlength=n)), order[ranks])
+
+
+def _records(instances: Sequence[Instance], m: int) -> dict:
+    """The arrays of a list of records, with the records' checks and messages."""
+    ids = np.array([inst.id for inst in instances], dtype=np.int64)
+    d = instances[0].features.shape if instances else (0,)
     for inst in instances:
         if inst.features.shape != d or len(d) != 1:
             raise ValueError(f"instance {inst.id}: feature length {inst.features.shape} != {d}")
-    return _read_only(np.array([inst.features for inst in instances], dtype=float))
+        for obs in inst.attribute_obs:
+            if obs.shape != (m,):
+                raise ValueError(f"instance {inst.id}: attribute observation has wrong length")
+    stacked = [obs for inst in instances for obs in inst.attribute_obs]
+    return dict(
+        ids=ids,
+        labels=[inst.true_label for inst in instances],
+        features=[inst.features for inst in instances] if instances else np.empty((0, 0)),
+        links=CsrIndex(
+            _indptr([len(inst.link_ids) for inst in instances]),
+            _find_rows(*_id_order(ids), [v for inst in instances for v in inst.link_ids]),
+        ),
+        attributes=CsrIndex(
+            _indptr([len(inst.attribute_obs) for inst in instances]),
+            np.array(stacked, dtype=float).reshape(len(stacked), m),
+        ),
+    )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Dataset:
-    """Immutable collection of instances with symmetric link structure.
+    """Instances with known classes and symmetric links, as read-only arrays.
 
-    Construction indexes the instances by row, in list order: ``features``
-    is one read-only (N, d) matrix whose rows the instances' ``features``
-    become views of, ``links`` maps a row to its neighbours' rows and
-    ``attributes`` to its stacked attribute observations, both as CSR.
+    Row r holds instance ``ids[r]`` with true class ``labels[r]`` and
+    feature vector ``features[r]``; ``links`` maps a row to its neighbours'
+    rows and ``attributes`` to its stacked attribute observations (each a
+    distribution over the m attribute classes; None for none), both as CSR.
+    Rows keep their input order, and the arrays are read-only copies.
+
+    ``Dataset(instances=[Instance(...), ...], n_classes=..., ...)`` builds
+    the same arrays from a list of records instead.
     """
 
-    instances: list[Instance]
+    ids: np.ndarray = None           # (N,) int
+    labels: np.ndarray = None        # (N,) int
+    features: np.ndarray = None      # (N, d) float
+    links: CsrIndex = None           # neighbour rows
+    attributes: CsrIndex = None      # (., m) observations
     n_classes: int
     m_attribute_classes: int
     class_names: list[str]
     seed: int = -1
+    instances: InitVar[Sequence[Instance] | None] = None
 
-    def __post_init__(self) -> None:
-        self._rows = {inst.id: row for row, inst in enumerate(self.instances)}
-        if len(self._rows) != len(self.instances):
-            raise ValueError("duplicate instance ids")
-        self.features = _feature_store(self.instances)
-        for row, inst in enumerate(self.instances):
-            inst.features = self.features[row]
-            for obs in inst.attribute_obs:
-                if obs.shape != (self.m_attribute_classes,):
-                    raise ValueError(f"instance {inst.id}: attribute observation has wrong length")
-        link_counts = [len(inst.link_ids) for inst in self.instances]
-        obs_counts = [len(inst.attribute_obs) for inst in self.instances]
-        neighbours = self.rows(v for inst in self.instances for v in inst.link_ids)
-        stacked = [obs for inst in self.instances for obs in inst.attribute_obs]
-        observations = np.array(stacked, dtype=float) if stacked else np.empty((0, self.m_attribute_classes))
-        self.links = CsrIndex(_read_only(_indptr(link_counts)), _read_only(neighbours))
-        self.attributes = CsrIndex(_read_only(_indptr(obs_counts)), _read_only(observations))
+    def __post_init__(self, instances: Sequence[Instance] | None) -> None:
+        m = self.m_attribute_classes
+        if instances is None:
+            arrays = {name: getattr(self, name) for name in ("ids", "labels", "features", "links", "attributes")}
+        elif self.ids is not None:
+            raise TypeError("pass either instances or the arrays, not both")
+        else:
+            arrays = _records(instances, m)
+        ids = arrays["ids"] = _read_only(np.array(arrays["ids"], dtype=np.int64))
+        labels = arrays["labels"] = _read_only(np.array(arrays["labels"], dtype=np.int64))
+        features = arrays["features"] = _read_only(np.array(arrays["features"], dtype=float))
+        n, links = len(ids), arrays["links"]
+        if arrays["attributes"] is None:
+            arrays["attributes"] = CsrIndex(np.zeros(n + 1), np.empty((0, m)))
+        attributes = arrays["attributes"]
+        if not (
+            ids.ndim == 1 and labels.shape == (n,) and features.ndim == 2 and len(features) == n
+            and len(links.indptr) == len(attributes.indptr) == n + 1
+            and links.indptr[-1] == len(links.values) and attributes.indptr[-1] == len(attributes.values)
+            and attributes.values.shape[1:] == (m,) and ((links.values >= 0) & (links.values < n)).all()
+        ):
+            raise ValueError(f"dataset arrays do not describe {n} instances with {m} attribute classes")
+        for name, value in arrays.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_index", _id_order(ids))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.n_classes == other.n_classes
-            and self.m_attribute_classes == other.m_attribute_classes
-            and self.class_names == other.class_names
-            and self.instances == other.instances
-        )
+        fields = ("ids", "labels", "features", "links.indptr", "links.values", "attributes.indptr", "attributes.values")
+        return (self.n_classes, self.m_attribute_classes, self.class_names) == (
+            other.n_classes, other.m_attribute_classes, other.class_names
+        ) and all(np.array_equal(attrgetter(f)(self), attrgetter(f)(other)) for f in fields)
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.ids)
 
     def rows(self, instance_ids: Iterable[int]) -> np.ndarray:
-        """Row of each id in ``instances``, ``features`` and the CSR indexes."""
-        try:
-            return np.fromiter((self._rows[i] for i in instance_ids), dtype=np.intp)
-        except KeyError as exc:
-            raise KeyError(f"unknown instance id {exc.args[0]}") from None
-
-    def by_id(self, instance_id: int) -> Instance:
-        try:
-            return self.instances[self._rows[instance_id]]
-        except KeyError:
-            raise KeyError(f"unknown instance id {instance_id}") from None
-
-    def ids(self) -> list[int]:
-        return [inst.id for inst in self.instances]
+        """Row of each id in the arrays; raises KeyError on an unknown id."""
+        return _find_rows(*self._index, instance_ids)
 
     @property
     def n_features(self) -> int:
@@ -180,36 +229,40 @@ class Dataset:
         return self.features[self.rows(instance_ids)]
 
     def true_labels(self, instance_ids: Sequence[int]) -> np.ndarray:
-        return np.array([self.by_id(i).true_label for i in instance_ids], dtype=int)
+        return self.labels[self.rows(instance_ids)]
 
     def validate(self) -> None:
-        """Check structural invariants; raises ValueError on the first failure.
+        """Check structural invariants; raises ValueError naming the first
+        instance, in row order, that breaks one.
 
         Feature and attribute-observation lengths are already checked at
         construction.
         """
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
-        # the link rules, checked on the whole CSR index at once; the per-link
-        # checks below run only when that fails, to name the first broken link
-        indptr, neighbours = self.links.indptr, self.links.values
-        rows = np.repeat(np.arange(len(self)), np.diff(indptr))
-        links_ok = not (rows == neighbours).any() and np.array_equal(
-            np.sort(rows * len(self) + neighbours), np.sort(neighbours * len(self) + rows)
-        )
-        for inst in self.instances:
-            if not 0 <= inst.true_label < self.n_classes:
-                raise ValueError(f"instance {inst.id}: true_label {inst.true_label} out of range")
-            for obs in inst.attribute_obs:
-                if (obs < 0).any() or abs(float(obs.sum()) - 1.0) > 1e-9:
-                    raise ValueError(f"instance {inst.id}: attribute observation is not a distribution")
-            if links_ok:
-                continue
-            if inst.id in inst.link_ids:
-                raise ValueError(f"instance {inst.id}: self-link")
-            for other in inst.link_ids:
-                if inst.id not in self.by_id(other).link_ids:
-                    raise ValueError(f"link {inst.id}->{other} is not symmetric")
+        n = len(self)
+        bad_label = (self.labels < 0) | (self.labels >= self.n_classes)
+        obs = self.attributes.values
+        bad_obs = (obs < 0).any(axis=1) | (np.abs(obs.sum(axis=1) - 1.0) > 1e-9)
+        owners, neighbours = self.links.owners(), self.links.values
+        self_link = owners == neighbours
+        forward, backward = np.sort(owners * n + neighbours), neighbours * n + owners
+        one_way = forward[np.searchsorted(forward, backward).clip(max=len(forward) - 1)] != backward
+        bad_obs_row = np.bincount(self.attributes.owners()[bad_obs], minlength=n) > 0
+        bad_row = bad_label | bad_obs_row | (np.bincount(owners[self_link | one_way], minlength=n) > 0)
+        if not bad_row.any():
+            return
+        r = int(bad_row.argmax())
+        inst_id = self.ids[r]
+        if bad_label[r]:
+            raise ValueError(f"instance {inst_id}: true_label {self.labels[r]} out of range")
+        if bad_obs_row[r]:
+            raise ValueError(f"instance {inst_id}: attribute observation is not a distribution")
+        lo, hi = self.links.indptr[r], self.links.indptr[r + 1]
+        if self_link[lo:hi].any():
+            raise ValueError(f"instance {inst_id}: self-link")
+        other = self.ids[neighbours[lo + one_way[lo:hi].argmax()]]
+        raise ValueError(f"link {inst_id}->{other} is not symmetric")
 
 
 @dataclass
@@ -279,11 +332,11 @@ class GroundTruth:
     attr_conditionals: np.ndarray | None  # (n, m) or None when m == 0
 
 
-def _choice_cdfs(rows: np.ndarray) -> list[list[float]]:
+def _choice_cdfs(rows: np.ndarray) -> np.ndarray:
     """Each row's CDF as ``Generator.choice`` normalizes it."""
     cdf = rows.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    return cdf.tolist()
+    return cdf
 
 
 def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
@@ -315,45 +368,42 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
     # defined the stream: ``rng.choice(k, p=row)`` is one ``rng.random()``
     # bisected into the row's normalized CDF, and class z's pool is the id
     # range z*per .. z*per + per - 1, less u itself when z is u's class.
+    # Draw k of u goes to tails[u * links_per_instance + k]; -1 marks a
+    # draw that found no partner.
     random, integers = rng.random, rng.integers
-    link_cdf = _choice_cdfs(data_rows)
-    link_sets: list[set[int]] = [set() for _ in range(total)]
+    link_cdf = _choice_cdfs(data_rows).tolist()
+    tails: list[int] = []
     for u, own in enumerate(labels.tolist()):
         cdf = link_cdf[own]
         for _ in range(config.links_per_instance):
             z = bisect_right(cdf, random())
             if z != own:
-                v = z * per + int(integers(per))
+                tails.append(z * per + int(integers(per)))
             elif per > 1:
                 v = z * per + int(integers(per - 1))
-                v += v >= u  # skip u's own position
+                tails.append(v + (v >= u))  # skip u's own position
             else:
-                continue
-            link_sets[u].add(v)
-            link_sets[v].add(u)
+                tails.append(-1)
+    heads = np.repeat(np.arange(total), config.links_per_instance)
+    drawn = np.array(tails, dtype=np.int64)
+    links = _link_index(heads[drawn >= 0], drawn[drawn >= 0], np.arange(total))
 
+    # the attribute draws follow all link draws, instance by instance
+    attributes = None
     if m > 0:
-        attr_cdf = _choice_cdfs(attr_rows)
+        a = config.attributes_per_instance
+        cdf = _choice_cdfs(attr_rows)[np.repeat(labels, a)]
         one_hots = np.full((m, m), ATTRIBUTE_SMOOTHING / m)
         one_hots[np.arange(m), np.arange(m)] += 1.0 - ATTRIBUTE_SMOOTHING
-    instances = []
-    for u, own in enumerate(labels.tolist()):
-        obs = []
-        if m > 0:
-            cdf = attr_cdf[own]
-            obs = [one_hots[bisect_right(cdf, random())].copy() for _ in range(config.attributes_per_instance)]
-        instances.append(
-            Instance(
-                id=u,
-                features=features[u],
-                true_label=own,
-                attribute_obs=obs,
-                link_ids=sorted(link_sets[u]),
-            )
-        )
+        picks = (cdf <= rng.random(total * a)[:, None]).sum(axis=1)  # bisect_right
+        attributes = CsrIndex(_indptr(np.full(total, a)), one_hots[picks])
 
     dataset = Dataset(
-        instances=instances,
+        ids=np.arange(total),
+        labels=labels,
+        features=features,
+        links=links,
+        attributes=attributes,
         n_classes=n,
         m_attribute_classes=m,
         class_names=[f"class_{c}" for c in range(n)],
@@ -366,7 +416,9 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
 def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
     """Load a CORA-format content/cites file pair into a Dataset with m=0."""
     content_path, cites_path = Path(content_path), Path(cites_path)
-    raw: list[tuple[int, np.ndarray, str]] = []
+    ids: list[int] = []
+    features: list[np.ndarray] = []  # bools until the Dataset copies them into its float matrix
+    label_names: list[str] = []
     d: int | None = None
     with content_path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -381,30 +433,31 @@ def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
             elif len(parts) - 2 != d:
                 raise CoraFormatError(f"{content_path}:{lineno}: expected {d} features, got {len(parts) - 2}")
             try:
-                inst_id = int(parts[0])
+                ids.append(int(parts[0]))
             except ValueError:
                 raise CoraFormatError(f"{content_path}:{lineno}: non-integer id {parts[0]!r}") from None
-            # bools until the Dataset copies them into its float matrix, so
-            # the float features are never held twice
             feats = np.empty(d, dtype=bool)
             for k, tok in enumerate(parts[1:-1]):
                 if tok not in ("0", "1"):
                     raise CoraFormatError(f"{content_path}:{lineno}: feature {k} is {tok!r}, expected 0 or 1")
                 feats[k] = tok == "1"
-            label = parts[-1]
-            if not label:
+            features.append(feats)
+            if not parts[-1]:
                 raise CoraFormatError(f"{content_path}:{lineno}: empty label")
-            raw.append((inst_id, feats, label))
-    if not raw:
+            label_names.append(parts[-1])
+    if not ids:
         raise CoraFormatError(f"{content_path}: no instances")
 
-    class_names = sorted({label for _, _, label in raw})
-    class_index = {name: i for i, name in enumerate(class_names)}
-    known_ids = {inst_id for inst_id, _, _ in raw}
-    if len(known_ids) != len(raw):
-        raise CoraFormatError(f"{content_path}: duplicate instance id")
+    class_names = sorted(set(label_names))
+    labels = np.searchsorted(class_names, label_names)
+    ids_arr = np.array(ids, dtype=np.int64)
+    try:
+        order, sorted_ids = _id_order(ids_arr)
+    except ValueError:
+        raise CoraFormatError(f"{content_path}: duplicate instance id") from None
 
-    link_sets: dict[int, set[int]] = {inst_id: set() for inst_id in known_ids}
+    pairs: list[tuple[int, int]] = []  # (cited, citing)
+    linenos: list[int] = []
     with cites_path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -414,28 +467,22 @@ def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
             if len(parts) != 2:
                 raise CoraFormatError(f"{cites_path}:{lineno}: expected cited_id and citing_id")
             try:
-                cited, citing = int(parts[0]), int(parts[1])
+                pairs.append((int(parts[0]), int(parts[1])))
             except ValueError:
                 raise CoraFormatError(f"{cites_path}:{lineno}: non-integer id") from None
-            for ref in (cited, citing):
-                if ref not in known_ids:
-                    raise CoraFormatError(f"{cites_path}:{lineno}: unknown instance id {ref}")
-            if cited == citing:
-                continue
-            link_sets[cited].add(citing)
-            link_sets[citing].add(cited)
+            linenos.append(lineno)
+    cites = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    unknown = ~np.isin(cites, ids_arr)
+    if unknown.any():
+        k, end = np.argwhere(unknown)[0]  # the first unknown reference, cited before citing
+        raise CoraFormatError(f"{cites_path}:{linenos[k]}: unknown instance id {cites[k, end]}")
+    rows = _find_rows(order, sorted_ids, cites[cites[:, 0] != cites[:, 1]])  # self-citations are dropped
 
-    instances = [
-        Instance(
-            id=inst_id,
-            features=feats,
-            true_label=class_index[label],
-            link_ids=sorted(link_sets[inst_id]),
-        )
-        for inst_id, feats, label in raw
-    ]
     dataset = Dataset(
-        instances=instances,
+        ids=ids_arr,
+        labels=labels,
+        features=features,
+        links=_link_index(rows[:, 0], rows[:, 1], order),
         n_classes=len(class_names),
         m_attribute_classes=0,
         class_names=class_names,
@@ -453,69 +500,83 @@ def save_cora(dataset: Dataset, content_path: str | Path, cites_path: str | Path
     """
     if dataset.m_attribute_classes != 0:
         raise ValueError("CORA format has no attribute observations")
+    names = dataset.class_names
     with Path(content_path).open("w") as fh:
-        for inst in dataset.instances:
-            feats = "\t".join(str(int(v)) for v in inst.features)
-            fh.write(f"{inst.id}\t{feats}\t{dataset.class_names[inst.true_label]}\n")
-    pairs = sorted(
-        {(min(inst.id, other), max(inst.id, other)) for inst in dataset.instances for other in inst.link_ids}
-    )
+        for inst_id, label, row in zip(dataset.ids.tolist(), dataset.labels.tolist(), dataset.features.astype(int).tolist()):
+            fh.write(f"{inst_id}\t" + "\t".join(map(str, row)) + f"\t{names[label]}\n")
+    a, b = dataset.ids[dataset.links.owners()], dataset.ids[dataset.links.values]
+    pairs = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1), axis=0)
     with Path(cites_path).open("w") as fh:
-        for a, b in pairs:
-            fh.write(f"{a}\t{b}\n")
+        fh.writelines(f"{lo}\t{hi}\n" for lo, hi in pairs.tolist())
 
 
 def _fmt_floats(values: Iterable[float]) -> str:
-    return " ".join(repr(float(v)) for v in values)
+    return " ".join(map(repr, values))
 
 
 def save_synthetic(dataset: Dataset, path: str | Path) -> None:
     """Serialize a dataset to the line-oriented text format (see module docs)."""
+    link_ptr, obs_ptr = dataset.links.indptr.tolist(), dataset.attributes.indptr.tolist()
+    link_ids = dataset.ids[dataset.links.values].tolist()
+    observations = dataset.attributes.values.tolist()
     with Path(path).open("w") as fh:
         fh.write(
             f"{dataset.n_classes} {dataset.m_attribute_classes} {dataset.n_features} "
             f"{len(dataset)} {dataset.seed}\n"
         )
-        for inst in dataset.instances:
-            links = " ".join(str(v) for v in inst.link_ids)
-            obs = " ; ".join(_fmt_floats(o) for o in inst.attribute_obs)
-            fh.write(f"{inst.id} {inst.true_label} {_fmt_floats(inst.features)} | {links} | {obs}\n")
+        rows = zip(dataset.ids.tolist(), dataset.labels.tolist(), dataset.features.tolist())
+        for r, (inst_id, label, feats) in enumerate(rows):
+            links = " ".join(map(str, link_ids[link_ptr[r] : link_ptr[r + 1]]))
+            obs = " ; ".join(_fmt_floats(o) for o in observations[obs_ptr[r] : obs_ptr[r + 1]])
+            fh.write(f"{inst_id} {label} {_fmt_floats(feats)} | {links} | {obs}\n")
 
 
 def load_synthetic(path: str | Path) -> Dataset:
-    """Load a dataset written by :func:`save_synthetic`."""
+    """Load a dataset written by :func:`save_synthetic`; a malformed line
+    raises ValueError naming ``path:line``."""
     path = Path(path)
+    ids, labels, features = [], [], []
+    link_ids, link_counts, observations, obs_counts = [], [], [], []
     with path.open() as fh:
         header = fh.readline().split()
-        if len(header) != 5:
-            raise ValueError(f"{path}:1: bad header, expected 'n m d count seed'")
-        n, m, d, count, seed = (int(v) for v in header)
-        instances = []
+        try:
+            n, m, d, count, seed = (int(v) for v in header)
+        except ValueError:
+            raise ValueError(f"{path}:1: bad header, expected 'n m d count seed'") from None
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            head, links_part, obs_part = (s.strip() for s in line.split("|"))
-            head_tokens = head.split()
-            inst_id, label = int(head_tokens[0]), int(head_tokens[1])
-            feats = np.array([float(t) for t in head_tokens[2:]])
-            if feats.shape != (d,):
-                raise ValueError(f"{path}:{lineno}: expected {d} features")
-            links = [int(t) for t in links_part.split()] if links_part else []
-            obs = []
-            if obs_part:
-                for chunk in obs_part.split(";"):
-                    vec = np.array([float(t) for t in chunk.split()])
-                    if vec.shape != (m,):
-                        raise ValueError(f"{path}:{lineno}: attribute observation length != {m}")
-                    obs.append(vec)
-            instances.append(
-                Instance(id=inst_id, features=feats, true_label=label, attribute_obs=obs, link_ids=links)
-            )
-    if len(instances) != count:
-        raise ValueError(f"{path}: header promises {count} instances, found {len(instances)}")
+            where = f"{path}:{lineno}"
+            sections = line.split("|")
+            if len(sections) != 3:
+                raise ValueError(f"{where}: expected '<id> <label> <features> | <links> | <observations>'")
+            head, links_part, obs_part = (section.split() for section in sections)
+            if len(head) != d + 2:
+                raise ValueError(f"{where}: expected an id, a label and {d} features")
+            try:
+                ids.append(int(head[0]))
+                labels.append(int(head[1]))
+                features.append([float(t) for t in head[2:]])
+                links = [int(t) for t in links_part]
+                obs = [[float(t) for t in chunk.split()] for chunk in sections[2].split(";")] if obs_part else []
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if any(len(o) != m for o in obs):
+                raise ValueError(f"{where}: attribute observation length != {m}")
+            link_ids.extend(links)
+            link_counts.append(len(links))
+            observations.extend(obs)
+            obs_counts.append(len(obs))
+    if len(ids) != count:
+        raise ValueError(f"{path}: header promises {count} instances, found {len(ids)}")
+    ids_arr = np.array(ids, dtype=np.int64)
     dataset = Dataset(
-        instances=instances,
+        ids=ids_arr,
+        labels=labels,
+        features=np.array(features, dtype=float).reshape(len(ids), d),
+        links=CsrIndex(_indptr(link_counts), _find_rows(*_id_order(ids_arr), link_ids)),
+        attributes=CsrIndex(_indptr(obs_counts), np.array(observations, dtype=float).reshape(len(observations), m)),
         n_classes=n,
         m_attribute_classes=m,
         class_names=[f"class_{c}" for c in range(n)],
@@ -541,46 +602,35 @@ def split_batches(
     """
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
-    pool = sorted(ids) if ids is not None else sorted(dataset.ids())
+    pool = np.sort(np.asarray(dataset.ids if ids is None else ids, dtype=np.int64))
     if len(pool) < n_batches:
         raise ValueError("more batches than instances")
 
-    labels = {i: dataset.by_id(i).true_label for i in pool}
-    present = set(labels.values())
-    missing = [c for c in range(dataset.n_classes) if c not in present]
+    labels = dataset.true_labels(pool)
+    missing = np.flatnonzero(np.bincount(labels, minlength=dataset.n_classes) == 0).tolist()
     if missing:
         raise ValueError(f"classes absent from dataset: {missing}")
 
     rng = np.random.default_rng(seed)
-    order = [pool[k] for k in rng.permutation(len(pool))]
-    base = len(order) // n_batches
-    batches = [order[b * base : (b + 1) * base] for b in range(n_batches)]
-    batches[-1].extend(order[n_batches * base :])
+    perm = rng.permutation(len(pool))
+    order, labels = pool[perm], labels[perm]
+    base = len(order) // n_batches  # batch b holds positions b*base .. (b+1)*base - 1
 
-    first = batches[0]
-    if len(first) < dataset.n_classes:
+    if base < dataset.n_classes:
         raise ValueError("initial batch too small to cover every class")
-    counts = np.zeros(dataset.n_classes, dtype=int)
-    for i in first:
-        counts[labels[i]] += 1
-    for c in range(dataset.n_classes):
-        if counts[c] > 0:
-            continue
-        donor = None
-        for b in range(1, n_batches):
-            for pos, i in enumerate(batches[b]):
-                if labels[i] == c:
-                    donor = (b, pos)
-                    break
-            if donor:
-                break
-        assert donor is not None  # class exists in pool, so it sits in some later batch
-        recipient = next((pos for pos, i in enumerate(first) if counts[labels[i]] >= 2), None)
-        if recipient is None:
+    counts = np.bincount(labels[:base], minlength=dataset.n_classes)
+    for c in np.flatnonzero(counts == 0).tolist():
+        donor = base + int(np.argmax(labels[base:] == c))  # the class exists in pool, so in some later batch
+        spare = np.flatnonzero(counts[labels[:base]] >= 2)
+        if len(spare) == 0:
             raise ValueError("initial batch too small to cover every class")
-        b, pos = donor
-        counts[labels[first[recipient]]] -= 1
+        recipient = int(spare[0])
+        counts[labels[recipient]] -= 1
         counts[c] += 1
-        first[recipient], batches[b][pos] = batches[b][pos], first[recipient]
+        order[[recipient, donor]] = order[[donor, recipient]]
+        labels[[recipient, donor]] = labels[[donor, recipient]]
 
+    ids_in_order = order.tolist()
+    batches = [ids_in_order[b * base : (b + 1) * base] for b in range(n_batches)]
+    batches[-1].extend(ids_in_order[n_batches * base :])
     return BatchPlan(batches=batches)

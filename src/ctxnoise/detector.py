@@ -144,8 +144,8 @@ def star_divergences(
     classifier: MlrModel,
     relationship: RelationshipModel,
 ) -> StarDivergences:
-    """KL rows of every queried star, as :func:`dissimilarity` computes them
-    from the posterior conditionals of its instance graph.
+    """KL rows of every queried star: row j is KL(post_j || prior_j), the
+    term :func:`dissimilarity` hinges, of its posterior conditionals.
 
     Stars are scored block by block over the dataset's CSR link and
     attribute indexes: one classifier call for a block's data leaves,

@@ -214,17 +214,14 @@ def load_experiment_dataset(config: ExperimentConfig) -> tuple[Dataset, GroundTr
 
 def split_train_test(dataset: Dataset, config: ExperimentConfig, seed: int) -> tuple[list[int], list[int]]:
     """Synthetic: per-seed random test fraction.  CORA: one of 10 folds."""
-    ids = sorted(dataset.ids())
+    ids = np.sort(dataset.ids)
     rng = np.random.default_rng(derive_seed(seed, _SALT_TEST))
-    order = [ids[k] for k in rng.permutation(len(ids))]
+    order = ids[rng.permutation(len(ids))]
     if config.dataset_kind == "cora":
-        folds = np.array_split(np.arange(len(order)), CORA_FOLDS)
-        test_pos = set(folds[config.cora_fold].tolist())
-        test = [order[k] for k in sorted(test_pos)]
-        train = [order[k] for k in range(len(order)) if k not in test_pos]
-        return train, test
+        test_pos = np.array_split(np.arange(len(order)), CORA_FOLDS)[config.cora_fold]
+        return np.delete(order, test_pos).tolist(), order[test_pos].tolist()
     n_test = _round_half_up(config.test_fraction * len(order))
-    return order[n_test:], order[:n_test]
+    return order[n_test:].tolist(), order[:n_test].tolist()
 
 
 def select_informative(
@@ -258,9 +255,7 @@ def _initial_models(dataset: Dataset, pool: Sequence[int], config: ExperimentCon
     X = dataset.feature_matrix(pool)
     y = dataset.true_labels(pool)
     model = train_mlr(None, X, y, config.mlr_config(dataset.n_classes, derive_seed(seed, _SALT_MLR)))
-    rel = build_relationship(
-        dataset, {i: dataset.by_id(i).true_label for i in pool}, epsilon=config.epsilon
-    )
+    rel = build_relationship(dataset, dict(zip(pool, y.tolist())), epsilon=config.epsilon)
     return model, rel, X, y
 
 
@@ -308,7 +303,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
         transition = estimate_transition(pool_X, pool_y, n)
 
     X_test, y_test = dataset.feature_matrix(test_ids), dataset.true_labels(test_ids)
-    accepted: list[tuple[int, int]] = [(i, dataset.by_id(i).true_label) for i in plan.batches[0]]
+    accepted: list[tuple[int, int]] = list(zip(plan.batches[0], pool_y.tolist()))
     records: list[BatchRecord] = []
 
     for t in range(1, config.n_batches):
@@ -321,7 +316,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
 
         # fixed labels are trusted as given; candidates may be filtered
         if pseudo:
-            fixed = [(qid, dataset.by_id(qid).true_label) for qid in queried]
+            fixed = list(zip(queried, dataset.true_labels(queried).tolist()))
             queried_set = set(queried)
             candidates = [] if config.mode == "manual" else sorted(i for i in batch_ids if i not in queried_set)
             labels = predict_proba(model, dataset.feature_matrix(candidates)).argmax(axis=1) if candidates else []

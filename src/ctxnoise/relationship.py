@@ -99,39 +99,49 @@ def update_relationship(
 
     Counts links between two new instances once, and links from a new
     instance to any previously counted one.  Not idempotent: resubmitting
-    ids adds their counts again.
+    ids adds their counts again.  Soft attribute mass is summed instance by
+    instance in ascending id order.
     """
     n = model.n_classes
-    for i, c in new_labels.items():
-        dataset.by_id(i)  # raises on unknown id
-        if c is None:
-            raise ValueError(f"instance {i} has no label")
-        if not 0 <= c < n:
-            raise ValueError(f"label {c} for instance {i} out of range")
+    ids = np.fromiter(new_labels.keys(), dtype=np.int64, count=len(new_labels))
+    rows = dataset.rows(ids)  # raises on unknown id
+    values = list(new_labels.values())
+    if None in values:
+        raise ValueError(f"instance {ids[values.index(None)]} has no label")
+    classes = np.array(values, dtype=np.int64)
+    bad = (classes < 0) | (classes >= n)
+    if bad.any():
+        raise ValueError(f"label {classes[bad][0]} for instance {ids[bad][0]} out of range")
 
-    data = model.data_counts.copy()
-    attr = None if model.attr_counts is None else model.attr_counts.copy()
+    # the class of every labeled row, -1 where unlabeled; new labels win
     known = model.labels
-    for u in sorted(new_labels):
-        cu = new_labels[u]
-        inst = dataset.by_id(u)
-        for v in inst.link_ids:
-            if v in new_labels:
-                if v < u:
-                    continue  # unordered pair, counted when u < v
-                cv = new_labels[v]
-            elif v in known:
-                cv = known[v]
-            else:
-                continue  # opposite endpoint unlabeled: skipped, no imputation
-            data[cu, cv] += 1.0
-            data[cv, cu] += 1.0
-        if attr is not None:
-            for obs in inst.attribute_obs:
-                if model.hard_attributes:
-                    attr[cu, int(np.argmax(obs))] += 1.0
-                else:
-                    attr[cu] += obs
+    row_class = np.full(len(dataset), -1, dtype=np.int64)
+    row_class[dataset.rows(np.fromiter(known.keys(), dtype=np.int64, count=len(known)))] = list(known.values())
+    row_class[rows] = classes
+    is_new = np.zeros(len(dataset), dtype=bool)
+    is_new[rows] = True
+
+    ascending = np.argsort(ids)
+    rows, classes = rows[ascending], classes[ascending]
+    neighbours, link_ptr = dataset.links.gather(rows)
+    owners = np.repeat(rows, np.diff(link_ptr))
+    # a link between two new instances is counted from its lower id only;
+    # one to an unlabeled instance is skipped, with no imputation
+    counted = (row_class[neighbours] >= 0) & ~(is_new[neighbours] & (dataset.ids[neighbours] < dataset.ids[owners]))
+    pairs = np.bincount(
+        row_class[owners[counted]] * n + row_class[neighbours[counted]], minlength=n * n
+    ).reshape(n, n)
+    data = model.data_counts + (pairs + pairs.T)
+
+    attr = None
+    if model.attr_counts is not None:
+        attr = model.attr_counts.copy()
+        observations, obs_ptr = dataset.attributes.gather(rows)
+        obs_class = np.repeat(classes, np.diff(obs_ptr))
+        if model.hard_attributes:
+            np.add.at(attr, (obs_class, observations.argmax(axis=1)), 1.0)
+        else:
+            np.add.at(attr, obs_class, observations)
 
     merged = dict(known)
     merged.update(new_labels)
@@ -171,23 +181,42 @@ def save_relationship(model: RelationshipModel, path: str | Path) -> None:
 
 
 def load_relationship(path: str | Path) -> RelationshipModel:
+    """Read a :func:`save_relationship` dump; a malformed or missing line
+    raises ValueError naming ``path:line``."""
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "relationship":
-            raise ValueError(f"{path}: not a relationship dump")
+    lines = path.read_text().splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) != 5 or header[0] != "relationship":
+        raise ValueError(f"{path}: not a relationship dump")
+    try:
         n, m = int(header[1]), int(header[2])
         epsilon, hard = float(header[3]), bool(int(header[4]))
-        data = np.array([[float(t) for t in fh.readline().split()] for _ in range(n)])
-        attr = None
-        if m > 0:
-            attr = np.array([[float(t) for t in fh.readline().split()] for _ in range(n)])
-        labels = {}
-        for token in fh.readline().split():
+    except ValueError:
+        raise ValueError(f"{path}:1: bad header, expected 'relationship n m epsilon hard'") from None
+    label_line = 2 + n + (n if m > 0 else 0)  # after n data rows and n attribute rows
+    rows = []
+    for lineno in range(2, label_line):
+        width, name = (n, "data count") if lineno < 2 + n else (m, "attribute count")
+        tokens = lines[lineno - 1].split() if lineno <= len(lines) else []
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if len(tokens) != width:
+            raise ValueError(f"{path}:{lineno}: {name} row has {len(tokens)} values, expected {width}")
+    if label_line > len(lines):
+        raise ValueError(f"{path}:{label_line}: accepted-label line is missing")
+    labels = {}
+    for token in lines[label_line - 1].split():
+        try:
             i, c = token.split(":")
             labels[int(i)] = int(c)
-    if data.shape != (n, n):
-        raise ValueError(f"{path}: data count block does not match header")
+        except ValueError:
+            raise ValueError(f"{path}:{label_line}: bad label entry {token!r}, expected id:class") from None
     return RelationshipModel(
-        data_counts=data, attr_counts=attr, epsilon=epsilon, labels=labels, hard_attributes=hard
+        data_counts=np.array(rows[:n]).reshape(n, n),
+        attr_counts=np.array(rows[n:]).reshape(n, m) if m > 0 else None,
+        epsilon=epsilon,
+        labels=labels,
+        hard_attributes=hard,
     )

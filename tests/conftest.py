@@ -25,7 +25,7 @@ def trained_setup(small_synthetic):
     """(dataset, pool ids, eval ids, classifier) trained on a class-mixed pool."""
     dataset, _ = small_synthetic
     rng = np.random.default_rng(0)
-    perm = rng.permutation(dataset.ids())
+    perm = rng.permutation(dataset.ids.tolist())
     pool, rest = [int(i) for i in perm[:200]], [int(i) for i in perm[200:]]
     model = train_mlr(
         None,

@@ -1,15 +1,29 @@
-"""Independent brute-force oracles used to cross-check the library.
+"""Reference routes the tests check the package against.
 
-Everything here enumerates joint state tables directly, with no shared code
-paths with the package's message-passing or clamped-inference routines.
+* Brute-force oracles (``enumerate_joint``, ``brute_*``) enumerate joint
+  state tables directly and share no code with any inference routine.
+* The per-star route (``build_instance_graph``, ``clamped_leaf_marginals``,
+  ``posterior_conditionals``) scores one instance at a time, and
+  ``sum_product`` is a general two-pass message-passing engine over trees;
+  the package's batch kernel is compared against them, and they against
+  the brute-force oracles.
+* ``mlr_loss``/``mlr_gradient`` are the logistic objective and its analytic
+  gradient, and ``reference_train_mlr`` is the plain SGD loop that
+  ``train_mlr`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
 import numpy as np
+
+from ctxnoise import Dataset, MlrModel, RelationshipModel, predict_proba
+from ctxnoise.classifiers import _softmax
 
 
 def enumerate_joint(node_potentials, edges):
@@ -91,3 +105,250 @@ def reference_train_mlr(weights, bias, features, labels, config):
             W -= lr * (G.T @ X[idx] + config.l2 * W)
             b -= lr * G.sum(axis=0)
     return W, b
+
+
+def mlr_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float) -> float:
+    """Mean cross-entropy plus (l2/2)·||W||²; the objective train_mlr descends."""
+    P = _softmax(features @ weights.T + bias)
+    nll = -np.log(P[np.arange(len(labels)), labels]).mean()
+    return float(nll + 0.5 * l2 * (weights**2).sum())
+
+
+def mlr_gradient(
+    weights: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic full-batch gradient of :func:`mlr_loss` in (W, b)."""
+    P = _softmax(features @ weights.T + bias)
+    Y = np.zeros_like(P)
+    Y[np.arange(len(labels)), labels] = 1.0
+    G = (P - Y) / len(labels)
+    return G.T @ features + l2 * weights, G.sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# the per-star route
+
+
+class NoContextError(Exception):
+    """The instance has no links and no attributes, so context says nothing."""
+
+
+@dataclass
+class InstanceGraph:
+    """Star of one center data node plus data/attribute leaves."""
+
+    instance_id: int
+    center_potential: np.ndarray      # (n,)
+    data_potentials: np.ndarray       # (e1, n)
+    attr_potentials: np.ndarray       # (e2, m)
+    data_edge_potential: np.ndarray   # (n, n), smoothed counts
+    attr_edge_potential: np.ndarray | None  # (n, m)
+
+    @property
+    def e1(self) -> int:
+        return self.data_potentials.shape[0]
+
+    @property
+    def e2(self) -> int:
+        return self.attr_potentials.shape[0]
+
+
+@dataclass
+class PosteriorConditionals:
+    """Clamped-inference analogue of the prior conditionals.
+
+    ``data_rows`` is None when the graph has no data edges, ``attr_rows``
+    when it has no attribute edges; rows otherwise sum to one.
+    """
+
+    data_rows: np.ndarray | None      # (n, n)
+    attr_rows: np.ndarray | None      # (n, m)
+
+
+def build_instance_graph(
+    instance_id: int,
+    dataset: Dataset,
+    classifier: MlrModel,
+    relationship: RelationshipModel,
+) -> InstanceGraph:
+    """Assemble the star for one instance; raises NoContextError if isolated."""
+    if classifier.n_features != dataset.n_features:
+        raise ValueError("classifier feature dimension does not match the dataset")
+    if classifier.n_classes != relationship.n_classes:
+        raise ValueError("classifier and relationship class counts differ")
+    row = dataset.rows([instance_id])
+    neighbours, _ = dataset.links.gather(row)
+    observations, _ = dataset.attributes.gather(row)
+    if len(neighbours) == 0 and len(observations) == 0:
+        raise NoContextError(f"instance {instance_id} has no links and no attributes")
+
+    n = classifier.n_classes
+    center = predict_proba(classifier, dataset.features[row[0]])
+    data_pots = predict_proba(classifier, dataset.features[neighbours]) if len(neighbours) else np.empty((0, n))
+    attr_pots = observations if len(observations) else np.empty((0, relationship.m_attribute_classes))
+
+    attr_edge = None
+    if relationship.attr_counts is not None:
+        attr_edge = relationship.attr_counts + relationship.epsilon
+    if attr_pots.shape[0] > 0 and attr_edge is None:
+        raise ValueError("instance has attribute observations but the relationship model has none")
+
+    return InstanceGraph(
+        instance_id=instance_id,
+        center_potential=center,
+        data_potentials=data_pots,
+        attr_potentials=attr_pots,
+        data_edge_potential=relationship.data_counts + relationship.epsilon,
+        attr_edge_potential=attr_edge,
+    )
+
+
+def clamped_leaf_marginals(graph: InstanceGraph, center_class: int) -> list[np.ndarray]:
+    """Conditional marginal of every leaf given the center fixed to a class.
+
+    Returns one distribution per leaf, data leaves first, then attribute
+    leaves.  The center's own potential drops out under conditioning.
+    """
+    n = graph.center_potential.shape[0]
+    if not 0 <= center_class < n:
+        raise ValueError(f"class {center_class} out of range [0, {n})")
+    out = []
+    row = graph.data_edge_potential[center_class]
+    for pot in graph.data_potentials:
+        v = row * pot
+        out.append(v / v.sum())
+    if graph.e2 > 0:
+        row_a = graph.attr_edge_potential[center_class]
+        for pot in graph.attr_potentials:
+            v = row_a * pot
+            out.append(v / v.sum())
+    return out
+
+
+def sum_product(
+    node_potentials: Sequence[np.ndarray],
+    edges: Sequence[tuple[int, int, np.ndarray]],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Exact marginals and pairwise beliefs on a tree by two-pass message passing.
+
+    ``edges`` are (u, v, psi) with psi of shape (card_u, card_v).  Node
+    ordering inside each returned pairwise belief follows the edge as given.
+    Raises ValueError on cycles or disconnected inputs.
+    """
+    V = len(node_potentials)
+    if V == 0:
+        raise ValueError("empty graph")
+    pots = [np.asarray(p, dtype=float) for p in node_potentials]
+    for i, (u, v, psi) in enumerate(edges):
+        if psi.shape != (pots[u].shape[0], pots[v].shape[0]):
+            raise ValueError(f"edge {i}: potential shape {psi.shape} does not match node cardinalities")
+
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]  # (neighbour, edge index)
+    for i, (u, v, _) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+
+    # BFS from node 0; a revisited non-parent neighbour means a cycle.
+    parent = [-1] * V
+    order: list[int] = []
+    seen = [False] * V
+    seen[0] = True
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v, _ in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                queue.append(v)
+            elif v != parent[u]:
+                raise ValueError("graph contains a cycle; only trees are supported")
+    if len(order) != V:
+        raise ValueError("graph is disconnected")
+
+    def edge_psi(frm: int, to: int, idx: int) -> np.ndarray:
+        u, v, psi = edges[idx]
+        return psi if (u, v) == (frm, to) else psi.T
+
+    # messages[(u, v)] = normalized message from u to v
+    messages: dict[tuple[int, int], np.ndarray] = {}
+    for u in reversed(order):
+        p = parent[u]
+        if p < 0:
+            continue
+        belief = pots[u].copy()
+        for w, _ in adj[u]:
+            if w != p:
+                belief = belief * messages[(w, u)]
+        idx = next(i for w, i in adj[u] if w == p)
+        msg = belief @ edge_psi(u, p, idx)
+        messages[(u, p)] = msg / msg.sum()
+    for u in order:
+        for v, idx in adj[u]:
+            if v == parent[u] or parent[v] != u:
+                continue
+            belief = pots[u].copy()
+            for w, _ in adj[u]:
+                if w != v:
+                    belief = belief * messages[(w, u)]
+            msg = belief @ edge_psi(u, v, idx)
+            messages[(u, v)] = msg / msg.sum()
+
+    marginals = []
+    for u in range(V):
+        b = pots[u].copy()
+        for w, _ in adj[u]:
+            b = b * messages[(w, u)]
+        marginals.append(b / b.sum())
+
+    beliefs = []
+    for u, v, psi in edges:
+        pre_u = pots[u].copy()
+        for w, _ in adj[u]:
+            if w != v:
+                pre_u = pre_u * messages[(w, u)]
+        pre_v = pots[v].copy()
+        for w, _ in adj[v]:
+            if w != u:
+                pre_v = pre_v * messages[(w, v)]
+        B = pre_u[:, None] * psi * pre_v[None, :]
+        beliefs.append(B / B.sum())
+    return marginals, beliefs
+
+
+def star_as_tree(graph: InstanceGraph) -> tuple[list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
+    """Express an instance star in the generic (potentials, edges) form."""
+    pots: list[np.ndarray] = [graph.center_potential]
+    edges: list[tuple[int, int, np.ndarray]] = []
+    for pot in graph.data_potentials:
+        pots.append(pot)
+        edges.append((0, len(pots) - 1, graph.data_edge_potential))
+    for pot in graph.attr_potentials:
+        pots.append(pot)
+        edges.append((0, len(pots) - 1, graph.attr_edge_potential))
+    return pots, edges
+
+
+def posterior_conditionals(graph: InstanceGraph) -> PosteriorConditionals:
+    """Average clamped leaf marginals per center class, one row per class.
+
+    Row j of ``data_rows`` is the mean over data edges of the leaf marginal
+    with the center clamped to class j, renormalized to sum exactly one; the
+    attribute rows average the attribute edges the same way.
+    """
+    if graph.e1 == 0 and graph.e2 == 0:
+        raise NoContextError(f"instance {graph.instance_id} graph has no leaves")
+    data_rows = None
+    attr_rows = None
+    if graph.e1 > 0:
+        prod = graph.data_edge_potential[:, None, :] * graph.data_potentials[None, :, :]
+        prod /= prod.sum(axis=2, keepdims=True)
+        data_rows = prod.mean(axis=1)
+        data_rows /= data_rows.sum(axis=1, keepdims=True)
+    if graph.e2 > 0:
+        prod = graph.attr_edge_potential[:, None, :] * graph.attr_potentials[None, :, :]
+        prod /= prod.sum(axis=2, keepdims=True)
+        attr_rows = prod.mean(axis=1)
+        attr_rows /= attr_rows.sum(axis=1, keepdims=True)
+    return PosteriorConditionals(data_rows=data_rows, attr_rows=attr_rows)

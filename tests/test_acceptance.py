@@ -16,6 +16,8 @@ import pytest
 from ctxnoise import (
     Conditionals,
     ExperimentConfig,
+    MlrConfig,
+    MlrModel,
     SyntheticConfig,
     batch_weights,
     dissimilarity,
@@ -28,18 +30,23 @@ from ctxnoise import (
     run_detection_suite,
     run_pseudo,
     summarize_detection,
+    train_mlr,
 )
-from ctxnoise.classifiers import mlr_gradient, mlr_loss
 from ctxnoise.cli import main
-from ctxnoise.inference import (
+from ctxnoise.inference import batch_posterior_rows
+
+from oracles import (
     InstanceGraph,
     PosteriorConditionals,
+    brute_edge_beliefs,
+    brute_marginals,
     clamped_leaf_marginals,
+    mlr_gradient,
+    mlr_loss,
+    random_tree,
     star_as_tree,
     sum_product,
 )
-
-from oracles import brute_edge_beliefs, brute_marginals, random_tree
 
 
 @contextmanager
@@ -82,6 +89,25 @@ def test_c01_inference_matches_exhaustive_enumeration():
                 for belief, marginal in zip(beliefs, clamped_leaf_marginals(graph, j)):
                     row = belief[j] / belief[j].sum()
                     assert np.abs(row - marginal).max() < 1e-10
+
+        # the detector's kernel on a block of random stars: row j of each star
+        # is its edge beliefs' row j, row-normalized, averaged over its leaves
+        for _ in range(20):
+            n, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            degrees = rng.integers(0, 4, size=int(rng.integers(1, 5)))
+            indptr = np.concatenate([[0], np.cumsum(degrees)])
+            edge = rng.uniform(0.1, 1.0, size=(n, c))
+            leaves = rng.uniform(0.1, 1.0, size=(indptr[-1], c))
+            got = batch_posterior_rows(edge, leaves, indptr)
+            for b, degree in enumerate(degrees):
+                if degree == 0:
+                    assert not got[b].any()
+                    continue
+                pots = [rng.uniform(0.1, 1.0, size=n), *leaves[indptr[b] : indptr[b + 1]]]
+                beliefs = brute_edge_beliefs(pots, [(0, k, edge) for k in range(1, degree + 1)])
+                want = np.mean([B / B.sum(axis=1, keepdims=True) for B in beliefs], axis=0)
+                want /= want.sum(axis=1, keepdims=True)
+                assert np.abs(got[b] - want).max() < 1e-10
         assert time.perf_counter() - started < 10.0
 
 
@@ -142,6 +168,11 @@ def test_c04_gradient_check():
             fd = (mlr_loss(W, up, X, y, l2) - mlr_loss(W, down, X, y, l2)) / (2 * h)
             worst = max(worst, abs(fd - db[i]))
         assert worst < 1e-6
+
+        # train_mlr descends that gradient: one full-batch step is W - lr * grad
+        step = train_mlr(MlrModel(W, b, MlrConfig(n_classes=3, learning_rate=0.3, l2=l2, epochs=1, batch_size=None)), X, y)
+        assert np.abs(step.weights - (W - 0.3 * dW)).max() < 1e-12
+        assert np.abs(step.bias - (b - 0.3 * db)).max() < 1e-12
 
 
 def test_c05_noise_models():

@@ -20,9 +20,8 @@ from ctxnoise import (
     train_mlr,
 )
 from ctxnoise import classifiers
-from ctxnoise.classifiers import mlr_gradient, mlr_loss
 
-from oracles import reference_train_mlr
+from oracles import mlr_gradient, mlr_loss, reference_train_mlr
 
 
 def separable_1d():
@@ -110,7 +109,7 @@ class TestTrainMlr:
             )
             dataset, _ = generate_synthetic(config)
             rng = np.random.default_rng(seed)
-            perm = rng.permutation(dataset.ids())
+            perm = rng.permutation(dataset.ids.tolist())
             old, new, test = perm[:100], perm[100:200], perm[200:]
             cfg = MlrConfig(n_classes=3, seed=seed)
             warm = train_mlr(None, dataset.feature_matrix(old), dataset.true_labels(old), cfg)

@@ -53,10 +53,12 @@ def test_missing_config_key_names_it(tmp_path, capsys):
     assert "synthetic.n_classes" in capsys.readouterr().err
 
 
-def test_negative_seed_override_rejected(tmp_path, tiny_config, capsys):
-    # it used to fail deep inside numpy: "error: expected non-negative integer"
-    assert main(["detect", "--config", str(tiny_config), "--out", str(tmp_path), "--seeds=-2"]) == 1
-    assert capsys.readouterr().err == "error: seeds must name at least one seed, each >= 0\n"
+@pytest.mark.parametrize("value", ["-2", ","])
+def test_negative_seed_override_rejected(tmp_path, tiny_config, capsys, value):
+    # it used to fail deep inside numpy ("error: expected non-negative
+    # integer"), then named the config key instead of the flag
+    assert main(["detect", "--config", str(tiny_config), "--out", str(tmp_path), f"--seeds={value}"]) == 1
+    assert capsys.readouterr().err == f"error: --seeds expects comma-separated non-negative integers, got {value!r}\n"
 
 
 @pytest.mark.parametrize("value", ["x", "1.5"])

@@ -6,7 +6,6 @@ import pytest
 from ctxnoise import (
     Dataset,
     ExperimentConfig,
-    Instance,
     SyntheticConfig,
     generate_synthetic,
     load_cora,
@@ -32,21 +31,19 @@ def binary_citation_dataset(seed=0, n=3, per=100, d=18):
     )
     rng = np.random.default_rng(seed + 1)
     block = d // n
-    instances = []
-    for inst in topo.instances:
-        probs = np.full(d, 0.08)
-        start = inst.true_label * block
-        probs[start : start + block] = 0.6
-        features = (rng.random(d) < probs).astype(float)
-        instances.append(
-            Instance(
-                id=inst.id + 1000,  # CORA-style arbitrary ids
-                features=features,
-                true_label=inst.true_label,
-                link_ids=[v + 1000 for v in inst.link_ids],
-            )
-        )
-    ds = Dataset(instances, n, 0, [f"topic_{c}" for c in range(n)])
+    probs = np.full((n, d), 0.08)
+    for c in range(n):
+        probs[c, c * block : (c + 1) * block] = 0.6
+    features = (rng.random((len(topo), d)) < probs[topo.labels]).astype(float)
+    ds = Dataset(
+        ids=topo.ids + 1000,  # CORA-style arbitrary ids
+        labels=topo.labels,
+        features=features,
+        links=topo.links,
+        n_classes=n,
+        m_attribute_classes=0,
+        class_names=[f"topic_{c}" for c in range(n)],
+    )
     ds.validate()
     return ds
 
@@ -89,7 +86,7 @@ def test_fold_splits_partition_and_differ(cora_files):
     for fold in range(10):
         config.cora_fold = fold
         train, test = split_train_test(load_cora(content, cites), config, seed=0)
-        assert sorted(train + test) == sorted(dataset.ids())
+        assert sorted(train + test) == sorted(dataset.ids.tolist())
         tests.append(tuple(sorted(test)))
     assert len(set(tests)) == 10
     assert sum(len(t) for t in tests) == len(dataset)

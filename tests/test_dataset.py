@@ -1,8 +1,12 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from ctxnoise import (
     CoraFormatError,
+    CsrIndex,
     Dataset,
     Instance,
     MlrConfig,
@@ -45,9 +49,8 @@ class TestSyntheticGenerator:
     def test_one_hot_concentration_links_stay_in_class(self):
         dataset, truth = generate_synthetic(make_config(concentration=1.0))
         assert np.allclose(truth.data_conditionals, np.eye(3))
-        for inst in dataset.instances:
-            for v in inst.link_ids:
-                assert dataset.by_id(v).true_label == inst.true_label
+        labels = dataset.labels
+        assert np.array_equal(labels[dataset.links.values], labels[dataset.links.owners()])
 
     def test_neighbour_frequencies_match_generator_rows(self):
         # >= 2000 links per class: 500 instances/class x 4 draws each
@@ -55,9 +58,8 @@ class TestSyntheticGenerator:
         dataset, truth = generate_synthetic(config)
         n = config.n_classes
         hist = np.zeros((n, n))
-        for inst in dataset.instances:
-            for v in inst.link_ids:
-                hist[inst.true_label, dataset.by_id(v).true_label] += 1
+        labels = dataset.labels
+        np.add.at(hist, (labels[dataset.links.owners()], labels[dataset.links.values]), 1)
         assert hist.sum(axis=1).min() >= 2000
         rows = hist / hist.sum(axis=1, keepdims=True)
         tv = 0.5 * np.abs(rows - truth.data_conditionals).sum(axis=1)
@@ -68,7 +70,7 @@ class TestSyntheticGenerator:
             n_classes=4, instances_per_class=500, separation=0.0, noise_scale=1.0, seed=3
         )
         dataset, _ = generate_synthetic(config)
-        ids = dataset.ids()
+        ids = dataset.ids.tolist()
         rng = np.random.default_rng(0)
         perm = rng.permutation(ids)
         train, test = perm[:1400], perm[1400:]
@@ -85,11 +87,10 @@ class TestSyntheticGenerator:
         config = make_config(m_attribute_classes=5, attributes_per_instance=2)
         dataset, truth = generate_synthetic(config)
         assert truth.attr_conditionals.shape == (3, 5)
-        for inst in dataset.instances:
-            assert len(inst.attribute_obs) == 2
-            for obs in inst.attribute_obs:
-                assert obs.min() > 0
-                assert abs(obs.sum() - 1.0) < 1e-9
+        assert (np.diff(dataset.attributes.indptr) == 2).all()
+        for obs in dataset.attributes.values:
+            assert obs.min() > 0
+            assert abs(obs.sum() - 1.0) < 1e-9
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -113,6 +114,27 @@ class TestSyntheticRoundTrip:
         save_synthetic(load_synthetic(tmp_path / "x.txt"), tmp_path / "y.txt")
         assert (tmp_path / "x.txt").read_bytes() == (tmp_path / "y.txt").read_bytes()
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "1 0 0.5 0.5 | 0",  # a missing section
+            "x1 0 0.5 0.5 | 0 | 0.5 0.5",  # a non-integer id
+            "1 y 0.5 0.5 | 0 | 0.5 0.5",  # a non-integer label
+            "1 0 0.5 0.5 | z | 0.5 0.5",  # a non-integer link
+            "1 0 0.5 abc | 0 | 0.5 0.5",  # a non-numeric feature
+            "1 0 0.5 0.5 | 0 | 0.5 zz",  # a non-numeric observation
+        ],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, record):
+        # these used to raise bare unpacking and int() errors with no location
+        path = tmp_path / "data.txt"
+        head = "2 2 2 2 0\n0 1 1.0 2.0 | 1 | 1.0 0.0\n"
+        path.write_text(head + "1 0 0.5 0.5 | 0 | 0.5 0.5\n")
+        assert len(load_synthetic(path)) == 2
+        path.write_text(head + record + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+            load_synthetic(path)
+
 
 def write_cora(tmp_path, content_lines, cites_lines):
     content = tmp_path / "x.content"
@@ -122,10 +144,53 @@ def write_cora(tmp_path, content_lines, cites_lines):
     return content, cites
 
 
+class TestArrays:
+    def arrays(self, **overrides):
+        fields = dict(
+            ids=[20, 10],
+            labels=[1, 0],
+            features=[[1.0, 0.0], [0.0, 1.0]],
+            links=CsrIndex([0, 1, 2], [1, 0]),
+            attributes=CsrIndex([0, 1, 1], [[0.5, 0.5]]),
+            n_classes=2,
+            m_attribute_classes=2,
+            class_names=["a", "b"],
+        )
+        return Dataset(**{**fields, **overrides})
+
+    def test_records_build_the_same_frozen_arrays(self):
+        records = Dataset(
+            instances=[
+                Instance(id=20, features=np.array([1.0, 0.0]), true_label=1,
+                         attribute_obs=[np.array([0.5, 0.5])], link_ids=[10]),
+                Instance(id=10, features=np.array([0.0, 1.0]), true_label=0, link_ids=[20]),
+            ],
+            n_classes=2, m_attribute_classes=2, class_names=["a", "b"],
+        )
+        assert records == self.arrays()
+        assert records.rows([10, 20]).tolist() == [1, 0]  # rows keep input order
+        with pytest.raises(KeyError, match="unknown instance id 30"):
+            records.rows([10, 30])
+        for a in (records.ids, records.labels, records.features, records.links.values, records.attributes.values):
+            assert not a.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            records.ids = np.array([1, 2])
+
+    def test_inconsistent_arrays_rejected(self):
+        with pytest.raises(ValueError, match="duplicate instance ids"):
+            self.arrays(ids=[10, 10])
+        with pytest.raises(ValueError, match="do not describe 2 instances"):
+            self.arrays(labels=[1, 0, 1])
+        with pytest.raises(ValueError, match="do not describe 2 instances"):
+            self.arrays(links=CsrIndex([0, 1, 2], [1, 2]))  # a neighbour row past the end
+        with pytest.raises(TypeError, match="either instances or the arrays"):
+            self.arrays(instances=[])
+
+
 class TestValidateLinks:
     def dataset(self, links):
         instances = [Instance(id=i, features=np.zeros(1), true_label=i % 2, link_ids=ids) for i, ids in enumerate(links)]
-        return Dataset(instances, n_classes=2, m_attribute_classes=0, class_names=["a", "b"])
+        return Dataset(instances=instances, n_classes=2, m_attribute_classes=0, class_names=["a", "b"])
 
     @pytest.mark.parametrize(
         "links, message",
@@ -160,10 +225,10 @@ class TestCoraLoader:
         assert ds.m_attribute_classes == 0
         # classes sorted lexicographically
         assert ds.class_names == ["Case_Based", "Genetic_Algorithms"]
-        assert ds.by_id(20).true_label == 0
+        assert ds.true_labels([20]).tolist() == [0]
         # links are symmetric and undirected
-        assert ds.by_id(10).link_ids == [20, 30]
-        assert ds.by_id(20).link_ids == [10]
+        assert ds.ids[ds.links.gather(ds.rows([10]))[0]].tolist() == [20, 30]
+        assert ds.ids[ds.links.gather(ds.rows([20]))[0]].tolist() == [10]
 
     def test_single_instance_no_links(self, tmp_path):
         content, cites = write_cora(tmp_path, ["5\t1\t0\tOnly"], [])
@@ -171,7 +236,7 @@ class TestCoraLoader:
             load_cora(content, cites)  # a 1-class dataset is rejected
         content, cites = write_cora(tmp_path, ["5\t1\t0\tA", "6\t0\t1\tB"], [])
         ds = load_cora(content, cites)
-        assert ds.by_id(5).link_ids == []
+        assert ds.links.gather(ds.rows([5]))[0].tolist() == []
 
     def test_unknown_cite_id_named_in_error(self, tmp_path):
         content, cites = write_cora(tmp_path, ["1\t1\tA", "2\t0\tB"], ["1\t999"])
@@ -206,7 +271,7 @@ class TestCoraLoader:
 class TestSplitBatches:
     def test_equal_sizes(self):
         dataset, _ = generate_synthetic(make_config(instances_per_class=34, n_classes=3))
-        ids = dataset.ids()[:100]
+        ids = dataset.ids.tolist()[:100]
         plan = split_batches(dataset, 10, seed=1, ids=ids)
         assert [len(b) for b in plan.batches] == [10] * 10
 
@@ -214,14 +279,14 @@ class TestSplitBatches:
         dataset, _ = generate_synthetic(make_config())
         plan = split_batches(dataset, 7, seed=5)
         flat = plan.all_ids()
-        assert sorted(flat) == sorted(dataset.ids())
+        assert sorted(flat) == sorted(dataset.ids.tolist())
         assert len(set(flat)) == len(flat)
 
     def test_batch0_covers_all_classes(self):
         dataset, _ = generate_synthetic(make_config(n_classes=5, instances_per_class=20))
         for seed in range(10):
             plan = split_batches(dataset, 10, seed=seed)
-            classes = {dataset.by_id(i).true_label for i in plan.batches[0]}
+            classes = set(dataset.true_labels(plan.batches[0]).tolist())
             assert classes == set(range(5))
 
     def test_singleton_batches_cannot_cover(self):
@@ -231,7 +296,7 @@ class TestSplitBatches:
 
     def test_seed_determinism(self):
         dataset, _ = generate_synthetic(make_config(instances_per_class=17))
-        ids = dataset.ids()[:50]
+        ids = dataset.ids.tolist()[:50]
         a = split_batches(dataset, 5, seed=3, ids=ids)
         b = split_batches(dataset, 5, seed=3, ids=ids)
         c = split_batches(dataset, 5, seed=4, ids=ids)

@@ -11,9 +11,7 @@ from ctxnoise import (
     Instance,
     MlrConfig,
     MlrModel,
-    NoContextError,
     batch_weights,
-    build_instance_graph,
     build_relationship,
     cnld_detect,
     detect_topk,
@@ -21,14 +19,14 @@ from ctxnoise import (
     dissimilarity,
     inject_ncar,
     load_relationship,
-    posterior_conditionals,
     prior_conditionals,
     ranking_auc,
     save_relationship,
     star_divergences,
 )
 from ctxnoise import detector
-from ctxnoise.inference import PosteriorConditionals
+
+from oracles import NoContextError, PosteriorConditionals, build_instance_graph, posterior_conditionals
 
 from test_relationship import linked_dataset
 
@@ -159,7 +157,7 @@ def uniform_evidence_setup():
     """Dataset + zero classifier: every leaf potential is uniform, so the
     posterior equals the prior and every score is exactly zero."""
     ds = linked_dataset(labels=(0, 1, 2, 0, 1), links=((0, 1), (0, 2), (1, 3), (2, 4)))
-    rel = build_relationship(ds, {i: ds.by_id(i).true_label for i in ds.ids()})
+    rel = build_relationship(ds, dict(zip(ds.ids.tolist(), ds.labels.tolist())))
     model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
     return ds, rel, model
 
@@ -167,25 +165,25 @@ def uniform_evidence_setup():
 class TestCnldDetect:
     def test_uniform_evidence_keeps_everything(self):
         ds, rel, model = uniform_evidence_setup()
-        ids = ds.ids()
+        ids = ds.ids.tolist()
         table = star_divergences(ids, ds, model, rel)
-        result = cnld_detect(ids, [ds.by_id(i).true_label for i in ids], table, beta=0.85)
+        result = cnld_detect(ids, ds.true_labels(ids), table, beta=0.85)
         assert result.verdicts == ["keep"] * len(ids)
         assert np.allclose(result.scores, 0.0, atol=1e-12)
         assert np.array_equal(result.weights, np.ones(len(ids)))
 
     def test_single_instance_batch_composition_rule(self):
         ds, rel, model = uniform_evidence_setup()
-        result = cnld_detect([0], [ds.by_id(0).true_label], star_divergences([0], ds, model, rel), beta=0.85)
+        result = cnld_detect([0], ds.true_labels([0]), star_divergences([0], ds, model, rel), beta=0.85)
         assert result.verdicts == ["keep"]
         assert result.weights[0] == 1.0
 
     def test_single_instance_with_positive_score_is_its_own_max(self, trained_setup):
         # a lone scored instance has weight 0 (removed) or 1 (kept), nothing between
         dataset, pool, rest, model = trained_setup
-        rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+        rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         qid = rest[0]
-        wrong = (dataset.by_id(qid).true_label + 1) % 4
+        wrong = (int(dataset.true_labels([qid])[0]) + 1) % 4
         result = cnld_detect([qid], [wrong], star_divergences([qid], dataset, model, rel), beta=0.85)
         assert result.weights[0] in (0.0, 1.0)
         if result.scores[0] > 0:
@@ -193,7 +191,7 @@ class TestCnldDetect:
 
     def test_beta_zero_removes_only_the_max(self, trained_setup):
         dataset, pool, rest, model = trained_setup
-        rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+        rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         queried = rest[:40]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.5, seed=1)
         result = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel), beta=0.0)
@@ -204,7 +202,7 @@ class TestCnldDetect:
 
     def test_flipped_instances_score_higher(self, trained_setup):
         dataset, pool, rest, model = trained_setup
-        rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+        rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         aucs, gaps = [], []
         for seed in range(5):
             plan = inject_ncar(dataset.true_labels(rest), 4, 0.4, seed=seed)
@@ -239,7 +237,7 @@ class TestCnldDetect:
 
     def test_deterministic(self, trained_setup):
         dataset, pool, rest, model = trained_setup
-        rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+        rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         queried = rest[:30]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.3, seed=0)
         a = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
@@ -250,7 +248,7 @@ class TestCnldDetect:
     def test_scores_are_per_instance(self, trained_setup):
         # dropping one instance from the batch must not change the others' scores
         dataset, pool, rest, model = trained_setup
-        rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+        rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         queried = rest[:20]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=2)
         full = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
@@ -262,7 +260,7 @@ class TestCnldDetect:
 class TestDetectTopk:
     def test_zero_budget_removes_nothing(self, trained_setup):
         dataset, pool, rest, model = trained_setup
-        rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+        rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         queried = rest[:15]
         table = star_divergences(queried, dataset, model, rel)
         result = detect_topk(queried, dataset.true_labels(queried), table, 0)
@@ -270,7 +268,7 @@ class TestDetectTopk:
 
     def test_full_budget_removes_everything(self, trained_setup):
         dataset, pool, rest, model = trained_setup
-        rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+        rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         queried = rest[:15]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=0)
         table = star_divergences(queried, dataset, model, rel)
@@ -279,9 +277,9 @@ class TestDetectTopk:
 
     def test_ties_break_toward_lower_id(self):
         ds, rel, model = uniform_evidence_setup()  # all scores exactly zero
-        ids = ds.ids()
+        ids = ds.ids.tolist()
         table = star_divergences(ids, ds, model, rel)
-        result = detect_topk(ids, [ds.by_id(i).true_label for i in ids], table, 2)
+        result = detect_topk(ids, ds.true_labels(ids), table, 2)
         assert result.removed_ids() == {0, 1}
 
     def test_budget_validation(self):
@@ -294,7 +292,7 @@ class TestDetectTopk:
 
 def test_detection_csv(tmp_path, trained_setup):
     dataset, pool, rest, model = trained_setup
-    rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+    rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
     queried = rest[:10]
     plan = inject_ncar(dataset.true_labels(queried), 4, 0.3, seed=0)
     result = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
@@ -312,7 +310,7 @@ def reference_scores(queried, assigned, dataset, model, rel):
     scores, has_context = [], []
     for qid, label in zip(queried, assigned):
         try:
-            graph = build_instance_graph(dataset.by_id(qid), dataset, model, rel)
+            graph = build_instance_graph(qid, dataset, model, rel)
         except NoContextError:
             scores.append(0.0)
             has_context.append(False)
@@ -357,19 +355,19 @@ def scoring_cases(draw, max_degree=4):
             attribute_obs=obs,
             link_ids=sorted(10 * v + 3 for v in links[i]),
         ))
-    dataset = Dataset(instances, n, m, [f"c{c}" for c in range(n)])
+    dataset = Dataset(instances=instances, n_classes=n, m_attribute_classes=m, class_names=[f"c{c}" for c in range(n)])
     dataset.validate()
     scale = draw(st.sampled_from([1.0, 10.0, 100.0, 1e4]))
     weights = scale * np.array(draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d)), dtype=float)
     bias = scale * np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
     model = MlrModel(weights.reshape(n, d), bias, MlrConfig(n_classes=n))
-    labeled = draw(st.lists(st.sampled_from(dataset.ids()), unique=True))
+    labeled = draw(st.lists(st.sampled_from(dataset.ids.tolist()), unique=True))
     rel = build_relationship(
         dataset,
         {i: draw(st.integers(0, n - 1)) for i in labeled},
         epsilon=draw(st.sampled_from([1e-6, 1e-2, 1.0])),
     )
-    queried = draw(st.permutations(dataset.ids()))
+    queried = draw(st.permutations(dataset.ids.tolist()))
     assigned = [draw(st.integers(0, n - 1)) for _ in queried]
     return queried, assigned, dataset, model, rel
 

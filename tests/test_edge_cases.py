@@ -72,11 +72,11 @@ def saturated_setup():
     dataset, _ = generate_synthetic(
         SyntheticConfig(n_classes=3, n_features=6, instances_per_class=80, links_per_instance=1, seed=5)
     )
-    ids = [int(i) for i in np.random.default_rng(0).permutation(dataset.ids())]
+    ids = [int(i) for i in np.random.default_rng(0).permutation(dataset.ids.tolist())]
     pool, batch = ids[:120], sorted(ids[120:180])
     model = train_mlr(None, dataset.feature_matrix(pool), dataset.true_labels(pool), MlrConfig(n_classes=3, seed=0))
     model = MlrModel(model.weights * 1e4, model.bias * 1e4, model.config)
-    rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+    rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
     return dataset, batch, model, rel
 
 
@@ -97,9 +97,9 @@ def test_saturated_classifier_entropy_selection():
     # NaN entropies used to make the selection fall back to id order, which
     # picks a one-hot prediction here
     dataset, batch, model, _ = saturated_setup()
-    assert np.count_nonzero(predict_proba(model, dataset.by_id(batch[0]).features)) == 1
+    assert np.count_nonzero(predict_proba(model, dataset.feature_matrix(batch[:1]))) == 1
     picked = select_informative(model, dataset, batch, 1, "entropy", seed=0)
-    assert np.count_nonzero(predict_proba(model, dataset.by_id(picked[0]).features)) > 1
+    assert np.count_nonzero(predict_proba(model, dataset.feature_matrix(picked[:1]))) > 1
 
 
 def test_duplicate_cora_id_rejected(tmp_path):
@@ -132,7 +132,7 @@ def test_parallel_scoring_matches_sequential(trained_setup):
     # shared immutable models: concurrent per-instance scoring must reproduce
     # the sequential batch exactly
     dataset, pool, rest, model = trained_setup
-    rel = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in pool})
+    rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
     queried = rest[:40]
     plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=9)
     sequential = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))

