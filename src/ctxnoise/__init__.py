@@ -12,6 +12,7 @@ from .classifiers import (
     save_mlr,
     train_aux,
     train_mlr,
+    train_mlr_lockstep,
 )
 from .dataset import (
     BatchPlan,

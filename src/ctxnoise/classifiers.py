@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +64,19 @@ def _check_training_input(features: np.ndarray, labels: np.ndarray, n_classes: i
         raise ValueError(f"labels must lie in [0, {n_classes})")
 
 
+def _check_config(cfg: MlrConfig) -> None:
+    # each check is written so that NaN fails it
+    checks = (
+        ("learning_rate", 0.0 < cfg.learning_rate < math.inf, "must be positive and finite"),
+        ("l2", 0.0 <= cfg.l2 < math.inf, "must be >= 0 and finite"),
+        ("epochs", cfg.epochs >= 0, "must be >= 0"),
+        ("batch_size", cfg.batch_size is None or cfg.batch_size >= 1, "must be >= 1 or None"),
+    )
+    for name, ok, requirement in checks:
+        if not ok:
+            raise ValueError(f"MlrConfig.{name} {requirement}, got {getattr(cfg, name)!r}")
+
+
 def train_mlr(
     model: MlrModel | None,
     features: np.ndarray,
@@ -74,76 +88,131 @@ def train_mlr(
     Cold start initializes at zero weights.  Passing an existing model
     continues gradient descent from its weights, which is how per-batch
     incremental updates are done.  The learning rate decays as 1/sqrt(epoch)
-    and the run is deterministic for a fixed config seed.
+    and the run is deterministic for a fixed config seed.  This is the
+    one-member call of :func:`train_mlr_lockstep`.
     """
-    if model is None and config is None:
-        raise ValueError("cold start needs a config")
-    cfg = config if config is not None else model.config
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    _check_training_input(X, y, cfg.n_classes)
+    return train_mlr_lockstep([(model, features, labels, config)])[0]
 
-    if model is not None:
-        if model.n_features != X.shape[1]:
-            raise ValueError(f"model expects d={model.n_features}, got {X.shape[1]}")
-        if model.n_classes != cfg.n_classes:
-            raise ValueError("config n_classes does not match the model")
-        W = model.weights.copy()
-        b = model.bias.copy()
+
+def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
+    """Train independent logistic models in one SGD loop.
+
+    Each member is a ``(model, features, labels, config)`` tuple, read as
+    :func:`train_mlr` reads its arguments, and gets the model that call
+    would return, bit for bit: its own permutation stream, learning rate,
+    l2 and start point.  The members must agree on the number of rows N,
+    the feature count d, ``n_classes``, ``epochs`` and ``batch_size``, so
+    that every step has the same shape for all of them; one numpy call
+    then does a step's work for every member.
+    """
+    if not members:
+        raise ValueError("need at least one member")
+    Xs, Ys, W0, b0, cfgs = [], [], [], [], []
+    for model, features, labels, config in members:
+        if model is None and config is None:
+            raise ValueError("cold start needs a config")
+        cfg = config if config is not None else model.config
+        _check_config(cfg)
+        X = np.asarray(features, dtype=float)
+        y = np.asarray(labels, dtype=int)
+        _check_training_input(X, y, cfg.n_classes)
+        if model is not None:
+            if model.n_features != X.shape[1]:
+                raise ValueError(f"model expects d={model.n_features}, got {X.shape[1]}")
+            if model.n_classes != cfg.n_classes:
+                raise ValueError("config n_classes does not match the model")
+            W0.append(model.weights)
+            b0.append(model.bias)
+        else:
+            W0.append(np.zeros((cfg.n_classes, X.shape[1])))
+            b0.append(np.zeros(cfg.n_classes))
+        Y = np.zeros((X.shape[0], cfg.n_classes))
+        Y[np.arange(X.shape[0]), y] = 1.0
+        Xs.append(X)
+        Ys.append(Y)
+        cfgs.append(cfg)
+    for name, values in (
+        ("N", [X.shape[0] for X in Xs]),
+        ("d", [X.shape[1] for X in Xs]),
+        ("n_classes", [c.n_classes for c in cfgs]),
+        ("epochs", [c.epochs for c in cfgs]),
+        ("batch_size", [c.batch_size for c in cfgs]),
+    ):
+        if len(set(values)) > 1:
+            raise ValueError(f"lock-step members disagree on {name}: {values}")
+
+    R, (N, d), n = len(cfgs), Xs[0].shape, cfgs[0].n_classes
+    epochs, batch_size = cfgs[0].epochs, cfgs[0].batch_size
+    # One member runs on 2-D arrays with Python-float rates, as cheap as a
+    # plain loop; R members hold weights as (R, n, d) and their rates as
+    # (R, 1, 1), and numpy's stacked matmul and reductions do per slice what
+    # the 2-D calls do, so each member's bits are those of its own run.
+    lead = () if R == 1 else (R,)
+    W = np.array(W0[0] if R == 1 else W0, dtype=float, order="C")
+    b = np.array(b0, dtype=float).reshape(lead + (1, n))
+    if R == 1:
+        base_lr, l2 = cfgs[0].learning_rate, cfgs[0].l2
     else:
-        W = np.zeros((cfg.n_classes, X.shape[1]))
-        b = np.zeros(cfg.n_classes)
-
-    N, n = X.shape[0], cfg.n_classes
-    Y = np.zeros((N, n))
-    Y[np.arange(N), y] = 1.0
-    rng = np.random.default_rng(cfg.seed)
-    size = cfg.batch_size or N
+        base_lr = np.array([c.learning_rate for c in cfgs]).reshape(R, 1, 1)
+        l2 = np.array([c.l2 for c in cfgs]).reshape(R, 1, 1)
 
     # A step is P = softmax(X_b W^T + b), G = (P - Y_b) / |b|,
     # W -= lr * (G^T X_b + l2 W) and b -= lr * sum_rows(G).  Each operation
     # and its operand order are those of the plain expressions (the reference
     # loop in tests/oracles.py), so the weights are bit-identical to theirs;
     # but every temporary lives in a buffer made once, with out passed
-    # positionally, which numpy parses faster, and the rows are gathered in
-    # epoch order once per epoch into C-ordered buffers, as X[idx] makes them.
-    if cfg.batch_size:
-        Xo, Yo = np.empty(X.shape), np.empty(Y.shape)
-    else:
-        Xo, Yo = np.ascontiguousarray(X), Y
-    P_buf, row_buf = np.empty((min(size, N), n)), np.empty((min(size, N), 1))
-    steps = []  # (rows, P, row max/sum, row count) of each step of an epoch
+    # positionally, which numpy parses faster, and each member's rows are
+    # gathered in epoch order once per epoch, from its own matrix, into
+    # C-ordered buffers, as X[idx] makes them.
+    size = batch_size or N
+    if batch_size:
+        Xo, Yo = np.empty(lead + (N, d)), np.empty(lead + (N, n))
+        outs = zip(Xo, Yo) if R > 1 else [(Xo, Yo)]
+        gathers = [
+            (np.random.default_rng(c.seed), X, Y, xo, yo) for c, X, Y, (xo, yo) in zip(cfgs, Xs, Ys, outs)
+        ]
+    else:  # full batch: no permutation is drawn, the rows stay in order
+        Xo = np.ascontiguousarray(Xs[0]) if R == 1 else np.stack(Xs)
+        Yo = Ys[0] if R == 1 else np.stack(Ys)
+        gathers = []
+    P_buf, row_buf = np.empty(lead + (min(size, N), n)), np.empty(lead + (min(size, N), 1))
+    steps = []  # (X rows, Y rows, P, P^T, row max/sum, row count) of each step of an epoch
     for start in range(0, N, size):
         k = min(size, N - start)
-        steps.append((slice(start, start + k), P_buf[:k], row_buf[:k], k))
+        rows = slice(start, start + k)
+        P = P_buf[..., :k, :]
+        steps.append((Xo[..., rows, :], Yo[..., rows, :], P, P.swapaxes(-1, -2), row_buf[..., :k, :], k))
+    WT = W.swapaxes(-1, -2)
     grad_W, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.learning_rate / math.sqrt(epoch)
-        if cfg.batch_size:
+    for epoch in range(1, epochs + 1):
+        lr = base_lr / math.sqrt(epoch)
+        for rng, X, Y, xo, yo in gathers:
             order = rng.permutation(N)
-            np.take(X, order, 0, Xo, "clip")  # "clip" skips the copy that "raise" makes of out
-            np.take(Y, order, 0, Yo, "clip")
-        for rows, P, row, k in steps:
-            Xb = Xo[rows]
-            np.matmul(Xb, W.T, P)
+            np.take(X, order, 0, xo, "clip")  # "clip" skips the copy that "raise" makes of out
+            np.take(Y, order, 0, yo, "clip")
+        for Xb, Yb, P, PT, row, k in steps:
+            np.matmul(Xb, WT, P)
             np.add(P, b, P)
-            np.maximum.reduce(P, 1, None, row, True)
+            np.maximum.reduce(P, -1, None, row, True)
             np.subtract(P, row, P)
             np.exp(P, P)
-            np.add.reduce(P, 1, None, row, True)
+            np.add.reduce(P, -1, None, row, True)
             np.divide(P, row, P)  # softmax
-            np.subtract(P, Yo[rows], P)
+            np.subtract(P, Yb, P)
             np.divide(P, k, P)  # G
-            np.matmul(P.T, Xb, grad_W)
-            np.multiply(cfg.l2, W, decay)
+            np.matmul(PT, Xb, grad_W)
+            np.multiply(l2, W, decay)
             np.add(grad_W, decay, grad_W)
             np.multiply(lr, grad_W, grad_W)
             np.subtract(W, grad_W, W)
-            np.add.reduce(P, 0, None, grad_b)
+            np.add.reduce(P, -2, None, grad_b, True)
             np.multiply(lr, grad_b, grad_b)
             np.subtract(b, grad_b, b)
 
-    return MlrModel(weights=W, bias=b, config=cfg)
+    return [
+        MlrModel(weights=Wr.copy(), bias=br.copy(), config=cfg)
+        for Wr, br, cfg in zip(W.reshape(R, n, d), b.reshape(R, n), cfgs)
+    ]
 
 
 def predict_proba(model: MlrModel, features: np.ndarray) -> np.ndarray:
@@ -180,12 +249,17 @@ def save_mlr(model: MlrModel, path: str | Path) -> None:
 
 
 def load_mlr(path: str | Path) -> MlrModel:
+    """Read a :func:`save_mlr` checkpoint; a malformed line or a non-finite
+    weight raises ValueError naming ``path:line``."""
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().split()
-        if len(header) != 8 or header[0] != "mlr":
-            raise ValueError(f"{path}: not an mlr checkpoint")
+    lines = path.read_text().splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) != 8 or header[0] != "mlr":
+        raise ValueError(f"{path}: not an mlr checkpoint")
+    try:
         n, d = int(header[1]), int(header[2])
+        if n < 1 or d < 1:
+            raise ValueError(f"n={n} and d={d} must be >= 1")
         cfg = MlrConfig(
             n_classes=n,
             learning_rate=float(header[3]),
@@ -194,11 +268,22 @@ def load_mlr(path: str | Path) -> MlrModel:
             batch_size=None if header[6] == "none" else int(header[6]),
             seed=int(header[7]),
         )
-        W = np.array([[float(t) for t in fh.readline().split()] for _ in range(n)])
-        b = np.array([float(t) for t in fh.readline().split()])
-    if W.shape != (n, d) or b.shape != (n,):
-        raise ValueError(f"{path}: weight block does not match header")
-    return MlrModel(weights=W, bias=b, config=cfg)
+        _check_config(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: bad header: {exc}") from None
+    rows = []
+    for lineno in range(2, n + 3):  # n weight rows, then the bias
+        width, name = (d, "weight") if lineno < n + 2 else (n, "bias")
+        tokens = lines[lineno - 1].split() if lineno <= len(lines) else []
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if len(tokens) != width:
+            raise ValueError(f"{path}:{lineno}: {name} row has {len(tokens)} values, expected {width}")
+        if not all(map(math.isfinite, rows[-1])):
+            raise ValueError(f"{path}:{lineno}: {name} row has a non-finite value")
+    return MlrModel(weights=np.array(rows[:n]).reshape(n, d), bias=np.array(rows[n]), config=cfg)
 
 
 @dataclass
@@ -235,7 +320,13 @@ class AuxEnsemble:
         return (X - self.feature_mean) / self.feature_std
 
 
-def train_aux(features: np.ndarray, labels: np.ndarray, config: AuxConfig) -> AuxEnsemble:
+def train_aux(
+    features: np.ndarray, labels: np.ndarray, config: AuxConfig, mlr: MlrModel | None = None
+) -> AuxEnsemble:
+    """Fit the three members on one pool.  ``mlr`` is the logistic member
+    already trained, as ``train_mlr`` with ``MlrConfig(n_classes,
+    seed=config.seed)`` would train it, by a caller that trains it in lock
+    step with other models; None trains it here."""
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     _check_training_input(X, y, config.n_classes)
@@ -245,7 +336,10 @@ def train_aux(features: np.ndarray, labels: np.ndarray, config: AuxConfig) -> Au
         raise ValueError(f"knn_k={config.knn_k} exceeds store size {X.shape[0]}")
 
     # the logistic member trains with MlrConfig defaults, not the experiment's mlr_* keys
-    mlr = train_mlr(None, X, y, MlrConfig(n_classes=config.n_classes, seed=config.seed))
+    if mlr is None:
+        mlr = train_mlr(None, X, y, MlrConfig(n_classes=config.n_classes, seed=config.seed))
+    elif mlr.weights.shape != (config.n_classes, X.shape[1]):
+        raise ValueError(f"logistic member is {mlr.weights.shape}, expected {(config.n_classes, X.shape[1])}")
 
     # One-vs-rest hinge loss by full-batch subgradient descent.
     n = config.n_classes

@@ -54,6 +54,7 @@ from .classifiers import (
     predict_proba,
     train_aux,
     train_mlr,
+    train_mlr_lockstep,
 )
 from .dataset import (
     Dataset,
@@ -83,6 +84,13 @@ _SALT_SELECT = 3
 _SALT_NOISE = 4
 _SALT_MLR = 5
 _SALT_AUX = 6
+
+# Stacked members save interpreter time on every step, but each gathers its
+# N x d rows once per epoch, and past this many bytes of gathered rows in
+# one call the step is bound by memory and arithmetic instead: two stacked
+# members at CORA's shape (N = 487, d = 1433) trained about 5% slower than
+# the same two one after another, on a 2-CPU Xeon with 2 MiB of L2 a core.
+LOCKSTEP_BYTES = 8 * 1024 * 1024
 
 
 class ConfigError(ValueError):
@@ -251,12 +259,31 @@ def select_informative(
     return ordered[np.lexsort((ordered, -H))[:k]].tolist()
 
 
-def _initial_models(dataset: Dataset, pool: Sequence[int], config: ExperimentConfig, seed: int):
+def _initial_pool(dataset: Dataset, pool: Sequence[int], config: ExperimentConfig):
+    """The initial batch's features and true labels, and the relationship
+    model built on them; the classifier's first fit is the caller's."""
     X = dataset.feature_matrix(pool)
     y = dataset.true_labels(pool)
-    model = train_mlr(None, X, y, config.mlr_config(dataset.n_classes, derive_seed(seed, _SALT_MLR)))
     rel = build_relationship(dataset, dict(zip(pool, y.tolist())), epsilon=config.epsilon)
-    return model, rel, X, y
+    return rel, X, y
+
+
+def _train_grouped(members: list[tuple]) -> list[MlrModel]:
+    """``train_mlr_lockstep`` once per group of members that can share its
+    steps: equal rows, features, classes, epochs and batch size, and
+    gathered rows that fit in ``LOCKSTEP_BYTES``.  The models come back in
+    member order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, X, _, cfg) in enumerate(members):
+        groups.setdefault((X.shape, cfg.n_classes, cfg.epochs, cfg.batch_size), []).append(i)
+    models: list[MlrModel] = [None] * len(members)
+    for ((N, d), *_), index in groups.items():
+        size = max(1, LOCKSTEP_BYTES // (8 * N * d))
+        for start in range(0, len(index), size):
+            chunk = index[start : start + size]
+            for i, model in zip(chunk, train_mlr_lockstep([members[i] for i in chunk])):
+                models[i] = model
+    return models
 
 
 def run_active_learning(
@@ -295,8 +322,9 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
     pseudo = config.mode in PSEUDO_MODES
     train_ids, test_ids = split_train_test(dataset, config, seed)
     plan = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
-    model, rel, pool_X, pool_y = _initial_models(dataset, plan.batches[0], config, seed)
+    rel, pool_X, pool_y = _initial_pool(dataset, plan.batches[0], config)
     n = dataset.n_classes
+    model = train_mlr(None, pool_X, pool_y, config.mlr_config(n, derive_seed(seed, _SALT_MLR)))
 
     transition = None
     if not pseudo and config.noise == "nar":
@@ -379,11 +407,21 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
     n = dataset.n_classes
     rows: list[DetectionSuiteRow] = []
 
+    # Every seed's main model (the mlr_* keys) and the logistic member of
+    # its aux ensemble (MlrConfig defaults) train together, in lock step.
+    splits, main_members, aux_members = [], [], []
     for seed in config.seeds:
         train_ids, test_ids = split_train_test(dataset, config, seed)
         plan = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
-        model, rel, pool_X, pool_y = _initial_models(dataset, plan.batches[0], config, seed)
-        knn_k = min(config.knn_k, len(plan.batches[0]))
+        pool = plan.batches[0]
+        rel, pool_X, pool_y = _initial_pool(dataset, pool, config)
+        splits.append((seed, pool, test_ids, rel, pool_X, pool_y))
+        main_members.append((None, pool_X, pool_y, config.mlr_config(n, derive_seed(seed, _SALT_MLR))))
+        aux_members.append((None, pool_X, pool_y, MlrConfig(n_classes=n, seed=derive_seed(seed, _SALT_AUX))))
+    models = _train_grouped(main_members + aux_members)
+
+    for (seed, pool, test_ids, rel, pool_X, pool_y), model, aux_mlr in zip(splits, models, models[len(splits) :]):
+        knn_k = min(config.knn_k, len(pool))
         if knn_k % 2 == 0:
             knn_k -= 1
         aux = train_aux(
@@ -395,6 +433,7 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
                 normalize=config.dataset_kind == "synthetic",
                 seed=derive_seed(seed, _SALT_AUX),
             ),
+            mlr=aux_mlr,
         )
         y_test = dataset.true_labels(test_ids)
         # the detectors' classifier outputs and star divergences do not

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from ctxnoise import (
     save_mlr,
     train_aux,
     train_mlr,
+    train_mlr_lockstep,
 )
 from ctxnoise import classifiers
 
@@ -154,6 +156,129 @@ def test_train_mlr_is_bit_identical_to_the_plain_loop(N, d, n, batch_size, warm,
     assert np.array_equal(model.bias, b)
 
 
+@given(
+    R=st.integers(1, 6),
+    N=st.integers(1, 60),
+    d=st.integers(1, 12),
+    n=st.integers(2, 5),
+    batch_size=st.sampled_from([None, 1, 7, 32]),
+    epochs=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_lockstep_members_are_bit_identical_to_the_plain_loop(R, N, d, n, batch_size, epochs, seed):
+    # each member has its own data, seed, rates and start point; only the
+    # step shape is shared
+    rng = np.random.default_rng(seed)
+    members, starts = [], []
+    for _ in range(R):
+        X = rng.standard_normal((N, d)) * rng.choice([0.1, 1.0, 10.0])
+        y = rng.integers(0, n, N)
+        config = MlrConfig(
+            n_classes=n,
+            learning_rate=float(rng.choice([0.05, 0.1, 0.5])),
+            l2=float(rng.choice([0.0, 1e-4, 1e-2])),
+            epochs=epochs,
+            batch_size=batch_size,
+            seed=int(rng.integers(0, 2**32)),
+        )
+        warm = rng.random() < 0.5
+        W0 = rng.standard_normal((n, d)) if warm else np.zeros((n, d))
+        b0 = rng.standard_normal(n) if warm else np.zeros(n)
+        members.append((MlrModel(W0.copy(), b0.copy(), config) if warm else None, X, y, config))
+        starts.append((W0, b0))
+    models = train_mlr_lockstep(members)
+    assert len(models) == R
+    for model, (_, X, y, config), (W0, b0) in zip(models, members, starts):
+        W, b = reference_train_mlr(W0, b0, X, y, config)
+        assert np.array_equal(model.weights, W)
+        assert np.array_equal(model.bias, b)
+        assert model.config is config
+
+
+def test_stacked_numpy_calls_match_their_2d_slices():
+    # The lock-step kernel relies on numpy doing per slice of a stack what
+    # it does for one 2-D array: stacked matmul (with the transposed views
+    # the kernel passes) and reductions along the last two axes.  This is
+    # how numpy behaves, not a promise it makes, so it is pinned here.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        R, k, d, n, extra = (int(v) for v in rng.integers([2, 1, 1, 2, 0], [7, 40, 40, 9, 3]))
+        # like the kernel's step views: rows of a taller stack, so that
+        # the slices are contiguous but the stack is not
+        X = rng.standard_normal((R, k + extra, d))[:, extra:, :]
+        W = rng.standard_normal((R, n, d))
+        P = np.empty((R, k + extra, n))[:, :k, :]
+        np.matmul(X, W.swapaxes(-1, -2), P)
+        G = np.empty((R, n, d))
+        np.matmul(P.swapaxes(-1, -2), X, G)
+        row_max, row_sum = np.empty((R, k + extra, 1))[:, :k, :], np.empty((R, k + extra, 1))[:, :k, :]
+        np.maximum.reduce(P, -1, None, row_max, True)
+        np.add.reduce(P, -1, None, row_sum, True)
+        col_sum = np.empty((R, 1, n))
+        np.add.reduce(P, -2, None, col_sum, True)
+        for r in range(R):
+            assert np.array_equal(P[r], X[r] @ W[r].T)
+            assert np.array_equal(G[r], P[r].T @ X[r])
+            assert np.array_equal(row_max[r], P[r].max(axis=1, keepdims=True))
+            assert np.array_equal(row_sum[r], P[r].sum(axis=1, keepdims=True))
+            assert np.array_equal(col_sum[r, 0], P[r].sum(axis=0))
+
+
+class TestLockstepChecks:
+    def members(self, R=2, **config):
+        X, y = separable_1d()
+        return [(None, X, y, MlrConfig(n_classes=2, seed=r, **config)) for r in range(R)]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", -3),  # used to return a zero model
+            ("learning_rate", math.nan),  # used to return NaN weights
+            ("learning_rate", 0.0),
+            ("learning_rate", math.inf),
+            ("batch_size", 0),  # used to mean full batch
+            ("l2", -1.0),  # used to train
+            ("l2", math.nan),
+        ],
+    )
+    def test_bad_config_rejected(self, field, value):
+        X, y = separable_1d()
+        config = MlrConfig(n_classes=2, **{field: value})
+        with pytest.raises(ValueError, match=f"^MlrConfig.{field} "):
+            train_mlr(None, X, y, config)
+        members = self.members()
+        members[1] = (None, X, y, config)
+        with pytest.raises(ValueError, match=f"^MlrConfig.{field} "):
+            train_mlr_lockstep(members)
+
+    def test_zero_epochs_and_full_batch_accepted(self):
+        X, y = separable_1d()
+        model = train_mlr(None, X, y, MlrConfig(n_classes=2, epochs=0, batch_size=None))
+        assert not model.weights.any()
+
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("N", lambda X, y, cfg: (X[:-1], y[:-1], cfg)),
+            ("d", lambda X, y, cfg: (np.hstack([X, X]), y, cfg)),
+            ("n_classes", lambda X, y, cfg: (X, y, MlrConfig(n_classes=3, seed=cfg.seed))),
+            ("epochs", lambda X, y, cfg: (X, y, MlrConfig(n_classes=2, epochs=7, seed=cfg.seed))),
+            ("batch_size", lambda X, y, cfg: (X, y, MlrConfig(n_classes=2, batch_size=None, seed=cfg.seed))),
+        ],
+    )
+    def test_members_must_share_the_step_shape(self, field, damage):
+        members = self.members(R=3)
+        model, X, y, cfg = members[2]
+        members[2] = (model, *damage(X, y, cfg))
+        with pytest.raises(ValueError, match=f"^lock-step members disagree on {field}: "):
+            train_mlr_lockstep(members)
+
+    def test_no_members_rejected(self):
+        with pytest.raises(ValueError):
+            train_mlr_lockstep([])
+
+
 class TestPredictProba:
     def test_zero_model_is_uniform(self):
         model = MlrModel(np.zeros((4, 3)), np.zeros(4), MlrConfig(n_classes=4))
@@ -201,6 +326,31 @@ class TestCheckpoint:
         assert loaded.config == model.config
 
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda lines: [lines[0].replace("mlr 2 1", "mlr x 1")] + lines[1:],
+             ":1: bad header: invalid literal for int() with base 10: 'x'"),
+            (lambda lines: [lines[0].replace(" 200 ", " -3 ")] + lines[1:],
+             ":1: bad header: MlrConfig.epochs must be >= 0, got -3"),
+            (lambda lines: lines[:1] + ["x"] + lines[2:], ":2: could not convert string to float: 'x'"),
+            (lambda lines: lines[:2] + [lines[2] + " 0.5"] + lines[3:], ":3: weight row has 2 values, expected 1"),
+            (lambda lines: lines[:1] + ["nan"] + lines[2:], ":2: weight row has a non-finite value"),
+            (lambda lines: lines[:3] + ["0.0 inf"], ":4: bias row has a non-finite value"),
+            (lambda lines: lines[:3], ":4: bias row has 0 values, expected 2"),
+        ],
+    )
+    def test_damaged_checkpoint_names_the_line(self, tmp_path, damage, message):
+        # these used to fail inside float(), int() or numpy without the
+        # file's name, or, for a NaN weight, to load and predict NaN
+        X, y = separable_1d()
+        path = tmp_path / "model.txt"
+        save_mlr(train_mlr(None, X, y, MlrConfig(n_classes=2, seed=9)), path)
+        path.write_text("".join(line + "\n" for line in damage(path.read_text().splitlines())))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+            load_mlr(path)
+
+
 class TestAuxEnsemble:
     def make_blobs(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -238,6 +388,17 @@ class TestAuxEnsemble:
         X, y = self.make_blobs()
         with pytest.raises(ValueError):
             train_aux(X, y, AuxConfig(n_classes=3, knn_k=4))
+
+    def test_pretrained_logistic_member_is_used(self):
+        X, y = self.make_blobs()
+        config = AuxConfig(n_classes=3, seed=4)
+        mlr = train_mlr(None, X, y, MlrConfig(n_classes=3, seed=4))
+        given, trained = train_aux(X, y, config, mlr=mlr), train_aux(X, y, config)
+        assert given.mlr is mlr
+        assert np.array_equal(given.mlr.weights, trained.mlr.weights)
+        assert np.array_equal(given.svm_weights, trained.svm_weights)
+        with pytest.raises(ValueError, match="logistic member"):
+            train_aux(X, y, AuxConfig(n_classes=4, seed=4), mlr=mlr)
 
     def test_normalization_flag(self):
         X, y = self.make_blobs()

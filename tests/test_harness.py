@@ -20,8 +20,9 @@ from ctxnoise import (
     select_informative,
     summarize_detection,
     summarize_learning,
+    train_mlr,
 )
-from ctxnoise import detector, harness
+from ctxnoise import classifiers, detector, harness
 from ctxnoise.cli import main
 from ctxnoise.dataset import Dataset, Instance
 from ctxnoise.harness import (
@@ -275,6 +276,27 @@ class TestRunDetectionSuite:
             rows = run_detection_suite(config)
         assert spy.call_count == len(config.seeds)
         assert len(rows) == 3 * 2 * 4
+
+    @pytest.mark.parametrize(
+        "mlr_epochs, members_per_call, calls",
+        [(200, None, [4]), (80, None, [2, 2]), (200, 3, [3, 1]), (80, 1, [1, 1, 1, 1])],
+    )
+    def test_models_train_in_lock_step(self, monkeypatch, mlr_epochs, members_per_call, calls):
+        # every seed's main model and aux logistic member share one stacked
+        # call, unless the mlr_* keys give the main models other steps than
+        # the MlrConfig defaults of the aux members, or their gathered rows
+        # outgrow LOCKSTEP_BYTES
+        config = small_config(omegas=[0.2], seeds=[0, 1], mlr_epochs=mlr_epochs)
+        if members_per_call is not None:
+            # N x d floats of a pool: batch 0 of the 168 training ids; the
+            # half-pool margin below absorbs how the batch size rounds
+            pool_bytes = 8 * config.synthetic.n_features * round(168 / 5)
+            monkeypatch.setattr(harness, "LOCKSTEP_BYTES", members_per_call * pool_bytes + pool_bytes // 2)
+        with mock.patch.object(harness, "train_mlr_lockstep", wraps=classifiers.train_mlr_lockstep) as spy:
+            rows = run_detection_suite(config)
+        assert [len(call.args[0]) for call in spy.call_args_list] == calls
+        with mock.patch.object(harness, "_train_grouped", lambda members: [train_mlr(*m) for m in members]):
+            assert run_detection_suite(config) == rows
 
     def test_nar_suite(self):
         config = small_config(noise="nar", seeds=[0])
