@@ -15,7 +15,6 @@ from .classifiers import (
     train_mlr_lockstep,
 )
 from .dataset import (
-    BatchPlan,
     CoraFormatError,
     CsrIndex,
     Dataset,
@@ -57,7 +56,7 @@ from .harness import (
     summarize_learning,
 )
 from .inference import batch_posterior_rows
-from .metrics import DetectionMetrics, accuracy, detection_metrics, ranking_auc
+from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc
 from .noise import (
     NoisePlan,
     TransitionMatrix,
@@ -70,7 +69,6 @@ from .relationship import (
     Conditionals,
     RelationshipModel,
     build_relationship,
-    empty_relationship,
     load_relationship,
     prior_conditionals,
     save_relationship,

@@ -2,7 +2,8 @@
 
 Each detector ranks a batch by keys computed from label-free classifier
 outputs and the assigned labels, and removes the first ``removal_count``
-ids; ties go to the lower id.
+by :func:`metrics.first_k`; ties go to the lower id.  It returns a (B,)
+bool mask of the removed instances, aligned with ``ids``.
 """
 
 from __future__ import annotations
@@ -12,30 +13,24 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import entropy
+from .metrics import first_k
 
 
-def _first(ids: Sequence[int], removal_count: int, *keys: np.ndarray) -> set[int]:
-    """The ``removal_count`` ids that sort first by ``keys``, the first key
-    most significant, ties going to the lower id."""
-    ids = np.asarray(ids)
-    if not 0 <= removal_count <= len(ids):
-        raise ValueError("removal_count out of range")
-    order = np.lexsort((ids, *reversed(keys)))
-    return set(ids[order[:removal_count]].tolist())
-
-
-def _checked(ids: Sequence[int], assigned: Sequence[int], *rows: np.ndarray) -> np.ndarray:
+def _checked(ids: Sequence[int], assigned: Sequence[int], removal_count: int, *rows: np.ndarray) -> np.ndarray:
     """The assigned labels as an int array, after checking that they and
-    every array of ``rows`` hold one entry per id."""
+    every array of ``rows`` hold one entry per id, and that the budget
+    fits the batch."""
     a = np.asarray(assigned, dtype=int)
     if len(a) != len(ids):
         raise ValueError("ids and assigned labels must align")
     if any(r.ndim != 2 or len(r) != len(ids) for r in rows):
         raise ValueError("member predictions and probabilities need one row per instance")
+    if not 0 <= removal_count <= len(ids):
+        raise ValueError("removal_count out of range")
     return a
 
 
-def _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, min_disagreements) -> set[int]:
+def _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, min_disagreements) -> np.ndarray:
     """Flagged instances first, then ascending confidence in the assigned
     class.
 
@@ -47,9 +42,11 @@ def _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, min_dis
     other than the assigned label.
     """
     preds, proba = np.asarray(predictions), np.asarray(mlr_proba)
-    a = _checked(ids, assigned, preds, proba)
+    a = _checked(ids, assigned, removal_count, preds, proba)
     flagged = (preds != a[:, None]).sum(axis=1) >= min_disagreements
-    return _first(ids, removal_count, ~flagged, proba[np.arange(len(a)), a])
+    removed = np.zeros(len(a), dtype=bool)
+    removed[first_k(ids, removal_count, ~flagged, proba[np.arange(len(a)), a])] = True
+    return removed
 
 
 def majority_detect(
@@ -58,7 +55,7 @@ def majority_detect(
     ids: Sequence[int],
     assigned: Sequence[int],
     removal_count: int,
-) -> set[int]:
+) -> np.ndarray:
     """Flag when at least 2 of 3 members disagree with the assigned label."""
     return _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, 2)
 
@@ -69,14 +66,14 @@ def consensus_detect(
     ids: Sequence[int],
     assigned: Sequence[int],
     removal_count: int,
-) -> set[int]:
+) -> np.ndarray:
     """Flag only when all 3 members disagree with the assigned label."""
     return _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, 3)
 
 
 def probabilistic_detect(
     proba: np.ndarray, ids: Sequence[int], assigned: Sequence[int], removal_count: int
-) -> set[int]:
+) -> np.ndarray:
     """Suspicion from prediction mismatch and predictive entropy.
 
     ``proba`` holds the classifier's class distributions, one row per id.
@@ -85,7 +82,9 @@ def probabilistic_detect(
     removed first.
     """
     P = np.asarray(proba)
-    a = _checked(ids, assigned, P)
+    a = _checked(ids, assigned, removal_count, P)
     mismatch = P.argmax(axis=1) != a
     s = np.where(mismatch, 1.0 - P[np.arange(len(a)), a], 0.5 * (entropy(P) / np.log(P.shape[1])))
-    return _first(ids, removal_count, ~mismatch, -s)
+    removed = np.zeros(len(a), dtype=bool)
+    removed[first_k(ids, removal_count, ~mismatch, -s)] = True
+    return removed

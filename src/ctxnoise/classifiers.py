@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import _read_only
+
 # The array kernels (kNN distances, star scoring) work in blocks whose
 # temporaries stay under this many bytes each, so that memory does not grow
 # with the batch.
@@ -32,11 +34,17 @@ class MlrConfig:
     seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MlrModel:
+    """Construction copies the weights and bias into read-only arrays."""
+
     weights: np.ndarray  # (n, d)
     bias: np.ndarray     # (n,)
     config: MlrConfig
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", _read_only(np.array(self.weights, dtype=float)))
+        object.__setattr__(self, "bias", _read_only(np.array(self.bias, dtype=float)))
 
     @property
     def n_classes(self) -> int:
@@ -210,7 +218,7 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
             np.subtract(b, grad_b, b)
 
     return [
-        MlrModel(weights=Wr.copy(), bias=br.copy(), config=cfg)
+        MlrModel(weights=Wr, bias=br, config=cfg)
         for Wr, br, cfg in zip(W.reshape(R, n, d), b.reshape(R, n), cfgs)
     ]
 

@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     config = load_config(args.config)
-    if args.seeds:
+    if args.seeds is not None:
         try:
             config.seeds = [int(t) for t in args.seeds.replace(",", " ").split()]
         except ValueError:
@@ -96,7 +96,7 @@ def _cmd_detect(args: argparse.Namespace) -> None:
 
 def _run_learning(args: argparse.Namespace, runner, prefix: str) -> None:
     config, out_dir = _prepare(args)
-    dataset, _ = load_experiment_dataset(config)
+    dataset = load_experiment_dataset(config)
     logs = []
     for seed in config.seeds:
         log = runner(config, seed, dataset)
@@ -115,7 +115,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     """One summary row per (omega, beta): accuracy gain of the context filter
     over learning on unfiltered noisy labels, mean +/- std across seeds."""
     config, out_dir = _prepare(args)
-    dataset, _ = load_experiment_dataset(config)
+    dataset = load_experiment_dataset(config)
     rows = []
     summary = {}
     for omega in config.omegas:

@@ -266,16 +266,6 @@ class Dataset:
 
 
 @dataclass
-class BatchPlan:
-    """Ordered partition of training ids; batch 0 is the initial labeled pool."""
-
-    batches: list[list[int]]
-
-    def all_ids(self) -> list[int]:
-        return [i for batch in self.batches for i in batch]
-
-
-@dataclass
 class SyntheticConfig:
     """Knobs for the synthetic generator.
 
@@ -591,8 +581,9 @@ def split_batches(
     n_batches: int,
     seed: int,
     ids: Sequence[int] | None = None,
-) -> BatchPlan:
-    """Shuffle and split ids into equal batches; batch 0 covers every class.
+) -> list[list[int]]:
+    """Shuffle and split ids into equal batches, in order; batch 0, the
+    initial labeled pool, covers every class.
 
     Batch sizes are floor(N / n_batches), the last batch absorbing the
     remainder.  If batch 0 misses a class after the shuffle, an instance of
@@ -633,4 +624,4 @@ def split_batches(
     ids_in_order = order.tolist()
     batches = [ids_in_order[b * base : (b + 1) * base] for b in range(n_batches)]
     batches[-1].extend(ids_in_order[n_batches * base :])
-    return BatchPlan(batches=batches)
+    return batches

@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .classifiers import BLOCK_BYTES, MlrModel, predict_proba
 from .dataset import Dataset, _read_only
 from .inference import batch_posterior_rows
+from .metrics import first_k
 from .relationship import Conditionals, RelationshipModel, prior_conditionals
 
 KEEP = "keep"
@@ -39,22 +40,20 @@ SCORE_FLOOR = 1e-12
 
 @dataclass
 class DetectionResult:
-    """Per-instance scores, weights and verdicts for one queried batch."""
+    """Per-instance scores, weights and verdicts for one queried batch; every
+    array is aligned with ``ids``."""
 
     ids: list[int]
     assigned: np.ndarray
     scores: np.ndarray
     weights: np.ndarray
-    verdicts: list[str]
-    max_score: float
-    beta: float | None = None
-    removal_count: int | None = None
+    removed: np.ndarray      # (B,) bool
+    has_context: np.ndarray  # (B,) bool: False marks an unfilterable instance
 
-    def removed_ids(self) -> set[int]:
-        return {i for i, v in zip(self.ids, self.verdicts) if v == REMOVE}
-
-    def kept_ids(self) -> set[int]:
-        return {i for i, v in zip(self.ids, self.verdicts) if v != REMOVE}
+    @property
+    def verdicts(self) -> list[str]:
+        """``remove``, ``keep`` or ``unfilterable`` (kept, without context)."""
+        return np.where(self.removed, REMOVE, np.where(self.has_context, KEEP, UNFILTERABLE)).tolist()
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -247,15 +246,13 @@ def cnld_detect(
         raise ValueError("beta must lie in [0, 1)")
     scores = _scores(queried_ids, assigned_labels, divergences)
     weights = batch_weights(scores)
-    verdicts = np.where(divergences.has_context, np.where(weights > beta, KEEP, REMOVE), UNFILTERABLE)
     return DetectionResult(
         ids=list(queried_ids),
         assigned=np.asarray(assigned_labels, dtype=int),
         scores=scores,
         weights=weights,
-        verdicts=verdicts.tolist(),
-        max_score=float(scores.max()),
-        beta=beta,
+        removed=divergences.has_context & ~(weights > beta),
+        has_context=divergences.has_context,
     )
 
 
@@ -268,8 +265,9 @@ def detect_topk(
     """Remove exactly the ``removal_count`` highest-scoring instances.
 
     ``divergences`` is :func:`star_divergences` of the same ids.  Ties break
-    toward the lower instance id.  Used when the evaluation protocol fixes
-    the removal budget instead of thresholding on beta.
+    toward the lower instance id, by :func:`metrics.first_k`.  Used when the
+    evaluation protocol fixes the removal budget instead of thresholding on
+    beta.
     """
     if removal_count < 0:
         raise ValueError("removal_count must be >= 0")
@@ -277,33 +275,32 @@ def detect_topk(
         raise ValueError("removal_count exceeds batch size")
     scores = _scores(queried_ids, assigned_labels, divergences)
     removed = np.zeros(len(scores), dtype=bool)
-    removed[np.lexsort((np.asarray(queried_ids), -scores))[:removal_count]] = True
-    verdicts = np.where(removed, REMOVE, np.where(divergences.has_context, KEEP, UNFILTERABLE))
+    removed[first_k(queried_ids, removal_count, -scores)] = True
     return DetectionResult(
         ids=list(queried_ids),
         assigned=np.asarray(assigned_labels, dtype=int),
         scores=scores,
         weights=batch_weights(scores),
-        verdicts=verdicts.tolist(),
-        max_score=float(scores.max()),
-        removal_count=removal_count,
+        removed=removed,
+        has_context=divergences.has_context,
     )
 
 
-def detection_to_csv(
-    result: DetectionResult, path: str | Path, flip_mask: Mapping[int, bool] | None = None
-) -> None:
-    """Write ``id, assigned, l, gamma, verdict[, truly_flipped]`` rows."""
+def detection_to_csv(result: DetectionResult, path: str | Path, flipped: np.ndarray | None = None) -> None:
+    """Write ``id, assigned, l, gamma, verdict[, truly_flipped]`` rows;
+    ``flipped`` is a (B,) bool mask aligned with ``result.ids``."""
+    if flipped is not None and len(flipped) != len(result.ids):
+        raise ValueError("flipped must hold one entry per id")
     with Path(path).open("w") as fh:
         header = "id,assigned,l,gamma,verdict"
-        if flip_mask is not None:
+        if flipped is not None:
             header += ",truly_flipped"
         fh.write(header + "\n")
-        for i, qid in enumerate(result.ids):
+        for i, (qid, verdict) in enumerate(zip(result.ids, result.verdicts)):
             row = (
                 f"{qid},{int(result.assigned[i])},{repr(float(result.scores[i]))},"
-                f"{repr(float(result.weights[i]))},{result.verdicts[i]}"
+                f"{repr(float(result.weights[i]))},{verdict}"
             )
-            if flip_mask is not None:
-                row += f",{int(bool(flip_mask[qid]))}"
+            if flipped is not None:
+                row += f",{int(bool(flipped[i]))}"
             fh.write(row + "\n")

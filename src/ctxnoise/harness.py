@@ -56,16 +56,9 @@ from .classifiers import (
     train_mlr,
     train_mlr_lockstep,
 )
-from .dataset import (
-    Dataset,
-    GroundTruth,
-    SyntheticConfig,
-    generate_synthetic,
-    load_cora,
-    split_batches,
-)
+from .dataset import Dataset, SyntheticConfig, generate_synthetic, load_cora, split_batches
 from .detector import DEFAULT_BETA, cnld_detect, detect_topk, star_divergences
-from .metrics import DetectionMetrics, accuracy, detection_metrics, ranking_auc
+from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc
 from .noise import inject_nar, inject_ncar, estimate_transition, _round_half_up
 from .relationship import DEFAULT_SMOOTHING, build_relationship, update_relationship
 
@@ -213,11 +206,10 @@ class DetectionSuiteRow:
     auc: float | None = None
 
 
-def load_experiment_dataset(config: ExperimentConfig) -> tuple[Dataset, GroundTruth | None]:
+def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     if config.dataset_kind == "synthetic":
-        dataset, truth = generate_synthetic(config.synthetic)
-        return dataset, truth
-    return load_cora(config.cora_content, config.cora_cites), None
+        return generate_synthetic(config.synthetic)[0]
+    return load_cora(config.cora_content, config.cora_cites)
 
 
 def split_train_test(dataset: Dataset, config: ExperimentConfig, seed: int) -> tuple[list[int], list[int]]:
@@ -243,7 +235,7 @@ def select_informative(
     """Pick k of the batch's ids to query: top prediction entropy, or
     uniform at random over the sorted ids.
 
-    Entropy ties break toward the lower instance id.
+    Entropy ties break toward the lower instance id, by :func:`first_k`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -256,7 +248,7 @@ def select_informative(
     if strategy != "entropy":
         raise ValueError(f"unknown selection strategy {strategy!r}")
     H = entropy(predict_proba(classifier, dataset.feature_matrix(ordered)))
-    return ordered[np.lexsort((ordered, -H))[:k]].tolist()
+    return ordered[first_k(ordered, k, -H)].tolist()
 
 
 def _initial_pool(dataset: Dataset, pool: Sequence[int], config: ExperimentConfig):
@@ -318,11 +310,11 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
     module docstring."""
     seed = config.seeds[0] if seed is None else seed
     if dataset is None:
-        dataset, _ = load_experiment_dataset(config)
+        dataset = load_experiment_dataset(config)
     pseudo = config.mode in PSEUDO_MODES
     train_ids, test_ids = split_train_test(dataset, config, seed)
-    plan = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
-    rel, pool_X, pool_y = _initial_pool(dataset, plan.batches[0], config)
+    batches = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
+    rel, pool_X, pool_y = _initial_pool(dataset, batches[0], config)
     n = dataset.n_classes
     model = train_mlr(None, pool_X, pool_y, config.mlr_config(n, derive_seed(seed, _SALT_MLR)))
 
@@ -331,12 +323,12 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
         transition = estimate_transition(pool_X, pool_y, n)
 
     X_test, y_test = dataset.feature_matrix(test_ids), dataset.true_labels(test_ids)
-    accepted: list[tuple[int, int]] = list(zip(plan.batches[0], pool_y.tolist()))
+    accepted: list[tuple[int, int]] = list(zip(batches[0], pool_y.tolist()))
     records: list[BatchRecord] = []
 
     for t in range(1, config.n_batches):
         start = time.perf_counter()
-        batch_ids = plan.batches[t]
+        batch_ids = batches[t]
         k = min(len(batch_ids), max(1, _round_half_up(config.query_fraction * len(batch_ids))))
         queried = select_informative(
             model, dataset, batch_ids, k, config.selection, derive_seed(seed, _SALT_SELECT, t)
@@ -358,20 +350,22 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
             else:
                 labels = inject_nar(true_q, transition, noise_seed).assigned
 
-        removed: set[int] = set()
+        removed = np.zeros(len(candidates), dtype=bool)
         batch_metrics = None
         if candidates and config.mode in FILTERED_MODES:
-            flip_mask = dict(zip(candidates, (labels != dataset.true_labels(candidates)).tolist()))
+            flipped = labels != dataset.true_labels(candidates)
             divergences = star_divergences(candidates, dataset, model, rel)
-            removed = cnld_detect(candidates, labels, divergences, config.beta).removed_ids()
+            removed = cnld_detect(candidates, labels, divergences, config.beta).removed
+            budget = int(removed.sum())
             if config.mode == "pb":
                 proba = predict_proba(model, dataset.feature_matrix(candidates))
-                removed = probabilistic_detect(proba, candidates, labels, len(removed))
+                removed = probabilistic_detect(proba, candidates, labels, budget)
             elif config.mode == "cl":  # drop truly flipped labels only, up to the cnld budget
-                removed = set(sorted(i for i in candidates if flip_mask[i])[: len(removed)])
-            batch_metrics = detection_metrics(removed, flip_mask)
+                removed = np.zeros(len(candidates), dtype=bool)
+                removed[first_k(candidates, min(budget, int(flipped.sum())), ~flipped)] = True
+            batch_metrics = detection_metrics(removed, flipped)
 
-        kept = fixed + [(i, int(c)) for i, c in zip(candidates, labels) if i not in removed]
+        kept = fixed + [(i, int(c)) for i, c, r in zip(candidates, labels, removed) if not r]
         if kept:
             accepted.extend(kept)
             rows = accepted if config.replay else kept
@@ -384,7 +378,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | 
             BatchRecord(
                 batch=t,
                 accuracy=accuracy(model, X_test, y_test),
-                removed=len(removed),
+                removed=int(removed.sum()),
                 kept=len(kept),
                 er1=batch_metrics.er1 if batch_metrics else None,
                 er2=batch_metrics.er2 if batch_metrics else None,
@@ -403,7 +397,7 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
     removes exactly the injected fraction with each detector.
     """
     config.validate()
-    dataset, _ = load_experiment_dataset(config)
+    dataset = load_experiment_dataset(config)
     n = dataset.n_classes
     rows: list[DetectionSuiteRow] = []
 
@@ -412,8 +406,7 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
     splits, main_members, aux_members = [], [], []
     for seed in config.seeds:
         train_ids, test_ids = split_train_test(dataset, config, seed)
-        plan = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
-        pool = plan.batches[0]
+        pool = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)[0]
         rel, pool_X, pool_y = _initial_pool(dataset, pool, config)
         splits.append((seed, pool, test_ids, rel, pool_X, pool_y))
         main_members.append((None, pool_X, pool_y, config.mlr_config(n, derive_seed(seed, _SALT_MLR))))
@@ -457,22 +450,19 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
 
         for omega, noise_plan, removal_count in cells:
             removal_count = min(removal_count, len(test_ids))
-            assigned = noise_plan.assigned
-            flip_mask = {tid: bool(f) for tid, f in zip(test_ids, noise_plan.flipped)}
+            assigned, flipped = noise_plan.assigned, noise_plan.flipped
 
             det = detect_topk(test_ids, assigned, divergences, removal_count)
             auc = None
-            if 0 < noise_plan.flipped.sum() < len(test_ids):
-                auc = ranking_auc(det.scores, noise_plan.flipped)
-            rows.append(
-                DetectionSuiteRow("cnld", omega, seed, detection_metrics(det.removed_ids(), flip_mask), auc)
-            )
+            if 0 < flipped.sum() < len(test_ids):
+                auc = ranking_auc(det.scores, flipped)
+            rows.append(DetectionSuiteRow("cnld", omega, seed, detection_metrics(det.removed, flipped), auc))
             removed = probabilistic_detect(test_proba, test_ids, assigned, removal_count)
-            rows.append(DetectionSuiteRow("probabilistic", omega, seed, detection_metrics(removed, flip_mask)))
+            rows.append(DetectionSuiteRow("probabilistic", omega, seed, detection_metrics(removed, flipped)))
             removed = consensus_detect(member_preds, mlr_proba, test_ids, assigned, removal_count)
-            rows.append(DetectionSuiteRow("consensus", omega, seed, detection_metrics(removed, flip_mask)))
+            rows.append(DetectionSuiteRow("consensus", omega, seed, detection_metrics(removed, flipped)))
             removed = majority_detect(member_preds, mlr_proba, test_ids, assigned, removal_count)
-            rows.append(DetectionSuiteRow("majority", omega, seed, detection_metrics(removed, flip_mask)))
+            rows.append(DetectionSuiteRow("majority", omega, seed, detection_metrics(removed, flipped)))
     return rows
 
 

@@ -1,9 +1,9 @@
-"""Detection-quality metrics and classification accuracy."""
+"""Detection-quality metrics, classification accuracy and the ranking rule."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,26 +29,28 @@ class DetectionMetrics:
     mislabeled_total: int
 
 
-def detection_metrics(removed_ids: Iterable[int], flip_mask: Mapping[int, bool]) -> DetectionMetrics:
-    removed = set(removed_ids)
-    unknown = removed - set(flip_mask)
-    if unknown:
-        raise ValueError(f"removed ids not covered by the flip mask: {sorted(unknown)[:5]}")
+def detection_metrics(removed: np.ndarray, flipped: np.ndarray) -> DetectionMetrics:
+    """ER1/ER2/NEP of a batch from two aligned (B,) bool masks: whether each
+    instance was removed, and whether its label was truly flipped."""
+    removed, flipped = np.asarray(removed), np.asarray(flipped)
+    if removed.dtype != bool or flipped.dtype != bool or removed.ndim != 1 or removed.shape != flipped.shape:
+        raise ValueError("removed and flipped must be aligned 1-D bool masks")
 
-    mislabeled_total = sum(1 for flipped in flip_mask.values() if flipped)
-    correct_total = len(flip_mask) - mislabeled_total
-    mislabeled_removed = sum(1 for i in removed if flip_mask[i])
-    correct_removed = len(removed) - mislabeled_removed
+    n_removed = int(removed.sum())
+    mislabeled_total = int(flipped.sum())
+    correct_total = len(flipped) - mislabeled_total
+    mislabeled_removed = int((removed & flipped).sum())
+    correct_removed = n_removed - mislabeled_removed
     mislabeled_kept = mislabeled_total - mislabeled_removed
 
     return DetectionMetrics(
         er1=correct_removed / correct_total if correct_total else None,
         er2=mislabeled_kept / mislabeled_total if mislabeled_total else None,
-        nep=mislabeled_removed / len(removed) if removed else None,
+        nep=mislabeled_removed / n_removed if n_removed else None,
         correct_removed=correct_removed,
         mislabeled_kept=mislabeled_kept,
         mislabeled_removed=mislabeled_removed,
-        removed=len(removed),
+        removed=n_removed,
         correct_total=correct_total,
         mislabeled_total=mislabeled_total,
     )
@@ -83,3 +85,17 @@ def ranking_auc(scores: Sequence[float], positive: Sequence[bool]) -> float:
     ranks = (last - 0.5 * (run_length - 1))[tie_run]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def first_k(ids: Sequence[int], k: int, *keys: np.ndarray) -> np.ndarray:
+    """Positions of the ``k`` entries that sort first by ``keys``, the first
+    key most significant and ties going to the lower id, in rank order.
+
+    Every ranking in the package follows this rule: the baselines and
+    ``detect_topk`` remove the first ``removal_count``, and entropy
+    selection queries the first k.
+    """
+    ids = np.asarray(ids)
+    if not 0 <= k <= len(ids):
+        raise ValueError(f"k={k} out of range [0, {len(ids)}]")
+    return np.lexsort((ids, *reversed(keys)))[:k]

@@ -9,18 +9,20 @@ detector compares against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _read_only
 
 DEFAULT_SMOOTHING = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RelationshipModel:
     """Immutable snapshot of co-occurrence counts.
 
@@ -29,17 +31,22 @@ class RelationshipModel:
     class i (a same-class link adds 2 on the diagonal).  ``labels`` records
     the accepted labels counted so far; updates need it to count links that
     cross from newly accepted instances into previously accepted ones.
+    Construction copies the counts into read-only arrays and the labels
+    into a read-only mapping.
     """
 
     data_counts: np.ndarray          # (n, n)
     attr_counts: np.ndarray | None   # (n, m), None when m == 0
     epsilon: float = DEFAULT_SMOOTHING
-    labels: dict[int, int] = field(default_factory=dict)
-    hard_attributes: bool = False
+    labels: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:  # written so that NaN fails it
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        object.__setattr__(self, "data_counts", _read_only(np.array(self.data_counts, dtype=float)))
+        if self.attr_counts is not None:
+            object.__setattr__(self, "attr_counts", _read_only(np.array(self.attr_counts, dtype=float)))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
 
     @property
     def n_classes(self) -> int:
@@ -58,36 +65,20 @@ class Conditionals:
     attr_rows: np.ndarray | None     # (n, m)
 
 
-def empty_relationship(
-    n_classes: int,
-    m_attribute_classes: int = 0,
-    epsilon: float = DEFAULT_SMOOTHING,
-    hard_attributes: bool = False,
-) -> RelationshipModel:
-    attr = np.zeros((n_classes, m_attribute_classes)) if m_attribute_classes > 0 else None
-    return RelationshipModel(
-        data_counts=np.zeros((n_classes, n_classes)),
-        attr_counts=attr,
-        epsilon=epsilon,
-        labels={},
-        hard_attributes=hard_attributes,
-    )
-
-
 def build_relationship(
     dataset: Dataset,
     label_source: Mapping[int, int],
     epsilon: float = DEFAULT_SMOOTHING,
-    hard_attributes: bool = False,
 ) -> RelationshipModel:
     """Count co-occurrences over the labeled instances in ``label_source``.
 
     Only links with both endpoints labeled are counted; attribute mass is the
-    sum of each labeled instance's attribute distributions (or their argmax
-    one-hots when ``hard_attributes``).
+    sum of each labeled instance's attribute distributions.  An empty
+    ``label_source`` gives the all-zero model.
     """
-    model = empty_relationship(dataset.n_classes, dataset.m_attribute_classes, epsilon, hard_attributes)
-    return update_relationship(model, dataset, label_source)
+    n, m = dataset.n_classes, dataset.m_attribute_classes
+    empty = RelationshipModel(np.zeros((n, n)), np.zeros((n, m)) if m > 0 else None, epsilon)
+    return update_relationship(empty, dataset, label_source)
 
 
 def update_relationship(
@@ -138,19 +129,13 @@ def update_relationship(
         attr = model.attr_counts.copy()
         observations, obs_ptr = dataset.attributes.gather(rows)
         obs_class = np.repeat(classes, np.diff(obs_ptr))
-        if model.hard_attributes:
-            np.add.at(attr, (obs_class, observations.argmax(axis=1)), 1.0)
-        else:
-            np.add.at(attr, obs_class, observations)
+        np.add.at(attr, obs_class, observations)
 
-    merged = dict(known)
-    merged.update(new_labels)
     return RelationshipModel(
         data_counts=data,
         attr_counts=attr,
         epsilon=model.epsilon,
-        labels=merged,
-        hard_attributes=model.hard_attributes,
+        labels={**known, **new_labels},
     )
 
 
@@ -168,10 +153,7 @@ def prior_conditionals(model: RelationshipModel) -> Conditionals:
 def save_relationship(model: RelationshipModel, path: str | Path) -> None:
     """Dense text dump: header, count matrices, then the accepted-label map."""
     with Path(path).open("w") as fh:
-        fh.write(
-            f"relationship {model.n_classes} {model.m_attribute_classes} "
-            f"{repr(model.epsilon)} {int(model.hard_attributes)}\n"
-        )
+        fh.write(f"relationship {model.n_classes} {model.m_attribute_classes} {repr(model.epsilon)}\n")
         for row in model.data_counts:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
         if model.attr_counts is not None:
@@ -181,18 +163,22 @@ def save_relationship(model: RelationshipModel, path: str | Path) -> None:
 
 
 def load_relationship(path: str | Path) -> RelationshipModel:
-    """Read a :func:`save_relationship` dump; a malformed or missing line
-    raises ValueError naming ``path:line``."""
+    """Read a :func:`save_relationship` dump; a malformed or missing line,
+    an epsilon that is not positive and finite, or a count that is negative
+    or not finite raises ValueError naming ``path:line``."""
     path = Path(path)
     lines = path.read_text().splitlines()
     header = lines[0].split() if lines else []
-    if len(header) != 5 or header[0] != "relationship":
+    if len(header) != 4 or header[0] != "relationship":
         raise ValueError(f"{path}: not a relationship dump")
     try:
-        n, m = int(header[1]), int(header[2])
-        epsilon, hard = float(header[3]), bool(int(header[4]))
+        n, m, epsilon = int(header[1]), int(header[2]), float(header[3])
     except ValueError:
-        raise ValueError(f"{path}:1: bad header, expected 'relationship n m epsilon hard'") from None
+        raise ValueError(f"{path}:1: bad header, expected 'relationship n m epsilon'") from None
+    if n < 1 or m < 0:
+        raise ValueError(f"{path}:1: bad header: n={n} must be >= 1 and m={m} >= 0")
+    if not 0.0 < epsilon < math.inf:  # written so that NaN fails it
+        raise ValueError(f"{path}:1: epsilon must be positive and finite, got {epsilon!r}")
     label_line = 2 + n + (n if m > 0 else 0)  # after n data rows and n attribute rows
     rows = []
     for lineno in range(2, label_line):
@@ -204,6 +190,8 @@ def load_relationship(path: str | Path) -> RelationshipModel:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if len(tokens) != width:
             raise ValueError(f"{path}:{lineno}: {name} row has {len(tokens)} values, expected {width}")
+        if not all(0.0 <= v < math.inf for v in rows[-1]):  # written so that NaN fails it
+            raise ValueError(f"{path}:{lineno}: {name} row has a negative or non-finite value")
     if label_line > len(lines):
         raise ValueError(f"{path}:{label_line}: accepted-label line is missing")
     labels = {}
@@ -218,5 +206,4 @@ def load_relationship(path: str | Path) -> RelationshipModel:
         attr_counts=np.array(rows[n:]).reshape(n, m) if m > 0 else None,
         epsilon=epsilon,
         labels=labels,
-        hard_attributes=hard,
     )

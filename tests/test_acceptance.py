@@ -197,17 +197,17 @@ def test_c05_noise_models():
 
 def test_c06_metric_identities():
     with criterion(6, "worked detection-metric example exact; degenerate ratios absent"):
-        mask = {i: i < 4 for i in range(10)}
-        m = detection_metrics({0, 1, 2, 5}, mask)
+        flipped = np.arange(10) < 4
+        m = detection_metrics(np.isin(np.arange(10), [0, 1, 2, 5]), flipped)
         assert m.er1 == 1 / 6
         assert m.er2 == 1 / 4
         assert m.nep == 3 / 4
 
-        nothing = detection_metrics(set(), mask)
+        nothing = detection_metrics(np.zeros(10, dtype=bool), flipped)
         assert nothing.nep is None
-        all_clean = detection_metrics({0}, {i: False for i in range(5)})
+        all_clean = detection_metrics(np.arange(5) == 0, np.zeros(5, dtype=bool))
         assert all_clean.er2 is None
-        all_noisy = detection_metrics(set(), {i: True for i in range(5)})
+        all_noisy = detection_metrics(np.zeros(5, dtype=bool), np.ones(5, dtype=bool))
         assert all_noisy.er1 is None
 
 

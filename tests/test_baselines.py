@@ -23,6 +23,12 @@ def blob_ensemble(seed=0):
     return X, y, (aux_predictions(ensemble, X), predict_proba(ensemble.mlr, X))
 
 
+def removed_ids(mask, ids):
+    """The ids that a detector's (B,) bool mask, aligned with ``ids``, removes."""
+    assert mask.dtype == bool and mask.shape == (len(ids),)
+    return {i for i, removed in zip(ids, mask) if removed}
+
+
 def least_confident(proba, assigned, ids, count):
     """The ``count`` ids with the lowest p(assigned), ties to the lower id."""
     p = proba[np.arange(len(ids)), assigned]
@@ -35,10 +41,10 @@ class TestVotingDetectors:
         preds, proba = ensemble
         ids = list(range(len(y)))
         assert (preds == y[:, None]).all()
-        assert majority_detect(*ensemble, ids, y, 0) == set()
+        assert removed_ids(majority_detect(*ensemble, ids, y, 0), ids) == set()
         # nothing is flagged, so the budget goes to the least confident
         for detect in (majority_detect, consensus_detect):
-            assert detect(*ensemble, ids, y, 5) == least_confident(proba, y, ids, 5)
+            assert removed_ids(detect(*ensemble, ids, y, 5), ids) == least_confident(proba, y, ids, 5)
 
     def test_two_of_three_flags_majority_only(self):
         X, y, ensemble = blob_ensemble()
@@ -46,14 +52,14 @@ class TestVotingDetectors:
         ids = list(range(len(y)))
         assert (preds == y[:, None]).all()
         wrong = (y + 1) % 3  # all three members disagree with these labels
-        assert consensus_detect(*ensemble, ids, wrong, 10) == majority_detect(*ensemble, ids, wrong, 10)
+        assert np.array_equal(consensus_detect(*ensemble, ids, wrong, 10), majority_detect(*ensemble, ids, wrong, 10))
 
         # two members disagree with instance 1, all three with instance 2;
         # instance 0, which they all agree with, is the least confident
         preds = np.array([[0, 0, 0], [1, 1, 0], [1, 1, 1]])
         proba = np.array([[0.4, 0.6], [0.9, 0.1], [0.8, 0.2]])
-        assert majority_detect(preds, proba, [0, 1, 2], [0, 0, 0], 2) == {1, 2}
-        assert consensus_detect(preds, proba, [0, 1, 2], [0, 0, 0], 2) == {0, 2}
+        assert majority_detect(preds, proba, [0, 1, 2], [0, 0, 0], 2).tolist() == [False, True, True]
+        assert consensus_detect(preds, proba, [0, 1, 2], [0, 0, 0], 2).tolist() == [True, False, True]
 
     def test_flagged_ranked_by_assigned_confidence(self):
         X, y, ensemble = blob_ensemble()
@@ -61,7 +67,7 @@ class TestVotingDetectors:
         ids = list(range(len(y)))
         assigned = y.copy()
         assigned[:5] = (y[:5] + 1) % 3  # five flagged instances
-        removed = majority_detect(*ensemble, ids, assigned, 3)
+        removed = removed_ids(majority_detect(*ensemble, ids, assigned, 3), ids)
         assert len(removed) == 3
         # they are the three flagged instances with the lowest p(assigned)
         assert removed == least_confident(proba[:5], assigned[:5], ids[:5], 3)
@@ -77,8 +83,8 @@ class TestVotingDetectors:
         n_maj, n_con = int((disagreements >= 2).sum()), int((disagreements >= 3).sum())
         assert 0 < n_con < n_maj
         # a budget of exactly the flagged count removes the flagged instances
-        maj_flagged = majority_detect(*ensemble, ids, assigned, n_maj)
-        con_flagged = consensus_detect(*ensemble, ids, assigned, n_con)
+        maj_flagged = removed_ids(majority_detect(*ensemble, ids, assigned, n_maj), ids)
+        con_flagged = removed_ids(consensus_detect(*ensemble, ids, assigned, n_con), ids)
         assert maj_flagged == {i for i in ids if disagreements[i] >= 2}
         assert con_flagged <= maj_flagged
 
@@ -90,8 +96,8 @@ class TestVotingDetectors:
         for count in (0, 5, 20, len(ids)):
             a = consensus_detect(*ensemble, ids, assigned, count)
             b = consensus_detect(*ensemble, ids, assigned, count)
-            assert len(a) == count
-            assert a == b
+            assert len(removed_ids(a, ids)) == count
+            assert np.array_equal(a, b)
         for count in (-1, len(ids) + 1):
             with pytest.raises(ValueError, match="removal_count"):
                 consensus_detect(*ensemble, ids, assigned, count)
@@ -117,24 +123,24 @@ class TestProbabilisticDetector:
         # 1 - p(assigned) = 0.9 (id 2), matched with high entropy (id 1)
         proba = self.rows([[0.98, 0.01, 0.01], [0.1, 0.8, 0.1], [0.4, 0.3, 0.3]])
         ids = [0, 2, 1]
-        assert probabilistic_detect(proba, ids, [0, 2, 0], 1) == {2}
-        assert probabilistic_detect(proba, ids, [0, 2, 0], 2) == {2, 1}
+        assert removed_ids(probabilistic_detect(proba, ids, [0, 2, 0], 1), ids) == {2}
+        assert removed_ids(probabilistic_detect(proba, ids, [0, 2, 0], 2), ids) == {2, 1}
 
     def test_mismatch_always_outranks_match(self):
         # id 1: mismatched with p(assigned)=0.3 -> s=0.7
         # id 0: matched at maximum entropy -> s=0.5
         proba = self.rows([[0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3]])
-        assert probabilistic_detect(proba, [1, 0], [1, 0], 1) == {1}
+        assert removed_ids(probabilistic_detect(proba, [1, 0], [1, 0], 1), [1, 0]) == {1}
         # equal scores of 0.5: the mismatched label still goes first
         proba = self.rows([[0.5, 0.5], [0.5, 0.5]])
-        assert probabilistic_detect(proba, [0, 1], [0, 1], 1) == {1}
+        assert removed_ids(probabilistic_detect(proba, [0, 1], [0, 1], 1), [0, 1]) == {1}
 
     def test_lower_assigned_probability_removed_first(self):
         proba = self.rows([[0.6, 0.1, 0.3], [0.5, 0.3, 0.2]])
         assigned = [1, 1]  # mismatched with p = 0.1 and 0.3
-        assert probabilistic_detect(proba, [1, 0], assigned, 1) == {1}
+        assert removed_ids(probabilistic_detect(proba, [1, 0], assigned, 1), [1, 0]) == {1}
 
     def test_tie_breaks_toward_lower_id(self):
         proba = self.rows([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-        removed = probabilistic_detect(proba, [2, 0, 1], [1, 1, 1], 2)
+        removed = removed_ids(probabilistic_detect(proba, [2, 0, 1], [1, 1, 1], 2), [2, 0, 1])
         assert removed == {0, 1}

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
@@ -312,6 +313,27 @@ class TestPredictProba:
         model = MlrModel(np.zeros((2, 3)), np.zeros(2), MlrConfig(n_classes=2))
         with pytest.raises(ValueError):
             predict_proba(model, np.zeros(4))
+
+
+class TestImmutability:
+    def test_in_place_writes_raise(self):
+        X, y = separable_1d()
+        model = train_mlr(None, X, y, MlrConfig(n_classes=2, seed=0, epochs=2))
+        with pytest.raises(ValueError, match="read-only"):
+            model.weights[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.bias += 1.0
+        with pytest.raises(FrozenInstanceError):
+            model.weights = np.zeros((2, 1))
+
+    def test_construction_copies_and_warm_start_leaves_the_model(self):
+        W, b = np.ones((2, 1)), np.zeros(2)
+        model = MlrModel(W, b, MlrConfig(n_classes=2, epochs=2))
+        W[0, 0] = 5.0
+        assert model.weights[0, 0] == 1.0
+        X, y = separable_1d()
+        train_mlr(model, X, y)
+        assert np.array_equal(model.weights, np.ones((2, 1)))
 
 
 class TestCheckpoint:

@@ -53,7 +53,7 @@ def test_missing_config_key_names_it(tmp_path, capsys):
     assert "synthetic.n_classes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["-2", ","])
+@pytest.mark.parametrize("value", ["-2", ",", ""])
 def test_negative_seed_override_rejected(tmp_path, tiny_config, capsys, value):
     # it used to fail deep inside numpy ("error: expected non-negative
     # integer"), then named the config key instead of the flag
@@ -124,9 +124,9 @@ def test_sweep_shares_one_dataset_and_leaves_it_unchanged(tmp_path, monkeypatch)
     load, run = cli.load_experiment_dataset, cli.run_active_learning
 
     def load_probe(config):
-        result = load(config)
-        loaded.append(result[0])
-        return result
+        dataset = load(config)
+        loaded.append(dataset)
+        return dataset
 
     def run_probe(config, seed, dataset):
         used.append(dataset)

@@ -272,21 +272,20 @@ class TestSplitBatches:
     def test_equal_sizes(self):
         dataset, _ = generate_synthetic(make_config(instances_per_class=34, n_classes=3))
         ids = dataset.ids.tolist()[:100]
-        plan = split_batches(dataset, 10, seed=1, ids=ids)
-        assert [len(b) for b in plan.batches] == [10] * 10
+        batches = split_batches(dataset, 10, seed=1, ids=ids)
+        assert [len(b) for b in batches] == [10] * 10
 
     def test_partition_property(self):
         dataset, _ = generate_synthetic(make_config())
-        plan = split_batches(dataset, 7, seed=5)
-        flat = plan.all_ids()
+        flat = [i for batch in split_batches(dataset, 7, seed=5) for i in batch]
         assert sorted(flat) == sorted(dataset.ids.tolist())
         assert len(set(flat)) == len(flat)
 
     def test_batch0_covers_all_classes(self):
         dataset, _ = generate_synthetic(make_config(n_classes=5, instances_per_class=20))
         for seed in range(10):
-            plan = split_batches(dataset, 10, seed=seed)
-            classes = set(dataset.true_labels(plan.batches[0]).tolist())
+            batches = split_batches(dataset, 10, seed=seed)
+            classes = set(dataset.true_labels(batches[0]).tolist())
             assert classes == set(range(5))
 
     def test_singleton_batches_cannot_cover(self):
@@ -300,5 +299,5 @@ class TestSplitBatches:
         a = split_batches(dataset, 5, seed=3, ids=ids)
         b = split_batches(dataset, 5, seed=3, ids=ids)
         c = split_batches(dataset, 5, seed=4, ids=ids)
-        assert a.batches == b.batches
-        assert a.batches != c.batches
+        assert a == b
+        assert a != c

@@ -11,6 +11,7 @@ from ctxnoise import (
     Instance,
     MlrConfig,
     MlrModel,
+    RelationshipModel,
     batch_weights,
     build_relationship,
     cnld_detect,
@@ -195,10 +196,8 @@ class TestCnldDetect:
         queried = rest[:40]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.5, seed=1)
         result = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel), beta=0.0)
-        removed = result.removed_ids()
-        top = {qid for qid, w in zip(queried, result.weights) if w == 0.0}
-        assert removed == top
-        assert len(removed) >= 1
+        assert np.array_equal(result.removed, result.weights == 0.0)
+        assert result.removed.sum() >= 1
 
     def test_flipped_instances_score_higher(self, trained_setup):
         dataset, pool, rest, model = trained_setup
@@ -220,7 +219,7 @@ class TestCnldDetect:
         model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
         result = cnld_detect([0, 1, 2], [0, 1, 2], star_divergences([0, 1, 2], ds, model, rel), beta=0.85)
         assert result.verdicts[2] == "unfilterable"
-        assert 2 in result.kept_ids()
+        assert not result.removed[2]
         # an isolated instance's label is never scored, so it is not range-checked
         result = cnld_detect([0, 1, 2], [0, 1, 7], star_divergences([0, 1, 2], ds, model, rel), beta=0.85)
         assert result.verdicts[2] == "unfilterable"
@@ -264,7 +263,7 @@ class TestDetectTopk:
         queried = rest[:15]
         table = star_divergences(queried, dataset, model, rel)
         result = detect_topk(queried, dataset.true_labels(queried), table, 0)
-        assert result.removed_ids() == set()
+        assert not result.removed.any()
 
     def test_full_budget_removes_everything(self, trained_setup):
         dataset, pool, rest, model = trained_setup
@@ -273,14 +272,14 @@ class TestDetectTopk:
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=0)
         table = star_divergences(queried, dataset, model, rel)
         result = detect_topk(queried, plan.assigned, table, len(queried))
-        assert result.removed_ids() == set(queried)
+        assert result.removed.all()
 
     def test_ties_break_toward_lower_id(self):
         ds, rel, model = uniform_evidence_setup()  # all scores exactly zero
         ids = ds.ids.tolist()
         table = star_divergences(ids, ds, model, rel)
         result = detect_topk(ids, ds.true_labels(ids), table, 2)
-        assert result.removed_ids() == {0, 1}
+        assert result.removed.tolist() == [i in (0, 1) for i in ids]
 
     def test_budget_validation(self):
         ds, rel, model = uniform_evidence_setup()
@@ -297,10 +296,13 @@ def test_detection_csv(tmp_path, trained_setup):
     plan = inject_ncar(dataset.true_labels(queried), 4, 0.3, seed=0)
     result = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
     path = tmp_path / "det.csv"
-    detection_to_csv(result, path, flip_mask={q: bool(f) for q, f in zip(queried, plan.flipped)})
+    detection_to_csv(result, path, flipped=plan.flipped)
     lines = path.read_text().splitlines()
     assert lines[0] == "id,assigned,l,gamma,verdict,truly_flipped"
     assert len(lines) == 11
+    assert [line.split(",")[-1] for line in lines[1:]] == [str(int(f)) for f in plan.flipped]
+    with pytest.raises(ValueError, match="one entry per id"):
+        detection_to_csv(result, path, flipped=plan.flipped[1:])
 
 
 def reference_scores(queried, assigned, dataset, model, rel):
@@ -402,15 +404,20 @@ class TestBatchKernel:
         assert not table.data_kl.flags.writeable
 
     def test_corrupt_counts_raise_without_warnings(self, tmp_path):
-        # a NaN count, as a damaged relationship dump holds; pytest turns
-        # RuntimeWarnings into errors, so only the ValueError may surface
+        # a NaN count, as a damaged relationship dump holds; the loader now
+        # rejects it, but a model built by hand can still hold one.  pytest
+        # turns RuntimeWarnings into errors, so only the ValueError may surface
         ds = linked_dataset(labels=(0, 1), links=((0, 1),), n_classes=2)
         rel = build_relationship(ds, {0: 0, 1: 1})
         path = tmp_path / "rel.txt"
         save_relationship(rel, path)
         path.write_text(path.read_text().replace("1.0", "nan", 1))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_relationship(path)
+        counts = rel.data_counts.copy()
+        counts[0, 1] = np.nan
         model = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(n_classes=2))
-        table = star_divergences([0, 1], ds, model, load_relationship(path))
+        table = star_divergences([0, 1], ds, model, RelationshipModel(counts, None, rel.epsilon, rel.labels))
         with pytest.raises(ValueError, match="non-finite"):
             cnld_detect([0, 1], [0, 1], table)
 

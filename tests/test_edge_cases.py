@@ -62,7 +62,7 @@ def test_detect_topk_can_be_forced_to_remove_unfilterable():
     rel = build_relationship(ds, {0: 0, 1: 1, 2: 2})
     model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
     result = detect_topk([0, 1, 2], [0, 1, 2], star_divergences([0, 1, 2], ds, model, rel), removal_count=3)
-    assert result.removed_ids() == {0, 1, 2}
+    assert result.removed.all()
     assert result.verdicts == ["remove", "remove", "remove"]
 
 
@@ -88,9 +88,8 @@ def test_saturated_classifier_still_detects_flips():
     assert plan.flipped.sum() == 24
     result = cnld_detect(batch, plan.assigned, star_divergences(batch, dataset, model, rel), beta=0.85)
     assert np.isfinite(result.scores).all()
-    removed = result.removed_ids()
-    flipped = {i for i, f in zip(batch, plan.flipped) if f}
-    assert len(removed & flipped) > len(removed) / 2 > 0
+    removed = result.removed
+    assert (removed & plan.flipped).sum() > removed.sum() / 2 > 0
 
 
 def test_saturated_classifier_entropy_selection():

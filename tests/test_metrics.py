@@ -9,39 +9,42 @@ from ctxnoise import MlrConfig, MlrModel, accuracy, detection_metrics, ranking_a
 class TestDetectionMetrics:
     def test_worked_example(self):
         # 10 instances, 4 mislabeled; remove 4 of which 3 are mislabeled
-        mask = {i: i < 4 for i in range(10)}
-        removed = {0, 1, 2, 5}
-        m = detection_metrics(removed, mask)
+        flipped = np.arange(10) < 4
+        removed = np.isin(np.arange(10), [0, 1, 2, 5])
+        m = detection_metrics(removed, flipped)
         assert m.er1 == pytest.approx(1 / 6)
         assert m.er2 == pytest.approx(1 / 4)
         assert m.nep == pytest.approx(3 / 4)
 
     def test_perfect_detector(self):
-        mask = {i: i < 4 for i in range(10)}
-        m = detection_metrics({0, 1, 2, 3}, mask)
+        flipped = np.arange(10) < 4
+        m = detection_metrics(flipped.copy(), flipped)
         assert m.er1 == 0.0
         assert m.er2 == 0.0
         assert m.nep == 1.0
 
     def test_remove_nothing(self):
-        mask = {i: i < 4 for i in range(10)}
-        m = detection_metrics(set(), mask)
+        m = detection_metrics(np.zeros(10, dtype=bool), np.arange(10) < 4)
         assert m.er1 == 0.0
         assert m.er2 == 1.0
         assert m.nep is None
 
     def test_degenerate_denominators_reported_absent(self):
-        all_clean = {i: False for i in range(5)}
-        m = detection_metrics({0}, all_clean)
+        all_clean = np.zeros(5, dtype=bool)
+        m = detection_metrics(np.arange(5) == 0, all_clean)
         assert m.er2 is None
-        all_noisy = {i: True for i in range(5)}
-        m = detection_metrics(set(), all_noisy)
+        all_noisy = np.ones(5, dtype=bool)
+        m = detection_metrics(np.zeros(5, dtype=bool), all_noisy)
         assert m.er1 is None
         assert m.nep is None
 
     def test_unknown_removed_id_rejected(self):
-        with pytest.raises(ValueError):
-            detection_metrics({99}, {0: True})
+        # a mask longer than the flip mask removes an instance it does not cover
+        with pytest.raises(ValueError, match="aligned"):
+            detection_metrics(np.array([False, True]), np.array([True]))
+        # ids in place of a mask are rejected, not read as truth values
+        with pytest.raises(ValueError, match="bool"):
+            detection_metrics(np.array([0]), np.array([True]))
 
     @given(
         st.lists(st.booleans(), min_size=1, max_size=40),
@@ -49,12 +52,17 @@ class TestDetectionMetrics:
     )
     @settings(max_examples=200, deadline=None)
     def test_integer_identities(self, flips, removed_raw):
-        mask = {i: f for i, f in enumerate(flips)}
-        removed = {i for i in removed_raw if i in mask}
-        m = detection_metrics(removed, mask)
+        flipped = np.array(flips)
+        removed = np.isin(np.arange(len(flips)), sorted(removed_raw))
+        m = detection_metrics(removed, flipped)
+        counts = (m.correct_removed, m.mislabeled_kept, m.mislabeled_removed, m.removed, m.correct_total,
+                  m.mislabeled_total)
+        # numpy scalars would print as np.int64(...) and np.float64(...) in the result files
+        assert all(type(c) is int for c in counts)
+        assert all(type(v) is float for v in (m.er1, m.er2, m.nep) if v is not None)
         assert m.mislabeled_removed + m.mislabeled_kept == m.mislabeled_total
         assert m.correct_removed + m.mislabeled_removed == m.removed
-        assert m.correct_total + m.mislabeled_total == len(mask)
+        assert m.correct_total + m.mislabeled_total == len(flips)
         for value in (m.er1, m.er2, m.nep):
             if value is not None:
                 assert 0.0 <= value <= 1.0

@@ -1,5 +1,5 @@
-"""Tie order of every ranking: the detectors' removal budgets, the verdict
-masks, entropy selection and the AUC.
+"""Tie order of every ranking: ``first_k`` itself, the detectors' removal
+budgets, the verdict masks, entropy selection and the AUC.
 
 Inputs lie on a small integer grid, so that ties are common.  Each ranking
 must match a reference written here with ``sorted`` over the documented key,
@@ -19,6 +19,7 @@ from ctxnoise import (
     cnld_detect,
     consensus_detect,
     detect_topk,
+    first_k,
     majority_detect,
     probabilistic_detect,
     ranking_auc,
@@ -48,9 +49,19 @@ def scored(ids, scores, has_context) -> StarDivergences:
 
 
 def first(ids, count, key):
-    """The ``count`` ids that ``sorted`` puts first by ``key(row)``, then id."""
+    """The (B,) bool mask of the ``count`` ids that ``sorted`` puts first by
+    ``key(row)``, then id."""
     order = sorted(range(len(ids)), key=lambda r: (*key(r), ids[r]))
-    return {ids[r] for r in order[:count]}
+    return np.isin(np.arange(len(ids)), order[:count])
+
+
+@given(batches(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_k_rank_order(batch, data):
+    ids, count = batch
+    major, minor = grid(data, len(ids), high=1), grid(data, len(ids))
+    expected = sorted(range(len(ids)), key=lambda r: (major[r], minor[r], ids[r]))[:count]
+    assert first_k(ids, count, major, minor).tolist() == expected
 
 
 @given(batches(), st.data())
@@ -62,9 +73,9 @@ def test_detect_topk_and_verdicts(batch, data):
     result = detect_topk(ids, [0] * len(ids), scored(ids, scores, has_context), count)
     assert np.array_equal(result.scores, scores)
     removed = first(ids, count, lambda r: (-scores[r],))
-    assert result.removed_ids() == removed
+    assert np.array_equal(result.removed, removed)
     assert result.verdicts == [
-        REMOVE if i in removed else KEEP if has_context[r] else UNFILTERABLE for r, i in enumerate(ids)
+        REMOVE if removed[r] else KEEP if has_context[r] else UNFILTERABLE for r in range(len(ids))
     ]
 
 
@@ -76,6 +87,7 @@ def test_cnld_verdicts(batch, data, beta):
     has_context = grid(data, len(ids), high=1).astype(bool)
     result = cnld_detect(ids, [0] * len(ids), scored(ids, scores, has_context), beta)
     assert np.array_equal(result.scores, scores)
+    assert np.array_equal(result.removed, has_context & (result.weights <= beta))
     assert result.verdicts == [
         UNFILTERABLE if not has_context[r] else KEEP if result.weights[r] > beta else REMOVE
         for r in range(len(ids))
@@ -92,7 +104,7 @@ def test_voting_detectors(batch, data):
     for detect, needed in ((majority_detect, 2), (consensus_detect, 3)):
         flagged = (preds != assigned[:, None]).sum(axis=1) >= needed
         removed = first(ids, count, lambda r: (not flagged[r], proba[r, assigned[r]]))
-        assert detect(preds, proba, ids, assigned, count) == removed
+        assert np.array_equal(detect(preds, proba, ids, assigned, count), removed)
 
 
 @given(batches(), st.data())
@@ -109,7 +121,7 @@ def test_probabilistic_detector(batch, data):
         s = 1.0 - proba[r, assigned[r]] if mismatch[r] else 0.5 * norm_entropy[r]
         return (not mismatch[r], -s)
 
-    assert probabilistic_detect(proba, ids, assigned, count) == first(ids, count, key)
+    assert np.array_equal(probabilistic_detect(proba, ids, assigned, count), first(ids, count, key))
 
 
 @given(batches(), st.data())

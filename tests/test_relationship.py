@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from ctxnoise import (
     Dataset,
     Instance,
+    RelationshipModel,
     SyntheticConfig,
     build_relationship,
-    empty_relationship,
     generate_synthetic,
     load_relationship,
     prior_conditionals,
@@ -76,12 +77,6 @@ class TestBuildRelationship:
         assert np.allclose(model.attr_counts[0], [1.4, 1.6])
         assert np.allclose(model.attr_counts[1], [0.0, 0.0])
 
-    def test_hard_attribute_counting(self):
-        obs = {0: [[0.7, 0.3]], 1: [[0.2, 0.8]]}
-        ds = linked_dataset(labels=(0, 0, 1), m=2, attr_obs=obs)
-        model = build_relationship(ds, {0: 0, 1: 0, 2: 1}, hard_attributes=True)
-        assert np.allclose(model.attr_counts[0], [1.0, 1.0])
-
     def test_unlabeled_counted_instance_rejected(self):
         ds = linked_dataset(labels=(0, 1, 2))
         with pytest.raises(ValueError):
@@ -139,7 +134,7 @@ class TestUpdateRelationship:
 
     def test_unknown_id_rejected(self):
         ds = linked_dataset(labels=(0, 1, 2))
-        model = empty_relationship(3)
+        model = build_relationship(ds, {})
         with pytest.raises(KeyError):
             update_relationship(model, ds, {42: 0})
 
@@ -151,7 +146,7 @@ class TestUpdateRelationship:
             labels=(0, 1, 2, 0, 1, 2),
             links=tuple({(min(a, b), max(a, b)) for a, b in pairs if a != b}),
         )
-        model = empty_relationship(3)
+        model = build_relationship(ds, {})
         ids = sorted(ds.ids.tolist())
         for cut in (2, 4, 6):
             chunk = dict(zip(ids[cut - 2 : cut], ds.true_labels(ids[cut - 2 : cut]).tolist()))
@@ -161,19 +156,17 @@ class TestUpdateRelationship:
 
 class TestPriorConditionals:
     def test_direct_normalization(self):
-        model = empty_relationship(2, epsilon=1e-6)
-        model.data_counts[:] = [[2.0, 2.0], [0.0, 4.0]]
+        model = RelationshipModel(np.array([[2.0, 2.0], [0.0, 4.0]]), None, epsilon=1e-6)
         rows = prior_conditionals(model).data_rows
         assert np.allclose(rows[0], [0.5, 0.5], atol=1e-6)
         assert np.allclose(rows[1], [0.0, 1.0], atol=1e-6)
 
     def test_all_zero_counts_give_uniform(self):
-        rows = prior_conditionals(empty_relationship(4)).data_rows
+        rows = prior_conditionals(RelationshipModel(np.zeros((4, 4)), None)).data_rows
         assert np.allclose(rows, 0.25)
 
     def test_hand_normalized_three_class_row(self):
-        model = empty_relationship(3)
-        model.data_counts[0] = [1.0, 2.0, 3.0]
+        model = RelationshipModel(np.array([[1.0, 2.0, 3.0], [0.0] * 3, [0.0] * 3]), None)
         rows = prior_conditionals(model).data_rows
         assert np.allclose(rows[0], [1 / 6, 2 / 6, 3 / 6], atol=1e-5)
 
@@ -186,15 +179,14 @@ class TestPriorConditionals:
     )
     @settings(max_examples=100, deadline=None)
     def test_rows_always_distributions(self, counts):
-        model = empty_relationship(3)
-        model.data_counts[:] = counts
+        model = RelationshipModel(np.array(counts), None)
         rows = prior_conditionals(model).data_rows
         assert (rows > 0).all()
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
     def test_smoothing_negligible_for_large_counts(self):
-        model = empty_relationship(3, epsilon=1e-6)
-        model.data_counts[:] = [[10.0, 20.0, 30.0], [5.0, 5.0, 5.0], [1.0, 2.0, 1.0]]
+        counts = [[10.0, 20.0, 30.0], [5.0, 5.0, 5.0], [1.0, 2.0, 1.0]]
+        model = RelationshipModel(np.array(counts), None, epsilon=1e-6)
         smoothed = prior_conditionals(model).data_rows
         raw = model.data_counts / model.data_counts.sum(axis=1, keepdims=True)
         assert np.abs(smoothed - raw).max() < 10 * model.epsilon
@@ -221,6 +213,15 @@ class TestSerialization:
             (lambda lines: lines[:7], ":8: accepted-label line is missing"),
             (lambda lines: lines[:4] + [lines[4] + " 0.5"] + lines[5:], ":5: attribute count row has 3 values, expected 2"),
             (lambda lines: lines[:7] + ["0:0 1"], ":8: bad label entry '1', expected id:class"),
+            # NaN, inf and negative counts and epsilons used to load without a word
+            (lambda lines: ["relationship 3 2 nan"] + lines[1:], ":1: epsilon must be positive and finite, got nan"),
+            (lambda lines: ["relationship 3 2 -1e-06"] + lines[1:], ":1: epsilon must be positive and finite, got -1e-06"),
+            (lambda lines: ["relationship 3 2 inf"] + lines[1:], ":1: epsilon must be positive and finite, got inf"),
+            (lambda lines: ["relationship 3 two 1e-06"] + lines[1:], ":1: bad header, expected 'relationship n m epsilon'"),
+            (lambda lines: ["relationship -1 2 1e-06"] + lines[1:], ":1: bad header: n=-1 must be >= 1 and m=2 >= 0"),
+            (lambda lines: lines[:2] + ["nan 1.0 0.0"] + lines[3:], ":3: data count row has a negative or non-finite value"),
+            (lambda lines: lines[:3] + ["1.0 -1.0 0.0"] + lines[4:], ":4: data count row has a negative or non-finite value"),
+            (lambda lines: lines[:5] + ["inf 0.5"] + lines[6:], ":6: attribute count row has a negative or non-finite value"),
         ],
     )
     def test_damaged_dump_names_the_line(self, tmp_path, damage, message):
@@ -237,3 +238,31 @@ class TestSerialization:
         assert np.array_equal(loaded.attr_counts, model.attr_counts)
         assert loaded.labels == model.labels
         assert loaded.epsilon == model.epsilon
+
+
+class TestImmutability:
+    def test_nan_epsilon_rejected(self):
+        # the check was written as epsilon <= 0, which NaN passes
+        for bad in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                RelationshipModel(np.zeros((2, 2)), None, epsilon=bad)
+
+    def test_in_place_writes_raise(self):
+        obs = {0: [[0.7, 0.3]]}
+        ds = linked_dataset(labels=(0, 1, 2), links=((0, 1),), m=2, attr_obs=obs)
+        model = build_relationship(ds, {0: 0, 1: 1})
+        with pytest.raises(ValueError, match="read-only"):
+            model.data_counts[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.attr_counts[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            model.labels[2] = 2
+        with pytest.raises(FrozenInstanceError):
+            model.epsilon = 1.0
+
+    def test_construction_copies(self):
+        counts, labels = np.zeros((2, 2)), {0: 1}
+        model = RelationshipModel(counts, None, labels=labels)
+        counts[0, 0], labels[1] = 5.0, 0
+        assert model.data_counts[0, 0] == 0.0
+        assert dict(model.labels) == {0: 1}
