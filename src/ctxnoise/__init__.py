@@ -44,12 +44,14 @@ from .harness import (
     DetectionSuiteRow,
     ExperimentConfig,
     ExperimentLog,
+    RunStart,
     derive_seed,
     load_config,
     parse_config,
     run_active_learning,
     run_detection_suite,
     run_pseudo,
+    run_starts,
     select_informative,
     split_train_test,
     summarize_detection,

@@ -27,6 +27,7 @@ from .harness import (
     run_active_learning,
     run_detection_suite,
     run_pseudo,
+    run_starts,
     summarize_detection,
     summarize_learning,
     write_results_csv,
@@ -97,9 +98,10 @@ def _cmd_detect(args: argparse.Namespace) -> None:
 def _run_learning(args: argparse.Namespace, runner, prefix: str) -> None:
     config, out_dir = _prepare(args)
     dataset = load_experiment_dataset(config)
+    starts = run_starts(config, dataset, config.seeds)
     logs = []
     for seed in config.seeds:
-        log = runner(config, seed, dataset)
+        log = runner(config, seed, dataset, starts[seed])
         logs.append(log)
         if args.verbose:
             for r in log.records:
@@ -113,22 +115,27 @@ def _run_learning(args: argparse.Namespace, runner, prefix: str) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     """One summary row per (omega, beta): accuracy gain of the context filter
-    over learning on unfiltered noisy labels, mean +/- std across seeds."""
+    over learning on unfiltered noisy labels, mean +/- std across seeds.
+
+    Every run of a seed starts from one shared start (``run_starts``), and
+    ``sn``, which ignores beta, runs once per (omega, seed)."""
     config, out_dir = _prepare(args)
     dataset = load_experiment_dataset(config)
+    starts = run_starts(config, dataset, config.seeds)
     rows = []
     summary = {}
     for omega in config.omegas:
+        unfiltered = {
+            seed: run_active_learning(replace(config, mode="sn", omega=omega), seed, dataset, starts[seed])
+            for seed in config.seeds
+        }
         for beta in config.betas:
             gains = []
             for seed in config.seeds:
                 filtered = run_active_learning(
-                    replace(config, mode="cnld", omega=omega, beta=beta), seed, dataset
+                    replace(config, mode="cnld", omega=omega, beta=beta), seed, dataset, starts[seed]
                 )
-                unfiltered = run_active_learning(
-                    replace(config, mode="sn", omega=omega, beta=beta), seed, dataset
-                )
-                gains.append(100.0 * (filtered.final_accuracy - unfiltered.final_accuracy))
+                gains.append(100.0 * (filtered.final_accuracy - unfiltered[seed].final_accuracy))
                 rows.append(
                     {
                         "run_id": f"sweep-omega{omega:g}-beta{beta:g}-seed{seed}",

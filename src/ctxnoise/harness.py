@@ -19,6 +19,14 @@ ones followed by the surviving candidates, in that order.
   are the rest of the batch, sorted, with argmax pseudo-labels (none for
   ``manual``), filtered by ``cnld_detect`` in ``manual_pseudo_cnld`` only.
 
+Everything a run does before its first query depends on the seed alone:
+the train/test split, the batches, batch 0's features and labels, and the
+relationship model and classifier trained on them.  :func:`run_starts`
+builds that :class:`RunStart` for many seeds at once, their classifiers in
+one lock-step call, and a run handed one starts from it.  The CLI builds
+one start per seed and shares it among all of that seed's runs; ``sweep``
+also runs ``sn``, which ignores beta, once per (omega, seed).
+
 A filtered batch computes its candidates' ``star_divergences`` once, from
 the current models, and ``cnld_detect`` hinges its labels against them.
 A candidate is flipped when its label differs from the true one;
@@ -35,10 +43,11 @@ and serves every noise level.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -56,17 +65,19 @@ from .classifiers import (
     train_mlr,
     train_mlr_lockstep,
 )
-from .dataset import Dataset, SyntheticConfig, generate_synthetic, load_cora, split_batches
+from .dataset import Dataset, SyntheticConfig, _read_only, generate_synthetic, load_cora, split_batches
 from .detector import DEFAULT_BETA, cnld_detect, detect_topk, star_divergences
 from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc
 from .noise import inject_nar, inject_ncar, estimate_transition, _round_half_up
-from .relationship import DEFAULT_SMOOTHING, build_relationship, update_relationship
+from .relationship import DEFAULT_SMOOTHING, RelationshipModel, build_relationship, update_relationship
 
 LEARNING_MODES = ("sn", "pb", "cl", "cnld")
 PSEUDO_MODES = ("manual", "manual_pseudo", "manual_pseudo_cnld")
 FILTERED_MODES = ("pb", "cl", "cnld", "manual_pseudo_cnld")
 SELECTION_STRATEGIES = ("entropy", "random")
 NOISE_MODELS = ("ncar", "nar")
+# the config keys a run may set apart from the start it is handed
+RUN_KEYS = ("mode", "omega", "beta")
 
 CORA_FOLDS = 10
 
@@ -278,52 +289,120 @@ def _train_grouped(members: list[tuple]) -> list[MlrModel]:
     return models
 
 
+@dataclass(frozen=True, eq=False)
+class RunStart:
+    """What every run of one seed shares before its first query.
+
+    ``config`` is a private copy of the config the start was built from; a
+    run may differ from it only in the :data:`RUN_KEYS`.  Construction makes
+    the arrays read-only; the models are immutable already.
+    """
+
+    seed: int
+    config: ExperimentConfig
+    dataset: Dataset
+    batches: tuple[tuple[int, ...], ...]
+    test_ids: tuple[int, ...]
+    pool_X: np.ndarray
+    pool_y: np.ndarray
+    rel: RelationshipModel
+    model: MlrModel
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pool_X", _read_only(self.pool_X))
+        object.__setattr__(self, "pool_y", _read_only(self.pool_y))
+
+    def check(self, config: ExperimentConfig, seed: int, dataset: Dataset | None) -> None:
+        """Raise ValueError unless a run of ``config`` and ``seed`` on
+        ``dataset`` (None: this start's) would have built this start."""
+        if seed != self.seed:
+            raise ValueError(f"run start was built for seed {self.seed}, not seed {seed}")
+        if dataset is not None and dataset is not self.dataset:
+            raise ValueError("run start was built on another dataset")
+        differ = [
+            f.name
+            for f in fields(config)
+            if f.name not in RUN_KEYS and getattr(config, f.name) != getattr(self.config, f.name)
+        ]
+        if differ:
+            raise ValueError(f"run start was built from a config with other {', '.join(differ)}")
+
+
+def run_starts(config: ExperimentConfig, dataset: Dataset, seeds: Sequence[int]) -> dict[int, RunStart]:
+    """Each seed's :class:`RunStart`; the seeds' initial classifiers train
+    together, in lock step where their shapes allow."""
+    n = dataset.n_classes
+    snapshot = copy.deepcopy(config)
+    parts, members = [], []
+    for seed in dict.fromkeys(seeds):
+        train_ids, test_ids = split_train_test(dataset, config, seed)
+        batches = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
+        rel, pool_X, pool_y = _initial_pool(dataset, batches[0], config)
+        parts.append((seed, batches, test_ids, pool_X, pool_y, rel))
+        members.append((None, pool_X, pool_y, config.mlr_config(n, derive_seed(seed, _SALT_MLR))))
+    return {
+        seed: RunStart(
+            seed, snapshot, dataset, tuple(map(tuple, batches)), tuple(test_ids), pool_X, pool_y, rel, model
+        )
+        for (seed, batches, test_ids, pool_X, pool_y, rel), model in zip(parts, _train_grouped(members))
+    }
+
+
 def run_active_learning(
-    config: ExperimentConfig, seed: int | None = None, dataset: Dataset | None = None
+    config: ExperimentConfig,
+    seed: int | None = None,
+    dataset: Dataset | None = None,
+    start: RunStart | None = None,
 ) -> ExperimentLog:
     """One noisy-annotation active-learning run; returns per-batch records.
 
-    ``dataset`` skips loading the configured one; it is only read.
+    ``dataset`` skips loading the configured one; it is only read.  ``start``
+    (see :func:`run_starts`) skips building the seed's start as well.
     """
     config.validate()
     if config.mode not in LEARNING_MODES:
         raise ConfigError(f"mode {config.mode!r} is not an active-learning mode")
-    return _run_batches(config, seed, dataset)
+    return _run_batches(config, seed, dataset, start)
 
 
 def run_pseudo(
-    config: ExperimentConfig, seed: int | None = None, dataset: Dataset | None = None
+    config: ExperimentConfig,
+    seed: int | None = None,
+    dataset: Dataset | None = None,
+    start: RunStart | None = None,
 ) -> ExperimentLog:
     """Pseudo-labeling run: queried labels are correct, the rest of each batch
     gets classifier predictions, optionally filtered by the context detector.
 
-    ``dataset`` skips loading the configured one; it is only read.
+    ``dataset`` and ``start`` are read as :func:`run_active_learning` reads
+    them.
     """
     config.validate()
     if config.mode not in PSEUDO_MODES:
         raise ConfigError(f"mode {config.mode!r} is not a pseudo-labeling mode")
-    return _run_batches(config, seed, dataset)
+    return _run_batches(config, seed, dataset, start)
 
 
-def _run_batches(config: ExperimentConfig, seed: int | None, dataset: Dataset | None) -> ExperimentLog:
+def _run_batches(
+    config: ExperimentConfig, seed: int | None, dataset: Dataset | None, start: RunStart | None = None
+) -> ExperimentLog:
     """The batch loop behind both run functions; the mode table is in the
     module docstring."""
     seed = config.seeds[0] if seed is None else seed
-    if dataset is None:
-        dataset = load_experiment_dataset(config)
+    if start is None:
+        start = run_starts(config, load_experiment_dataset(config) if dataset is None else dataset, [seed])[seed]
+    else:
+        start.check(config, seed, dataset)
+    dataset, batches, rel, model = start.dataset, start.batches, start.rel, start.model
     pseudo = config.mode in PSEUDO_MODES
-    train_ids, test_ids = split_train_test(dataset, config, seed)
-    batches = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
-    rel, pool_X, pool_y = _initial_pool(dataset, batches[0], config)
     n = dataset.n_classes
-    model = train_mlr(None, pool_X, pool_y, config.mlr_config(n, derive_seed(seed, _SALT_MLR)))
 
     transition = None
     if not pseudo and config.noise == "nar":
-        transition = estimate_transition(pool_X, pool_y, n)
+        transition = estimate_transition(start.pool_X, start.pool_y, n)
 
-    X_test, y_test = dataset.feature_matrix(test_ids), dataset.true_labels(test_ids)
-    accepted: list[tuple[int, int]] = list(zip(batches[0], pool_y.tolist()))
+    X_test, y_test = dataset.feature_matrix(start.test_ids), dataset.true_labels(start.test_ids)
+    accepted: list[tuple[int, int]] = list(zip(batches[0], start.pool_y.tolist()))
     records: list[BatchRecord] = []
 
     for t in range(1, config.n_batches):

@@ -32,7 +32,9 @@ class RelationshipModel:
     the accepted labels counted so far; updates need it to count links that
     cross from newly accepted instances into previously accepted ones.
     Construction copies the counts into read-only arrays and the labels
-    into a read-only mapping.
+    into a read-only mapping, and raises ValueError unless ``data_counts``
+    is square, ``attr_counts`` has one row per class, and every count is
+    finite and non-negative.
     """
 
     data_counts: np.ndarray          # (n, n)
@@ -43,9 +45,18 @@ class RelationshipModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < math.inf:  # written so that NaN fails it
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        object.__setattr__(self, "data_counts", _read_only(np.array(self.data_counts, dtype=float)))
+        data = np.array(self.data_counts, dtype=float)
+        if data.ndim != 2 or data.shape[0] != data.shape[1]:
+            raise ValueError(f"data_counts must be a square matrix, got shape {data.shape}")
+        tables = {"data_counts": data}
         if self.attr_counts is not None:
-            object.__setattr__(self, "attr_counts", _read_only(np.array(self.attr_counts, dtype=float)))
+            tables["attr_counts"] = attr = np.array(self.attr_counts, dtype=float)
+            if attr.ndim != 2 or attr.shape[0] != data.shape[0]:
+                raise ValueError(f"attr_counts must have one row per class ({data.shape[0]}), got shape {attr.shape}")
+        for name, counts in tables.items():
+            if not ((counts >= 0) & (counts < math.inf)).all():  # written so that NaN fails it
+                raise ValueError(f"{name} hold a negative or non-finite count")
+            object.__setattr__(self, name, _read_only(counts))
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
 
     @property

@@ -1,10 +1,13 @@
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctxnoise import cli, generate_synthetic, load_config
 from ctxnoise.cli import main
+
+from test_harness import start_arrays
 
 TINY = """
 dataset = synthetic
@@ -120,25 +123,54 @@ def test_sweep_emits_one_summary_row_per_cell(tmp_path, tiny_config):
 
 def test_sweep_shares_one_dataset_and_leaves_it_unchanged(tmp_path, monkeypatch):
     config_path = Path(__file__).parent.parent / "configs" / "tiny_detect.cfg"
-    loaded, used = [], []
-    load, run = cli.load_experiment_dataset, cli.run_active_learning
+    loaded, used, built = [], [], []
+    load, run, starts = cli.load_experiment_dataset, cli.run_active_learning, cli.run_starts
 
     def load_probe(config):
         dataset = load(config)
         loaded.append(dataset)
         return dataset
 
-    def run_probe(config, seed, dataset):
+    def run_probe(config, seed, dataset, start):
         used.append(dataset)
-        return run(config, seed, dataset)
+        return run(config, seed, dataset, start)
+
+    def starts_probe(config, dataset, seeds):
+        built.append(starts(config, dataset, seeds))
+        return built[-1]
 
     monkeypatch.setattr(cli, "load_experiment_dataset", load_probe)
     monkeypatch.setattr(cli, "run_active_learning", run_probe)
+    monkeypatch.setattr(cli, "run_starts", starts_probe)
     assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path)]) == 0
     assert len(loaded) == 1
-    assert len(used) == 2 * 3 * 2  # omegas x betas x (cnld, sn)
+    # cnld for every omega x beta, sn, which ignores beta, once per omega
+    assert len(used) == 2 * 3 + 2
     assert all(dataset is loaded[0] for dataset in used)
     assert loaded[0] == generate_synthetic(load_config(config_path).synthetic)[0]
+    assert len(built) == 1 and all(start.dataset is loaded[0] for start in built[0].values())
+
+
+def test_sweep_leaves_every_start_unchanged(tmp_path, tiny_config, monkeypatch):
+    # two seeds, and attribute classes so that each relationship holds an
+    # attribute table too
+    tiny_config.write_text(TINY.replace("seeds = 0", "seeds = 0, 1") + "synthetic.m_attribute_classes = 2\n")
+    built, before = [], {}
+    starts = cli.run_starts
+
+    def starts_probe(config, dataset, seeds):
+        built.append(starts(config, dataset, seeds))
+        before.update({seed: [a.copy() for a in start_arrays(start)] for seed, start in built[-1].items()})
+        return built[-1]
+
+    monkeypatch.setattr(cli, "run_starts", starts_probe)
+    assert main(["sweep", "--config", str(tiny_config), "--out", str(tmp_path)]) == 0
+    assert len(built) == 1 and sorted(built[0]) == [0, 1]
+    for seed, start in built[0].items():
+        arrays = start_arrays(start)
+        assert len(arrays) == 6
+        for array, copy in zip(arrays, before[seed]):
+            assert np.array_equal(array, copy) and not array.flags.writeable
 
 
 def test_reruns_are_byte_identical(tmp_path, tiny_config):

@@ -404,8 +404,9 @@ class TestBatchKernel:
         assert not table.data_kl.flags.writeable
 
     def test_corrupt_counts_raise_without_warnings(self, tmp_path):
-        # a NaN count, as a damaged relationship dump holds; the loader now
-        # rejects it, but a model built by hand can still hold one.  pytest
+        # a NaN count, as a damaged relationship dump holds; the loader
+        # rejects it, and so does a model built by hand, at construction
+        # rather than as a non-finite dissimilarity in cnld_detect.  pytest
         # turns RuntimeWarnings into errors, so only the ValueError may surface
         ds = linked_dataset(labels=(0, 1), links=((0, 1),), n_classes=2)
         rel = build_relationship(ds, {0: 0, 1: 1})
@@ -416,10 +417,8 @@ class TestBatchKernel:
             load_relationship(path)
         counts = rel.data_counts.copy()
         counts[0, 1] = np.nan
-        model = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(n_classes=2))
-        table = star_divergences([0, 1], ds, model, RelationshipModel(counts, None, rel.epsilon, rel.labels))
         with pytest.raises(ValueError, match="non-finite"):
-            cnld_detect([0, 1], [0, 1], table)
+            RelationshipModel(counts, None, rel.epsilon, rel.labels)
 
     def test_attribute_class_count_mismatch_rejected(self):
         # the kernel would broadcast a one-column relationship over m columns

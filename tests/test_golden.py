@@ -100,3 +100,19 @@ def test_synthetic_dataset_matches_golden(name, tmp_path):
     dataset, _ = generate_synthetic(SyntheticConfig(**SYNTHETIC_CASES[name]))
     save_synthetic(dataset, tmp_path / "dataset.txt")
     assert (tmp_path / "dataset.txt").read_bytes() == (GOLDEN / f"synthetic-{name}.txt").read_bytes()
+
+
+# ``ctxnoise sweep`` on the shipped sweep config, and with NAR noise, whose
+# transition every run of a seed estimates from the batch 0 they share.
+# ``synthetic_sweep-nar`` was written before the runs of a seed shared one
+# start and ``sn`` ran once per (omega, seed).
+SWEEP_CASES = {"configs/synthetic_sweep": "", "synthetic_sweep-nar": "noise = nar\n"}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_files_match_golden(name, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text((CONFIGS / "synthetic_sweep.cfg").read_text() + SWEEP_CASES[name])
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    for file in ("sweep_results.csv", "sweep_summary.json"):
+        assert (tmp_path / file).read_bytes() == (GOLDEN / name / file).read_bytes()

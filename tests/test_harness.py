@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -206,14 +206,21 @@ class TestRunPseudo:
 @pytest.mark.parametrize("mode", ["cnld", "manual", "manual_pseudo_cnld"])
 @pytest.mark.parametrize("replay", [False, True])
 def test_replay_trains_on_every_accepted_label(mode, replay, monkeypatch):
+    # the initial fit is a lock-step member of the run's start; every
+    # update after it is a train_mlr call
     rows = []
-    train = harness.train_mlr
+    train, lockstep = harness.train_mlr, harness.train_mlr_lockstep
 
     def probe(model, features, labels, config=None):
         rows.append(len(features))
         return train(model, features, labels, config)
 
+    def lockstep_probe(members):
+        rows.extend(len(features) for _, features, _, _ in members)
+        return lockstep(members)
+
     monkeypatch.setattr(harness, "train_mlr", probe)
+    monkeypatch.setattr(harness, "train_mlr_lockstep", lockstep_probe)
     runner = run_active_learning if mode in LEARNING_MODES else run_pseudo
     log = runner(small_config(mode=mode, replay=replay), seed=0)
     total, expected = rows[0], rows[:1]  # the initial fit on batch 0
@@ -222,6 +229,82 @@ def test_replay_trains_on_every_accepted_label(mode, replay, monkeypatch):
         if record.kept:
             expected.append(total if replay else record.kept)
     assert rows == expected
+
+
+def comparable(log):
+    """A log's records without their timings."""
+    return [replace(r, elapsed=0.0) for r in log.records]
+
+
+def start_arrays(start):
+    """Every array a run start holds, its models' included."""
+    arrays = [start.pool_X, start.pool_y, start.rel.data_counts, start.model.weights, start.model.bias]
+    return arrays + ([start.rel.attr_counts] if start.rel.attr_counts is not None else [])
+
+
+class TestRunStarts:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"mode": "cnld"}, {"mode": "sn"}, {"mode": "cnld", "noise": "nar"}, {"mode": "manual_pseudo_cnld"}],
+        ids=["cnld", "sn", "cnld-nar", "manual_pseudo_cnld"],
+    )
+    def test_shared_start_reproduces_the_run(self, overrides):
+        # starts built from another mode, omega and beta, with both seeds'
+        # initial classifiers in one lock-step call
+        config = small_config(**overrides)
+        dataset = harness.load_experiment_dataset(config)
+        with mock.patch.object(harness, "train_mlr_lockstep", wraps=classifiers.train_mlr_lockstep) as spy:
+            starts = harness.run_starts(replace(config, mode="pb", omega=0.1, beta=0.5), dataset, [0, 1])
+        assert [len(call.args[0]) for call in spy.call_args_list] == [2]
+        runner = run_active_learning if config.mode in LEARNING_MODES else run_pseudo
+        for seed, start in starts.items():
+            before = [a.copy() for a in start_arrays(start)]
+            shared = runner(config, seed, dataset, start)
+            assert comparable(shared) == comparable(runner(config, seed, dataset))
+            assert comparable(runner(config, seed, None, start)) == comparable(shared)
+            for array, copy in zip(start_arrays(start), before):
+                assert np.array_equal(array, copy) and not array.flags.writeable
+
+    def test_start_of_another_seed_rejected(self):
+        config = small_config()
+        start = harness.run_starts(config, harness.load_experiment_dataset(config), [0])[0]
+        with pytest.raises(ValueError, match="built for seed 0, not seed 1"):
+            run_active_learning(config, 1, None, start)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_batches": 4},
+            {"test_fraction": 0.25},
+            {"cora_fold": 1},
+            {"epsilon": 1e-3},
+            {"mlr_epochs": 40},
+            {"mlr_learning_rate": 0.05},
+            {"mlr_batch_size": None},
+            {"selection": "random"},
+            {"seeds": [0, 1]},
+        ],
+        ids=lambda overrides: next(iter(overrides)),
+    )
+    def test_start_of_another_config_rejected(self, overrides):
+        config = small_config()
+        start = harness.run_starts(config, harness.load_experiment_dataset(config), [0])[0]
+        (key,) = overrides
+        with pytest.raises(ValueError, match=f"config with other {key}$"):
+            run_active_learning(replace(config, **overrides), 0, None, start)
+
+    def test_start_on_another_dataset_rejected(self):
+        config = small_config()
+        start = harness.run_starts(config, harness.load_experiment_dataset(config), [0])[0]
+        with pytest.raises(ValueError, match="another dataset"):
+            run_active_learning(config, 0, harness.load_experiment_dataset(config), start)
+
+    def test_start_keeps_its_own_copy_of_the_config(self):
+        config = small_config()
+        start = harness.run_starts(config, harness.load_experiment_dataset(config), [0])[0]
+        config.seeds.append(1)
+        with pytest.raises(ValueError, match="other seeds"):
+            run_active_learning(config, 0, None, start)
 
 
 class TestRunDetectionSuite:

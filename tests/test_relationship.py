@@ -247,6 +247,30 @@ class TestImmutability:
             with pytest.raises(ValueError, match="epsilon must be positive and finite"):
                 RelationshipModel(np.zeros((2, 2)), None, epsilon=bad)
 
+    @pytest.mark.parametrize(
+        "data, attr, message",
+        [
+            (np.zeros((3, 2)), None, r"data_counts must be a square matrix, got shape \(3, 2\)"),
+            (np.zeros(4), None, r"data_counts must be a square matrix, got shape \(4,\)"),
+            (np.zeros((3, 3)), np.zeros((2, 4)), r"attr_counts must have one row per class \(3\), got shape \(2, 4\)"),
+            (np.zeros((3, 3)), np.zeros(3), r"attr_counts must have one row per class \(3\), got shape \(3,\)"),
+        ],
+    )
+    def test_misshaped_counts_rejected(self, data, attr, message):
+        # a 2-row attribute table used to build a 3-class model
+        with pytest.raises(ValueError, match=message):
+            RelationshipModel(data, attr)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+    @pytest.mark.parametrize("table", ["data_counts", "attr_counts"])
+    def test_negative_or_non_finite_count_rejected(self, table, bad):
+        # a NaN or negative count used to be accepted; pytest turns
+        # RuntimeWarnings into errors, so the check must raise no warning
+        counts = {"data_counts": np.ones((2, 2)), "attr_counts": np.ones((2, 3))}
+        counts[table][1, 0] = bad
+        with pytest.raises(ValueError, match=f"{table} hold a negative or non-finite count"):
+            RelationshipModel(counts["data_counts"], counts["attr_counts"])
+
     def test_in_place_writes_raise(self):
         obs = {0: [[0.7, 0.3]]}
         ds = linked_dataset(labels=(0, 1, 2), links=((0, 1),), m=2, attr_obs=obs)
