@@ -18,9 +18,9 @@ import numpy as np
 
 from .dataset import _read_only
 
-# The array kernels (kNN distances, star scoring) work in blocks whose
-# temporaries stay under this many bytes each, so that memory does not grow
-# with the batch.
+# The array kernels (kNN distances, star scoring, the SGD loop's gathered
+# rows) work in blocks whose temporaries stay under this many bytes each, so
+# that memory does not grow with the batch or the epoch count.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -169,53 +169,64 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
     # and its operand order are those of the plain expressions (the reference
     # loop in tests/oracles.py), so the weights are bit-identical to theirs;
     # but every temporary lives in a buffer made once, with out passed
-    # positionally, which numpy parses faster, and each member's rows are
-    # gathered in epoch order once per epoch, from its own matrix, into
-    # C-ordered buffers, as X[idx] makes them.
+    # positionally, which numpy parses faster.  Each member's rows are
+    # gathered in epoch order, from its own matrix, into C-ordered buffers,
+    # as X[idx] makes them, a block of epochs at a time: one permuted call
+    # draws the block's permutations (the ones, and the generator state,
+    # that as many permutation(N) calls give; a test pins this) and one
+    # take per matrix gathers them, into buffers of at most BLOCK_BYTES of
+    # rows over all members, or of one epoch.
     size = batch_size or N
     if batch_size:
-        Xo, Yo = np.empty(lead + (N, d)), np.empty(lead + (N, n))
+        block = max(1, min(epochs, BLOCK_BYTES // (8 * R * N * (d + n))))
+        Xo, Yo = np.empty(lead + (block * N, d)), np.empty(lead + (block * N, n))
         outs = zip(Xo, Yo) if R > 1 else [(Xo, Yo)]
         gathers = [
             (np.random.default_rng(c.seed), X, Y, xo, yo) for c, X, Y, (xo, yo) in zip(cfgs, Xs, Ys, outs)
         ]
+        ranks, orders = np.broadcast_to(np.arange(N), (block, N)), np.empty((block, N), dtype=np.intp)
     else:  # full batch: no permutation is drawn, the rows stay in order
+        block = 1
         Xo = np.ascontiguousarray(Xs[0]) if R == 1 else np.stack(Xs)
         Yo = Ys[0] if R == 1 else np.stack(Ys)
         gathers = []
     P_buf, row_buf = np.empty(lead + (min(size, N), n)), np.empty(lead + (min(size, N), 1))
-    steps = []  # (X rows, Y rows, P, P^T, row max/sum, row count) of each step of an epoch
-    for start in range(0, N, size):
-        k = min(size, N - start)
-        rows = slice(start, start + k)
-        P = P_buf[..., :k, :]
-        steps.append((Xo[..., rows, :], Yo[..., rows, :], P, P.swapaxes(-1, -2), row_buf[..., :k, :], k))
+    # (X rows, Y rows, P, P^T, row max/sum, row count) of each step, per epoch of a block
+    steps = [[] for _ in range(block)]
+    for e, epoch_steps in enumerate(steps):
+        for start in range(0, N, size):
+            k = min(size, N - start)
+            rows = slice(e * N + start, e * N + start + k)
+            P = P_buf[..., :k, :]
+            epoch_steps.append((Xo[..., rows, :], Yo[..., rows, :], P, P.swapaxes(-1, -2), row_buf[..., :k, :], k))
     WT = W.swapaxes(-1, -2)
     grad_W, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
-    for epoch in range(1, epochs + 1):
-        lr = base_lr / math.sqrt(epoch)
+    for first in range(1, epochs + 1, block):
+        count = min(block, epochs + 1 - first)
         for rng, X, Y, xo, yo in gathers:
-            order = rng.permutation(N)
-            np.take(X, order, 0, xo, "clip")  # "clip" skips the copy that "raise" makes of out
-            np.take(Y, order, 0, yo, "clip")
-        for Xb, Yb, P, PT, row, k in steps:
-            np.matmul(Xb, WT, P)
-            np.add(P, b, P)
-            np.maximum.reduce(P, -1, None, row, True)
-            np.subtract(P, row, P)
-            np.exp(P, P)
-            np.add.reduce(P, -1, None, row, True)
-            np.divide(P, row, P)  # softmax
-            np.subtract(P, Yb, P)
-            np.divide(P, k, P)  # G
-            np.matmul(PT, Xb, grad_W)
-            np.multiply(l2, W, decay)
-            np.add(grad_W, decay, grad_W)
-            np.multiply(lr, grad_W, grad_W)
-            np.subtract(W, grad_W, W)
-            np.add.reduce(P, -2, None, grad_b, True)
-            np.multiply(lr, grad_b, grad_b)
-            np.subtract(b, grad_b, b)
+            order = rng.permuted(ranks[:count], axis=1, out=orders[:count]).reshape(-1)
+            np.take(X, order, 0, xo[: count * N], "clip")  # "clip" skips the copy that "raise" makes of out
+            np.take(Y, order, 0, yo[: count * N], "clip")
+        for epoch, epoch_steps in zip(range(first, first + count), steps):
+            lr = base_lr / math.sqrt(epoch)
+            for Xb, Yb, P, PT, row, k in epoch_steps:
+                np.matmul(Xb, WT, P)
+                np.add(P, b, P)
+                np.maximum.reduce(P, -1, None, row, True)
+                np.subtract(P, row, P)
+                np.exp(P, P)
+                np.add.reduce(P, -1, None, row, True)
+                np.divide(P, row, P)  # softmax
+                np.subtract(P, Yb, P)
+                np.divide(P, k, P)  # G
+                np.matmul(PT, Xb, grad_W)
+                np.multiply(l2, W, decay)
+                np.add(grad_W, decay, grad_W)
+                np.multiply(lr, grad_W, grad_W)
+                np.subtract(W, grad_W, W)
+                np.add.reduce(P, -2, None, grad_b, True)
+                np.multiply(lr, grad_b, grad_b)
+                np.subtract(b, grad_b, b)
 
     return [
         MlrModel(weights=Wr, bias=br, config=cfg)

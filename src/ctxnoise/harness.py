@@ -27,6 +27,17 @@ one lock-step call, and a run handed one starts from it.  The CLI builds
 one start per seed and shares it among all of that seed's runs; ``sweep``
 also runs ``sn``, which ignores beta, once per (omega, seed).
 
+The runs of one start also share the batch steps that depend on nothing
+but their inputs, through the start's ``cache``: a batch's selection, by
+batch and classifier; its candidates' star divergences, by batch, models
+and whether the run is pseudo-labeling; and its update, by batch, models
+and rows: the retrained classifier, the updated relationship model and the
+test accuracy.  Models are immutable and compare by identity, so a run
+whose batch reaches the state another run reached takes that run's models
+and keeps sharing until the two first differ.  Noise injection, verdicts
+and metrics read omega, beta or the mode, and every run computes its own.
+A run without a shared start begins with an empty cache.
+
 A filtered batch computes its candidates' ``star_divergences`` once, from
 the current models, and ``cnld_detect`` hinges its labels against them.
 A candidate is flipped when its label differs from the true one;
@@ -262,13 +273,17 @@ def select_informative(
     return ordered[first_k(ordered, k, -H)].tolist()
 
 
-def _initial_pool(dataset: Dataset, pool: Sequence[int], config: ExperimentConfig):
-    """The initial batch's features and true labels, and the relationship
-    model built on them; the classifier's first fit is the caller's."""
-    X = dataset.feature_matrix(pool)
-    y = dataset.true_labels(pool)
-    rel = build_relationship(dataset, dict(zip(pool, y.tolist())), epsilon=config.epsilon)
-    return rel, X, y
+def _seed_prefix(config: ExperimentConfig, dataset: Dataset, seed: int):
+    """A seed's batches and test ids, batch 0's features and true labels, the
+    relationship model built on them, and the ``train_mlr_lockstep`` member
+    of its initial classifier; the fit is the caller's."""
+    n = dataset.n_classes
+    train_ids, test_ids = split_train_test(dataset, config, seed)
+    batches = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
+    pool_X, pool_y = dataset.feature_matrix(batches[0]), dataset.true_labels(batches[0])
+    rel = build_relationship(dataset, dict(zip(batches[0], pool_y.tolist())), epsilon=config.epsilon)
+    member = (None, pool_X, pool_y, config.mlr_config(n, derive_seed(seed, _SALT_MLR)))
+    return batches, test_ids, pool_X, pool_y, rel, member
 
 
 def _train_grouped(members: list[tuple]) -> list[MlrModel]:
@@ -295,7 +310,8 @@ class RunStart:
 
     ``config`` is a private copy of the config the start was built from; a
     run may differ from it only in the :data:`RUN_KEYS`.  Construction makes
-    the arrays read-only; the models are immutable already.
+    the arrays read-only; the models are immutable already.  ``cache`` holds
+    the batch steps its runs have taken (see the module docstring).
     """
 
     seed: int
@@ -307,6 +323,7 @@ class RunStart:
     pool_y: np.ndarray
     rel: RelationshipModel
     model: MlrModel
+    cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pool_X", _read_only(self.pool_X))
@@ -331,20 +348,14 @@ class RunStart:
 def run_starts(config: ExperimentConfig, dataset: Dataset, seeds: Sequence[int]) -> dict[int, RunStart]:
     """Each seed's :class:`RunStart`; the seeds' initial classifiers train
     together, in lock step where their shapes allow."""
-    n = dataset.n_classes
     snapshot = copy.deepcopy(config)
-    parts, members = [], []
-    for seed in dict.fromkeys(seeds):
-        train_ids, test_ids = split_train_test(dataset, config, seed)
-        batches = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)
-        rel, pool_X, pool_y = _initial_pool(dataset, batches[0], config)
-        parts.append((seed, batches, test_ids, pool_X, pool_y, rel))
-        members.append((None, pool_X, pool_y, config.mlr_config(n, derive_seed(seed, _SALT_MLR))))
+    parts = {seed: _seed_prefix(config, dataset, seed) for seed in dict.fromkeys(seeds)}
+    models = _train_grouped([member for *_, member in parts.values()])
     return {
         seed: RunStart(
             seed, snapshot, dataset, tuple(map(tuple, batches)), tuple(test_ids), pool_X, pool_y, rel, model
         )
-        for (seed, batches, test_ids, pool_X, pool_y, rel), model in zip(parts, _train_grouped(members))
+        for (seed, (batches, test_ids, pool_X, pool_y, rel, _)), model in zip(parts.items(), models)
     }
 
 
@@ -393,7 +404,7 @@ def _run_batches(
         start = run_starts(config, load_experiment_dataset(config) if dataset is None else dataset, [seed])[seed]
     else:
         start.check(config, seed, dataset)
-    dataset, batches, rel, model = start.dataset, start.batches, start.rel, start.model
+    dataset, batches, rel, model, cache = start.dataset, start.batches, start.rel, start.model, start.cache
     pseudo = config.mode in PSEUDO_MODES
     n = dataset.n_classes
 
@@ -406,12 +417,15 @@ def _run_batches(
     records: list[BatchRecord] = []
 
     for t in range(1, config.n_batches):
-        start = time.perf_counter()
+        began = time.perf_counter()
         batch_ids = batches[t]
-        k = min(len(batch_ids), max(1, _round_half_up(config.query_fraction * len(batch_ids))))
-        queried = select_informative(
-            model, dataset, batch_ids, k, config.selection, derive_seed(seed, _SALT_SELECT, t)
-        )
+        key = ("select", t, model)
+        if key not in cache:
+            k = min(len(batch_ids), max(1, _round_half_up(config.query_fraction * len(batch_ids))))
+            cache[key] = select_informative(
+                model, dataset, batch_ids, k, config.selection, derive_seed(seed, _SALT_SELECT, t)
+            )
+        queried = cache[key]
 
         # fixed labels are trusted as given; candidates may be filtered
         if pseudo:
@@ -433,8 +447,10 @@ def _run_batches(
         batch_metrics = None
         if candidates and config.mode in FILTERED_MODES:
             flipped = labels != dataset.true_labels(candidates)
-            divergences = star_divergences(candidates, dataset, model, rel)
-            removed = cnld_detect(candidates, labels, divergences, config.beta).removed
+            key = ("stars", t, model, rel, pseudo)  # the batch and model fix the candidates
+            if key not in cache:
+                cache[key] = star_divergences(candidates, dataset, model, rel)
+            removed = cnld_detect(candidates, labels, cache[key], config.beta).removed
             budget = int(removed.sum())
             if config.mode == "pb":
                 proba = predict_proba(model, dataset.feature_matrix(candidates))
@@ -448,22 +464,28 @@ def _run_batches(
         if kept:
             accepted.extend(kept)
             rows = accepted if config.replay else kept
-            X = dataset.feature_matrix([i for i, _ in rows])
-            y = np.array([c for _, c in rows])
-            model = train_mlr(model, X, y, config.mlr_config(n, derive_seed(seed, _SALT_MLR, t)))
-            rel = update_relationship(rel, dataset, dict(kept))
+            key = ("update", t, model, rel, tuple(rows), tuple(kept))
+            if key not in cache:
+                X = dataset.feature_matrix([i for i, _ in rows])
+                y = np.array([c for _, c in rows])
+                fitted = train_mlr(model, X, y, config.mlr_config(n, derive_seed(seed, _SALT_MLR, t)))
+                updated = update_relationship(rel, dataset, dict(kept))
+                cache[key] = fitted, updated, accuracy(fitted, X_test, y_test)
+            model, rel, score = cache[key]
+        else:
+            score = accuracy(model, X_test, y_test)
 
         records.append(
             BatchRecord(
                 batch=t,
-                accuracy=accuracy(model, X_test, y_test),
+                accuracy=score,
                 removed=int(removed.sum()),
                 kept=len(kept),
                 er1=batch_metrics.er1 if batch_metrics else None,
                 er2=batch_metrics.er2 if batch_metrics else None,
                 nep=batch_metrics.nep if batch_metrics else None,
                 queried=list(queried),
-                elapsed=time.perf_counter() - start,
+                elapsed=time.perf_counter() - began,
             )
         )
     return ExperimentLog(mode=config.mode, omega=config.omega, seed=seed, records=records)
@@ -482,18 +504,17 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
 
     # Every seed's main model (the mlr_* keys) and the logistic member of
     # its aux ensemble (MlrConfig defaults) train together, in lock step.
-    splits, main_members, aux_members = [], [], []
-    for seed in config.seeds:
-        train_ids, test_ids = split_train_test(dataset, config, seed)
-        pool = split_batches(dataset, config.n_batches, derive_seed(seed, _SALT_SPLIT), ids=train_ids)[0]
-        rel, pool_X, pool_y = _initial_pool(dataset, pool, config)
-        splits.append((seed, pool, test_ids, rel, pool_X, pool_y))
-        main_members.append((None, pool_X, pool_y, config.mlr_config(n, derive_seed(seed, _SALT_MLR))))
-        aux_members.append((None, pool_X, pool_y, MlrConfig(n_classes=n, seed=derive_seed(seed, _SALT_AUX))))
-    models = _train_grouped(main_members + aux_members)
+    parts = [_seed_prefix(config, dataset, seed) for seed in config.seeds]
+    aux_members = [
+        (None, pool_X, pool_y, MlrConfig(n_classes=n, seed=derive_seed(seed, _SALT_AUX)))
+        for seed, (_, _, pool_X, pool_y, _, _) in zip(config.seeds, parts)
+    ]
+    models = _train_grouped([member for *_, member in parts] + aux_members)
 
-    for (seed, pool, test_ids, rel, pool_X, pool_y), model, aux_mlr in zip(splits, models, models[len(splits) :]):
-        knn_k = min(config.knn_k, len(pool))
+    for seed, (batches, test_ids, pool_X, pool_y, rel, _), model, aux_mlr in zip(
+        config.seeds, parts, models, models[len(parts) :]
+    ):
+        knn_k = min(config.knn_k, len(batches[0]))
         if knn_k % 2 == 0:
             knn_k -= 1
         aux = train_aux(

@@ -59,6 +59,8 @@ def inject_ncar(labels: np.ndarray, n_classes: int, omega: float, seed: int) -> 
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
     y = np.asarray(labels, dtype=int)
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
+        raise ValueError(f"labels must lie in [0, {n_classes})")
     rng = np.random.default_rng(seed)
     assigned = y.copy()
     for c in range(n_classes):

@@ -197,6 +197,49 @@ def test_lockstep_members_are_bit_identical_to_the_plain_loop(R, N, d, n, batch_
         assert model.config is config
 
 
+@pytest.mark.parametrize("block_bytes", [1, classifiers.BLOCK_BYTES, 1 << 30], ids=["1B", "default", "1GiB"])
+def test_lockstep_is_bit_identical_at_any_epoch_block(block_bytes):
+    # one epoch per block, as many as the default budget holds, and every
+    # epoch in one block
+    with mock.patch.object(classifiers, "BLOCK_BYTES", block_bytes):
+        test_lockstep_members_are_bit_identical_to_the_plain_loop()
+
+
+@pytest.mark.parametrize("epochs_per_block", [1, 2, 3, 7, 8])
+@pytest.mark.parametrize("R", [1, 3])
+def test_last_epoch_block_may_be_short(epochs_per_block, R):
+    # 7 epochs in blocks of 2 or 3 leave a short last block
+    N, d, n, epochs = 23, 4, 3, 7
+    rng = np.random.default_rng(epochs_per_block)
+    members = [
+        (None, rng.standard_normal((N, d)), rng.integers(0, n, N), MlrConfig(n, epochs=epochs, batch_size=5, seed=r))
+        for r in range(R)
+    ]
+    with mock.patch.object(classifiers, "BLOCK_BYTES", epochs_per_block * 8 * R * N * (d + n)):
+        models = train_mlr_lockstep(members)
+    for model, (_, X, y, config) in zip(models, members):
+        W, b = reference_train_mlr(np.zeros((n, d)), np.zeros(n), X, y, config)
+        assert np.array_equal(model.weights, W)
+        assert np.array_equal(model.bias, b)
+
+
+def test_permuted_block_draws_the_sequential_permutations():
+    # train_mlr_lockstep draws a block of epochs' orders with one permuted
+    # call over broadcast ranks; that these are the orders, and the final
+    # generator state, of one permutation call per epoch is how numpy
+    # behaves, not a promise it makes, so it is pinned here
+    for seed in range(3):
+        for N in (*range(1, 70), 127, 128, 441, 487):
+            for E in (1, 2, 5):
+                sequential, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = np.stack([sequential.permutation(N) for _ in range(E)])
+                out = np.empty((E, N), dtype=np.intp)
+                got = blocked.permuted(np.broadcast_to(np.arange(N), (E, N)), axis=1, out=out)
+                assert got is out
+                assert np.array_equal(got, expected)
+                assert blocked.bit_generator.state == sequential.bit_generator.state
+
+
 def test_stacked_numpy_calls_match_their_2d_slices():
     # The lock-step kernel relies on numpy doing per slice of a stack what
     # it does for one 2-D array: stacked matmul (with the transposed views

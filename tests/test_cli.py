@@ -1,10 +1,11 @@
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ctxnoise import cli, generate_synthetic, load_config
+from ctxnoise import classifiers, cli, detector, generate_synthetic, harness, load_config
 from ctxnoise.cli import main
 
 from test_harness import start_arrays
@@ -171,6 +172,20 @@ def test_sweep_leaves_every_start_unchanged(tmp_path, tiny_config, monkeypatch):
         assert len(arrays) == 6
         for array, copy in zip(arrays, before[seed]):
             assert np.array_equal(array, copy) and not array.flags.writeable
+
+
+def test_sweep_computes_each_shared_batch_step_once(tmp_path):
+    # 24 runs of 7 batches each: 168 selections and updates, and 126 star
+    # tables for the 18 cnld runs; the runs of a seed share the steps they
+    # take from equal states, so fewer are computed
+    config_path = Path(__file__).parent.parent / "configs" / "synthetic_sweep.cfg"
+    with (
+        mock.patch.object(harness, "select_informative", wraps=harness.select_informative) as select,
+        mock.patch.object(harness, "star_divergences", wraps=detector.star_divergences) as stars,
+        mock.patch.object(harness, "train_mlr", wraps=classifiers.train_mlr) as train,
+    ):
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    assert (select.call_count, stars.call_count, train.call_count) == (127, 91, 148)
 
 
 def test_reruns_are_byte_identical(tmp_path, tiny_config):

@@ -307,6 +307,47 @@ class TestRunStarts:
             run_active_learning(config, 0, None, start)
 
 
+class TestBatchCache:
+    # every mode at two noise levels, and the pseudo-labeling modes
+    RUNS = [
+        {"mode": mode, "omega": omega, "beta": beta}
+        for omega in (0.2, 0.4)
+        for mode, beta in (("sn", 0.8), ("cnld", 0.8), ("cnld", 0.9), ("pb", 0.8), ("cl", 0.8))
+    ] + [
+        {"mode": mode, "beta": beta}
+        for mode, beta in (("manual", 0.8), ("manual_pseudo", 0.8), ("manual_pseudo_cnld", 0.8), ("manual_pseudo_cnld", 0.9))
+    ]
+
+    @pytest.mark.parametrize("shared", [{}, {"noise": "nar"}, {"replay": True}], ids=["ncar", "nar", "replay"])
+    def test_warm_start_reproduces_every_run(self, shared):
+        # the runs of each seed share one start, and so its cache of batch
+        # steps; each must equal the same run from a fresh start
+        config = small_config(**shared)
+        dataset = harness.load_experiment_dataset(config)
+        starts = harness.run_starts(config, dataset, [0, 1])
+        with (
+            mock.patch.object(harness, "train_mlr", wraps=classifiers.train_mlr) as train,
+            mock.patch.object(harness, "star_divergences", wraps=detector.star_divergences) as stars,
+        ):
+            warm = [
+                (overrides, seed, self.runner(overrides)(replace(config, **overrides), seed, dataset, start))
+                for seed, start in starts.items()
+                for overrides in self.RUNS
+            ]
+        # the runs did take each other's steps
+        updates = sum(r.kept > 0 for _, _, log in warm for r in log.records)
+        filtered = sum(len(log.records) for overrides, _, log in warm if overrides["mode"] in harness.FILTERED_MODES)
+        assert 0 < train.call_count < updates
+        assert 0 < stars.call_count < filtered
+        for overrides, seed, log in warm:
+            fresh = self.runner(overrides)(replace(config, **overrides), seed, dataset)
+            assert comparable(log) == comparable(fresh), (overrides, seed)
+
+    @staticmethod
+    def runner(overrides):
+        return run_active_learning if overrides["mode"] in LEARNING_MODES else run_pseudo
+
+
 class TestRunDetectionSuite:
     def test_bookkeeping_identities_and_shape(self):
         config = small_config(omegas=[0.1, 0.3], seeds=[0, 1])

@@ -55,6 +55,15 @@ class TestInjectNcar:
         with pytest.raises(ValueError):
             inject_ncar(np.array([0, 1]), 2, 1.5, seed=0)
 
+    def test_labels_out_of_range_rejected(self):
+        # at omega = 1 every label would flip; one outside [0, n) used to be
+        # left as it was and reported clean
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            inject_ncar(np.array([0, 0, 1, 1, 5, -1]), 3, 1.0, 0)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            inject_ncar(np.array([3]), 3, 0.0, 0)
+        assert inject_ncar(np.array([], dtype=int), 3, 1.0, 0).assigned.size == 0
+
 
 class TestInjectNar:
     def test_identity_matrix_flips_nothing(self):
