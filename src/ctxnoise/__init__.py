@@ -7,9 +7,7 @@ from .classifiers import (
     MlrConfig,
     MlrModel,
     aux_predictions,
-    load_mlr,
     predict_proba,
-    save_mlr,
     train_aux,
     train_mlr,
     train_mlr_lockstep,
@@ -65,15 +63,12 @@ from .noise import (
     estimate_transition,
     inject_nar,
     inject_ncar,
-    noise_plan_to_csv,
 )
 from .relationship import (
     Conditionals,
     RelationshipModel,
     build_relationship,
-    load_relationship,
     prior_conditionals,
-    save_relationship,
     update_relationship,
 )
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -250,59 +249,6 @@ def entropy(proba: np.ndarray) -> np.ndarray:
     """Natural-log entropy of each row of class distributions, with
     0 * log 0 = 0: a saturated classifier gives exact zeros."""
     return -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=1)
-
-
-def save_mlr(model: MlrModel, path: str | Path) -> None:
-    """Checkpoint format: header ``mlr n d lr l2 epochs batch_size seed``,
-    then n row-major weight lines and one bias line, repr-precision floats."""
-    cfg = model.config
-    with Path(path).open("w") as fh:
-        bs = "none" if cfg.batch_size is None else str(cfg.batch_size)
-        fh.write(
-            f"mlr {model.n_classes} {model.n_features} {repr(cfg.learning_rate)} "
-            f"{repr(cfg.l2)} {cfg.epochs} {bs} {cfg.seed}\n"
-        )
-        for row in model.weights:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write(" ".join(repr(float(v)) for v in model.bias) + "\n")
-
-
-def load_mlr(path: str | Path) -> MlrModel:
-    """Read a :func:`save_mlr` checkpoint; a malformed line or a non-finite
-    weight raises ValueError naming ``path:line``."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split() if lines else []
-    if len(header) != 8 or header[0] != "mlr":
-        raise ValueError(f"{path}: not an mlr checkpoint")
-    try:
-        n, d = int(header[1]), int(header[2])
-        if n < 1 or d < 1:
-            raise ValueError(f"n={n} and d={d} must be >= 1")
-        cfg = MlrConfig(
-            n_classes=n,
-            learning_rate=float(header[3]),
-            l2=float(header[4]),
-            epochs=int(header[5]),
-            batch_size=None if header[6] == "none" else int(header[6]),
-            seed=int(header[7]),
-        )
-        _check_config(cfg)
-    except ValueError as exc:
-        raise ValueError(f"{path}:1: bad header: {exc}") from None
-    rows = []
-    for lineno in range(2, n + 3):  # n weight rows, then the bias
-        width, name = (d, "weight") if lineno < n + 2 else (n, "bias")
-        tokens = lines[lineno - 1].split() if lineno <= len(lines) else []
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if len(tokens) != width:
-            raise ValueError(f"{path}:{lineno}: {name} row has {len(tokens)} values, expected {width}")
-        if not all(map(math.isfinite, rows[-1])):
-            raise ValueError(f"{path}:{lineno}: {name} row has a non-finite value")
-    return MlrModel(weights=np.array(rows[:n]).reshape(n, d), bias=np.array(rows[n]), config=cfg)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .dataset import generate_synthetic, save_synthetic
 from .harness import (
+    _KEY_TYPES,
     ConfigError,
     ExperimentConfig,
     detection_result_rows,
@@ -62,12 +63,9 @@ def _prepare(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     config = load_config(args.config)
     if args.seeds is not None:
         try:
-            config.seeds = [int(t) for t in args.seeds.replace(",", " ").split()]
-        except ValueError:
-            config.seeds = []
-        if not config.seeds or min(config.seeds) < 0:
-            raise ConfigError(f"--seeds expects comma-separated non-negative integers, got {args.seeds!r}")
-        config.validate()
+            config = replace(config, seeds=_KEY_TYPES["seeds"](args.seeds))
+        except ValueError:  # a malformed seed, or a ConfigError from the config's own check
+            raise ConfigError(f"--seeds expects comma-separated non-negative integers, got {args.seeds!r}") from None
     out_dir = Path(args.out or os.environ.get(OUT_ENV_VAR, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     return config, out_dir
@@ -118,8 +116,11 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     over learning on unfiltered noisy labels, mean +/- std across seeds.
 
     Every run of a seed starts from one shared start (``run_starts``), and
-    ``sn``, which ignores beta, runs once per (omega, seed)."""
+    ``sn``, which ignores beta, runs once per (omega, seed).  NAR noise
+    reads no omega, so with ``noise = nar`` ``omegas`` must hold one value."""
     config, out_dir = _prepare(args)
+    if config.noise == "nar" and len(config.omegas) > 1:
+        raise ConfigError(f"{args.config}: omegas must hold one value under noise = nar, which reads no omega", "omegas")
     dataset = load_experiment_dataset(config)
     starts = run_starts(config, dataset, config.seeds)
     rows = []

@@ -265,7 +265,7 @@ class Dataset:
         raise ValueError(f"link {inst_id}->{other} is not symmetric")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for the synthetic generator.
 

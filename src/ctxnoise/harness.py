@@ -23,18 +23,22 @@ Everything a run does before its first query depends on the seed alone:
 the train/test split, the batches, batch 0's features and labels, and the
 relationship model and classifier trained on them.  :func:`run_starts`
 builds that :class:`RunStart` for many seeds at once, their classifiers in
-one lock-step call, and a run handed one starts from it.  The CLI builds
-one start per seed and shares it among all of that seed's runs; ``sweep``
+one lock-step call, and a run handed one starts from it.  A start keeps
+the caller's config object as ``RunStart.config``; an
+:class:`ExperimentConfig` is frozen, and valid from construction on, so
+no run can change what its start was built from.  The CLI builds one
+start per seed and shares it among all of that seed's runs; ``sweep``
 also runs ``sn``, which ignores beta, once per (omega, seed).
 
 The runs of one start also share the batch steps that depend on nothing
-but their inputs, through the start's ``cache``: a batch's selection, by
-batch and classifier; its candidates' star divergences, by batch, models
-and whether the run is pseudo-labeling; and its update, by batch, models
-and rows: the retrained classifier, the updated relationship model and the
-test accuracy.  Models are immutable and compare by identity, so a run
-whose batch reaches the state another run reached takes that run's models
-and keeps sharing until the two first differ.  Noise injection, verdicts
+but their inputs, through the start's ``cache``: the NAR transition
+matrix, estimated from batch 0 by the first NAR run; a batch's
+selection, by batch and classifier; its candidates' star divergences, by
+batch, models and whether the run is pseudo-labeling; and its update, by
+batch, models and rows: the retrained classifier, the updated relationship
+model and the test accuracy.  Models are immutable and compare by
+identity, so a run whose batch reaches the state another run reached takes
+that run's models and keeps sharing until the two first differ.  Noise injection, verdicts
 and metrics read omega, beta or the mode, and every run computes its own.
 A run without a shared start begins with an empty cache.
 
@@ -54,7 +58,6 @@ and serves every noise level.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import time
@@ -121,8 +124,12 @@ def derive_seed(seed: int, *salts: int) -> int:
     return int(np.random.SeedSequence([seed, *salts]).generate_state(1)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, immutable and valid by construction: an invalid value
+    raises :class:`ConfigError` naming its key, and ``seeds``, ``omegas``
+    and ``betas`` are stored as tuples."""
+
     dataset_kind: str
     synthetic: SyntheticConfig | None = None
     cora_content: str | None = None
@@ -134,12 +141,12 @@ class ExperimentConfig:
     noise: str = "ncar"
     omega: float = 0.4
     beta: float = DEFAULT_BETA
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seeds: tuple[int, ...] = (0,)
     test_fraction: float = 0.3
     cora_fold: int = 0
     replay: bool = False
-    omegas: list[float] = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5])
-    betas: list[float] = field(default_factory=lambda: [0.80, 0.85, 0.90])
+    omegas: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
+    betas: tuple[float, ...] = (0.80, 0.85, 0.90)
     mlr_learning_rate: float = 0.1
     mlr_l2: float = 1e-4
     mlr_epochs: int = 200
@@ -149,7 +156,9 @@ class ExperimentConfig:
     # few links per class, or near-zero cells overwhelm the leaf evidence
     epsilon: float = DEFAULT_SMOOTHING
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("seeds", "omegas", "betas"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.dataset_kind not in ("synthetic", "cora"):
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}", "dataset")
         if self.dataset_kind == "synthetic" and self.synthetic is None:
@@ -308,10 +317,11 @@ def _train_grouped(members: list[tuple]) -> list[MlrModel]:
 class RunStart:
     """What every run of one seed shares before its first query.
 
-    ``config`` is a private copy of the config the start was built from; a
-    run may differ from it only in the :data:`RUN_KEYS`.  Construction makes
-    the arrays read-only; the models are immutable already.  ``cache`` holds
-    the batch steps its runs have taken (see the module docstring).
+    ``config`` is the frozen config the start was built from, the caller's
+    own object; a run may differ from it only in the :data:`RUN_KEYS`.
+    Construction makes the arrays read-only; the models are immutable
+    already.  ``cache`` holds the batch steps its runs have taken (see the
+    module docstring).
     """
 
     seed: int
@@ -348,12 +358,11 @@ class RunStart:
 def run_starts(config: ExperimentConfig, dataset: Dataset, seeds: Sequence[int]) -> dict[int, RunStart]:
     """Each seed's :class:`RunStart`; the seeds' initial classifiers train
     together, in lock step where their shapes allow."""
-    snapshot = copy.deepcopy(config)
     parts = {seed: _seed_prefix(config, dataset, seed) for seed in dict.fromkeys(seeds)}
     models = _train_grouped([member for *_, member in parts.values()])
     return {
         seed: RunStart(
-            seed, snapshot, dataset, tuple(map(tuple, batches)), tuple(test_ids), pool_X, pool_y, rel, model
+            seed, config, dataset, tuple(map(tuple, batches)), tuple(test_ids), pool_X, pool_y, rel, model
         )
         for (seed, (batches, test_ids, pool_X, pool_y, rel, _)), model in zip(parts.items(), models)
     }
@@ -370,7 +379,6 @@ def run_active_learning(
     ``dataset`` skips loading the configured one; it is only read.  ``start``
     (see :func:`run_starts`) skips building the seed's start as well.
     """
-    config.validate()
     if config.mode not in LEARNING_MODES:
         raise ConfigError(f"mode {config.mode!r} is not an active-learning mode")
     return _run_batches(config, seed, dataset, start)
@@ -388,7 +396,6 @@ def run_pseudo(
     ``dataset`` and ``start`` are read as :func:`run_active_learning` reads
     them.
     """
-    config.validate()
     if config.mode not in PSEUDO_MODES:
         raise ConfigError(f"mode {config.mode!r} is not a pseudo-labeling mode")
     return _run_batches(config, seed, dataset, start)
@@ -410,7 +417,9 @@ def _run_batches(
 
     transition = None
     if not pseudo and config.noise == "nar":
-        transition = estimate_transition(start.pool_X, start.pool_y, n)
+        if "transition" not in cache:
+            cache["transition"] = estimate_transition(start.pool_X, start.pool_y, n)
+        transition = cache["transition"]
 
     X_test, y_test = dataset.feature_matrix(start.test_ids), dataset.true_labels(start.test_ids)
     accepted: list[tuple[int, int]] = list(zip(batches[0], start.pool_y.tolist()))
@@ -497,7 +506,6 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
     Trains on batch 0 only, injects noise into the evaluation split and
     removes exactly the injected fraction with each detector.
     """
-    config.validate()
     dataset = load_experiment_dataset(config)
     n = dataset.n_classes
     rows: list[DetectionSuiteRow] = []
@@ -736,12 +744,12 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError("missing required config key: dataset")
     kind, kind_where = values.pop("dataset")
 
-    config = ExperimentConfig(dataset_kind=kind)
+    kwargs = {"dataset_kind": kind}
     if kind == "synthetic":
         for required in ("n_classes", "n_features", "instances_per_class"):
             if f"synthetic.{required}" not in values:
                 raise ConfigError(f"missing required config key: synthetic.{required}")
-        config.synthetic = SyntheticConfig(**{
+        kwargs["synthetic"] = SyntheticConfig(**{
             key.removeprefix("synthetic."): typed(key, _SYN_KEY_TYPES)
             for key in values
             if key.startswith("synthetic.")
@@ -755,15 +763,14 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     for key in values:
         if not key.startswith("synthetic."):
-            setattr(config, key, typed(key, _KEY_TYPES))
+            kwargs[key] = typed(key, _KEY_TYPES)
 
     try:
-        config.validate()
+        return ExperimentConfig(**kwargs)
     except ConfigError as exc:
         if exc.key in values:
             raise ConfigError(f"{values[exc.key][1]}: {exc}", exc.key) from None
         raise
-    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +46,6 @@ class NoisePlan:
     assigned: np.ndarray
     flipped: np.ndarray
     rate: float
-    seed: int
 
 
 def _round_half_up(x: float) -> int:
@@ -71,7 +69,7 @@ def inject_ncar(labels: np.ndarray, n_classes: int, omega: float, seed: int) -> 
         chosen = rng.choice(members, size=count, replace=False)
         draws = rng.integers(0, n_classes - 1, size=count)
         assigned[chosen] = np.where(draws < c, draws, draws + 1)
-    return NoisePlan(assigned=assigned, flipped=assigned != y, rate=omega, seed=seed)
+    return NoisePlan(assigned=assigned, flipped=assigned != y, rate=omega)
 
 
 def inject_nar(labels: np.ndarray, transition: TransitionMatrix | np.ndarray, seed: int) -> NoisePlan:
@@ -90,7 +88,7 @@ def inject_nar(labels: np.ndarray, transition: TransitionMatrix | np.ndarray, se
             continue
         assigned[members] = rng.choice(n, size=len(members), p=transition.probs[c])
     flipped = assigned != y
-    return NoisePlan(assigned=assigned, flipped=flipped, rate=float(flipped.mean()), seed=seed)
+    return NoisePlan(assigned=assigned, flipped=flipped, rate=float(flipped.mean()))
 
 
 def estimate_transition(features: np.ndarray, labels: np.ndarray, n_classes: int) -> TransitionMatrix:
@@ -150,12 +148,3 @@ def estimate_transition(features: np.ndarray, labels: np.ndarray, n_classes: int
         total = row.sum()
         probs[c] = row / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
     return TransitionMatrix(probs=probs)
-
-
-def noise_plan_to_csv(plan: NoisePlan, true_labels: np.ndarray, path: str | Path) -> None:
-    """Audit rows ``index, true, assigned, flipped``."""
-    y = np.asarray(true_labels, dtype=int)
-    with Path(path).open("w") as fh:
-        fh.write("index,true,assigned,flipped\n")
-        for i in range(len(y)):
-            fh.write(f"{i},{y[i]},{int(plan.assigned[i])},{int(plan.flipped[i])}\n")

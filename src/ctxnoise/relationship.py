@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
@@ -159,62 +158,3 @@ def prior_conditionals(model: RelationshipModel) -> Conditionals:
         attr = model.attr_counts + model.epsilon
         attr /= attr.sum(axis=1, keepdims=True)
     return Conditionals(data_rows=data, attr_rows=attr)
-
-
-def save_relationship(model: RelationshipModel, path: str | Path) -> None:
-    """Dense text dump: header, count matrices, then the accepted-label map."""
-    with Path(path).open("w") as fh:
-        fh.write(f"relationship {model.n_classes} {model.m_attribute_classes} {repr(model.epsilon)}\n")
-        for row in model.data_counts:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        if model.attr_counts is not None:
-            for row in model.attr_counts:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write(" ".join(f"{i}:{c}" for i, c in sorted(model.labels.items())) + "\n")
-
-
-def load_relationship(path: str | Path) -> RelationshipModel:
-    """Read a :func:`save_relationship` dump; a malformed or missing line,
-    an epsilon that is not positive and finite, or a count that is negative
-    or not finite raises ValueError naming ``path:line``."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split() if lines else []
-    if len(header) != 4 or header[0] != "relationship":
-        raise ValueError(f"{path}: not a relationship dump")
-    try:
-        n, m, epsilon = int(header[1]), int(header[2]), float(header[3])
-    except ValueError:
-        raise ValueError(f"{path}:1: bad header, expected 'relationship n m epsilon'") from None
-    if n < 1 or m < 0:
-        raise ValueError(f"{path}:1: bad header: n={n} must be >= 1 and m={m} >= 0")
-    if not 0.0 < epsilon < math.inf:  # written so that NaN fails it
-        raise ValueError(f"{path}:1: epsilon must be positive and finite, got {epsilon!r}")
-    label_line = 2 + n + (n if m > 0 else 0)  # after n data rows and n attribute rows
-    rows = []
-    for lineno in range(2, label_line):
-        width, name = (n, "data count") if lineno < 2 + n else (m, "attribute count")
-        tokens = lines[lineno - 1].split() if lineno <= len(lines) else []
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if len(tokens) != width:
-            raise ValueError(f"{path}:{lineno}: {name} row has {len(tokens)} values, expected {width}")
-        if not all(0.0 <= v < math.inf for v in rows[-1]):  # written so that NaN fails it
-            raise ValueError(f"{path}:{lineno}: {name} row has a negative or non-finite value")
-    if label_line > len(lines):
-        raise ValueError(f"{path}:{label_line}: accepted-label line is missing")
-    labels = {}
-    for token in lines[label_line - 1].split():
-        try:
-            i, c = token.split(":")
-            labels[int(i)] = int(c)
-        except ValueError:
-            raise ValueError(f"{path}:{label_line}: bad label entry {token!r}, expected id:class") from None
-    return RelationshipModel(
-        data_counts=np.array(rows[:n]).reshape(n, n),
-        attr_counts=np.array(rows[n:]).reshape(n, m) if m > 0 else None,
-        epsilon=epsilon,
-        labels=labels,
-    )

@@ -1,5 +1,4 @@
 import math
-import re
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -15,9 +14,7 @@ from ctxnoise import (
     SyntheticConfig,
     aux_predictions,
     generate_synthetic,
-    load_mlr,
     predict_proba,
-    save_mlr,
     train_aux,
     train_mlr,
     train_mlr_lockstep,
@@ -377,43 +374,6 @@ class TestImmutability:
         X, y = separable_1d()
         train_mlr(model, X, y)
         assert np.array_equal(model.weights, np.ones((2, 1)))
-
-
-class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
-        X, y = separable_1d()
-        model = train_mlr(None, X, y, MlrConfig(n_classes=2, seed=9, batch_size=None))
-        path = tmp_path / "model.txt"
-        save_mlr(model, path)
-        loaded = load_mlr(path)
-        assert np.array_equal(loaded.weights, model.weights)
-        assert np.array_equal(loaded.bias, model.bias)
-        assert loaded.config == model.config
-
-
-    @pytest.mark.parametrize(
-        "damage, message",
-        [
-            (lambda lines: [lines[0].replace("mlr 2 1", "mlr x 1")] + lines[1:],
-             ":1: bad header: invalid literal for int() with base 10: 'x'"),
-            (lambda lines: [lines[0].replace(" 200 ", " -3 ")] + lines[1:],
-             ":1: bad header: MlrConfig.epochs must be >= 0, got -3"),
-            (lambda lines: lines[:1] + ["x"] + lines[2:], ":2: could not convert string to float: 'x'"),
-            (lambda lines: lines[:2] + [lines[2] + " 0.5"] + lines[3:], ":3: weight row has 2 values, expected 1"),
-            (lambda lines: lines[:1] + ["nan"] + lines[2:], ":2: weight row has a non-finite value"),
-            (lambda lines: lines[:3] + ["0.0 inf"], ":4: bias row has a non-finite value"),
-            (lambda lines: lines[:3], ":4: bias row has 0 values, expected 2"),
-        ],
-    )
-    def test_damaged_checkpoint_names_the_line(self, tmp_path, damage, message):
-        # these used to fail inside float(), int() or numpy without the
-        # file's name, or, for a NaN weight, to load and predict NaN
-        X, y = separable_1d()
-        path = tmp_path / "model.txt"
-        save_mlr(train_mlr(None, X, y, MlrConfig(n_classes=2, seed=9)), path)
-        path.write_text("".join(line + "\n" for line in damage(path.read_text().splitlines())))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
-            load_mlr(path)
 
 
 class TestAuxEnsemble:

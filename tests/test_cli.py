@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ctxnoise import classifiers, cli, detector, generate_synthetic, harness, load_config
+from ctxnoise import classifiers, cli, detector, generate_synthetic, harness, load_config, noise
 from ctxnoise.cli import main
 
 from test_harness import start_arrays
@@ -186,6 +186,31 @@ def test_sweep_computes_each_shared_batch_step_once(tmp_path):
     ):
         assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path)]) == 0
     assert (select.call_count, stars.call_count, train.call_count) == (127, 91, 148)
+
+
+def test_nar_sweep_over_many_omegas_rejected(tmp_path, tiny_config, capsys):
+    # NAR reads no omega, so the sweep used to repeat one experiment at each
+    # omega and report it as two noise levels
+    tiny_config.write_text(TINY.replace("noise = ncar", "noise = nar"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(tiny_config), "--out", str(out)]) == 1
+    message = f"{tiny_config}: omegas must hold one value under noise = nar, which reads no omega"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "sweep_results.csv").exists()
+    with pytest.raises(harness.ConfigError, match=f"^{message}$") as caught:
+        cli._cmd_sweep(cli._build_parser().parse_args(["sweep", "--config", str(tiny_config), "--out", str(out)]))
+    assert caught.value.key == "omegas"
+
+
+def test_nar_sweep_estimates_each_transition_once(tmp_path):
+    # 12 runs over 3 seeds: each seed's runs read the transition estimated
+    # from the batch 0 of the start they share
+    config = tmp_path / "sweep.cfg"
+    text = (Path(__file__).parent.parent / "configs" / "synthetic_sweep.cfg").read_text()
+    config.write_text(text.replace("omegas = 0.2, 0.4", "omegas = 0.2") + "noise = nar\n")
+    with mock.patch.object(harness, "estimate_transition", wraps=noise.estimate_transition) as spy:
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert spy.call_count == 3
 
 
 def test_reruns_are_byte_identical(tmp_path, tiny_config):

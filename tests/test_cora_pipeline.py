@@ -1,5 +1,7 @@
 """End-to-end runs over CORA-format files (synthetic stand-in corpus)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,8 +86,7 @@ def test_fold_splits_partition_and_differ(cora_files):
     config = cora_config(content, cites)
     tests = []
     for fold in range(10):
-        config.cora_fold = fold
-        train, test = split_train_test(load_cora(content, cites), config, seed=0)
+        train, test = split_train_test(load_cora(content, cites), replace(config, cora_fold=fold), seed=0)
         assert sorted(train + test) == sorted(dataset.ids.tolist())
         tests.append(tuple(sorted(test)))
     assert len(set(tests)) == 10

@@ -36,7 +36,7 @@ def test_learning_csv_matches_golden(name, tmp_path):
     separation = overrides.pop("separation", None)
     config = small_config(**overrides)
     if separation is not None:
-        config.synthetic = replace(config.synthetic, separation=separation)
+        config = replace(config, synthetic=replace(config.synthetic, separation=separation))
     runner = run_active_learning if config.mode in LEARNING_MODES else run_pseudo
     path = tmp_path / f"{name}.csv"
     write_results_csv(path, learning_result_rows(runner(config, 0)))
@@ -57,9 +57,9 @@ DETECT_CASES = {
 }
 
 
-def detect_config_text(overrides: dict[str, str]) -> str:
-    """``configs/tiny_detect.cfg`` with the value of each named key replaced."""
-    lines = (CONFIGS / "tiny_detect.cfg").read_text().splitlines()
+def config_text(name: str, overrides: dict[str, str]) -> str:
+    """``configs/<name>.cfg`` with the value of each named key replaced."""
+    lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
     out = []
     for line in lines:
         key = line.split("=", 1)[0].strip()
@@ -71,7 +71,7 @@ def detect_config_text(overrides: dict[str, str]) -> str:
 @pytest.mark.parametrize("name", sorted(DETECT_CASES))
 def test_detection_files_match_golden(name, tmp_path):
     config = tmp_path / f"{name}.cfg"
-    config.write_text(detect_config_text(DETECT_CASES[name]))
+    config.write_text(config_text("tiny_detect", DETECT_CASES[name]))
     assert main(["detect", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "detection_results.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
     assert (tmp_path / "detection_summary.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
@@ -102,17 +102,23 @@ def test_synthetic_dataset_matches_golden(name, tmp_path):
     assert (tmp_path / "dataset.txt").read_bytes() == (GOLDEN / f"synthetic-{name}.txt").read_bytes()
 
 
-# ``ctxnoise sweep`` on the shipped sweep config, and with NAR noise, whose
-# transition every run of a seed estimates from the batch 0 they share.
-# ``synthetic_sweep-nar`` was written before the runs of a seed shared one
-# start and ``sn`` ran once per (omega, seed).
-SWEEP_CASES = {"configs/synthetic_sweep": "", "synthetic_sweep-nar": "noise = nar\n"}
+# ``ctxnoise sweep`` on the shipped sweep config, and with NAR noise at one
+# omega, since NAR reads no omega; the runs of a seed share the transition
+# estimated from their batch 0.  ``synthetic_sweep-nar`` is the omega=0.2
+# half of the files written before the runs of a seed shared one start and
+# ``sn`` ran once per (omega, seed), when the sweep accepted two omegas
+# under NAR and repeated the same runs at each.
+SWEEP_CASES = {
+    "configs/synthetic_sweep": ({}, ""),
+    "synthetic_sweep-nar": ({"omegas": "0.2"}, "noise = nar\n"),
+}
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_sweep_files_match_golden(name, tmp_path):
+    overrides, extra = SWEEP_CASES[name]
     config = tmp_path / "sweep.cfg"
-    config.write_text((CONFIGS / "synthetic_sweep.cfg").read_text() + SWEEP_CASES[name])
+    config.write_text(config_text("synthetic_sweep", overrides) + extra)
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
     for file in ("sweep_results.csv", "sweep_summary.json"):
         assert (tmp_path / file).read_bytes() == (GOLDEN / name / file).read_bytes()

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -299,12 +299,19 @@ class TestRunStarts:
         with pytest.raises(ValueError, match="another dataset"):
             run_active_learning(config, 0, harness.load_experiment_dataset(config), start)
 
-    def test_start_keeps_its_own_copy_of_the_config(self):
-        config = small_config()
-        start = harness.run_starts(config, harness.load_experiment_dataset(config), [0])[0]
-        config.seeds.append(1)
-        with pytest.raises(ValueError, match="other seeds"):
-            run_active_learning(config, 0, None, start)
+    def test_start_keeps_the_callers_frozen_config(self):
+        # a start used to deep-copy its config, which the caller could
+        # change after the start was built
+        seeds = [0, 1]
+        config = small_config(seeds=seeds)
+        seeds.append(2)
+        assert config.seeds == (0, 1)
+        with pytest.raises(FrozenInstanceError):
+            config.seeds = (0,)
+        with pytest.raises(FrozenInstanceError):
+            config.synthetic.seed = 1
+        starts = harness.run_starts(config, harness.load_experiment_dataset(config), config.seeds)
+        assert all(start.config is config for start in starts.values())
 
 
 class TestBatchCache:
@@ -463,11 +470,23 @@ cora_cites = missing.cites
 seeds = 0
 """
 
+    @pytest.mark.parametrize(
+        "key, value", [("omega", 1.5), ("seeds", []), ("betas", [0.8, 1.0]), ("mode", "bogus"), ("mlr_epochs", 0)]
+    )
+    def test_invalid_config_cannot_be_built(self, key, value):
+        # only a run used to check a config built in Python, so an invalid
+        # one could exist; construction and replace now check it
+        with pytest.raises(ConfigError, match=f"^{key} ") as caught:
+            small_config(**{key: value})
+        assert caught.value.key == key
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            replace(small_config(), **{key: value})
+
     def test_parse_fields(self):
         config = parse_config(self.GOOD)
         assert config.synthetic.n_classes == 3
         assert config.synthetic.concentration == 0.8
-        assert config.seeds == [0, 1]
+        assert config.seeds == (0, 1)
         assert config.mlr_batch_size is None
         assert config.selection == "random"
 

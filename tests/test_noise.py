@@ -6,7 +6,6 @@ from ctxnoise import (
     estimate_transition,
     inject_nar,
     inject_ncar,
-    noise_plan_to_csv,
 )
 
 
@@ -139,13 +138,3 @@ class TestEstimateTransition:
         with pytest.raises(ValueError):
             estimate_transition(np.zeros((4, 1)), np.zeros(4, dtype=int), 2)
 
-
-def test_noise_plan_csv(tmp_path):
-    y = np.array([0, 1, 1])
-    plan = inject_ncar(y, 2, 1.0, seed=0)
-    path = tmp_path / "plan.csv"
-    noise_plan_to_csv(plan, y, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,true,assigned,flipped"
-    assert len(lines) == 4
-    assert lines[1].startswith("0,0,")

@@ -1,4 +1,3 @@
-import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -13,9 +12,7 @@ from ctxnoise import (
     SyntheticConfig,
     build_relationship,
     generate_synthetic,
-    load_relationship,
     prior_conditionals,
-    save_relationship,
     update_relationship,
 )
 
@@ -190,54 +187,6 @@ class TestPriorConditionals:
         smoothed = prior_conditionals(model).data_rows
         raw = model.data_counts / model.data_counts.sum(axis=1, keepdims=True)
         assert np.abs(smoothed - raw).max() < 10 * model.epsilon
-
-
-class TestSerialization:
-    @staticmethod
-    def dump(tmp_path):
-        """A dump of n=3, m=2: header, data rows on lines 2-4, attribute rows
-        on 5-7, labels on 8."""
-        obs = {0: [[0.7, 0.3]], 2: [[0.1, 0.9]]}
-        ds = linked_dataset(labels=(0, 1, 2), links=((0, 1), (1, 2)), m=2, attr_obs=obs)
-        model = build_relationship(ds, {0: 0, 1: 1, 2: 2}, epsilon=1e-5)
-        path = tmp_path / "rel.txt"
-        save_relationship(model, path)
-        return model, path
-
-    @pytest.mark.parametrize(
-        "damage, message",
-        [
-            (lambda lines: lines[:3], ":4: data count row has 0 values, expected 3"),
-            (lambda lines: lines[:2] + [lines[2].split()[0]], ":3: data count row has 1 values, expected 3"),
-            (lambda lines: lines[:6], ":7: attribute count row has 0 values, expected 2"),
-            (lambda lines: lines[:7], ":8: accepted-label line is missing"),
-            (lambda lines: lines[:4] + [lines[4] + " 0.5"] + lines[5:], ":5: attribute count row has 3 values, expected 2"),
-            (lambda lines: lines[:7] + ["0:0 1"], ":8: bad label entry '1', expected id:class"),
-            # NaN, inf and negative counts and epsilons used to load without a word
-            (lambda lines: ["relationship 3 2 nan"] + lines[1:], ":1: epsilon must be positive and finite, got nan"),
-            (lambda lines: ["relationship 3 2 -1e-06"] + lines[1:], ":1: epsilon must be positive and finite, got -1e-06"),
-            (lambda lines: ["relationship 3 2 inf"] + lines[1:], ":1: epsilon must be positive and finite, got inf"),
-            (lambda lines: ["relationship 3 two 1e-06"] + lines[1:], ":1: bad header, expected 'relationship n m epsilon'"),
-            (lambda lines: ["relationship -1 2 1e-06"] + lines[1:], ":1: bad header: n=-1 must be >= 1 and m=2 >= 0"),
-            (lambda lines: lines[:2] + ["nan 1.0 0.0"] + lines[3:], ":3: data count row has a negative or non-finite value"),
-            (lambda lines: lines[:3] + ["1.0 -1.0 0.0"] + lines[4:], ":4: data count row has a negative or non-finite value"),
-            (lambda lines: lines[:5] + ["inf 0.5"] + lines[6:], ":6: attribute count row has a negative or non-finite value"),
-        ],
-    )
-    def test_damaged_dump_names_the_line(self, tmp_path, damage, message):
-        # a truncated dump used to fail inside numpy with an "inhomogeneous shape" error
-        _, path = self.dump(tmp_path)
-        path.write_text("".join(line + "\n" for line in damage(path.read_text().splitlines())))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
-            load_relationship(path)
-
-    def test_round_trip(self, tmp_path):
-        model, path = self.dump(tmp_path)
-        loaded = load_relationship(path)
-        assert np.array_equal(loaded.data_counts, model.data_counts)
-        assert np.array_equal(loaded.attr_counts, model.attr_counts)
-        assert loaded.labels == model.labels
-        assert loaded.epsilon == model.epsilon
 
 
 class TestImmutability:
