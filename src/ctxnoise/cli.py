@@ -4,8 +4,9 @@ Subcommands: ``gen-data``, ``detect``, ``active-learn``, ``pseudo``,
 ``sweep``.  Experiments are defined by a key=value config file; flags only
 override seeds and paths.  Exit codes: 0 success, 1 runtime error, 2 usage
 error.  The default output directory comes from ``CTXNOISE_OUT`` (falling
-back to ``./out``); machine-readable data goes to files, stdout carries
-progress only.
+back to ``./out``); it is made when a command writes its first file, so a
+command that fails leaves none.  Machine-readable data goes to files, stdout
+carries progress only.
 """
 
 from __future__ import annotations
@@ -64,11 +65,10 @@ def _prepare(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     if args.seeds is not None:
         try:
             config = replace(config, seeds=_KEY_TYPES["seeds"](args.seeds))
-        except ValueError:  # a malformed seed, or a ConfigError from the config's own check
-            raise ConfigError(f"--seeds expects comma-separated non-negative integers, got {args.seeds!r}") from None
-    out_dir = Path(args.out or os.environ.get(OUT_ENV_VAR, "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return config, out_dir
+        except ValueError as exc:  # a malformed seed, or a ConfigError from the config's own checks
+            expects = "distinct seeds" if str(exc) == "seeds must be distinct" else "comma-separated non-negative integers"
+            raise ConfigError(f"--seeds expects {expects}, got {args.seeds!r}") from None
+    return config, Path(args.out or os.environ.get(OUT_ENV_VAR, "out"))
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> None:
@@ -76,6 +76,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
     if config.dataset_kind != "synthetic":
         raise ConfigError("gen-data needs a synthetic dataset config")
     dataset, _ = generate_synthetic(config.synthetic)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "dataset.txt"
     save_synthetic(dataset, path)
     n_links = len(dataset.links.values) // 2
@@ -88,6 +89,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
 def _cmd_detect(args: argparse.Namespace) -> None:
     config, out_dir = _prepare(args)
     rows = run_detection_suite(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "detection_results.csv", detection_result_rows(rows))
     write_summary_json(out_dir / "detection_summary.json", summarize_detection(rows))
     print(f"wrote {out_dir / 'detection_results.csv'} ({len(rows)} rows)")
@@ -95,17 +97,17 @@ def _cmd_detect(args: argparse.Namespace) -> None:
 
 def _run_learning(args: argparse.Namespace, runner, prefix: str) -> None:
     config, out_dir = _prepare(args)
-    dataset = load_experiment_dataset(config)
-    starts = run_starts(config, dataset, config.seeds)
+    starts = run_starts(config, load_experiment_dataset(config), config.seeds)
     logs = []
     for seed in config.seeds:
-        log = runner(config, seed, dataset, starts[seed])
+        log = runner(config, seed, start=starts[seed])
         logs.append(log)
         if args.verbose:
             for r in log.records:
                 print(f"seed {seed} batch {r.batch}: accuracy {r.accuracy:.4f} kept {r.kept} removed {r.removed}")
         print(f"seed {seed}: final accuracy {log.final_accuracy:.4f}")
     rows = [row for log in logs for row in learning_result_rows(log)]
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / f"{prefix}_results.csv", rows)
     write_summary_json(out_dir / f"{prefix}_summary.json", summarize_learning(logs))
     print(f"wrote {out_dir / (prefix + '_results.csv')}")
@@ -121,20 +123,19 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     config, out_dir = _prepare(args)
     if config.noise == "nar" and len(config.omegas) > 1:
         raise ConfigError(f"{args.config}: omegas must hold one value under noise = nar, which reads no omega", "omegas")
-    dataset = load_experiment_dataset(config)
-    starts = run_starts(config, dataset, config.seeds)
+    starts = run_starts(config, load_experiment_dataset(config), config.seeds)
     rows = []
     summary = {}
     for omega in config.omegas:
         unfiltered = {
-            seed: run_active_learning(replace(config, mode="sn", omega=omega), seed, dataset, starts[seed])
+            seed: run_active_learning(replace(config, mode="sn", omega=omega), seed, start=starts[seed])
             for seed in config.seeds
         }
         for beta in config.betas:
             gains = []
             for seed in config.seeds:
                 filtered = run_active_learning(
-                    replace(config, mode="cnld", omega=omega, beta=beta), seed, dataset, starts[seed]
+                    replace(config, mode="cnld", omega=omega, beta=beta), seed, start=starts[seed]
                 )
                 gains.append(100.0 * (filtered.final_accuracy - unfiltered[seed].final_accuracy))
                 rows.append(
@@ -160,6 +161,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
                 "seeds": len(gains),
             }
             print(f"omega={omega:g} beta={beta:g}: gain {mean:+.2f} ± {var ** 0.5:.2f} points")
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "sweep_results.csv", rows)
     write_summary_json(out_dir / "sweep_summary.json", summary)
     print(f"wrote {out_dir / 'sweep_results.csv'}")

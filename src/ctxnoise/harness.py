@@ -23,12 +23,13 @@ Everything a run does before its first query depends on the seed alone:
 the train/test split, the batches, batch 0's features and labels, and the
 relationship model and classifier trained on them.  :func:`run_starts`
 builds that :class:`RunStart` for many seeds at once, their classifiers in
-one lock-step call, and a run handed one starts from it.  A start keeps
-the caller's config object as ``RunStart.config``; an
-:class:`ExperimentConfig` is frozen, and valid from construction on, so
-no run can change what its start was built from.  The CLI builds one
-start per seed and shares it among all of that seed's runs; ``sweep``
-also runs ``sn``, which ignores beta, once per (omega, seed).
+one lock-step call; a run handed one as ``start`` reads its dataset, and
+all else its seed shares, from the start alone.  A start keeps the caller's
+config object as ``RunStart.config``; an :class:`ExperimentConfig` is
+frozen, and valid from construction on, so no run can change what its
+start was built from.  The CLI builds one start per seed and shares it
+among all of that seed's runs; ``sweep`` also runs ``sn``, which ignores
+beta, once per (omega, seed).
 
 The runs of one start also share the batch steps that depend on nothing
 but their inputs, through the start's ``cache``: the NAR transition
@@ -103,13 +104,6 @@ _SALT_NOISE = 4
 _SALT_MLR = 5
 _SALT_AUX = 6
 
-# Stacked members save interpreter time on every step, but each gathers its
-# N x d rows once per epoch, and past this many bytes of gathered rows in
-# one call the step is bound by memory and arithmetic instead: two stacked
-# members at CORA's shape (N = 487, d = 1433) trained about 5% slower than
-# the same two one after another, on a 2-CPU Xeon with 2 MiB of L2 a core.
-LOCKSTEP_BYTES = 8 * 1024 * 1024
-
 
 class ConfigError(ValueError):
     """Bad or missing experiment configuration; ``key`` names the config key
@@ -176,8 +170,11 @@ class ExperimentConfig:
             ("omega", 0.0 <= self.omega <= 1.0, "must lie in [0, 1]"),
             ("n_batches", self.n_batches >= 2, "must be >= 2"),
             ("seeds", len(self.seeds) > 0 and min(self.seeds) >= 0, "must name at least one seed, each >= 0"),
+            ("seeds", len(set(self.seeds)) == len(self.seeds), "must be distinct"),
             ("omegas", len(self.omegas) > 0 and all(0.0 <= w <= 1.0 for w in self.omegas), "must be values in [0, 1]"),
+            ("omegas", len(set(self.omegas)) == len(self.omegas), "must be distinct"),
             ("betas", len(self.betas) > 0 and all(0.0 <= b < 1.0 for b in self.betas), "must be values in [0, 1)"),
+            ("betas", len(set(self.betas)) == len(self.betas), "must be distinct"),
             ("cora_fold", 0 <= self.cora_fold < CORA_FOLDS, f"must lie in [0, {CORA_FOLDS})"),
             ("epsilon", 0.0 < self.epsilon < math.inf, "must be positive and finite"),
             ("mlr_learning_rate", 0.0 < self.mlr_learning_rate < math.inf, "must be positive and finite"),
@@ -249,10 +246,12 @@ def split_train_test(dataset: Dataset, config: ExperimentConfig, seed: int) -> t
     rng = np.random.default_rng(derive_seed(seed, _SALT_TEST))
     order = ids[rng.permutation(len(ids))]
     if config.dataset_kind == "cora":
-        test_pos = np.array_split(np.arange(len(order)), CORA_FOLDS)[config.cora_fold]
-        return np.delete(order, test_pos).tolist(), order[test_pos].tolist()
-    n_test = _round_half_up(config.test_fraction * len(order))
-    return order[n_test:].tolist(), order[:n_test].tolist()
+        key, test_pos = "cora_fold", np.array_split(np.arange(len(order)), CORA_FOLDS)[config.cora_fold]
+    else:
+        key, test_pos = "test_fraction", np.arange(_round_half_up(config.test_fraction * len(order)))
+    if len(test_pos) == 0:
+        raise ConfigError(f"{key} leaves the test split empty: {len(order)} train ids, 0 test ids", key)
+    return np.delete(order, test_pos).tolist(), order[test_pos].tolist()
 
 
 def select_informative(
@@ -295,24 +294,6 @@ def _seed_prefix(config: ExperimentConfig, dataset: Dataset, seed: int):
     return batches, test_ids, pool_X, pool_y, rel, member
 
 
-def _train_grouped(members: list[tuple]) -> list[MlrModel]:
-    """``train_mlr_lockstep`` once per group of members that can share its
-    steps: equal rows, features, classes, epochs and batch size, and
-    gathered rows that fit in ``LOCKSTEP_BYTES``.  The models come back in
-    member order."""
-    groups: dict[tuple, list[int]] = {}
-    for i, (_, X, _, cfg) in enumerate(members):
-        groups.setdefault((X.shape, cfg.n_classes, cfg.epochs, cfg.batch_size), []).append(i)
-    models: list[MlrModel] = [None] * len(members)
-    for ((N, d), *_), index in groups.items():
-        size = max(1, LOCKSTEP_BYTES // (8 * N * d))
-        for start in range(0, len(index), size):
-            chunk = index[start : start + size]
-            for i, model in zip(chunk, train_mlr_lockstep([members[i] for i in chunk])):
-                models[i] = model
-    return models
-
-
 @dataclass(frozen=True, eq=False)
 class RunStart:
     """What every run of one seed shares before its first query.
@@ -339,13 +320,10 @@ class RunStart:
         object.__setattr__(self, "pool_X", _read_only(self.pool_X))
         object.__setattr__(self, "pool_y", _read_only(self.pool_y))
 
-    def check(self, config: ExperimentConfig, seed: int, dataset: Dataset | None) -> None:
-        """Raise ValueError unless a run of ``config`` and ``seed`` on
-        ``dataset`` (None: this start's) would have built this start."""
+    def check(self, config: ExperimentConfig, seed: int) -> None:
+        """Raise ValueError unless a run of ``config`` and ``seed`` would have built this start."""
         if seed != self.seed:
             raise ValueError(f"run start was built for seed {self.seed}, not seed {seed}")
-        if dataset is not None and dataset is not self.dataset:
-            raise ValueError("run start was built on another dataset")
         differ = [
             f.name
             for f in fields(config)
@@ -359,7 +337,7 @@ def run_starts(config: ExperimentConfig, dataset: Dataset, seeds: Sequence[int])
     """Each seed's :class:`RunStart`; the seeds' initial classifiers train
     together, in lock step where their shapes allow."""
     parts = {seed: _seed_prefix(config, dataset, seed) for seed in dict.fromkeys(seeds)}
-    models = _train_grouped([member for *_, member in parts.values()])
+    models = train_mlr_lockstep([member for *_, member in parts.values()])
     return {
         seed: RunStart(
             seed, config, dataset, tuple(map(tuple, batches)), tuple(test_ids), pool_X, pool_y, rel, model
@@ -371,46 +349,43 @@ def run_starts(config: ExperimentConfig, dataset: Dataset, seeds: Sequence[int])
 def run_active_learning(
     config: ExperimentConfig,
     seed: int | None = None,
-    dataset: Dataset | None = None,
+    *,
     start: RunStart | None = None,
 ) -> ExperimentLog:
     """One noisy-annotation active-learning run; returns per-batch records.
 
-    ``dataset`` skips loading the configured one; it is only read.  ``start``
-    (see :func:`run_starts`) skips building the seed's start as well.
+    ``start`` (see :func:`run_starts`) supplies the seed's start, and with it
+    the dataset, instead of loading and building them here.
     """
     if config.mode not in LEARNING_MODES:
         raise ConfigError(f"mode {config.mode!r} is not an active-learning mode")
-    return _run_batches(config, seed, dataset, start)
+    return _run_batches(config, seed, start)
 
 
 def run_pseudo(
     config: ExperimentConfig,
     seed: int | None = None,
-    dataset: Dataset | None = None,
+    *,
     start: RunStart | None = None,
 ) -> ExperimentLog:
     """Pseudo-labeling run: queried labels are correct, the rest of each batch
     gets classifier predictions, optionally filtered by the context detector.
 
-    ``dataset`` and ``start`` are read as :func:`run_active_learning` reads
-    them.
+    ``start`` is read as :func:`run_active_learning` reads it.
     """
     if config.mode not in PSEUDO_MODES:
         raise ConfigError(f"mode {config.mode!r} is not a pseudo-labeling mode")
-    return _run_batches(config, seed, dataset, start)
+    return _run_batches(config, seed, start)
 
 
-def _run_batches(
-    config: ExperimentConfig, seed: int | None, dataset: Dataset | None, start: RunStart | None = None
-) -> ExperimentLog:
+def _run_batches(config: ExperimentConfig, seed: int | None, start: RunStart | None) -> ExperimentLog:
     """The batch loop behind both run functions; the mode table is in the
     module docstring."""
     seed = config.seeds[0] if seed is None else seed
     if start is None:
-        start = run_starts(config, load_experiment_dataset(config) if dataset is None else dataset, [seed])[seed]
+        start = run_starts(config, load_experiment_dataset(config), [seed])[seed]
     else:
-        start.check(config, seed, dataset)
+        start.check(config, seed)
     dataset, batches, rel, model, cache = start.dataset, start.batches, start.rel, start.model, start.cache
     pseudo = config.mode in PSEUDO_MODES
     n = dataset.n_classes
@@ -517,7 +492,7 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
         (None, pool_X, pool_y, MlrConfig(n_classes=n, seed=derive_seed(seed, _SALT_AUX)))
         for seed, (_, _, pool_X, pool_y, _, _) in zip(config.seeds, parts)
     ]
-    models = _train_grouped([member for *_, member in parts] + aux_members)
+    models = train_mlr_lockstep([member for *_, member in parts] + aux_members)
 
     for seed, (batches, test_ids, pool_X, pool_y, rel, _), model, aux_mlr in zip(
         config.seeds, parts, models, models[len(parts) :]

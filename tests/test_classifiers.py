@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -19,9 +19,10 @@ from ctxnoise import (
     train_mlr,
     train_mlr_lockstep,
 )
-from ctxnoise import classifiers
+from ctxnoise import classifiers, harness, run_detection_suite
 
 from oracles import mlr_gradient, mlr_loss, reference_train_mlr
+from test_harness import small_config
 
 
 def separable_1d():
@@ -266,6 +267,26 @@ def test_stacked_numpy_calls_match_their_2d_slices():
             assert np.array_equal(col_sum[r, 0], P[r].sum(axis=0))
 
 
+@pytest.mark.parametrize("mlr_epochs, members_per_call, calls", [(200, 3, [3, 1]), (80, 1, [1, 1, 1, 1])])
+def test_lockstep_chunks_stay_under_lockstep_bytes(mlr_epochs, members_per_call, calls):
+    # the detection suite trains every seed's main model and aux logistic
+    # member in one call, in one step shape or, at mlr_epochs = 80, two;
+    # past LOCKSTEP_BYTES of gathered rows a shape trains in chunks, and the
+    # suite's rows are those of plain per-member training
+    config = small_config(omegas=[0.2], seeds=[0, 1], mlr_epochs=mlr_epochs)
+    # N x d floats of a pool: batch 0 of the 168 training ids; the
+    # half-pool margin below absorbs how the batch size rounds
+    pool_bytes = 8 * config.synthetic.n_features * round(168 / 5)
+    with (
+        mock.patch.object(classifiers, "LOCKSTEP_BYTES", members_per_call * pool_bytes + pool_bytes // 2),
+        mock.patch.object(classifiers, "_train_stacked", wraps=classifiers._train_stacked) as spy,
+    ):
+        rows = run_detection_suite(config)
+    assert [len(call.args[0]) for call in spy.call_args_list] == calls
+    with mock.patch.object(harness, "train_mlr_lockstep", lambda members: [train_mlr(*m) for m in members]):
+        assert run_detection_suite(config) == rows
+
+
 class TestLockstepChecks:
     def members(self, R=2, **config):
         X, y = separable_1d()
@@ -298,22 +319,37 @@ class TestLockstepChecks:
         model = train_mlr(None, X, y, MlrConfig(n_classes=2, epochs=0, batch_size=None))
         assert not model.weights.any()
 
-    @pytest.mark.parametrize(
-        "field, damage",
-        [
-            ("N", lambda X, y, cfg: (X[:-1], y[:-1], cfg)),
-            ("d", lambda X, y, cfg: (np.hstack([X, X]), y, cfg)),
-            ("n_classes", lambda X, y, cfg: (X, y, MlrConfig(n_classes=3, seed=cfg.seed))),
-            ("epochs", lambda X, y, cfg: (X, y, MlrConfig(n_classes=2, epochs=7, seed=cfg.seed))),
-            ("batch_size", lambda X, y, cfg: (X, y, MlrConfig(n_classes=2, batch_size=None, seed=cfg.seed))),
-        ],
-    )
-    def test_members_must_share_the_step_shape(self, field, damage):
-        members = self.members(R=3)
-        model, X, y, cfg = members[2]
-        members[2] = (model, *damage(X, y, cfg))
-        with pytest.raises(ValueError, match=f"^lock-step members disagree on {field}: "):
-            train_mlr_lockstep(members)
+    def test_members_of_every_step_shape_train_in_one_call(self):
+        # members that differ in N, d, n_classes, epochs or batch_size used
+        # to be rejected; each now trains in the stacked loop of its own
+        # shape, and the models come back in member order
+        X, y = separable_1d()
+        base = MlrConfig(n_classes=2, epochs=20, seed=0)
+        members = [
+            (None, X, y, base),
+            (None, X[:-1], y[:-1], replace(base, seed=1)),  # N
+            (None, np.hstack([X, -X]), y, replace(base, seed=2)),  # d
+            (None, X, y, replace(base, n_classes=3, seed=3)),  # n_classes
+            (None, X, y, replace(base, epochs=7, seed=4)),  # epochs
+            (None, X, y, replace(base, batch_size=None, seed=5)),  # batch_size
+            (None, X, y, replace(base, learning_rate=0.3, seed=6)),  # the first member's shape
+        ]
+        with mock.patch.object(classifiers, "_train_stacked", wraps=classifiers._train_stacked) as spy:
+            models = train_mlr_lockstep(members)
+        assert sorted(len(call.args[0]) for call in spy.call_args_list) == [1, 1, 1, 1, 1, 2]
+        assert all(model.config is cfg for model, (*_, cfg) in zip(models, members))
+        for model, member in zip(models, members):
+            alone = train_mlr(*member)
+            assert np.array_equal(model.weights, alone.weights)
+            assert np.array_equal(model.bias, alone.bias)
+
+    def test_every_member_is_checked_before_any_trains(self):
+        X, y = separable_1d()
+        members = self.members() + [(None, np.hstack([X, X]), y, MlrConfig(n_classes=2, l2=-1.0))]
+        with mock.patch.object(classifiers, "_train_stacked") as spy:
+            with pytest.raises(ValueError, match="^MlrConfig.l2 "):
+                train_mlr_lockstep(members)
+        assert not spy.called
 
     def test_no_members_rejected(self):
         with pytest.raises(ValueError):

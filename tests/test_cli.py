@@ -74,6 +74,38 @@ def test_malformed_seed_override_names_the_flag(tmp_path, tiny_config, capsys, v
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0,0", "1, 2, 1"])
+def test_repeated_seed_override_rejected(tmp_path, tiny_config, capsys, value):
+    # a repeated seed used to run twice, writing every row twice and a
+    # summary over the copies
+    out = tmp_path / "out"
+    assert main(["active-learn", "--config", str(tiny_config), "--out", str(out), f"--seeds={value}"]) == 1
+    assert capsys.readouterr().err == f"error: --seeds expects distinct seeds, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "active-learn"])
+def test_empty_test_split_names_its_key(tmp_path, command, capsys):
+    # it used to fail later, as "error: empty query set" (detect) or
+    # "error: empty test set" (active-learn), naming no key
+    config = tmp_path / "tiny.cfg"
+    text = (Path(__file__).parent.parent / "configs" / "tiny_detect.cfg").read_text()
+    config.write_text(text + "test_fraction = 0.001\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: test_fraction leaves the test split empty: 210 train ids, 0 test ids\n"
+    assert not out.exists()
+
+
+def test_gen_data_on_cora_leaves_no_output_directory(tmp_path, capsys):
+    config = tmp_path / "cora.cfg"
+    config.write_text("dataset = cora\ncora_content = x.content\ncora_cites = x.cites\n")
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: gen-data needs a synthetic dataset config\n"
+    assert not out.exists()
+
+
 def test_gen_data_writes_dataset(tmp_path, tiny_config):
     out = tmp_path / "outdir"
     assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
@@ -132,9 +164,9 @@ def test_sweep_shares_one_dataset_and_leaves_it_unchanged(tmp_path, monkeypatch)
         loaded.append(dataset)
         return dataset
 
-    def run_probe(config, seed, dataset, start):
-        used.append(dataset)
-        return run(config, seed, dataset, start)
+    def run_probe(config, seed, *, start):
+        used.append(start.dataset)
+        return run(config, seed, start=start)
 
     def starts_probe(config, dataset, seeds):
         built.append(starts(config, dataset, seeds))
@@ -196,7 +228,7 @@ def test_nar_sweep_over_many_omegas_rejected(tmp_path, tiny_config, capsys):
     assert main(["sweep", "--config", str(tiny_config), "--out", str(out)]) == 1
     message = f"{tiny_config}: omegas must hold one value under noise = nar, which reads no omega"
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / "sweep_results.csv").exists()
+    assert not out.exists()
     with pytest.raises(harness.ConfigError, match=f"^{message}$") as caught:
         cli._cmd_sweep(cli._build_parser().parse_args(["sweep", "--config", str(tiny_config), "--out", str(out)]))
     assert caught.value.key == "omegas"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ctxnoise import (
+    ConfigError,
     Dataset,
     ExperimentConfig,
     SyntheticConfig,
@@ -91,6 +92,17 @@ def test_fold_splits_partition_and_differ(cora_files):
         tests.append(tuple(sorted(test)))
     assert len(set(tests)) == 10
     assert sum(len(t) for t in tests) == len(dataset)
+
+
+def test_empty_fold_names_its_key(cora_files):
+    # nine instances in ten folds leave the last fold empty
+    content, cites, _ = cora_files
+    config = cora_config(content, cites, cora_fold=9)
+    tiny = generate_synthetic(SyntheticConfig(n_classes=3, n_features=2, instances_per_class=3, seed=0))[0]
+    with pytest.raises(ConfigError) as caught:
+        split_train_test(tiny, config, seed=0)
+    assert str(caught.value) == "cora_fold leaves the test split empty: 9 train ids, 0 test ids"
+    assert caught.value.key == "cora_fold"
 
 
 def test_detection_suite_on_citation_corpus(cora_files):

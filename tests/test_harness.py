@@ -259,9 +259,8 @@ class TestRunStarts:
         runner = run_active_learning if config.mode in LEARNING_MODES else run_pseudo
         for seed, start in starts.items():
             before = [a.copy() for a in start_arrays(start)]
-            shared = runner(config, seed, dataset, start)
-            assert comparable(shared) == comparable(runner(config, seed, dataset))
-            assert comparable(runner(config, seed, None, start)) == comparable(shared)
+            shared = runner(config, seed, start=start)
+            assert comparable(shared) == comparable(runner(config, seed))
             for array, copy in zip(start_arrays(start), before):
                 assert np.array_equal(array, copy) and not array.flags.writeable
 
@@ -269,7 +268,7 @@ class TestRunStarts:
         config = small_config()
         start = harness.run_starts(config, harness.load_experiment_dataset(config), [0])[0]
         with pytest.raises(ValueError, match="built for seed 0, not seed 1"):
-            run_active_learning(config, 1, None, start)
+            run_active_learning(config, 1, start=start)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -291,13 +290,18 @@ class TestRunStarts:
         start = harness.run_starts(config, harness.load_experiment_dataset(config), [0])[0]
         (key,) = overrides
         with pytest.raises(ValueError, match=f"config with other {key}$"):
-            run_active_learning(replace(config, **overrides), 0, None, start)
+            run_active_learning(replace(config, **overrides), 0, start=start)
 
-    def test_start_on_another_dataset_rejected(self):
+    @pytest.mark.parametrize("runner", [run_active_learning, run_pseudo])
+    def test_dataset_argument_rejected(self, runner):
+        # a run used to take a dataset beside its start; the start holds it
         config = small_config()
-        start = harness.run_starts(config, harness.load_experiment_dataset(config), [0])[0]
-        with pytest.raises(ValueError, match="another dataset"):
-            run_active_learning(config, 0, harness.load_experiment_dataset(config), start)
+        dataset = harness.load_experiment_dataset(config)
+        start = harness.run_starts(config, dataset, [0])[0]
+        with pytest.raises(TypeError):
+            runner(config, 0, dataset, start)
+        with pytest.raises(TypeError):
+            runner(config, 0, dataset=dataset)
 
     def test_start_keeps_the_callers_frozen_config(self):
         # a start used to deep-copy its config, which the caller could
@@ -337,7 +341,7 @@ class TestBatchCache:
             mock.patch.object(harness, "star_divergences", wraps=detector.star_divergences) as stars,
         ):
             warm = [
-                (overrides, seed, self.runner(overrides)(replace(config, **overrides), seed, dataset, start))
+                (overrides, seed, self.runner(overrides)(replace(config, **overrides), seed, start=start))
                 for seed, start in starts.items()
                 for overrides in self.RUNS
             ]
@@ -347,7 +351,7 @@ class TestBatchCache:
         assert 0 < train.call_count < updates
         assert 0 < stars.call_count < filtered
         for overrides, seed, log in warm:
-            fresh = self.runner(overrides)(replace(config, **overrides), seed, dataset)
+            fresh = self.runner(overrides)(replace(config, **overrides), seed)
             assert comparable(log) == comparable(fresh), (overrides, seed)
 
     @staticmethod
@@ -408,25 +412,17 @@ class TestRunDetectionSuite:
         assert spy.call_count == len(config.seeds)
         assert len(rows) == 3 * 2 * 4
 
-    @pytest.mark.parametrize(
-        "mlr_epochs, members_per_call, calls",
-        [(200, None, [4]), (80, None, [2, 2]), (200, 3, [3, 1]), (80, 1, [1, 1, 1, 1])],
-    )
-    def test_models_train_in_lock_step(self, monkeypatch, mlr_epochs, members_per_call, calls):
+    @pytest.mark.parametrize("mlr_epochs, calls", [(200, [4]), (80, [2, 2])])
+    def test_models_train_in_lock_step(self, mlr_epochs, calls):
         # every seed's main model and aux logistic member share one stacked
-        # call, unless the mlr_* keys give the main models other steps than
-        # the MlrConfig defaults of the aux members, or their gathered rows
-        # outgrow LOCKSTEP_BYTES
+        # loop, unless the mlr_* keys give the main models other steps than
+        # the MlrConfig defaults of the aux members (the chunks past
+        # LOCKSTEP_BYTES are tested in test_classifiers.py)
         config = small_config(omegas=[0.2], seeds=[0, 1], mlr_epochs=mlr_epochs)
-        if members_per_call is not None:
-            # N x d floats of a pool: batch 0 of the 168 training ids; the
-            # half-pool margin below absorbs how the batch size rounds
-            pool_bytes = 8 * config.synthetic.n_features * round(168 / 5)
-            monkeypatch.setattr(harness, "LOCKSTEP_BYTES", members_per_call * pool_bytes + pool_bytes // 2)
-        with mock.patch.object(harness, "train_mlr_lockstep", wraps=classifiers.train_mlr_lockstep) as spy:
+        with mock.patch.object(classifiers, "_train_stacked", wraps=classifiers._train_stacked) as spy:
             rows = run_detection_suite(config)
         assert [len(call.args[0]) for call in spy.call_args_list] == calls
-        with mock.patch.object(harness, "_train_grouped", lambda members: [train_mlr(*m) for m in members]):
+        with mock.patch.object(harness, "train_mlr_lockstep", lambda members: [train_mlr(*m) for m in members]):
             assert run_detection_suite(config) == rows
 
     def test_nar_suite(self):
@@ -471,7 +467,18 @@ seeds = 0
 """
 
     @pytest.mark.parametrize(
-        "key, value", [("omega", 1.5), ("seeds", []), ("betas", [0.8, 1.0]), ("mode", "bogus"), ("mlr_epochs", 0)]
+        "key, value",
+        [
+            ("omega", 1.5),
+            ("seeds", []),
+            ("betas", [0.8, 1.0]),
+            ("mode", "bogus"),
+            ("mlr_epochs", 0),
+            # a repeated value used to repeat runs or sweep rows
+            ("seeds", [3, 3]),
+            ("omegas", [0.2, 0.4, 0.2]),
+            ("betas", [0.8, 0.80]),
+        ],
     )
     def test_invalid_config_cannot_be_built(self, key, value):
         # only a run used to check a config built in Python, so an invalid
@@ -552,6 +559,9 @@ seeds = 0
             "synthetic.links_per_instance = -1",
             "synthetic.seed = -1",
             "seeds = 0, -2",
+            "seeds = 1, 1",
+            "omegas = 0.2, 0.2",
+            "betas = 0.8, 0.9, 0.80",
         )]
         # with dataset = cora every synthetic.* key is ignored, typos included
         + [pytest.param("CORA", line, id=f"cora: {line}") for line in (
