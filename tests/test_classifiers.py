@@ -319,6 +319,34 @@ class TestLockstepChecks:
         model = train_mlr(None, X, y, MlrConfig(n_classes=2, epochs=0, batch_size=None))
         assert not model.weights.any()
 
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("N", lambda X, y, cfg: (X[:-1], y[:-1], cfg)),
+            ("d", lambda X, y, cfg: (np.hstack([X, X]), y, cfg)),
+            ("n_classes", lambda X, y, cfg: (X, y, MlrConfig(n_classes=3, seed=cfg.seed))),
+            ("epochs", lambda X, y, cfg: (X, y, MlrConfig(n_classes=2, epochs=7, seed=cfg.seed))),
+            ("batch_size", lambda X, y, cfg: (X, y, MlrConfig(n_classes=2, batch_size=None, seed=cfg.seed))),
+        ],
+    )
+    def test_members_must_share_the_step_shape(self, field, damage):
+        # a member whose step shape differs in one field is no longer
+        # rejected: it leaves the stacked loop of the others for its own,
+        # and every stacked loop holds members of one shape only
+        members = self.members(R=3)
+        model, X, y, cfg = members[2]
+        members[2] = (model, *damage(X, y, cfg))
+        with mock.patch.object(classifiers, "_train_stacked", wraps=classifiers._train_stacked) as spy:
+            models = train_mlr_lockstep(members)
+        assert sorted(len(call.args[0]) for call in spy.call_args_list) == [1, 2]
+        for call in spy.call_args_list:
+            shapes = {(X.shape, cfg.n_classes, cfg.epochs, cfg.batch_size) for _, X, _, cfg in call.args[0]}
+            assert len(shapes) == 1
+        for model, member in zip(models, members):
+            alone = train_mlr(*member)
+            assert np.array_equal(model.weights, alone.weights)
+            assert np.array_equal(model.bias, alone.bias)
+
     def test_members_of_every_step_shape_train_in_one_call(self):
         # members that differ in N, d, n_classes, epochs or batch_size used
         # to be rejected; each now trains in the stacked loop of its own
