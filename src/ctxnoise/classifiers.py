@@ -17,9 +17,10 @@ import numpy as np
 
 from .dataset import _read_only
 
-# The array kernels (kNN distances, star scoring, the SGD loop's gathered
-# rows) work in blocks whose temporaries stay under this many bytes each, so
-# that memory does not grow with the batch or the epoch count.
+# The array kernels (the kNN's (b, N) prefilter blocks and its gathered
+# candidate rows, star scoring, the SGD loop's gathered rows) work in blocks
+# whose temporaries stay under this many bytes each, so that memory does not
+# grow with the batch, the epoch count or the number of distance ties.
 BLOCK_BYTES = 256 * 1024
 
 # Stacked members save interpreter time on every step, but each gathers its
@@ -345,30 +346,78 @@ def train_aux(
     )
 
 
+def _knn_candidates(
+    q: np.ndarray, store: np.ndarray, store_sq: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(query, point)`` index pairs, in row-major order, of the points
+    that may lie at or inside each query's k-th exact distance.
+
+    BLAS forms ``a = |s|^2 - 2 q.s``, which is ``D - |q|^2`` up to rounding,
+    D being the real squared distance and ``f = fl(sum((s - q)**2))`` the
+    exact one of :func:`_knn_predict`.  With ``r = |q|^2 + max |s|^2``, a and
+    f are each a sum of about d rounded terms of at most 2r, so each misses
+    D (or ``D - |q|^2``) by at most about ``(d + 2) eps r``, and
+    ``|a + |q|^2 - f| <= e`` for the slack ``e = 16 (d + 4) eps (r + tiny)``.
+    That is four times the need, which also covers the rounding of the limit
+    below, and ``eps tiny``, the smallest subnormal, covers terms that
+    underflow.  Let T be the k-th smallest a of a query and F its k-th
+    smallest f.  The k points with a <= T have f <= T + |q|^2 + e, so
+    F <= T + |q|^2 + e, and a point with f <= F has
+    a <= f - |q|^2 + e <= T + 2e.  So the points with a <= T + 2e hold every
+    point at or inside the k-th exact distance, and every other point is
+    strictly farther than it.  If any a is not finite, or 4r overflows so
+    that an exact distance could, every point of every query is returned.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block selects every point
+        a = q @ store.T
+        a *= -2.0
+        a += store_sq
+        r = np.einsum("ij,ij->i", q, q) + store_sq.max()
+        e = 16 * (q.shape[1] + 4) * np.finfo(float).eps * (r + np.finfo(float).tiny)
+        limit = np.partition(a, k - 1, axis=1)[:, k - 1] + 2 * e
+        finite = np.isfinite(a).all() and np.isfinite(4 * r).all()
+    return np.nonzero((a <= limit[:, None]) | (not finite))
+
+
 def _knn_predict(ensemble: AuxEnsemble, X: np.ndarray) -> np.ndarray:
     """Majority label of each query's k nearest stored points.
 
-    The neighbours are the first k of a stable sort by distance: everything
-    strictly closer than the k-th distance, then the points at exactly that
-    distance in store order.  Vote ties fall to the smallest class index.
+    The neighbours are the first k of a stable sort by the exact distance
+    ``((s - q)**2).sum()``: everything strictly closer than the k-th
+    distance, then the points at exactly that distance in store order.
+    Vote ties fall to the smallest class index.
+
+    Only the candidates of :func:`_knn_candidates` get an exact distance;
+    every other point is strictly farther than the k-th, so the first k of
+    the candidates are the neighbours.  The candidates' rows are gathered in
+    chunks, and each re-score is the same subtraction, square and
+    contiguous row sum of length d as in the broadcast
+    ``((S - q)**2).sum(-1)``, so its bits are the same too.
     """
     Q = ensemble._transform(X)
-    if not np.isfinite(Q).all():
-        raise ValueError("query features contain non-finite values")
-    store, k = ensemble.knn_features, ensemble.knn_k
-    one_hot = np.eye(ensemble.n_classes)[ensemble.knn_labels]
-    step = max(1, BLOCK_BYTES // max(1, store.nbytes))  # queries per block
+    store, k, labels, n = ensemble.knn_features, ensemble.knn_k, ensemble.knn_labels, ensemble.n_classes
+    N, d = store.shape
+    with np.errstate(over="ignore"):  # then every point is a candidate
+        store_sq = np.einsum("ij,ij->i", store, store)
+    step = max(1, BLOCK_BYTES // (8 * N))  # queries per (b, N) block
+    chunk = max(1, BLOCK_BYTES // (8 * max(1, d)))  # candidate rows per gather
     out = np.empty(Q.shape[0], dtype=int)
     for start in range(0, Q.shape[0], step):
-        # one expression, so that numpy squares the difference in place and
-        # frees it before the next block's is made
-        dists = ((store[None, :, :] - Q[start : start + step, None, :]) ** 2).sum(axis=2)
-        kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
-        closer = dists < kth
-        ties = dists == kth
-        ties &= np.cumsum(ties, axis=1) <= k - closer.sum(axis=1, keepdims=True)
-        votes = (closer | ties) @ one_hot
-        out[start : start + step] = votes.argmax(axis=1)
+        q = Q[start : start + step]
+        if not np.isfinite(q).all():
+            raise ValueError("query features contain non-finite values")
+        i, j = _knn_candidates(q, store, store_sq, k)
+        dists = np.empty(len(i))
+        for c in range(0, len(i), chunk):
+            part = slice(c, c + chunk)
+            dists[part] = ((store[j[part]] - q[i[part]]) ** 2).sum(axis=-1)
+        # i is sorted, so each query's candidates keep their places when
+        # sorted by (query, distance, store index); its first k vote
+        counts = np.bincount(i, minlength=len(q))
+        rank = np.arange(len(i)) - (np.cumsum(counts) - counts)[i]
+        nearest = np.lexsort((j, dists, i))[rank < k]
+        votes = np.bincount(i[nearest] * n + labels[j[nearest]], minlength=len(q) * n)
+        out[start : start + step] = votes.reshape(len(q), n).argmax(axis=1)
     return out
 
 

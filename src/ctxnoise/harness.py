@@ -173,8 +173,10 @@ class ExperimentConfig:
             ("seeds", len(set(self.seeds)) == len(self.seeds), "must be distinct"),
             ("omegas", len(self.omegas) > 0 and all(0.0 <= w <= 1.0 for w in self.omegas), "must be values in [0, 1]"),
             ("omegas", len(set(self.omegas)) == len(self.omegas), "must be distinct"),
+            ("omegas", len({f"{v:g}" for v in self.omegas}) == len(self.omegas), "must stay distinct when printed with :g"),
             ("betas", len(self.betas) > 0 and all(0.0 <= b < 1.0 for b in self.betas), "must be values in [0, 1)"),
             ("betas", len(set(self.betas)) == len(self.betas), "must be distinct"),
+            ("betas", len({f"{v:g}" for v in self.betas}) == len(self.betas), "must stay distinct when printed with :g"),
             ("cora_fold", 0 <= self.cora_fold < CORA_FOLDS, f"must lie in [0, {CORA_FOLDS})"),
             ("epsilon", 0.0 < self.epsilon < math.inf, "must be positive and finite"),
             ("mlr_learning_rate", 0.0 < self.mlr_learning_rate < math.inf, "must be positive and finite"),
@@ -249,8 +251,15 @@ def split_train_test(dataset: Dataset, config: ExperimentConfig, seed: int) -> t
         key, test_pos = "cora_fold", np.array_split(np.arange(len(order)), CORA_FOLDS)[config.cora_fold]
     else:
         key, test_pos = "test_fraction", np.arange(_round_half_up(config.test_fraction * len(order)))
-    if len(test_pos) == 0:
-        raise ConfigError(f"{key} leaves the test split empty: {len(order)} train ids, 0 test ids", key)
+    n_train, n_test = len(order) - len(test_pos), len(test_pos)
+    if n_test == 0:
+        raise ConfigError(f"{key} leaves the test split empty: {n_train} train ids, 0 test ids", key)
+    if n_train < config.n_batches:
+        raise ConfigError(
+            f"{key} leaves fewer train ids than n_batches = {config.n_batches}: "
+            f"{n_train} train ids, {n_test} test ids",
+            key,
+        )
     return np.delete(order, test_pos).tolist(), order[test_pos].tolist()
 
 

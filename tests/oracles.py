@@ -10,6 +10,9 @@
 * ``mlr_loss``/``mlr_gradient`` are the logistic objective and its analytic
   gradient, and ``reference_train_mlr`` is the plain SGD loop that
   ``train_mlr`` must reproduce bit for bit.
+* ``reference_knn_predict`` is the kNN member's broadcast kernel, which
+  forms every query's full ``(N, d)`` difference tensor; the package's
+  prefiltered kernel must give the same votes on every input.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ctxnoise import Dataset, MlrModel, RelationshipModel, predict_proba
-from ctxnoise.classifiers import _softmax
+from ctxnoise.classifiers import BLOCK_BYTES, AuxEnsemble, _softmax
 
 
 def enumerate_joint(node_potentials, edges):
@@ -105,6 +108,33 @@ def reference_train_mlr(weights, bias, features, labels, config):
             W -= lr * (G.T @ X[idx] + config.l2 * W)
             b -= lr * G.sum(axis=0)
     return W, b
+
+
+def reference_knn_predict(ensemble: AuxEnsemble, X: np.ndarray) -> np.ndarray:
+    """Majority label of each query's k nearest stored points.
+
+    The neighbours are the first k of a stable sort by distance: everything
+    strictly closer than the k-th distance, then the points at exactly that
+    distance in store order.  Vote ties fall to the smallest class index.
+    """
+    Q = ensemble._transform(X)
+    if not np.isfinite(Q).all():
+        raise ValueError("query features contain non-finite values")
+    store, k = ensemble.knn_features, ensemble.knn_k
+    one_hot = np.eye(ensemble.n_classes)[ensemble.knn_labels]
+    step = max(1, BLOCK_BYTES // max(1, store.nbytes))  # queries per block
+    out = np.empty(Q.shape[0], dtype=int)
+    for start in range(0, Q.shape[0], step):
+        # one expression, so that numpy squares the difference in place and
+        # frees it before the next block's is made
+        dists = ((store[None, :, :] - Q[start : start + step, None, :]) ** 2).sum(axis=2)
+        kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
+        closer = dists < kth
+        ties = dists == kth
+        ties &= np.cumsum(ties, axis=1) <= k - closer.sum(axis=1, keepdims=True)
+        votes = (closer | ties) @ one_hot
+        out[start : start + step] = votes.argmax(axis=1)
+    return out
 
 
 def mlr_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
@@ -21,7 +22,7 @@ from ctxnoise import (
 )
 from ctxnoise import classifiers, harness, run_detection_suite
 
-from oracles import mlr_gradient, mlr_loss, reference_train_mlr
+from oracles import mlr_gradient, mlr_loss, reference_knn_predict, reference_train_mlr
 from test_harness import small_config
 
 
@@ -524,9 +525,75 @@ def test_knn_matches_stable_sort_under_distance_ties(seed, k, block_bytes):
         got = aux_predictions(ensemble, queries)[:, 2]
     assert np.array_equal(got, knn_reference(store, labels, k, 4, queries))
     # the ties really straddle the k-th place for some queries
-    dists = ((store[None] - queries[:, None]) ** 2).sum(axis=2)
+    dists = queries.sum(axis=1)[:, None] + store.sum(axis=1) - 2 * queries @ store.T  # exact for 0/1 words
     kth = np.sort(dists, axis=1)[:, k - 1 : k]
     assert ((dists < kth).sum(axis=1) + (dists == kth).sum(axis=1) > k).any()
+
+
+def untrained_aux(store, labels, n_classes, k, normalize=False):
+    """An ensemble whose logistic and SVM members are zero, so that only
+    its kNN store is fitted, whatever the scale of the features."""
+    mlr = MlrModel(np.zeros((n_classes, store.shape[1])), np.zeros(n_classes), MlrConfig(n_classes))
+    config = AuxConfig(n_classes=n_classes, knn_k=k, normalize=normalize, svm_epochs=0)
+    return train_aux(store, labels, config, mlr=mlr)
+
+
+@st.composite
+def knn_cases(draw):
+    kind = draw(st.sampled_from(["real", "integer", "offset", "huge", "tiny"]))
+    # numpy sums a row of more than 128 in pairwise halves, and of 8 or more in 8 lanes
+    N, d, M = draw(st.integers(1, 30)), draw(st.integers(0, 12) | st.integers(120, 300)), draw(st.integers(1, 12))
+    k = 2 * draw(st.integers(0, (N - 1) // 2)) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "integer":  # grid points repeat, so distances tie
+        store, queries = rng.integers(0, 3, (N, d)).astype(float), rng.integers(-2, 7, (M, d)) / 2
+    elif kind == "huge":  # every |s|^2 overflows
+        store, queries = (1e160 * rng.uniform(1, 2, (n, d)) * rng.choice([-1.0, 1.0], (n, d)) for n in (N, M))
+    else:  # "offset" cancels the matmul form badly; "tiny" squares underflow
+        scale, offset = {"real": (1.0, 0.0), "offset": (1.0, 1e8), "tiny": (1e-160, 0.0)}[kind]
+        store, queries = (offset + scale * rng.normal(size=(n, d)) for n in (N, M))
+    # stored points as queries: distance 0 and exact ties between copies
+    queries = np.concatenate([queries, store[rng.integers(0, N, 3)]])
+    n_classes = draw(st.integers(2, 4))
+    labels = rng.integers(0, n_classes, N)
+    return kind, store, labels, n_classes, k, draw(st.booleans()), queries
+
+
+@given(knn_cases(), st.sampled_from([1, classifiers.BLOCK_BYTES]))
+@settings(max_examples=300, deadline=None)
+def test_knn_prefilter_gives_the_broadcast_votes(case, block_bytes):
+    kind, store, labels, n_classes, k, normalize, queries = case
+    with np.errstate(over="ignore"):  # "huge" overflows on both sides
+        ensemble = untrained_aux(store, labels, n_classes, k, normalize)
+        if kind == "huge" and not normalize and store.size:  # the prefilter overflows
+            assert np.isinf(np.einsum("ij,ij->i", ensemble.knn_features, ensemble.knn_features)).all()
+        with mock.patch.object(classifiers, "BLOCK_BYTES", block_bytes):
+            got = aux_predictions(ensemble, queries)[:, 2]
+        assert np.array_equal(got, reference_knn_predict(ensemble, queries))
+
+
+def test_knn_memory_stays_within_blocks():
+    # 18 of 1433 binary words per row, as in CORA: most pairs share no word
+    # and so lie at the same distance, 36, and the stored points that tie at
+    # the k-th distance, all of which get re-scored, are many
+    rng = np.random.default_rng(0)
+    store, queries = (np.zeros((n, 1433)) for n in (300, 200))
+    for rows in (store, queries):
+        rows[np.arange(len(rows))[:, None], rng.random((len(rows), 1433)).argsort(axis=1)[:, :18]] = 1.0
+    ensemble = untrained_aux(store, rng.integers(0, 7, 300), 7, 5)
+    dists = queries.sum(axis=1)[:, None] + store.sum(axis=1) - 2 * queries @ store.T  # exact for 0/1 words
+    at_or_inside_kth = (dists <= np.sort(dists, axis=1)[:, 4:5]).sum()
+    assert at_or_inside_kth > 2 * 5 * len(queries)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = classifiers._knn_predict(ensemble, queries)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # an unchunked gather of the candidates' rows peaks at over 200 blocks here
+    assert peak < 8 * classifiers.BLOCK_BYTES
+    assert np.array_equal(got, reference_knn_predict(ensemble, queries))
 
 
 def test_knn_rejects_non_finite_queries():

@@ -97,6 +97,35 @@ def test_empty_test_split_names_its_key(tmp_path, command, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "active-learn"])
+def test_short_train_split_names_its_key(tmp_path, command, capsys):
+    # it used to fail later, as "error: more batches than instances",
+    # naming neither the key nor the split sizes
+    config = tmp_path / "tiny.cfg"
+    text = (Path(__file__).parent.parent / "configs" / "tiny_detect.cfg").read_text()
+    config.write_text(text + "test_fraction = 0.999\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: test_fraction leaves fewer train ids than n_batches = 4: 0 train ids, 210 test ids\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "detect"])
+@pytest.mark.parametrize("key, values", [("omegas", "0.2, 0.2000001"), ("betas", "0.8, 0.80000001")])
+def test_values_that_print_alike_rejected(tmp_path, tiny_config, capsys, command, key, values):
+    # sweep used to write six rows labelled omega0.2 and a summary of three
+    # entries; detect overwrote its summary entries the same way
+    lines = TINY.strip().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} = {values}"
+    tiny_config.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tiny_config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {tiny_config}:{lineno}: {key} must stay distinct when printed with :g\n"
+    assert not out.exists()
+
+
 def test_gen_data_on_cora_leaves_no_output_directory(tmp_path, capsys):
     config = tmp_path / "cora.cfg"
     config.write_text("dataset = cora\ncora_content = x.content\ncora_cites = x.cites\n")

@@ -105,6 +105,17 @@ def test_empty_fold_names_its_key(cora_files):
     assert caught.value.key == "cora_fold"
 
 
+def test_short_train_fold_names_its_key(cora_files):
+    # of nine instances in ten folds, fold 0 leaves eight train ids, too few for nine batches
+    content, cites, _ = cora_files
+    config = cora_config(content, cites, n_batches=9)
+    tiny = generate_synthetic(SyntheticConfig(n_classes=3, n_features=2, instances_per_class=3, seed=0))[0]
+    with pytest.raises(ConfigError) as caught:
+        split_train_test(tiny, config, seed=0)
+    assert str(caught.value) == "cora_fold leaves fewer train ids than n_batches = 9: 8 train ids, 1 test ids"
+    assert caught.value.key == "cora_fold"
+
+
 def test_detection_suite_on_citation_corpus(cora_files):
     content, cites, _ = cora_files
     rows = run_detection_suite(cora_config(content, cites))

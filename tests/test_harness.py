@@ -478,6 +478,10 @@ seeds = 0
             ("seeds", [3, 3]),
             ("omegas", [0.2, 0.4, 0.2]),
             ("betas", [0.8, 0.80]),
+            # values that print alike used to share a result label, and the
+            # later summary entry overwrote the earlier
+            ("omegas", [0.2, 0.2000001]),
+            ("betas", [0.8, 0.85, 0.80000001]),
         ],
     )
     def test_invalid_config_cannot_be_built(self, key, value):
@@ -562,6 +566,8 @@ seeds = 0
             "seeds = 1, 1",
             "omegas = 0.2, 0.2",
             "betas = 0.8, 0.9, 0.80",
+            "omegas = 0.2, 0.2000001",
+            "betas = 0.9, 0.9000000001",
         )]
         # with dataset = cora every synthetic.* key is ignored, typos included
         + [pytest.param("CORA", line, id=f"cora: {line}") for line in (
