@@ -525,7 +525,7 @@ def test_knn_matches_stable_sort_under_distance_ties(seed, k, block_bytes):
         got = aux_predictions(ensemble, queries)[:, 2]
     assert np.array_equal(got, knn_reference(store, labels, k, 4, queries))
     # the ties really straddle the k-th place for some queries
-    dists = queries.sum(axis=1)[:, None] + store.sum(axis=1) - 2 * queries @ store.T  # exact for 0/1 words
+    dists = ((store[None] - queries[:, None]) ** 2).sum(axis=2)
     kth = np.sort(dists, axis=1)[:, k - 1 : k]
     assert ((dists < kth).sum(axis=1) + (dists == kth).sum(axis=1) > k).any()
 
