@@ -329,6 +329,87 @@ def _choice_cdfs(rows: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _link_tails(rng: np.random.Generator, owners: np.ndarray, per: int, links: int, cdf: np.ndarray) -> np.ndarray:
+    """The partners that ``links`` draws pick for each owner id, as the
+    per-draw loop at the end of this function picks them, with the
+    generator (a PCG64 ``Generator``) left as that loop leaves it.
+
+    Draw k of owner u goes to tails[i * links + k], u being owners[i]: a
+    class z bisected from ``rng.random()`` into the CDF row of u's class
+    u // per, then a member of class z's id range z*per .. z*per + per - 1,
+    less u itself when z is u's class, by ``rng.integers``; -1 marks a draw
+    that found no partner.
+
+    The draws are replayed from one ``random_raw`` block of words.
+    ``random()`` takes a whole word w, as ``(w >> 11) * 2**-53``;
+    ``integers(k)`` for 2 <= k < 2**32 takes a half-word h from the bit
+    generator's buffer (the high half it saved, if it has one, else the low
+    half of a fresh word, saving the high half) and returns ``(h * k) >> 32``
+    by Lemire's method, unless the low 32 bits of ``h * k`` fall below
+    ``2**32 % k`` and it must draw again.  The replay stops at the first
+    draw it cannot reproduce: a rejection, or any draw when per is outside
+    [3, 2**32), where ``integers(1)`` draws nothing or k leaves the 32-bit
+    method.  The generator is set back to just before that draw, its
+    buffered half and its stale ``uinteger`` included, and the loop makes
+    the rest one by one.  Every array is O(owners * links), whatever per is.
+    """
+    owners = np.asarray(owners, dtype=np.int64)
+    total = len(owners) * links
+    heads = np.repeat(owners, links)
+    own = heads // per
+    tails = np.empty(total, dtype=np.int64)
+    bitgen = rng.bit_generator
+    done = 0
+    if 3 <= per < 2**32 and total > 0:
+        start = bitgen.state
+        fresh = 1 - start["has_uint32"]
+        # draw t's double is word t + (t + fresh) // 2, and it is followed
+        # by a fresh word for the integer when t + fresh is odd
+        t = np.arange(total)
+        doubles = t + (t + fresh) // 2
+        words = bitgen.random_raw(total + (total + fresh) // 2)
+        u = (words[doubles] >> 11) * 2.0**-53
+        ints = words[doubles[(t + fresh) % 2 == 1] + 1]
+        halves = np.empty(2 * len(ints) + 1 - fresh, dtype=np.uint64)
+        halves[: 1 - fresh] = start["uinteger"]  # the half the buffer holds on entry
+        halves[1 - fresh :: 2] = ints & 0xFFFFFFFF
+        halves[2 - fresh :: 2] = ints >> 32
+        z = np.empty(total, dtype=np.int64)
+        for c in range(len(cdf)):
+            mine = own == c
+            z[mine] = np.searchsorted(cdf[c], u[mine], side="right")
+        same = z == own
+        k = np.where(same, per - 1, per).astype(np.uint64)
+        m = halves[:total] * k
+        rejected = (m & 0xFFFFFFFF) < (np.uint64(2**32) - k) % k
+        done = int(rejected.argmax()) if rejected.any() else total
+        v = z * per + (m >> 32).astype(np.int64)
+        tails[:done] = np.where(same, v + (v >= heads), v)[:done]
+        if done < total:
+            bitgen.state = start
+            bitgen.random_raw(done + (done + fresh) // 2, output=False)
+        if done:
+            state = bitgen.state
+            state["has_uint32"] = (done - 1 + fresh) % 2
+            state["uinteger"] = int(halves[done - 1 + state["has_uint32"]])
+            bitgen.state = state
+
+    random, integers = rng.random, rng.integers
+    link_cdf = cdf.tolist()
+    rest: list[int] = []
+    for u, own_class in zip(heads[done:].tolist(), own[done:].tolist()):
+        z = bisect_right(link_cdf[own_class], random())
+        if z != own_class:
+            rest.append(z * per + int(integers(per)))
+        elif per > 1:
+            v = z * per + int(integers(per - 1))
+            rest.append(v + (v >= u))  # skip u's own position
+        else:
+            rest.append(-1)
+    tails[done:] = rest
+    return tails
+
+
 def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
     """Sample a linked dataset whose context structure is known exactly.
 
@@ -354,28 +435,15 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
     labels = np.repeat(np.arange(n), per)
     features = means[labels] + config.noise_scale * rng.standard_normal((total, d))
 
-    # Draws are made one by one, in the order of the per-draw loop that
-    # defined the stream: ``rng.choice(k, p=row)`` is one ``rng.random()``
-    # bisected into the row's normalized CDF, and class z's pool is the id
-    # range z*per .. z*per + per - 1, less u itself when z is u's class.
-    # Draw k of u goes to tails[u * links_per_instance + k]; -1 marks a
-    # draw that found no partner.
-    random, integers = rng.random, rng.integers
-    link_cdf = _choice_cdfs(data_rows).tolist()
-    tails: list[int] = []
-    for u, own in enumerate(labels.tolist()):
-        cdf = link_cdf[own]
-        for _ in range(config.links_per_instance):
-            z = bisect_right(cdf, random())
-            if z != own:
-                tails.append(z * per + int(integers(per)))
-            elif per > 1:
-                v = z * per + int(integers(per - 1))
-                tails.append(v + (v >= u))  # skip u's own position
-            else:
-                tails.append(-1)
+    # The link draws keep the stream of the per-draw loop that defined it:
+    # instance by instance, ``rng.choice(k, p=row)`` as one ``rng.random()``
+    # bisected into the row's normalized CDF, then the partner's position in
+    # its class by ``rng.integers``.  _link_tails replays that stream from
+    # one block of raw PCG64 words, and only from a draw it cannot replay
+    # (a Lemire rejection, about one per 2**32 / per draws, or a class of
+    # fewer than 3 instances) does it make the rest one by one, as the loop did.
     heads = np.repeat(np.arange(total), config.links_per_instance)
-    drawn = np.array(tails, dtype=np.int64)
+    drawn = _link_tails(rng, np.arange(total), per, config.links_per_instance, _choice_cdfs(data_rows))
     links = _link_index(heads[drawn >= 0], drawn[drawn >= 0], np.arange(total))
 
     # the attribute draws follow all link draws, instance by instance

@@ -1,8 +1,12 @@
 import dataclasses
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctxnoise import (
     CoraFormatError,
@@ -19,7 +23,11 @@ from ctxnoise import (
     split_batches,
     train_mlr,
 )
+from ctxnoise import dataset as dataset_module
+from ctxnoise.dataset import _choice_cdfs, _link_tails
 from ctxnoise.metrics import accuracy
+
+from oracles import reference_link_draws
 
 
 def make_config(**overrides):
@@ -99,6 +107,103 @@ class TestSyntheticGenerator:
             generate_synthetic(make_config(separation=-1.0))
         with pytest.raises(ValueError):
             generate_synthetic(make_config(attributes_per_instance=1))  # m == 0
+
+
+def link_cdf(n_classes, concentration):
+    return _choice_cdfs(concentration * np.eye(n_classes) + (1.0 - concentration) / n_classes)
+
+
+class CountingGenerator:
+    """A Generator's bit generator and draws, counting the one-by-one calls."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
+
+    def random(self):
+        self.calls += 1
+        return self.rng.random()
+
+    def integers(self, high):
+        self.calls += 1
+        return self.rng.integers(high)
+
+
+class TestLinkReplay:
+    @given(
+        n=st.integers(2, 8),
+        per=st.integers(1, 40),
+        links=st.integers(0, 7),
+        concentration=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**64 - 1),
+        buffered=st.none() | st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, per=1, links=3, concentration=0.9, seed=0, buffered=None)
+    @example(n=3, per=2, links=5, concentration=0.5, seed=1, buffered=7)
+    @example(n=2, per=3, links=1, concentration=1.0, seed=2, buffered=2**32 - 1)
+    @settings(max_examples=200, deadline=None)
+    def test_replay_gives_the_per_draw_stream(self, n, per, links, concentration, seed, buffered):
+        # the same partners, the same generator state (its buffered
+        # half-word and stale uinteger included) and the same draws after;
+        # `buffered` enters with a half-word held, as after an odd count of
+        # 32-bit draws
+        replayed, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered is not None:
+            for rng in (replayed, looped):
+                state = rng.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, buffered
+                rng.bit_generator.state = state
+        owners, cdf = np.arange(n * per), link_cdf(n, concentration)
+        tails = _link_tails(replayed, owners, per, links, cdf)
+        assert np.array_equal(tails, reference_link_draws(looped, owners, per, links, cdf))
+        assert tails.dtype == np.int64
+        assert replayed.bit_generator.state == looped.bit_generator.state
+        for draw in (lambda rng: rng.integers(2**31), lambda rng: rng.integers(5), lambda rng: rng.random()):
+            assert draw(replayed) == draw(looped)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rejection_resumes_the_per_draw_loop(self, seed):
+        # at per = 3e9 about 30% of integers(per) draws are Lemire
+        # rejections (2**32 % per of 2**32 low words), so the replay stops
+        # early in every case here and the loop makes the rest
+        per, links = 3_000_000_000, 6
+        owners = np.array([0, 1, per - 1, per, per + 5, 2 * per - 1])
+        cdf = link_cdf(2, 0.5)
+        counting = CountingGenerator(np.random.default_rng(seed))
+        looped = np.random.default_rng(seed)
+        tracemalloc.start()
+        try:
+            tails = _link_tails(counting, owners, per, links, cdf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(tails, reference_link_draws(looped, owners, per, links, cdf))
+        assert counting.bit_generator.state == looped.bit_generator.state
+        assert counting.rng.random() == looped.random()
+        assert 0 < counting.calls
+        assert peak < 64 * 1024  # nothing scales with per
+
+    def test_some_rejection_comes_after_replayed_draws(self):
+        # the cases above are not all rejections at the first draw: some
+        # replay a prefix and then resume, which the state check covers
+        per, links = 3_000_000_000, 6
+        owners = np.array([0, 1, per - 1, per, per + 5, 2 * per - 1])
+        calls = []
+        for seed in range(8):
+            counting = CountingGenerator(np.random.default_rng(seed))
+            _link_tails(counting, owners, per, links, link_cdf(2, 0.5))
+            calls.append(counting.calls)
+        assert min(calls) < 2 * len(owners) * links  # two calls a draw, from the first rejection on
+
+    @pytest.mark.parametrize("per", [1, 2, 3, 17])
+    def test_generator_gives_the_per_draw_dataset(self, per):
+        # the attribute draws follow the link draws, so they match only if
+        # the replay leaves the generator where the loop did
+        config = make_config(
+            n_classes=4, instances_per_class=per, links_per_instance=5, m_attribute_classes=3, attributes_per_instance=2
+        )
+        with mock.patch.object(dataset_module, "_link_tails", reference_link_draws):
+            expected, _ = generate_synthetic(config)
+        assert generate_synthetic(config)[0] == expected
 
 
 class TestSyntheticRoundTrip:
