@@ -9,7 +9,6 @@ from .classifiers import (
     aux_predictions,
     predict_proba,
     train_aux,
-    train_aux_lockstep,
     train_mlr,
     train_mlr_lockstep,
 )

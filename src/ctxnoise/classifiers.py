@@ -28,7 +28,6 @@ BLOCK_BYTES = 256 * 1024
 # one call the step is bound by memory and arithmetic instead: two stacked
 # members at CORA's shape (N = 487, d = 1433) trained about 5% slower than
 # the same two one after another, on a 2-CPU Xeon with 2 MiB of L2 a core.
-# The SVM members' full-batch loop stacks their N x d rows under the same cap.
 LOCKSTEP_BYTES = 8 * 1024 * 1024
 
 
@@ -142,20 +141,13 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
         Y[np.arange(X.shape[0]), y] = 1.0
         groups.setdefault((X.shape, cfg.n_classes, cfg.epochs, cfg.batch_size), []).append(len(checked))
         checked.append((model, X, Y, cfg))
-    return _lockstep(checked, groups, _train_stacked)
-
-
-def _lockstep(checked: list[tuple], groups: dict, kernel) -> list:
-    """Run ``kernel`` on each group of checked members (lists of indices
-    into ``checked``, keyed by ``((N, d), ...)``), at most ``LOCKSTEP_BYTES``
-    of N x d rows a call; returns its results in member order."""
-    results = {}
+    models: dict[int, MlrModel] = {}
     for ((N, d), *_), index in groups.items():
         size = max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
         for start in range(0, len(index), size):
             chunk = index[start : start + size]
-            results.update(zip(chunk, kernel([checked[i] for i in chunk])))
-    return [results[i] for i in range(len(checked))]
+            models.update(zip(chunk, _train_stacked([checked[i] for i in chunk])))
+    return [models[i] for i in range(len(members))]
 
 
 def _train_stacked(members: list[tuple]) -> list[MlrModel]:
@@ -319,118 +311,51 @@ def train_aux(
     """Fit the three members on one pool.  ``mlr`` is the logistic member
     already trained, as ``train_mlr`` with ``MlrConfig(n_classes,
     seed=config.seed)`` would train it, by a caller that trains it in lock
-    step with other models; None trains it here.  This is the one-member
-    call of :func:`train_aux_lockstep`."""
-    return train_aux_lockstep([(features, labels, config, mlr)])[0]
-
-
-def train_aux_lockstep(members: Sequence[tuple]) -> list[AuxEnsemble]:
-    """Fit independent aux ensembles, their SVM members in lock step.
-
-    Each member is a ``(features, labels, config, mlr)`` tuple, read as
-    :func:`train_aux` reads its arguments, and gets the ensemble that call
-    would return, bit for bit.  The logistic members not given train in one
-    :func:`train_mlr_lockstep` call.  SVM members that agree on the number
-    of rows N, the feature count d, ``n_classes`` and ``svm_epochs`` share
-    one full-batch hinge loop, at most ``LOCKSTEP_BYTES`` of rows at a time.
-    Every member is checked before any trains; the ensembles come back in
-    member order.
-    """
-    if not members:
-        raise ValueError("need at least one member")
-    checked, groups = [], {}
-    for features, labels, config, mlr in members:
-        _check_aux_config(config)
-        X = np.asarray(features, dtype=float)
-        y = np.asarray(labels, dtype=int)
-        _check_training_input(X, y, config.n_classes)
-        if config.knn_k > X.shape[0]:
-            raise ValueError(f"knn_k={config.knn_k} exceeds store size {X.shape[0]}")
-        if mlr is not None and mlr.weights.shape != (config.n_classes, X.shape[1]):
-            raise ValueError(f"logistic member is {mlr.weights.shape}, expected {(config.n_classes, X.shape[1])}")
-        groups.setdefault((X.shape, config.n_classes, config.svm_epochs), []).append(len(checked))
-        checked.append((X, y, config, mlr))
+    step with other models; None trains it here."""
+    _check_aux_config(config)
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    _check_training_input(X, y, config.n_classes)
+    if config.knn_k > X.shape[0]:
+        raise ValueError(f"knn_k={config.knn_k} exceeds store size {X.shape[0]}")
 
     # the logistic member trains with MlrConfig defaults, not the experiment's mlr_* keys
-    untrained = [i for i, (*_, mlr) in enumerate(checked) if mlr is None]
-    if untrained:
-        fitted = train_mlr_lockstep(
-            [(None, X, y, MlrConfig(n_classes=cfg.n_classes, seed=cfg.seed)) for X, y, cfg, _ in (checked[i] for i in untrained)]
-        )
-        for i, model in zip(untrained, fitted):
-            checked[i] = checked[i][:3] + (model,)
+    if mlr is None:
+        mlr = train_mlr(None, X, y, MlrConfig(n_classes=config.n_classes, seed=config.seed))
+    elif mlr.weights.shape != (config.n_classes, X.shape[1]):
+        raise ValueError(f"logistic member is {mlr.weights.shape}, expected {(config.n_classes, X.shape[1])}")
 
-    ensembles = []
-    for (X, y, config, mlr), (W, b) in zip(checked, _lockstep(checked, groups, _train_svm_stacked)):
-        mean = std = None
-        store = X
-        if config.normalize:
-            mean = X.mean(axis=0)
-            std = X.std(axis=0)
-            std = np.where(std > 0, std, 1.0)
-            store = (X - mean) / std
-        ensembles.append(
-            AuxEnsemble(
-                mlr=mlr,
-                svm_weights=W,
-                svm_bias=b,
-                knn_features=store,
-                knn_labels=y.copy(),
-                knn_k=config.knn_k,
-                feature_mean=mean,
-                feature_std=std,
-            )
-        )
-    return ensembles
+    # One-vs-rest hinge loss by full-batch subgradient descent.
+    n = config.n_classes
+    W = np.zeros((n, X.shape[1]))
+    b = np.zeros(n)
+    S = -np.ones((X.shape[0], n))
+    S[np.arange(X.shape[0]), y] = 1.0
+    for epoch in range(1, config.svm_epochs + 1):
+        lr = config.svm_learning_rate / math.sqrt(epoch)
+        margins = S * (X @ W.T + b)
+        active = (margins < 1.0) * S
+        W -= lr * (-active.T @ X / X.shape[0] + config.svm_l2 * W)
+        b -= lr * (-active.sum(axis=0) / X.shape[0])
 
+    mean = std = None
+    store = X
+    if config.normalize:
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        store = (X - mean) / std
 
-def _train_svm_stacked(members: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The one-vs-rest hinge loss of :func:`train_aux_lockstep`, by
-    full-batch subgradient descent from zero, over checked members of one
-    shape; returns each member's (weights, bias)."""
-    Xs, ys, cfgs, _ = zip(*members)
-    R, (N, d), n, epochs = len(cfgs), Xs[0].shape, cfgs[0].n_classes, cfgs[0].svm_epochs
-    # The R members hold weights as (R, n, d), their rows as (R, N, d) and
-    # their rates and l2 as (R, 1, 1).  An epoch is
-    # Z = S * (X W^T + b), A = (Z < 1) * S, W -= lr * (-A^T X / N + l2 W)
-    # and b -= lr * (-sum_rows(A) / N), S being +1 at a row's label and -1
-    # elsewhere.  Each operation and its operand order are those of the
-    # plain expressions (the reference loop in tests/oracles.py), and
-    # numpy's stacked matmul and reductions do per slice what the 2-D calls
-    # do, so each member's bits are those of its own run; every temporary
-    # lives in a buffer made once.
-    X = np.stack(Xs)
-    S = np.full((R, N, n), -1.0)
-    for S_r, y in zip(S, ys):
-        S_r[np.arange(N), y] = 1.0
-    W, b = np.zeros((R, n, d)), np.zeros((R, 1, n))
-    base_lr = np.array([c.svm_learning_rate for c in cfgs]).reshape(R, 1, 1)
-    l2 = np.array([c.svm_l2 for c in cfgs]).reshape(R, 1, 1)
-    WT = W.swapaxes(-1, -2)
-    Z, A, negA = np.empty((R, N, n)), np.empty((R, N, n)), np.empty((R, N, n))
-    hinge = np.empty((R, N, n), dtype=bool)
-    negAT = negA.swapaxes(-1, -2)
-    grad_W, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
-    for epoch in range(1, epochs + 1):
-        lr = base_lr / math.sqrt(epoch)
-        np.matmul(X, WT, Z)
-        np.add(Z, b, Z)
-        np.multiply(S, Z, Z)  # margins
-        np.less(Z, 1.0, hinge)
-        np.multiply(hinge, S, A)  # active
-        np.negative(A, negA)
-        np.matmul(negAT, X, grad_W)
-        np.divide(grad_W, N, grad_W)
-        np.multiply(l2, W, decay)
-        np.add(grad_W, decay, grad_W)
-        np.multiply(lr, grad_W, grad_W)
-        np.subtract(W, grad_W, W)
-        np.add.reduce(A, -2, None, grad_b, True)
-        np.negative(grad_b, grad_b)
-        np.divide(grad_b, N, grad_b)
-        np.multiply(lr, grad_b, grad_b)
-        np.subtract(b, grad_b, b)
-    return list(zip(W, b.reshape(R, n)))
+    return AuxEnsemble(
+        mlr=mlr,
+        svm_weights=W,
+        svm_bias=b,
+        knn_features=store,
+        knn_labels=y.copy(),
+        knn_k=config.knn_k,
+        feature_mean=mean,
+        feature_std=std,
+    )
 
 
 def _knn_candidates(

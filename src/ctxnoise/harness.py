@@ -76,8 +76,7 @@ from .classifiers import (
     aux_predictions,
     entropy,
     predict_proba,
-    train_aux,  # unused here, but bound for benchmarks/tracer.py, which wraps it in this module
-    train_aux_lockstep,
+    train_aux,
     train_mlr,
     train_mlr_lockstep,
 )
@@ -496,35 +495,31 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
     rows: list[DetectionSuiteRow] = []
 
     # Every seed's main model (the mlr_* keys) and the logistic member of
-    # its aux ensemble (MlrConfig defaults) train together, in lock step;
-    # then every seed's SVM member does, in one more.
+    # its aux ensemble (MlrConfig defaults) train together, in lock step.
     parts = [_seed_prefix(config, dataset, seed) for seed in config.seeds]
-    aux_configs = []
-    for seed, (batches, *_) in zip(config.seeds, parts):
+    aux_members = [
+        (None, pool_X, pool_y, MlrConfig(n_classes=n, seed=derive_seed(seed, _SALT_AUX)))
+        for seed, (_, _, pool_X, pool_y, _, _) in zip(config.seeds, parts)
+    ]
+    models = train_mlr_lockstep([member for *_, member in parts] + aux_members)
+
+    for seed, (batches, test_ids, pool_X, pool_y, rel, _), model, aux_mlr in zip(
+        config.seeds, parts, models, models[len(parts) :]
+    ):
         knn_k = min(config.knn_k, len(batches[0]))
         if knn_k % 2 == 0:
             knn_k -= 1
-        aux_configs.append(
+        aux = train_aux(
+            pool_X,
+            pool_y,
             AuxConfig(
                 n_classes=n,
                 knn_k=knn_k,
                 normalize=config.dataset_kind == "synthetic",
                 seed=derive_seed(seed, _SALT_AUX),
-            )
+            ),
+            mlr=aux_mlr,
         )
-    aux_members = [
-        (None, pool_X, pool_y, MlrConfig(n_classes=n, seed=aux.seed))
-        for aux, (_, _, pool_X, pool_y, _, _) in zip(aux_configs, parts)
-    ]
-    models = train_mlr_lockstep([member for *_, member in parts] + aux_members)
-    ensembles = train_aux_lockstep(
-        [
-            (pool_X, pool_y, aux, aux_mlr)
-            for aux, (_, _, pool_X, pool_y, _, _), aux_mlr in zip(aux_configs, parts, models[len(parts) :])
-        ]
-    )
-
-    for seed, (_, test_ids, pool_X, pool_y, rel, _), model, aux in zip(config.seeds, parts, models, ensembles):
         y_test = dataset.true_labels(test_ids)
         # the detectors' classifier outputs and star divergences do not
         # depend on the injected labels

@@ -13,8 +13,6 @@
 * ``reference_knn_predict`` is the kNN member's broadcast kernel, which
   forms every query's full ``(N, d)`` difference tensor; the package's
   prefiltered kernel must give the same votes on every input.
-* ``reference_train_svm`` is the aux ensemble's plain full-batch hinge
-  loop, which ``train_aux_lockstep`` must reproduce bit for bit.
 * ``reference_link_draws`` is the per-draw loop that defines the synthetic
   link stream, one ``random()``/``integers()`` call at a time; the
   package's bulk replay must give the same partners and leave the
@@ -114,24 +112,6 @@ def reference_train_mlr(weights, bias, features, labels, config):
             G = (P - Y[idx]) / len(idx)
             W -= lr * (G.T @ X[idx] + config.l2 * W)
             b -= lr * G.sum(axis=0)
-    return W, b
-
-
-def reference_train_svm(features, labels, config):
-    """The one-vs-rest hinge loss of the aux ensemble's SVM member, by
-    full-batch subgradient descent from zero, one expression per update."""
-    X = np.asarray(features, dtype=float)
-    n = config.n_classes
-    W = np.zeros((n, X.shape[1]))
-    b = np.zeros(n)
-    S = -np.ones((X.shape[0], n))
-    S[np.arange(X.shape[0]), labels] = 1.0
-    for epoch in range(1, config.svm_epochs + 1):
-        lr = config.svm_learning_rate / math.sqrt(epoch)
-        margins = S * (X @ W.T + b)
-        active = (margins < 1.0) * S
-        W -= lr * (-active.T @ X / X.shape[0] + config.svm_l2 * W)
-        b -= lr * (-active.sum(axis=0) / X.shape[0])
     return W, b
 
 

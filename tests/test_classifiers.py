@@ -18,13 +18,12 @@ from ctxnoise import (
     generate_synthetic,
     predict_proba,
     train_aux,
-    train_aux_lockstep,
     train_mlr,
     train_mlr_lockstep,
 )
 from ctxnoise import classifiers, harness, run_detection_suite
 
-from oracles import mlr_gradient, mlr_loss, reference_knn_predict, reference_train_mlr, reference_train_svm
+from oracles import mlr_gradient, mlr_loss, reference_knn_predict, reference_train_mlr
 from test_harness import small_config
 
 
@@ -615,78 +614,6 @@ def test_knn_rejects_non_finite_queries():
         aux_predictions(ensemble, np.array([[np.nan]]))
 
 
-@given(
-    shapes=st.lists(
-        st.tuples(st.integers(1, 40), st.integers(1, 12), st.integers(2, 5), st.sampled_from([0, 1, 3, 25])),
-        min_size=1,
-        max_size=4,
-    ),
-    R=st.integers(1, 8),
-    given_mlr=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_svm_lockstep_members_are_bit_identical_to_the_plain_loop(shapes, R, given_mlr, seed):
-    # members of a few shapes (N, d, n_classes, svm_epochs), interleaved,
-    # each with its own data, rate and l2; the bytes compare signed zeros too
-    rng = np.random.default_rng(seed)
-    members = []
-    for r in range(R):
-        N, d, n, epochs = shapes[int(rng.integers(len(shapes)))]
-        X = rng.standard_normal((N, d)) * rng.choice([0.1, 1.0, 10.0])
-        y = rng.integers(0, n, N)
-        config = AuxConfig(
-            n_classes=n,
-            knn_k=1,
-            svm_learning_rate=float(rng.choice([1e-3, 0.1, 0.5])),
-            svm_l2=float(rng.choice([0.0, 1e-4, 1e-2])),
-            svm_epochs=epochs,
-            seed=r,
-        )
-        mlr = train_mlr(None, X, y, MlrConfig(n_classes=n, seed=r)) if given_mlr else None
-        members.append((X, y, config, mlr))
-    with mock.patch.object(classifiers, "_train_svm_stacked", wraps=classifiers._train_svm_stacked) as spy:
-        ensembles = train_aux_lockstep(members)
-    assert sum(len(call.args[0]) for call in spy.call_args_list) == len(ensembles) == R
-    for call in spy.call_args_list:
-        assert len({(X.shape, cfg.n_classes, cfg.svm_epochs) for X, _, cfg, _ in call.args[0]}) == 1
-    for ensemble, (X, y, config, mlr) in zip(ensembles, members):
-        W, b = reference_train_svm(X, y, config)
-        assert ensemble.svm_weights.shape == W.shape
-        assert ensemble.svm_weights.tobytes() == W.tobytes()
-        assert ensemble.svm_bias.tobytes() == b.tobytes()
-        alone = train_mlr(None, X, y, MlrConfig(n_classes=config.n_classes, seed=config.seed))
-        assert np.array_equal(ensemble.mlr.weights, alone.weights)
-        assert ensemble.mlr is mlr or mlr is None
-        assert np.array_equal(ensemble.knn_labels, y)
-
-
-@pytest.mark.parametrize("members_per_call, calls", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1]), (5, [5])])
-def test_svm_lockstep_chunks_stay_under_lockstep_bytes(members_per_call, calls):
-    # past LOCKSTEP_BYTES of stacked N x d rows a shape trains in chunks
-    rng = np.random.default_rng(3)
-    N, d, n = 30, 6, 3
-    members = [
-        (
-            rng.standard_normal((N, d)),
-            rng.integers(0, n, N),
-            AuxConfig(n_classes=n, svm_learning_rate=0.05 * (r + 1), svm_l2=1e-3 * r, svm_epochs=25, seed=r),
-            None,
-        )
-        for r in range(5)
-    ]
-    with (
-        mock.patch.object(classifiers, "LOCKSTEP_BYTES", members_per_call * 8 * N * d),
-        mock.patch.object(classifiers, "_train_svm_stacked", wraps=classifiers._train_svm_stacked) as spy,
-    ):
-        ensembles = train_aux_lockstep(members)
-    assert [len(call.args[0]) for call in spy.call_args_list] == calls
-    for ensemble, (X, y, config, _) in zip(ensembles, members):
-        W, b = reference_train_svm(X, y, config)
-        assert np.array_equal(ensemble.svm_weights, W)
-        assert np.array_equal(ensemble.svm_bias, b)
-
-
 class TestAuxChecks:
     @pytest.mark.parametrize(
         "field, value",
@@ -703,23 +630,13 @@ class TestAuxChecks:
         X, y = separable_1d()
         config = AuxConfig(n_classes=2, knn_k=1, **{field: value})
         message = rf"^AuxConfig\.{field} .*, got {re.escape(repr(value))}$"
-        with pytest.raises(ValueError, match=message):
-            train_aux(X, y, config)
-        # every member is checked before any trains
-        members = [(X, y, AuxConfig(n_classes=2, knn_k=1), None), (X, y, config, None)]
-        with (
-            mock.patch.object(classifiers, "train_mlr_lockstep") as mlr_spy,
-            mock.patch.object(classifiers, "_train_svm_stacked") as svm_spy,
-        ):
+        # the config is checked before the logistic member trains
+        with mock.patch.object(classifiers, "train_mlr") as spy:
             with pytest.raises(ValueError, match=message):
-                train_aux_lockstep(members)
-        assert not mlr_spy.called and not svm_spy.called
+                train_aux(X, y, config)
+        assert not spy.called
 
     def test_even_k_named(self):
         X, y = separable_1d()
         with pytest.raises(ValueError, match=r"^AuxConfig\.knn_k must be a positive odd number, got 4$"):
             train_aux(X, y, AuxConfig(n_classes=2, knn_k=4))
-
-    def test_no_members_rejected(self):
-        with pytest.raises(ValueError):
-            train_aux_lockstep([])

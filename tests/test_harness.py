@@ -20,7 +20,6 @@ from ctxnoise import (
     select_informative,
     summarize_detection,
     summarize_learning,
-    train_aux,
     train_mlr,
 )
 from ctxnoise import classifiers, detector, harness
@@ -424,20 +423,6 @@ class TestRunDetectionSuite:
             rows = run_detection_suite(config)
         assert [len(call.args[0]) for call in spy.call_args_list] == calls
         with mock.patch.object(harness, "train_mlr_lockstep", lambda members: [train_mlr(*m) for m in members]):
-            assert run_detection_suite(config) == rows
-
-    def test_svm_members_train_in_one_lock_step_call(self):
-        # every seed's aux ensemble trains in one call, whose SVM members
-        # share one stacked loop, and the rows are those of plain training
-        config = small_config(omegas=[0.2], seeds=[0, 1, 2])
-        with (
-            mock.patch.object(harness, "train_aux_lockstep", wraps=classifiers.train_aux_lockstep) as spy,
-            mock.patch.object(classifiers, "_train_svm_stacked", wraps=classifiers._train_svm_stacked) as kernel,
-        ):
-            rows = run_detection_suite(config)
-        assert [len(call.args[0]) for call in spy.call_args_list] == [3]
-        assert [len(call.args[0]) for call in kernel.call_args_list] == [3]
-        with mock.patch.object(harness, "train_aux_lockstep", lambda members: [train_aux(*m) for m in members]):
             assert run_detection_suite(config) == rows
 
     def test_nar_suite(self):
