@@ -31,7 +31,7 @@ BLOCK_BYTES = 256 * 1024
 LOCKSTEP_BYTES = 8 * 1024 * 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlrConfig:
     n_classes: int
     learning_rate: float = 0.1
@@ -39,6 +39,18 @@ class MlrConfig:
     epochs: int = 200
     batch_size: int | None = 32   # None = full batch
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # each check is written so that NaN fails it
+        checks = (
+            ("learning_rate", 0.0 < self.learning_rate < math.inf, "must be positive and finite"),
+            ("l2", 0.0 <= self.l2 < math.inf, "must be >= 0 and finite"),
+            ("epochs", self.epochs >= 0, "must be >= 0"),
+            ("batch_size", self.batch_size is None or self.batch_size >= 1, "must be >= 1 or None"),
+        )
+        for name, ok, requirement in checks:
+            if not ok:
+                raise ValueError(f"MlrConfig.{name} {requirement}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,19 +91,6 @@ def _check_training_input(features: np.ndarray, labels: np.ndarray, n_classes: i
         raise ValueError(f"labels must lie in [0, {n_classes})")
 
 
-def _check_config(cfg: MlrConfig) -> None:
-    # each check is written so that NaN fails it
-    checks = (
-        ("learning_rate", 0.0 < cfg.learning_rate < math.inf, "must be positive and finite"),
-        ("l2", 0.0 <= cfg.l2 < math.inf, "must be >= 0 and finite"),
-        ("epochs", cfg.epochs >= 0, "must be >= 0"),
-        ("batch_size", cfg.batch_size is None or cfg.batch_size >= 1, "must be >= 1 or None"),
-    )
-    for name, ok, requirement in checks:
-        if not ok:
-            raise ValueError(f"MlrConfig.{name} {requirement}, got {getattr(cfg, name)!r}")
-
-
 def train_mlr(
     model: MlrModel | None,
     features: np.ndarray,
@@ -118,8 +117,8 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
     l2 and start point.  Members that agree on the number of rows N, the
     feature count d, ``n_classes``, ``epochs`` and ``batch_size`` share one
     SGD loop, at most ``LOCKSTEP_BYTES`` of gathered rows at a time, in
-    which one numpy call does a step's work for all of them.  Every member
-    is checked before any trains; the models come back in member order.
+    which one numpy call does a step's work for all of them.  Every member's
+    input is checked before any trains; the models come back in member order.
     """
     if not members:
         raise ValueError("need at least one member")
@@ -128,7 +127,6 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
         if model is None and config is None:
             raise ValueError("cold start needs a config")
         cfg = config if config is not None else model.config
-        _check_config(cfg)
         X = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=int)
         _check_training_input(X, y, cfg.n_classes)
@@ -258,7 +256,7 @@ def entropy(proba: np.ndarray) -> np.ndarray:
     return -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuxConfig:
     n_classes: int
     knn_k: int = 5
@@ -267,6 +265,18 @@ class AuxConfig:
     svm_l2: float = 1e-4
     svm_epochs: int = 200
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # each check is written so that NaN fails it
+        checks = (
+            ("knn_k", self.knn_k >= 1 and self.knn_k % 2 == 1, "must be a positive odd number"),
+            ("svm_learning_rate", 0.0 < self.svm_learning_rate < math.inf, "must be positive and finite"),
+            ("svm_l2", 0.0 <= self.svm_l2 < math.inf, "must be >= 0 and finite"),
+            ("svm_epochs", self.svm_epochs >= 0, "must be >= 0"),
+        )
+        for name, ok, requirement in checks:
+            if not ok:
+                raise ValueError(f"AuxConfig.{name} {requirement}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -292,19 +302,6 @@ class AuxEnsemble:
         return (X - self.feature_mean) / self.feature_std
 
 
-def _check_aux_config(cfg: AuxConfig) -> None:
-    # each check is written so that NaN fails it
-    checks = (
-        ("knn_k", cfg.knn_k >= 1 and cfg.knn_k % 2 == 1, "must be a positive odd number"),
-        ("svm_learning_rate", 0.0 < cfg.svm_learning_rate < math.inf, "must be positive and finite"),
-        ("svm_l2", 0.0 <= cfg.svm_l2 < math.inf, "must be >= 0 and finite"),
-        ("svm_epochs", cfg.svm_epochs >= 0, "must be >= 0"),
-    )
-    for name, ok, requirement in checks:
-        if not ok:
-            raise ValueError(f"AuxConfig.{name} {requirement}, got {getattr(cfg, name)!r}")
-
-
 def train_aux(
     features: np.ndarray, labels: np.ndarray, config: AuxConfig, mlr: MlrModel | None = None
 ) -> AuxEnsemble:
@@ -312,7 +309,6 @@ def train_aux(
     already trained, as ``train_mlr`` with ``MlrConfig(n_classes,
     seed=config.seed)`` would train it, by a caller that trains it in lock
     step with other models; None trains it here."""
-    _check_aux_config(config)
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     _check_training_input(X, y, config.n_classes)

@@ -113,6 +113,15 @@ def _run_learning(args: argparse.Namespace, runner, prefix: str) -> None:
     print(f"wrote {out_dir / (prefix + '_results.csv')}")
 
 
+def _sum_in_order(values: list[float]) -> float:
+    """Left to right, as the builtin ``sum`` adds floats before CPython 3.12,
+    which compensates them, so a summary's bytes do not depend on it."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _cmd_sweep(args: argparse.Namespace) -> None:
     """One summary row per (omega, beta): accuracy gain of the context filter
     over learning on unfiltered noisy labels, mean +/- std across seeds.
@@ -153,8 +162,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
                         "kept": "",
                     }
                 )
-            mean = sum(gains) / len(gains)
-            var = sum((g - mean) ** 2 for g in gains) / len(gains)
+            mean = _sum_in_order(gains) / len(gains)
+            var = _sum_in_order([(g - mean) ** 2 for g in gains]) / len(gains)
             summary[f"omega={omega:g},beta={beta:g}"] = {
                 "accuracy_gain_over_sn": mean,
                 "accuracy_gain_std": var**0.5,

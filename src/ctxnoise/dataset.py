@@ -42,6 +42,15 @@ class CoraFormatError(ValueError):
     """Raised for malformed CORA-format files, with file and line context."""
 
 
+class ConfigError(ValueError):
+    """Bad or missing experiment configuration; ``key`` names the config key
+    at fault, when there is one."""
+
+    def __init__(self, message: str, key: str | None = None) -> None:
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass(eq=False)
 class Instance:
     """One data point as a record, for building a :class:`Dataset` by hand.
@@ -164,6 +173,10 @@ class Dataset:
     rows and ``attributes`` to its stacked attribute observations (each a
     distribution over the m attribute classes; None for none), both as CSR.
     Rows keep their input order, and the arrays are read-only copies.
+    Construction checks every invariant (at least 2 classes, labels in
+    range, observations that are distributions, symmetric links without
+    self-links) and raises ValueError naming the first instance, in row
+    order, that breaks one.
 
     ``Dataset(instances=[Instance(...), ...], n_classes=..., ...)`` builds
     the same arrays from a list of records instead.
@@ -202,6 +215,27 @@ class Dataset:
             and attributes.values.shape[1:] == (m,) and ((links.values >= 0) & (links.values < n)).all()
         ):
             raise ValueError(f"dataset arrays do not describe {n} instances with {m} attribute classes")
+        if self.n_classes < 2:
+            raise ValueError("need at least 2 classes")
+        bad_label = (labels < 0) | (labels >= self.n_classes)
+        obs = attributes.values
+        bad_obs = (obs < 0).any(axis=1) | (np.abs(obs.sum(axis=1) - 1.0) > 1e-9)
+        owners, neighbours = links.owners(), links.values
+        self_link = owners == neighbours
+        forward, backward = np.sort(owners * n + neighbours), neighbours * n + owners
+        one_way = forward[np.searchsorted(forward, backward).clip(max=len(forward) - 1)] != backward
+        bad_obs_row = np.bincount(attributes.owners()[bad_obs], minlength=n) > 0
+        bad_row = bad_label | bad_obs_row | (np.bincount(owners[self_link | one_way], minlength=n) > 0)
+        if bad_row.any():
+            r = int(bad_row.argmax())
+            if bad_label[r]:
+                raise ValueError(f"instance {ids[r]}: true_label {labels[r]} out of range")
+            if bad_obs_row[r]:
+                raise ValueError(f"instance {ids[r]}: attribute observation is not a distribution")
+            lo, hi = links.indptr[r], links.indptr[r + 1]
+            if self_link[lo:hi].any():
+                raise ValueError(f"instance {ids[r]}: self-link")
+            raise ValueError(f"link {ids[r]}->{ids[neighbours[lo + one_way[lo:hi].argmax()]]} is not symmetric")
         for name, value in arrays.items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_index", _id_order(ids))
@@ -231,39 +265,6 @@ class Dataset:
     def true_labels(self, instance_ids: Sequence[int]) -> np.ndarray:
         return self.labels[self.rows(instance_ids)]
 
-    def validate(self) -> None:
-        """Check structural invariants; raises ValueError naming the first
-        instance, in row order, that breaks one.
-
-        Feature and attribute-observation lengths are already checked at
-        construction.
-        """
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
-        n = len(self)
-        bad_label = (self.labels < 0) | (self.labels >= self.n_classes)
-        obs = self.attributes.values
-        bad_obs = (obs < 0).any(axis=1) | (np.abs(obs.sum(axis=1) - 1.0) > 1e-9)
-        owners, neighbours = self.links.owners(), self.links.values
-        self_link = owners == neighbours
-        forward, backward = np.sort(owners * n + neighbours), neighbours * n + owners
-        one_way = forward[np.searchsorted(forward, backward).clip(max=len(forward) - 1)] != backward
-        bad_obs_row = np.bincount(self.attributes.owners()[bad_obs], minlength=n) > 0
-        bad_row = bad_label | bad_obs_row | (np.bincount(owners[self_link | one_way], minlength=n) > 0)
-        if not bad_row.any():
-            return
-        r = int(bad_row.argmax())
-        inst_id = self.ids[r]
-        if bad_label[r]:
-            raise ValueError(f"instance {inst_id}: true_label {self.labels[r]} out of range")
-        if bad_obs_row[r]:
-            raise ValueError(f"instance {inst_id}: attribute observation is not a distribution")
-        lo, hi = self.links.indptr[r], self.links.indptr[r + 1]
-        if self_link[lo:hi].any():
-            raise ValueError(f"instance {inst_id}: self-link")
-        other = self.ids[neighbours[lo + one_way[lo:hi].argmax()]]
-        raise ValueError(f"link {inst_id}->{other} is not symmetric")
-
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -272,7 +273,9 @@ class SyntheticConfig:
     ``concentration`` in [0, 1] mixes a one-hot co-occurrence row (peaked on
     the instance's own class) with the uniform distribution; 1.0 makes every
     link stay inside its class.  ``separation`` scales the class means and
-    ``noise_scale`` the isotropic feature noise around them.
+    ``noise_scale`` the isotropic feature noise around them.  An
+    out-of-range value raises :class:`ConfigError` at construction, keyed
+    ``synthetic.<field>``.
     """
 
     n_classes: int
@@ -286,10 +289,9 @@ class SyntheticConfig:
     attributes_per_instance: int = 0
     seed: int = 0
 
-    def checks(self) -> tuple[tuple[str, bool, str], ...]:
-        """(field, holds, requirement) for every range rule; each is written
-        so that NaN fails it."""
-        return (
+    def __post_init__(self) -> None:
+        # each check is written so that NaN fails it
+        checks = (
             ("n_classes", self.n_classes >= 2, "must be >= 2"),
             ("n_features", self.n_features >= 1, "must be positive"),
             ("instances_per_class", self.instances_per_class >= 1, "must be positive"),
@@ -306,11 +308,9 @@ class SyntheticConfig:
                 "> 0 requires m_attribute_classes > 0",
             ),
         )
-
-    def validate(self) -> None:
-        for name, holds, requirement in self.checks():
-            if not holds:
-                raise ValueError(f"{name} {requirement}")
+        for name, ok, requirement in checks:
+            if not ok:
+                raise ConfigError(f"synthetic.{name} {requirement}", f"synthetic.{name}")
 
 
 @dataclass
@@ -419,7 +419,6 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
     the class-to-attribute row, encoded as smoothed one-hots.  Deterministic
     for a fixed seed.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     n, m, d = config.n_classes, config.m_attribute_classes, config.n_features
     per = config.instances_per_class
@@ -456,7 +455,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
         picks = (cdf <= rng.random(total * a)[:, None]).sum(axis=1)  # bisect_right
         attributes = CsrIndex(_indptr(np.full(total, a)), one_hots[picks])
 
-    dataset = Dataset(
+    return Dataset(
         ids=np.arange(total),
         labels=labels,
         features=features,
@@ -466,9 +465,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
         m_attribute_classes=m,
         class_names=[f"class_{c}" for c in range(n)],
         seed=config.seed,
-    )
-    dataset.validate()
-    return dataset, GroundTruth(means, data_rows, attr_rows)
+    ), GroundTruth(means, data_rows, attr_rows)
 
 
 def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
@@ -536,7 +533,7 @@ def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
         raise CoraFormatError(f"{cites_path}:{linenos[k]}: unknown instance id {cites[k, end]}")
     rows = _find_rows(order, sorted_ids, cites[cites[:, 0] != cites[:, 1]])  # self-citations are dropped
 
-    dataset = Dataset(
+    return Dataset(
         ids=ids_arr,
         labels=labels,
         features=features,
@@ -545,8 +542,6 @@ def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
         m_attribute_classes=0,
         class_names=class_names,
     )
-    dataset.validate()
-    return dataset
 
 
 def save_cora(dataset: Dataset, content_path: str | Path, cites_path: str | Path) -> None:
@@ -555,9 +550,13 @@ def save_cora(dataset: Dataset, content_path: str | Path, cites_path: str | Path
     Load/save is a semantic round trip: link direction is not preserved
     (links are undirected), each link is written once as ``min_id max_id``,
     and the output is canonical, so save(load(save(x))) is byte-identical.
+    Features must all be 0 or 1, as the format stores them.
     """
     if dataset.m_attribute_classes != 0:
         raise ValueError("CORA format has no attribute observations")
+    not_binary = ((dataset.features != 0) & (dataset.features != 1)).any(axis=1)
+    if not_binary.any():
+        raise ValueError(f"instance {dataset.ids[not_binary.argmax()]}: CORA format needs features of 0 or 1")
     names = dataset.class_names
     with Path(content_path).open("w") as fh:
         for inst_id, label, row in zip(dataset.ids.tolist(), dataset.labels.tolist(), dataset.features.astype(int).tolist()):
@@ -629,7 +628,7 @@ def load_synthetic(path: str | Path) -> Dataset:
     if len(ids) != count:
         raise ValueError(f"{path}: header promises {count} instances, found {len(ids)}")
     ids_arr = np.array(ids, dtype=np.int64)
-    dataset = Dataset(
+    return Dataset(
         ids=ids_arr,
         labels=labels,
         features=np.array(features, dtype=float).reshape(len(ids), d),
@@ -640,8 +639,6 @@ def load_synthetic(path: str | Path) -> Dataset:
         class_names=[f"class_{c}" for c in range(n)],
         seed=seed,
     )
-    dataset.validate()
-    return dataset
 
 
 def split_batches(

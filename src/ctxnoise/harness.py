@@ -80,7 +80,7 @@ from .classifiers import (
     train_mlr,
     train_mlr_lockstep,
 )
-from .dataset import Dataset, SyntheticConfig, _read_only, generate_synthetic, load_cora, split_batches
+from .dataset import ConfigError, Dataset, SyntheticConfig, _read_only, generate_synthetic, load_cora, split_batches
 from .detector import DEFAULT_BETA, cnld_detect, detect_topk, star_divergences
 from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc
 from .noise import inject_nar, inject_ncar, estimate_transition, _round_half_up
@@ -103,15 +103,6 @@ _SALT_SELECT = 3
 _SALT_NOISE = 4
 _SALT_MLR = 5
 _SALT_AUX = 6
-
-
-class ConfigError(ValueError):
-    """Bad or missing experiment configuration; ``key`` names the config key
-    at fault, when there is one."""
-
-    def __init__(self, message: str, key: str | None = None) -> None:
-        super().__init__(message)
-        self.key = key
 
 
 def derive_seed(seed: int, *salts: int) -> int:
@@ -185,8 +176,6 @@ class ExperimentConfig:
             ("mlr_batch_size", self.mlr_batch_size is None or self.mlr_batch_size >= 1, "must be >= 1 or none"),
             ("knn_k", self.knn_k >= 1, "must be >= 1"),
         )
-        if self.dataset_kind == "synthetic":
-            checks += tuple((f"synthetic.{name}", ok, req) for name, ok, req in self.synthetic.checks())
         for key, ok, requirement in checks:
             if not ok:
                 raise ConfigError(f"{key} {requirement}", key)
@@ -733,11 +722,11 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         for required in ("n_classes", "n_features", "instances_per_class"):
             if f"synthetic.{required}" not in values:
                 raise ConfigError(f"missing required config key: synthetic.{required}")
-        kwargs["synthetic"] = SyntheticConfig(**{
+        synthetic = {
             key.removeprefix("synthetic."): typed(key, _SYN_KEY_TYPES)
             for key in values
             if key.startswith("synthetic.")
-        })
+        }
     elif kind == "cora":
         stray = next((key for key in values if key.startswith("synthetic.")), None)
         if stray is not None:
@@ -750,6 +739,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             kwargs[key] = typed(key, _KEY_TYPES)
 
     try:
+        if kind == "synthetic":
+            kwargs["synthetic"] = SyntheticConfig(**synthetic)
         return ExperimentConfig(**kwargs)
     except ConfigError as exc:
         if exc.key in values:

@@ -307,14 +307,16 @@ class TestLockstepChecks:
         ],
     )
     def test_bad_config_rejected(self, field, value):
-        X, y = separable_1d()
-        config = MlrConfig(n_classes=2, **{field: value})
-        with pytest.raises(ValueError, match=f"^MlrConfig.{field} "):
-            train_mlr(None, X, y, config)
-        members = self.members()
-        members[1] = (None, X, y, config)
-        with pytest.raises(ValueError, match=f"^MlrConfig.{field} "):
-            train_mlr_lockstep(members)
+        # the trainers used to check each member's config; a bad config now
+        # cannot be built, by hand or by replace, so none reaches them
+        message = rf"^MlrConfig\.{field} .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            MlrConfig(n_classes=2, **{field: value})
+        config = MlrConfig(n_classes=2)
+        with pytest.raises(ValueError, match=message):
+            replace(config, **{field: value})
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, field, value)
 
     def test_featureless_pool_trains_the_bias(self):
         # an N x 0 pool used to divide by zero when the lock-step chunks were sized
@@ -385,9 +387,11 @@ class TestLockstepChecks:
 
     def test_every_member_is_checked_before_any_trains(self):
         X, y = separable_1d()
-        members = self.members() + [(None, np.hstack([X, X]), y, MlrConfig(n_classes=2, l2=-1.0))]
+        bad = np.hstack([X, X])
+        bad[0, 0] = np.nan
+        members = self.members() + [(None, bad, y, MlrConfig(n_classes=2))]
         with mock.patch.object(classifiers, "_train_stacked") as spy:
-            with pytest.raises(ValueError, match="^MlrConfig.l2 "):
+            with pytest.raises(ValueError, match="^features contain non-finite values$"):
                 train_mlr_lockstep(members)
         assert not spy.called
 
@@ -627,16 +631,16 @@ class TestAuxChecks:
         ],
     )
     def test_bad_svm_config_rejected(self, field, value):
-        X, y = separable_1d()
-        config = AuxConfig(n_classes=2, knn_k=1, **{field: value})
+        # train_aux used to check its config; a bad one now cannot be built
         message = rf"^AuxConfig\.{field} .*, got {re.escape(repr(value))}$"
-        # the config is checked before the logistic member trains
-        with mock.patch.object(classifiers, "train_mlr") as spy:
-            with pytest.raises(ValueError, match=message):
-                train_aux(X, y, config)
-        assert not spy.called
+        with pytest.raises(ValueError, match=message):
+            AuxConfig(n_classes=2, knn_k=1, **{field: value})
+        config = AuxConfig(n_classes=2, knn_k=1)
+        with pytest.raises(ValueError, match=message):
+            replace(config, **{field: value})
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, field, value)
 
     def test_even_k_named(self):
-        X, y = separable_1d()
         with pytest.raises(ValueError, match=r"^AuxConfig\.knn_k must be a positive odd number, got 4$"):
-            train_aux(X, y, AuxConfig(n_classes=2, knn_k=4))
+            AuxConfig(n_classes=2, knn_k=4)

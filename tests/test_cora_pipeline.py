@@ -38,7 +38,7 @@ def binary_citation_dataset(seed=0, n=3, per=100, d=18):
     for c in range(n):
         probs[c, c * block : (c + 1) * block] = 0.6
     features = (rng.random((len(topo), d)) < probs[topo.labels]).astype(float)
-    ds = Dataset(
+    return Dataset(
         ids=topo.ids + 1000,  # CORA-style arbitrary ids
         labels=topo.labels,
         features=features,
@@ -47,8 +47,6 @@ def binary_citation_dataset(seed=0, n=3, per=100, d=18):
         m_attribute_classes=0,
         class_names=[f"topic_{c}" for c in range(n)],
     )
-    ds.validate()
-    return ds
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxnoise import (
+    ConfigError,
     CoraFormatError,
     CsrIndex,
     Dataset,
@@ -24,6 +26,7 @@ from ctxnoise import (
     train_mlr,
 )
 from ctxnoise import dataset as dataset_module
+from ctxnoise import harness
 from ctxnoise.dataset import _choice_cdfs, _link_tails
 from ctxnoise.metrics import accuracy
 
@@ -107,6 +110,26 @@ class TestSyntheticGenerator:
             generate_synthetic(make_config(separation=-1.0))
         with pytest.raises(ValueError):
             generate_synthetic(make_config(attributes_per_instance=1))  # m == 0
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"instances_per_class": 0}, "synthetic.instances_per_class must be positive"),
+            ({"separation": -1.0}, "synthetic.separation must be >= 0 and finite"),
+            ({"noise_scale": math.nan}, "synthetic.noise_scale must be >= 0 and finite"),
+            ({"attributes_per_instance": 1}, "synthetic.attributes_per_instance > 0 requires m_attribute_classes > 0"),
+        ],
+    )
+    def test_invalid_config_names_the_key(self, overrides, message):
+        # a config was checked only when generate_synthetic ran; it is now
+        # checked when it is built, and by dataclasses.replace
+        key = message.split()[0]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as caught:
+            make_config(**overrides)
+        assert caught.value.key == key
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(make_config(), **overrides)
+        assert ConfigError is harness.ConfigError
 
 
 def link_cdf(n_classes, concentration):
@@ -291,6 +314,23 @@ class TestArrays:
         with pytest.raises(TypeError, match="either instances or the arrays"):
             self.arrays(instances=[])
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # each used to be accepted unless validate() was called
+            ({"links": CsrIndex([0, 1, 1], [1])}, "link 20->10 is not symmetric"),
+            ({"links": CsrIndex([0, 1, 2], [0, 0])}, "instance 20: self-link"),
+            ({"labels": [1, 5]}, "instance 10: true_label 5 out of range"),
+            ({"labels": [-1, 0]}, "instance 20: true_label -1 out of range"),
+            ({"attributes": CsrIndex([0, 1, 1], [[0.7, 0.7]])}, "instance 20: attribute observation is not a distribution"),
+            ({"attributes": CsrIndex([0, 0, 1], [[1.5, -0.5]])}, "instance 10: attribute observation is not a distribution"),
+            ({"n_classes": 1}, "need at least 2 classes"),
+        ],
+    )
+    def test_broken_invariant_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.arrays(**overrides)
+
 
 class TestValidateLinks:
     def dataset(self, links):
@@ -307,10 +347,15 @@ class TestValidateLinks:
     )
     def test_first_broken_link_is_named(self, links, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            self.dataset(links).validate()
+            self.dataset(links)
 
     def test_repeated_link_with_a_return_link_passes(self):
-        self.dataset([[1, 1], [0], []]).validate()
+        self.dataset([[1, 1], [0], []])
+
+    def test_out_of_range_label_rejected(self):
+        instances = [Instance(id=i, features=np.zeros(1), true_label=label) for i, label in enumerate([0, 5, 1])]
+        with pytest.raises(ValueError, match="^instance 1: true_label 5 out of range$"):
+            Dataset(instances=instances, n_classes=2, m_attribute_classes=0, class_names=["a", "b"])
 
 
 class TestCoraLoader:
@@ -371,6 +416,20 @@ class TestCoraLoader:
         save_cora(load_cora(out_c, out_l), out_c2, out_l2)
         assert out_c.read_bytes() == out_c2.read_bytes()
         assert out_l.read_bytes() == out_l2.read_bytes()
+
+    def test_non_binary_features_are_not_saved(self, tmp_path):
+        # save_cora used to write features.astype(int): a synthetic set's
+        # real-valued features became all-zero rows that load_cora accepted
+        dataset, _ = generate_synthetic(make_config())
+        content, cites = tmp_path / "o.content", tmp_path / "o.cites"
+        with pytest.raises(ValueError, match=f"^instance {dataset.ids[0]}: CORA format needs features of 0 or 1$"):
+            save_cora(dataset, content, cites)
+        assert not content.exists() and not cites.exists()
+        features = np.ones((len(dataset), dataset.n_features))
+        features[7, 2] = np.nan
+        binary_but_one = dataclasses.replace(dataset, features=features)
+        with pytest.raises(ValueError, match=f"^instance {dataset.ids[7]}: "):
+            save_cora(binary_but_one, content, cites)
 
 
 class TestSplitBatches:

@@ -356,7 +356,6 @@ def scoring_cases(draw, max_degree=4):
             link_ids=sorted(10 * v + 3 for v in links[i]),
         ))
     dataset = Dataset(instances=instances, n_classes=n, m_attribute_classes=m, class_names=[f"c{c}" for c in range(n)])
-    dataset.validate()
     scale = draw(st.sampled_from([1.0, 10.0, 100.0, 1e4]))
     weights = scale * np.array(draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d)), dtype=float)
     bias = scale * np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)

@@ -9,12 +9,14 @@ The ``-sep1`` cases use weakly separated classes, where the pseudo modes do
 not reach accuracy 1.0 and so depend on the rows each update trains on.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from ctxnoise import SyntheticConfig, generate_synthetic, run_active_learning, run_pseudo, save_synthetic
+from ctxnoise import SyntheticConfig, cli, generate_synthetic, run_active_learning, run_pseudo, save_synthetic
 from ctxnoise.cli import main
 from ctxnoise.harness import LEARNING_MODES, learning_result_rows, write_results_csv
 
@@ -122,3 +124,23 @@ def test_sweep_files_match_golden(name, tmp_path):
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
     for file in ("sweep_results.csv", "sweep_summary.json"):
         assert (tmp_path / file).read_bytes() == (GOLDEN / name / file).read_bytes()
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` of floats as CPython 3.12 and later compute it:
+    Neumaier-compensated, where 3.10 and 3.11 add left to right."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_sweep_summary_keeps_its_bytes_under_a_compensated_sum(tmp_path):
+    # the seed means and stds were taken with the builtin sum, so on
+    # CPython 3.12 one std of the shipped sweep moved in its last digit
+    with mock.patch.object(cli, "sum", compensated_sum, create=True):
+        assert main(["sweep", "--config", str(CONFIGS / "synthetic_sweep.cfg"), "--out", str(tmp_path)]) == 0
+    golden = GOLDEN / "configs" / "synthetic_sweep" / "sweep_summary.json"
+    assert (tmp_path / "sweep_summary.json").read_bytes() == golden.read_bytes()

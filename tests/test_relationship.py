@@ -35,12 +35,10 @@ def linked_dataset(n_classes=3, labels=(0, 1, 2), links=((0, 1),), m=0, attr_obs
                 link_ids=sorted(link_sets[i]),
             )
         )
-    ds = Dataset(
+    return Dataset(
         instances=instances, n_classes=n_classes, m_attribute_classes=m,
         class_names=[f"class_{c}" for c in range(n_classes)],
     )
-    ds.validate()
-    return ds
 
 
 class TestBuildRelationship:
