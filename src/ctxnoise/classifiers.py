@@ -75,8 +75,13 @@ class MlrModel:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    # numpy reduces a short last axis one row at a time, so the row max is
+    # taken over the outer axis of a class-major copy instead.  A max is
+    # exact in any order; two orders can differ only in the sign of a zero
+    # max, which leaves exp(scores - max) unchanged, so the bits are those
+    # of scores.max(axis=-1).
+    row_max = np.maximum.reduce(np.swapaxes(scores, -1, -2).copy(), -2, keepdims=True)
+    e = np.exp(scores - np.swapaxes(row_max, -1, -2))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -119,6 +124,8 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
     SGD loop, at most ``LOCKSTEP_BYTES`` of gathered rows at a time, in
     which one numpy call does a step's work for all of them.  Every member's
     input is checked before any trains; the models come back in member order.
+    A member whose weights or bias end up non-finite (a learning rate too
+    large for its data) raises ValueError naming the member and its rate.
     """
     if not members:
         raise ValueError("need at least one member")
@@ -140,12 +147,20 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
         groups.setdefault((X.shape, cfg.n_classes, cfg.epochs, cfg.batch_size), []).append(len(checked))
         checked.append((model, X, Y, cfg))
     models: dict[int, MlrModel] = {}
-    for ((N, d), *_), index in groups.items():
-        size = max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
-        for start in range(0, len(index), size):
-            chunk = index[start : start + size]
-            models.update(zip(chunk, _train_stacked([checked[i] for i in chunk])))
-    return [models[i] for i in range(len(members))]
+    # a diverging member overflows to inf and NaN, which stay non-finite;
+    # it fails below by name instead of through numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ((N, d), *_), index in groups.items():
+            size = max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
+            for start in range(0, len(index), size):
+                chunk = index[start : start + size]
+                models.update(zip(chunk, _train_stacked([checked[i] for i in chunk])))
+    trained = [models[i] for i in range(len(members))]
+    for i, model in enumerate(trained):
+        if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+            lr = model.config.learning_rate
+            raise ValueError(f"member {i} trained to non-finite weights or bias at learning_rate {lr!r}")
+    return trained
 
 
 def _train_stacked(members: list[tuple]) -> list[MlrModel]:
@@ -194,15 +209,27 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
         Xo = np.ascontiguousarray(Xs[0]) if R == 1 else np.stack(Xs)
         Yo = Ys[0] if R == 1 else np.stack(Ys)
         gathers = []
-    P_buf, row_buf = np.empty(lead + (min(size, N), n)), np.empty(lead + (min(size, N), 1))
-    # (X rows, Y rows, P, P^T, row max/sum, row count) of each step, per epoch of a block
-    steps = [[] for _ in range(block)]
-    for e, epoch_steps in enumerate(steps):
-        for start in range(0, N, size):
-            k = min(size, N - start)
-            rows = slice(e * N + start, e * N + start + k)
-            P = P_buf[..., :k, :]
-            epoch_steps.append((Xo[..., rows, :], Yo[..., rows, :], P, P.swapaxes(-1, -2), row_buf[..., :k, :], k))
+    # The row max is taken, as in _softmax, over the outer axis of a
+    # class-major copy Pc of P, into max_buf, read back through its
+    # transposed view.  Every view is made here, once per step of an epoch
+    # and not per epoch: at sweep shapes (one member, one step an epoch, a
+    # block of 120 epochs) a few views more per epoch show.
+    k_max = min(size, N)
+    P_buf, Pc_buf = np.empty(lead + (k_max, n)), np.empty(lead + (n, k_max))
+    row_buf, max_buf = np.empty(lead + (k_max, 1)), np.empty(lead + (1, k_max))
+    # (P, P^T, class-major P, row max, its transpose, row sum, row count) of each step of an epoch
+    views = []
+    for start in range(0, N, size):
+        k = min(size, N - start)
+        P, row_max = P_buf[..., :k, :], max_buf[..., :k]
+        step = (P, P.swapaxes(-1, -2), Pc_buf[..., :k], row_max, row_max.swapaxes(-1, -2), row_buf[..., :k, :], k)
+        views.append((start, k, step))
+    # (X rows, Y rows, *views) of each step, per epoch of a block
+    steps = [
+        [(Xo[..., e * N + start : e * N + start + k, :], Yo[..., e * N + start : e * N + start + k, :], *step)
+         for start, k, step in views]
+        for e in range(block)
+    ]
     WT = W.swapaxes(-1, -2)
     grad_W, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
     for first in range(1, epochs + 1, block):
@@ -213,11 +240,12 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
             np.take(Y, order, 0, yo[: count * N], "clip")
         for epoch, epoch_steps in zip(range(first, first + count), steps):
             lr = base_lr / math.sqrt(epoch)
-            for Xb, Yb, P, PT, row, k in epoch_steps:
+            for Xb, Yb, P, PT, Pc, row_max, row_maxT, row, k in epoch_steps:
                 np.matmul(Xb, WT, P)
                 np.add(P, b, P)
-                np.maximum.reduce(P, -1, None, row, True)
-                np.subtract(P, row, P)
+                Pc[...] = PT
+                np.maximum.reduce(Pc, -2, None, row_max, True)
+                np.subtract(P, row_maxT, P)
                 np.exp(P, P)
                 np.add.reduce(P, -1, None, row, True)
                 np.divide(P, row, P)  # softmax

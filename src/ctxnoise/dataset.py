@@ -223,7 +223,11 @@ class Dataset:
         owners, neighbours = links.owners(), links.values
         self_link = owners == neighbours
         forward, backward = np.sort(owners * n + neighbours), neighbours * n + owners
-        one_way = forward[np.searchsorted(forward, backward).clip(max=len(forward) - 1)] != backward
+        # equal sorted keys prove every link has its return link; only a
+        # one-way or a repeated link needs the search that finds which
+        one_way = np.zeros_like(self_link)
+        if not np.array_equal(forward, np.sort(backward)):
+            one_way = forward[np.searchsorted(forward, backward).clip(max=len(forward) - 1)] != backward
         bad_obs_row = np.bincount(attributes.owners()[bad_obs], minlength=n) > 0
         bad_row = bad_label | bad_obs_row | (np.bincount(owners[self_link | one_way], minlength=n) > 0)
         if bad_row.any():
@@ -533,15 +537,18 @@ def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
         raise CoraFormatError(f"{cites_path}:{linenos[k]}: unknown instance id {cites[k, end]}")
     rows = _find_rows(order, sorted_ids, cites[cites[:, 0] != cites[:, 1]])  # self-citations are dropped
 
-    return Dataset(
-        ids=ids_arr,
-        labels=labels,
-        features=features,
-        links=_link_index(rows[:, 0], rows[:, 1], order),
-        n_classes=len(class_names),
-        m_attribute_classes=0,
-        class_names=class_names,
-    )
+    try:
+        return Dataset(
+            ids=ids_arr,
+            labels=labels,
+            features=features,
+            links=_link_index(rows[:, 0], rows[:, 1], order),
+            n_classes=len(class_names),
+            m_attribute_classes=0,
+            class_names=class_names,
+        )
+    except ValueError as exc:  # a broken dataset invariant, such as a single class
+        raise CoraFormatError(f"{content_path}: {exc}") from None
 
 
 def save_cora(dataset: Dataset, content_path: str | Path, cites_path: str | Path) -> None:
@@ -628,17 +635,20 @@ def load_synthetic(path: str | Path) -> Dataset:
     if len(ids) != count:
         raise ValueError(f"{path}: header promises {count} instances, found {len(ids)}")
     ids_arr = np.array(ids, dtype=np.int64)
-    return Dataset(
-        ids=ids_arr,
-        labels=labels,
-        features=np.array(features, dtype=float).reshape(len(ids), d),
-        links=CsrIndex(_indptr(link_counts), _find_rows(*_id_order(ids_arr), link_ids)),
-        attributes=CsrIndex(_indptr(obs_counts), np.array(observations, dtype=float).reshape(len(observations), m)),
-        n_classes=n,
-        m_attribute_classes=m,
-        class_names=[f"class_{c}" for c in range(n)],
-        seed=seed,
-    )
+    try:
+        return Dataset(
+            ids=ids_arr,
+            labels=labels,
+            features=np.array(features, dtype=float).reshape(len(ids), d),
+            links=CsrIndex(_indptr(link_counts), _find_rows(*_id_order(ids_arr), link_ids)),
+            attributes=CsrIndex(_indptr(obs_counts), np.array(observations, dtype=float).reshape(len(observations), m)),
+            n_classes=n,
+            m_attribute_classes=m,
+            class_names=[f"class_{c}" for c in range(n)],
+            seed=seed,
+        )
+    except (KeyError, ValueError) as exc:  # a broken dataset invariant, a repeated or an unknown id
+        raise ValueError(f"{path}: {exc.args[0]}") from None
 
 
 def split_batches(
@@ -654,7 +664,8 @@ def split_batches(
     remainder.  If batch 0 misses a class after the shuffle, an instance of
     that class is swapped in from a later batch, taking the first donor in
     scan order and displacing the first batch-0 member whose class appears
-    at least twice.
+    at least twice.  A batch too small to hold every class raises
+    :class:`ConfigError` keyed ``n_batches``.
     """
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
@@ -672,15 +683,17 @@ def split_batches(
     order, labels = pool[perm], labels[perm]
     base = len(order) // n_batches  # batch b holds positions b*base .. (b+1)*base - 1
 
-    if base < dataset.n_classes:
-        raise ValueError("initial batch too small to cover every class")
     counts = np.bincount(labels[:base], minlength=dataset.n_classes)
+    if base < dataset.n_classes:
+        raise ConfigError(
+            f"n_batches = {n_batches} gives an initial batch of size {base}, too small for "
+            f"{dataset.n_classes} classes: it lacks classes {np.flatnonzero(counts == 0).tolist()}",
+            "n_batches",
+        )
     for c in np.flatnonzero(counts == 0).tolist():
         donor = base + int(np.argmax(labels[base:] == c))  # the class exists in pool, so in some later batch
-        spare = np.flatnonzero(counts[labels[:base]] >= 2)
-        if len(spare) == 0:
-            raise ValueError("initial batch too small to cover every class")
-        recipient = int(spare[0])
+        # with base >= n_classes, a batch that lacks a class holds another twice
+        recipient = int(np.flatnonzero(counts[labels[:base]] >= 2)[0])
         counts[labels[recipient]] -= 1
         counts[c] += 1
         order[[recipient, donor]] = order[[donor, recipient]]

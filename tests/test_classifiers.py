@@ -197,6 +197,19 @@ def test_lockstep_members_are_bit_identical_to_the_plain_loop(R, N, d, n, batch_
         assert model.config is config
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("N, batch_size", [(33, 32), (8, 7), (22, 7), (1, 7)])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("R", [2, 5])
+def test_lockstep_one_row_tail_steps_and_two_classes(R, n, N, batch_size, seed):
+    # the last step of each epoch holds one row (33 = 32 + 1, 8 = 7 + 1,
+    # 22 = 3 * 7 + 1, and a one-row pool), so the class-major row max
+    # reduces a strided (R, n, 1) slice of its buffer, here also at n = 2
+    test_lockstep_members_are_bit_identical_to_the_plain_loop.hypothesis.inner_test(
+        R=R, N=N, d=3, n=n, batch_size=batch_size, epochs=3, seed=seed
+    )
+
+
 @pytest.mark.parametrize("block_bytes", [1, classifiers.BLOCK_BYTES, 1 << 30], ids=["1B", "default", "1GiB"])
 def test_lockstep_is_bit_identical_at_any_epoch_block(block_bytes):
     # one epoch per block, as many as the default budget holds, and every
@@ -267,6 +280,41 @@ def test_stacked_numpy_calls_match_their_2d_slices():
             assert np.array_equal(row_max[r], P[r].max(axis=1, keepdims=True))
             assert np.array_equal(row_sum[r], P[r].sum(axis=1, keepdims=True))
             assert np.array_equal(col_sum[r, 0], P[r].sum(axis=0))
+
+
+@st.composite
+def score_rows(draw):
+    """A stack of score rows: plain, with tied maxima, with +0.0 and -0.0
+    side by side (as the max or not), or of magnitude about 1e300."""
+    kind = draw(st.sampled_from(["normal", "ties", "signed zeros", "huge"]))
+    lead, rows, n = draw(st.sampled_from([(), (3,)])), draw(st.integers(1, 500)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = lead + (rows, n)
+    if kind == "normal":
+        return rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 50.0])
+    if kind == "ties":
+        return rng.integers(-2, 3, shape).astype(float)
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0, -1.5, float(rng.choice([-0.5, 0.5]))], shape)
+    return rng.uniform(-1.0, 1.0, shape) * 1e300
+
+
+def plain_softmax(Z):
+    e = np.exp(Z - Z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@given(score_rows())
+@settings(max_examples=300, deadline=None)
+def test_softmax_row_max_gives_the_plain_bits(scores):
+    # _softmax takes its row max over a class-major copy; a max is exact in
+    # any order, and a zero max of either sign leaves exp(s - max) unchanged
+    assert np.array_equal(classifiers._softmax(scores).view(np.int64), plain_softmax(scores).view(np.int64))
+    if scores.ndim == 2:  # predict_proba is that softmax of X W^T + b
+        X, n = scores, scores.shape[1]
+        model = MlrModel(np.eye(n)[::-1], np.linspace(-1.0, 1.0, n), MlrConfig(n_classes=n))
+        plain = plain_softmax(X @ model.weights.T + model.bias)
+        assert np.array_equal(predict_proba(model, X).view(np.int64), plain.view(np.int64))
 
 
 @pytest.mark.parametrize("mlr_epochs, members_per_call, calls", [(200, 3, [3, 1]), (80, 1, [1, 1, 1, 1])])
@@ -394,6 +442,22 @@ class TestLockstepChecks:
             with pytest.raises(ValueError, match="^features contain non-finite values$"):
                 train_mlr_lockstep(members)
         assert not spy.called
+
+    def test_diverging_member_named(self):
+        # a rate this large used to train to NaN weights behind numpy
+        # RuntimeWarnings, which the tests turn into errors; now the first
+        # member that diverged is named, with its rate, and nothing warns
+        X, y = separable_1d()
+        members = [
+            (None, X, y, MlrConfig(n_classes=2, epochs=20)),
+            (None, X, y, MlrConfig(n_classes=2, learning_rate=1e30, epochs=20)),
+            (None, X, y, MlrConfig(n_classes=2, learning_rate=1e31, epochs=20)),
+        ]
+        with pytest.raises(ValueError, match=r"^member 1 trained to non-finite weights or bias at learning_rate 1e\+30$"):
+            train_mlr_lockstep(members)
+        with pytest.raises(ValueError, match=r"^member 0 trained to non-finite weights or bias at learning_rate 1e\+31$"):
+            train_mlr(*members[2])
+        assert np.isfinite(train_mlr(*members[0]).weights).all()
 
     def test_no_members_rejected(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,33 @@ def test_short_train_split_names_its_key(tmp_path, command, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "active-learn"])
+def test_diverging_training_fails_loudly(tmp_path, command, capsys):
+    # active-learn used to print numpy RuntimeWarnings and exit 0, with an
+    # accuracy of 0.3968 at every batch; detect failed as a non-finite
+    # dissimilarity, far from the cause
+    config = tmp_path / "tiny.cfg"
+    text = (Path(__file__).parent.parent / "configs" / "tiny_detect.cfg").read_text()
+    config.write_text(text + "mode = sn\nmlr_learning_rate = 1e30\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: member 0 trained to non-finite weights or bias at learning_rate 1e+30\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "active-learn", "pseudo", "sweep"])
+def test_too_small_initial_batch_names_n_batches(tmp_path, command, capsys):
+    # it used to say only "initial batch too small to cover every class"
+    config = tmp_path / "tiny.cfg"
+    text = (Path(__file__).parent.parent / "configs" / "tiny_detect.cfg").read_text()
+    config.write_text(text.replace("instances_per_class = 70", "instances_per_class = 5"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: n_batches = 4 gives an initial batch of size 2, too small for 3 classes: it lacks classes [2]\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "detect"])
 @pytest.mark.parametrize("key, values", [("omegas", "0.2, 0.2000001"), ("betas", "0.8, 0.80000001")])
 def test_values_that_print_alike_rejected(tmp_path, tiny_config, capsys, command, key, values):

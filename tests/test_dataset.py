@@ -263,6 +263,24 @@ class TestSyntheticRoundTrip:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
             load_synthetic(path)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("1 0 0.5 0.5 |  | 0.5 0.5", "link 0->1 is not symmetric"),
+            ("1 5 0.5 0.5 | 0 | 0.5 0.5", "instance 1: true_label 5 out of range"),
+            ("1 0 0.5 0.5 | 0 | 0.5 0.6", "instance 1: attribute observation is not a distribution"),
+            ("1 0 0.5 0.5 | 0 7 | 0.5 0.5", "unknown instance id 7"),
+            ("0 0 0.5 0.5 | 0 | 0.5 0.5", "duplicate instance ids"),
+        ],
+    )
+    def test_dataset_error_names_the_path(self, tmp_path, record, message):
+        # these came from the Dataset constructor without the file's name;
+        # the unknown id escaped as a KeyError
+        path = tmp_path / "data.txt"
+        path.write_text("2 2 2 2 0\n0 1 1.0 2.0 | 1 | 1.0 0.0\n" + record + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            load_synthetic(path)
+
 
 def write_cora(tmp_path, content_lines, cites_lines):
     content = tmp_path / "x.content"
@@ -388,6 +406,12 @@ class TestCoraLoader:
         ds = load_cora(content, cites)
         assert ds.links.gather(ds.rows([5]))[0].tolist() == []
 
+    def test_dataset_error_names_the_content_file(self, tmp_path):
+        # it came from the Dataset constructor without the file's name
+        content, cites = write_cora(tmp_path, ["5\t1\t0\tOnly", "6\t0\t1\tOnly"], ["5\t6"])
+        with pytest.raises(CoraFormatError, match=f"^{re.escape(str(content))}: need at least 2 classes$"):
+            load_cora(content, cites)
+
     def test_unknown_cite_id_named_in_error(self, tmp_path):
         content, cites = write_cora(tmp_path, ["1\t1\tA", "2\t0\tB"], ["1\t999"])
         with pytest.raises(CoraFormatError, match="999"):
@@ -456,6 +480,20 @@ class TestSplitBatches:
         dataset, _ = generate_synthetic(make_config(n_classes=3, instances_per_class=5))
         with pytest.raises(ValueError):
             split_batches(dataset, len(dataset), seed=0)
+
+    def test_too_small_initial_batch_names_n_batches(self):
+        # 15 ids in 8 batches leave one id for batch 0; this used to say only
+        # "initial batch too small to cover every class"
+        dataset, _ = generate_synthetic(make_config(n_classes=3, instances_per_class=5))
+        with pytest.raises(ConfigError) as info:
+            split_batches(dataset, 8, seed=0)
+        assert info.value.key == "n_batches"
+        message = r"^n_batches = 8 gives an initial batch of size 1, too small for 3 classes: it lacks classes \[(\d), (\d)\]$"
+        lacking = re.match(message, str(info.value))
+        assert lacking is not None
+        pool = np.sort(dataset.ids)
+        batch0 = pool[np.random.default_rng(0).permutation(len(pool))[:1]]  # split_batches' shuffle
+        assert sorted({0, 1, 2} - set(dataset.true_labels(batch0).tolist())) == [int(c) for c in lacking.groups()]
 
     def test_seed_determinism(self):
         dataset, _ = generate_synthetic(make_config(instances_per_class=17))
