@@ -6,6 +6,7 @@ from .classifiers import (
     AuxEnsemble,
     MlrConfig,
     MlrModel,
+    TrainingDiverged,
     aux_predictions,
     predict_proba,
     train_aux,

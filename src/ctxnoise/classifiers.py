@@ -19,8 +19,12 @@ from .dataset import _read_only
 
 # The array kernels (the kNN's (b, N) prefilter blocks and its gathered
 # candidate rows, star scoring, the SGD loop's gathered rows) work in blocks
-# whose temporaries stay under this many bytes each, so that memory does not
-# grow with the batch, the epoch count or the number of distance ties.
+# whose temporaries stay under this many bytes each, so that their memory
+# does not grow with the epoch count or the number of distance ties, nor
+# with the batch but for one table: star scoring keeps one n x n block of
+# leaf marginals per distinct linked neighbour of a batch, 8 n^2 bytes each
+# and at most 8 n^2 times the dataset's instance count in all (1.2 MB for a
+# detect-linked seed's 3,087 neighbours at n = 7).
 BLOCK_BYTES = 256 * 1024
 
 # Stacked members save interpreter time on every step, but each gathers its
@@ -29,6 +33,19 @@ BLOCK_BYTES = 256 * 1024
 # members at CORA's shape (N = 487, d = 1433) trained about 5% slower than
 # the same two one after another, on a 2-CPU Xeon with 2 MiB of L2 a core.
 LOCKSTEP_BYTES = 8 * 1024 * 1024
+
+
+class TrainingDiverged(ValueError):
+    """A :func:`train_mlr_lockstep` member trained to non-finite weights,
+    bias or class scores on its own rows; ``member`` is its index in the
+    call, ``learning_rate`` its rate."""
+
+    def __init__(self, member: int, learning_rate: float) -> None:
+        super().__init__(
+            f"member {member} trained to non-finite weights, bias or class scores at learning_rate {learning_rate!r}"
+        )
+        self.member = member
+        self.learning_rate = learning_rate
 
 
 @dataclass(frozen=True)
@@ -85,6 +102,36 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _pairwise_class_sum(
+    Pc: np.ndarray, axis: int = -2, dtype=None, out: np.ndarray | None = None, keepdims: bool = True
+) -> np.ndarray:
+    """``np.add.reduce(Pc, -2, None, out, True)`` of a class-major (..., n, k)
+    array, each column's n terms added in the order numpy's add.reduce takes
+    along a contiguous row of n: left to right below 8 terms; up to 128,
+    eight running sums over blocks of 8, combined as a tree, then the tail
+    left to right; above 128, the sum of two halves split at a multiple of
+    8.  An outer-axis reduce adds left to right, so it is that order only
+    below 8 classes.  The other arguments are those the kernel passes."""
+    n = Pc.shape[-2]
+    if n < 8:
+        total = np.add.reduce(Pc, -2, keepdims=True)
+    elif n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_class_sum(Pc[..., :half, :]) + _pairwise_class_sum(Pc[..., half:, :])
+    else:
+        m = n - n % 8
+        r = np.add.reduce(Pc[..., :m, :].reshape(Pc.shape[:-2] + (m // 8, 8, Pc.shape[-1])), -3)
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+        total = r[..., :1, :] + r[..., 1:, :]
+        for i in range(m, n):
+            total += Pc[..., i : i + 1, :]
+    if out is None:
+        return total
+    out[...] = total
+    return out
+
+
 def _check_training_input(features: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("need a non-empty (N, d) feature matrix")
@@ -124,8 +171,9 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
     SGD loop, at most ``LOCKSTEP_BYTES`` of gathered rows at a time, in
     which one numpy call does a step's work for all of them.  Every member's
     input is checked before any trains; the models come back in member order.
-    A member whose weights or bias end up non-finite (a learning rate too
-    large for its data) raises ValueError naming the member and its rate.
+    A member whose weights, bias or class scores on its own rows end up
+    non-finite (a learning rate too large for its data) raises
+    :class:`TrainingDiverged` naming the member and its rate.
     """
     if not members:
         raise ValueError("need at least one member")
@@ -147,19 +195,20 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
         groups.setdefault((X.shape, cfg.n_classes, cfg.epochs, cfg.batch_size), []).append(len(checked))
         checked.append((model, X, Y, cfg))
     models: dict[int, MlrModel] = {}
-    # a diverging member overflows to inf and NaN, which stay non-finite;
-    # it fails below by name instead of through numpy's warnings
+    # A diverging member overflows to inf and NaN, which stay non-finite, or
+    # stops short of them with weights whose class scores overflow on its
+    # own rows.  It fails here by name, not through numpy's warnings here or
+    # at the model's first prediction.
     with np.errstate(over="ignore", invalid="ignore"):
         for ((N, d), *_), index in groups.items():
             size = max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
             for start in range(0, len(index), size):
                 chunk = index[start : start + size]
                 models.update(zip(chunk, _train_stacked([checked[i] for i in chunk])))
-    trained = [models[i] for i in range(len(members))]
-    for i, model in enumerate(trained):
-        if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
-            lr = model.config.learning_rate
-            raise ValueError(f"member {i} trained to non-finite weights or bias at learning_rate {lr!r}")
+        trained = [models[i] for i in range(len(members))]
+        for i, ((_, X, _, _), model) in enumerate(zip(checked, trained)):
+            if not (np.isfinite(model.weights).all() and np.isfinite(X @ model.weights.T + model.bias).all()):
+                raise TrainingDiverged(i, model.config.learning_rate)
     return trained
 
 
@@ -209,28 +258,40 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
         Xo = np.ascontiguousarray(Xs[0]) if R == 1 else np.stack(Xs)
         Yo = Ys[0] if R == 1 else np.stack(Ys)
         gathers = []
-    # The row max is taken, as in _softmax, over the outer axis of a
-    # class-major copy Pc of P, into max_buf, read back through its
-    # transposed view.  Every view is made here, once per step of an epoch
-    # and not per epoch: at sweep shapes (one member, one step an epoch, a
-    # block of 120 epochs) a few views more per epoch show.
+    # The softmax runs class-major, in a (..., n, k) buffer Pc that the first
+    # product writes straight into: W X_b^T gives the bits of (X_b W^T)^T
+    # (test_stacked_numpy_calls_match_their_2d_slices pins this), and numpy
+    # reduces over the outer class axis in one pass rather than one short
+    # row at a time.  The max is exact in any order and the row sum adds in
+    # the plain row's order (see _pairwise_class_sum), so P is the plain
+    # softmax; it is copied back row-major once, since G^T X_b must take its
+    # transposed view of a row-major G to keep the plain bits.  Each step
+    # length has its own contiguous Pc and row buffer, which the max and the
+    # sum share.  Every view is made here, once per step of an epoch and not
+    # per epoch: at sweep shapes (one member, one step an epoch, a block of
+    # 120 epochs) a few views more per epoch show.
     k_max = min(size, N)
-    P_buf, Pc_buf = np.empty(lead + (k_max, n)), np.empty(lead + (n, k_max))
-    row_buf, max_buf = np.empty(lead + (k_max, 1)), np.empty(lead + (1, k_max))
-    # (P, P^T, class-major P, row max, its transpose, row sum, row count) of each step of an epoch
+    P_buf = np.empty(lead + (k_max, n))
+    class_major = {}  # step length -> (Pc, its transpose, row buffer)
+    # (P, P^T, Pc, Pc^T, row buffer, row count) of each step of an epoch
     views = []
     for start in range(0, N, size):
         k = min(size, N - start)
-        P, row_max = P_buf[..., :k, :], max_buf[..., :k]
-        step = (P, P.swapaxes(-1, -2), Pc_buf[..., :k], row_max, row_max.swapaxes(-1, -2), row_buf[..., :k, :], k)
-        views.append((start, k, step))
-    # (X rows, Y rows, *views) of each step, per epoch of a block
-    steps = [
-        [(Xo[..., e * N + start : e * N + start + k, :], Yo[..., e * N + start : e * N + start + k, :], *step)
-         for start, k, step in views]
-        for e in range(block)
-    ]
-    WT = W.swapaxes(-1, -2)
+        if k not in class_major:
+            Pc = np.empty(lead + (n, k))
+            class_major[k] = (Pc, Pc.swapaxes(-1, -2), np.empty(lead + (1, k)))
+        P = P_buf[..., :k, :]
+        views.append((start, k, (P, P.swapaxes(-1, -2), *class_major[k], k)))
+    # (X rows, their transpose, Y rows, *views) of each step, per epoch of a block
+    steps = []
+    for e in range(block):
+        epoch_steps = []
+        for start, k, step in views:
+            Xb = Xo[..., e * N + start : e * N + start + k, :]
+            epoch_steps.append((Xb, Xb.swapaxes(-1, -2), Yo[..., e * N + start : e * N + start + k, :], *step))
+        steps.append(epoch_steps)
+    sum_classes = np.add.reduce if n < 8 else _pairwise_class_sum
+    bT = b.swapaxes(-1, -2)
     grad_W, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
     for first in range(1, epochs + 1, block):
         count = min(block, epochs + 1 - first)
@@ -240,15 +301,15 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
             np.take(Y, order, 0, yo[: count * N], "clip")
         for epoch, epoch_steps in zip(range(first, first + count), steps):
             lr = base_lr / math.sqrt(epoch)
-            for Xb, Yb, P, PT, Pc, row_max, row_maxT, row, k in epoch_steps:
-                np.matmul(Xb, WT, P)
-                np.add(P, b, P)
-                Pc[...] = PT
-                np.maximum.reduce(Pc, -2, None, row_max, True)
-                np.subtract(P, row_maxT, P)
-                np.exp(P, P)
-                np.add.reduce(P, -1, None, row, True)
-                np.divide(P, row, P)  # softmax
+            for Xb, XbT, Yb, P, PT, Pc, PcT, row, k in epoch_steps:
+                np.matmul(W, XbT, Pc)
+                np.add(Pc, bT, Pc)
+                np.maximum.reduce(Pc, -2, None, row, True)
+                np.subtract(Pc, row, Pc)
+                np.exp(Pc, Pc)
+                sum_classes(Pc, -2, None, row, True)
+                np.divide(Pc, row, Pc)  # softmax, class-major
+                P[...] = PcT
                 np.subtract(P, Yb, P)
                 np.divide(P, k, P)  # G
                 np.matmul(PT, Xb, grad_W)

@@ -22,6 +22,7 @@ from .harness import (
     _KEY_TYPES,
     ConfigError,
     ExperimentConfig,
+    config_lines,
     detection_result_rows,
     learning_result_rows,
     load_config,
@@ -71,10 +72,9 @@ def _prepare(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     return config, Path(args.out or os.environ.get(OUT_ENV_VAR, "out"))
 
 
-def _cmd_gen_data(args: argparse.Namespace) -> None:
-    config, out_dir = _prepare(args)
+def _cmd_gen_data(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> None:
     if config.dataset_kind != "synthetic":
-        raise ConfigError("gen-data needs a synthetic dataset config")
+        raise ConfigError("gen-data needs a synthetic dataset config", "dataset")
     dataset, _ = generate_synthetic(config.synthetic)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "dataset.txt"
@@ -86,8 +86,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_detect(args: argparse.Namespace) -> None:
-    config, out_dir = _prepare(args)
+def _cmd_detect(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> None:
     rows = run_detection_suite(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "detection_results.csv", detection_result_rows(rows))
@@ -95,8 +94,8 @@ def _cmd_detect(args: argparse.Namespace) -> None:
     print(f"wrote {out_dir / 'detection_results.csv'} ({len(rows)} rows)")
 
 
-def _run_learning(args: argparse.Namespace, runner, prefix: str) -> None:
-    config, out_dir = _prepare(args)
+def _cmd_learn(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> None:
+    runner, prefix = (run_active_learning, "learning") if args.command == "active-learn" else (run_pseudo, "pseudo")
     starts = run_starts(config, load_experiment_dataset(config), config.seeds)
     logs = []
     for seed in config.seeds:
@@ -122,16 +121,15 @@ def _sum_in_order(values: list[float]) -> float:
     return total
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
+def _cmd_sweep(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> None:
     """One summary row per (omega, beta): accuracy gain of the context filter
     over learning on unfiltered noisy labels, mean +/- std across seeds.
 
     Every run of a seed starts from one shared start (``run_starts``), and
     ``sn``, which ignores beta, runs once per (omega, seed).  NAR noise
     reads no omega, so with ``noise = nar`` ``omegas`` must hold one value."""
-    config, out_dir = _prepare(args)
     if config.noise == "nar" and len(config.omegas) > 1:
-        raise ConfigError(f"{args.config}: omegas must hold one value under noise = nar, which reads no omega", "omegas")
+        raise ConfigError("omegas must hold one value under noise = nar, which reads no omega", "omegas")
     starts = run_starts(config, load_experiment_dataset(config), config.seeds)
     rows = []
     summary = {}
@@ -182,19 +180,24 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
+    commands = {
+        "gen-data": _cmd_gen_data,
+        "detect": _cmd_detect,
+        "active-learn": _cmd_learn,
+        "pseudo": _cmd_learn,
+        "sweep": _cmd_sweep,
+    }
     try:
-        if args.command == "gen-data":
-            _cmd_gen_data(args)
-        elif args.command == "detect":
-            _cmd_detect(args)
-        elif args.command == "active-learn":
-            _run_learning(args, run_active_learning, "learning")
-        elif args.command == "pseudo":
-            _run_learning(args, run_pseudo, "pseudo")
-        elif args.command == "sweep":
-            _cmd_sweep(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        config, out_dir = _prepare(args)
+        try:
+            commands[args.command](args, config, out_dir)
+        except ConfigError as exc:
+            if exc.key is None:
+                raise
+            # raised after parsing: name the line that sets the key, or the
+            # file alone where the key keeps its default
+            where = config_lines(Path(args.config).read_text(), args.config).get(exc.key, (None, args.config))[1]
+            raise ConfigError(f"{where}: {exc}", exc.key) from None
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

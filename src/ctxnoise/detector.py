@@ -23,7 +23,7 @@ import numpy as np
 
 from .classifiers import BLOCK_BYTES, MlrModel, predict_proba
 from .dataset import Dataset, _read_only
-from .inference import batch_posterior_rows
+from .inference import batch_posterior_rows, leaf_marginals, star_posterior_rows
 from .metrics import first_k
 from .relationship import Conditionals, RelationshipModel, prior_conditionals
 
@@ -146,10 +146,13 @@ def star_divergences(
     """KL rows of every queried star: row j is KL(post_j || prior_j), the
     term :func:`dissimilarity` hinges, of its posterior conditionals.
 
-    Stars are scored block by block over the dataset's CSR link and
-    attribute indexes: one classifier call for a block's data leaves,
-    :func:`batch_posterior_rows` for its rows and one expression for its KL
-    rows.
+    A data leaf's clamped marginals depend only on its neighbour, so each
+    distinct neighbour of the batch is predicted and normalized once, in
+    blocks, into a table of one n x n block per neighbour.  Stars are then
+    scored block by block over the dataset's CSR link and attribute indexes:
+    :func:`star_posterior_rows` of a block's data leaves, gathered from the
+    table, :func:`batch_posterior_rows` of its attribute leaves, and one
+    expression for its KL rows.
     """
     if len(queried_ids) == 0:
         raise ValueError("empty query set")
@@ -174,6 +177,14 @@ def star_divergences(
     attr_kl = np.zeros((len(rows), n)) if obs_ptr[-1] > 0 else None
     per_leaf = 8 * max(dataset.n_features, n * n, n * relationship.m_attribute_classes)
     leaves_per_block = max(1, BLOCK_BYTES // per_leaf)
+    if data_kl is not None:
+        # equal blocks, so that none holds one row where the batch has more:
+        # numpy sends a one-row product to BLAS gemv, which rounds otherwise
+        neighbours, occurrence = np.unique(leaf_rows, return_inverse=True)
+        table, parts = np.empty((len(neighbours), n, n)), -(-len(neighbours) // leaves_per_block)
+        bounds = [i * len(neighbours) // parts for i in range(parts + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            table[lo:hi] = leaf_marginals(data_edge, predict_proba(classifier, dataset.features[neighbours[lo:hi]]))
     leaves = link_ptr + obs_ptr  # leaves before each star
     start = 0
     while start < len(rows):
@@ -181,8 +192,7 @@ def star_divergences(
         stop = min(max(stop, start + 1), len(rows))
         a, b = link_ptr[start], link_ptr[stop]
         if b > a:
-            potentials = predict_proba(classifier, dataset.features[leaf_rows[a:b]])
-            posterior = batch_posterior_rows(data_edge, potentials, link_ptr[start : stop + 1] - a)
+            posterior = star_posterior_rows(table[occurrence[a:b]], link_ptr[start : stop + 1] - a)
             data_kl[start:stop] = _kl_rows(posterior, prior.data_rows)
         a, b = obs_ptr[start], obs_ptr[stop]
         if b > a:

@@ -62,6 +62,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -73,6 +74,7 @@ from .classifiers import (
     AuxConfig,
     MlrConfig,
     MlrModel,
+    TrainingDiverged,
     aux_predictions,
     entropy,
     predict_proba,
@@ -107,6 +109,21 @@ _SALT_AUX = 6
 
 def derive_seed(seed: int, *salts: int) -> int:
     return int(np.random.SeedSequence([seed, *salts]).generate_state(1)[0])
+
+
+@contextmanager
+def _named_divergence(names: Sequence[str], keys: Sequence[str | None]):
+    """Re-raise a :class:`TrainingDiverged` of member i under ``names[i]``,
+    its seed and role.  A member whose rate is the config key ``keys[i]``
+    fails as a :class:`ConfigError` keyed by it; one that trains at a fixed
+    rate (key None) as a ValueError."""
+    try:
+        yield
+    except TrainingDiverged as exc:
+        name, key = names[exc.member], keys[exc.member]
+        rate = f"{key or 'learning_rate'} {exc.learning_rate!r}"
+        message = f"{name} trained to non-finite weights, bias or class scores at {rate}"
+        raise (ValueError(message) if key is None else ConfigError(message, key)) from None
 
 
 @dataclass(frozen=True)
@@ -249,7 +266,13 @@ def split_train_test(dataset: Dataset, config: ExperimentConfig, seed: int) -> t
             f"{n_train} train ids, {n_test} test ids",
             key,
         )
-    return np.delete(order, test_pos).tolist(), order[test_pos].tolist()
+    train = np.delete(order, test_pos)
+    missing = np.flatnonzero(np.bincount(dataset.true_labels(train), minlength=dataset.n_classes) == 0).tolist()
+    if missing:
+        raise ConfigError(
+            f"{key} leaves no train ids of classes {missing}: {n_train} train ids, {n_test} test ids", key
+        )
+    return train.tolist(), order[test_pos].tolist()
 
 
 def select_informative(
@@ -335,7 +358,9 @@ def run_starts(config: ExperimentConfig, dataset: Dataset, seeds: Sequence[int])
     """Each seed's :class:`RunStart`; the seeds' initial classifiers train
     together, in lock step where their shapes allow."""
     parts = {seed: _seed_prefix(config, dataset, seed) for seed in dict.fromkeys(seeds)}
-    models = train_mlr_lockstep([member for *_, member in parts.values()])
+    names = [f"the initial model of seed {seed}" for seed in parts]
+    with _named_divergence(names, ["mlr_learning_rate"] * len(parts)):
+        models = train_mlr_lockstep([member for *_, member in parts.values()])
     return {
         seed: RunStart(
             seed, config, dataset, tuple(map(tuple, batches)), tuple(test_ids), pool_X, pool_y, rel, model
@@ -356,7 +381,7 @@ def run_active_learning(
     the dataset, instead of loading and building them here.
     """
     if config.mode not in LEARNING_MODES:
-        raise ConfigError(f"mode {config.mode!r} is not an active-learning mode")
+        raise ConfigError(f"mode {config.mode!r} is not an active-learning mode", "mode")
     return _run_batches(config, seed, start)
 
 
@@ -372,7 +397,7 @@ def run_pseudo(
     ``start`` is read as :func:`run_active_learning` reads it.
     """
     if config.mode not in PSEUDO_MODES:
-        raise ConfigError(f"mode {config.mode!r} is not a pseudo-labeling mode")
+        raise ConfigError(f"mode {config.mode!r} is not a pseudo-labeling mode", "mode")
     return _run_batches(config, seed, start)
 
 
@@ -450,7 +475,8 @@ def _run_batches(config: ExperimentConfig, seed: int | None, start: RunStart | N
             if key not in cache:
                 X = dataset.feature_matrix([i for i, _ in rows])
                 y = np.array([c for _, c in rows])
-                fitted = train_mlr(model, X, y, config.mlr_config(n, derive_seed(seed, _SALT_MLR, t)))
+                with _named_divergence([f"the model of seed {seed} updated at batch {t}"], ["mlr_learning_rate"]):
+                    fitted = train_mlr(model, X, y, config.mlr_config(n, derive_seed(seed, _SALT_MLR, t)))
                 updated = update_relationship(rel, dataset, dict(kept))
                 cache[key] = fitted, updated, accuracy(fitted, X_test, y_test)
             model, rel, score = cache[key]
@@ -490,7 +516,11 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
         (None, pool_X, pool_y, MlrConfig(n_classes=n, seed=derive_seed(seed, _SALT_AUX)))
         for seed, (_, _, pool_X, pool_y, _, _) in zip(config.seeds, parts)
     ]
-    models = train_mlr_lockstep([member for *_, member in parts] + aux_members)
+    names = [f"the main model of seed {seed}" for seed in config.seeds]
+    names += [f"the aux logistic member of seed {seed}" for seed in config.seeds]
+    keys = ["mlr_learning_rate"] * len(parts) + [None] * len(parts)  # the aux member trains at MlrConfig's rate
+    with _named_divergence(names, keys):
+        models = train_mlr_lockstep([member for *_, member in parts] + aux_members)
 
     for seed, (batches, test_ids, pool_X, pool_y, rel, _), model, aux_mlr in zip(
         config.seeds, parts, models, models[len(parts) :]
@@ -684,13 +714,11 @@ _SYN_KEY_TYPES = {
 }
 
 
-def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    """Parse the documented ``key = value`` format (# starts a comment).
-
-    Every error names ``source:line`` when one line is at fault.  Booleans
-    are true/false, yes/no or 1/0, in any case.
-    """
-    values: dict[str, tuple[str, str]] = {}  # key -> (value, "source:line")
+def config_lines(text: str, source: str = "<config>") -> dict[str, tuple[str, str]]:
+    """``key -> (value, "source:line")`` of every line of a config text that
+    sets a key; a line that is not ``key = value`` or repeats a key raises
+    :class:`ConfigError` naming it."""
+    values: dict[str, tuple[str, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -702,6 +730,16 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         values[key] = (value, where)
+    return values
+
+
+def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
+    """Parse the documented ``key = value`` format (# starts a comment).
+
+    Every error names ``source:line`` when one line is at fault.  Booleans
+    are true/false, yes/no or 1/0, in any case.
+    """
+    values = config_lines(text, source)
 
     def typed(key: str, types: dict):
         value, where = values[key]

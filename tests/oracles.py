@@ -17,6 +17,11 @@
   link stream, one ``random()``/``integers()`` call at a time; the
   package's bulk replay must give the same partners and leave the
   generator in the same state.
+* ``per_occurrence_star_divergences`` is the star scoring kernel as it was
+  before the per-neighbour table: every leaf occurrence is predicted and
+  normalized again, with the stars of its block.  The package's table must
+  give the same bits wherever a classifier row's bits do not depend on the
+  rows that share its call.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ctxnoise import Dataset, MlrModel, RelationshipModel, predict_proba
+from ctxnoise import Dataset, MlrModel, RelationshipModel, detector, predict_proba, prior_conditionals
 from ctxnoise.classifiers import BLOCK_BYTES, AuxEnsemble, _softmax
+from ctxnoise.dataset import _read_only
+from ctxnoise.inference import batch_posterior_rows
 
 
 def enumerate_joint(node_potentials, edges):
@@ -410,3 +417,46 @@ def posterior_conditionals(graph: InstanceGraph) -> PosteriorConditionals:
         attr_rows = prod.mean(axis=1)
         attr_rows /= attr_rows.sum(axis=1, keepdims=True)
     return PosteriorConditionals(data_rows=data_rows, attr_rows=attr_rows)
+
+
+def per_occurrence_star_divergences(
+    queried_ids: Sequence[int], dataset: Dataset, classifier: MlrModel, relationship: RelationshipModel
+) -> detector.StarDivergences:
+    """``detector.star_divergences`` with every data leaf occurrence scored
+    in its star's block: one classifier call for the block's leaves and
+    :func:`batch_posterior_rows` for its rows.  The blocks hold the leaves
+    of ``detector.BLOCK_BYTES``, read at call time, as the package's do."""
+    rows = dataset.rows(queried_ids)
+    leaf_rows, link_ptr = dataset.links.gather(rows)
+    observations, obs_ptr = dataset.attributes.gather(rows)
+    n = relationship.n_classes
+    prior = prior_conditionals(relationship)
+    data_edge = relationship.data_counts + relationship.epsilon
+    attr_edge = None if relationship.attr_counts is None else relationship.attr_counts + relationship.epsilon
+    data_kl = np.zeros((len(rows), n)) if link_ptr[-1] > 0 else None
+    attr_kl = np.zeros((len(rows), n)) if obs_ptr[-1] > 0 else None
+    per_leaf = 8 * max(dataset.n_features, n * n, n * relationship.m_attribute_classes)
+    leaves_per_block = max(1, detector.BLOCK_BYTES // per_leaf)
+    leaves = link_ptr + obs_ptr
+    start = 0
+    while start < len(rows):
+        stop = int(np.searchsorted(leaves, leaves[start] + leaves_per_block, side="right")) - 1
+        stop = min(max(stop, start + 1), len(rows))
+        a, b = link_ptr[start], link_ptr[stop]
+        if b > a:
+            potentials = predict_proba(classifier, dataset.features[leaf_rows[a:b]])
+            posterior = batch_posterior_rows(data_edge, potentials, link_ptr[start : stop + 1] - a)
+            data_kl[start:stop] = detector._kl_rows(posterior, prior.data_rows)
+        a, b = obs_ptr[start], obs_ptr[stop]
+        if b > a:
+            posterior = batch_posterior_rows(attr_edge, observations[a:b], obs_ptr[start : stop + 1] - a)
+            attr_kl[start:stop] = detector._kl_rows(posterior, prior.attr_rows)
+        start = stop
+    return detector.StarDivergences(
+        ids=_read_only(np.array(queried_ids, dtype=int)),
+        has_context=_read_only((np.diff(link_ptr) > 0) | (np.diff(obs_ptr) > 0)),
+        data_kl=None if data_kl is None else _read_only(data_kl),
+        attr_kl=None if attr_kl is None else _read_only(attr_kl),
+        n_classes=n,
+        m_attribute_classes=relationship.m_attribute_classes,
+    )

@@ -134,7 +134,9 @@ class TestTrainMlr:
 @given(
     N=st.integers(1, 100),
     d=st.integers(1, 20),
-    n=st.integers(2, 5),
+    # from 8 classes on, the kernel's class-major row sum takes numpy's
+    # pairwise order in place of a plain outer-axis reduce
+    n=st.one_of(st.integers(2, 5), st.sampled_from([8, 9, 16])),
     batch_size=st.sampled_from([None, 1, 7, 32]),
     warm=st.booleans(),
     l2=st.sampled_from([0.0, 1e-4]),
@@ -161,7 +163,7 @@ def test_train_mlr_is_bit_identical_to_the_plain_loop(N, d, n, batch_size, warm,
     R=st.integers(1, 6),
     N=st.integers(1, 60),
     d=st.integers(1, 12),
-    n=st.integers(2, 5),
+    n=st.one_of(st.integers(2, 5), st.sampled_from([8, 9, 16])),
     batch_size=st.sampled_from([None, 1, 7, 32]),
     epochs=st.integers(0, 3),
     seed=st.integers(0, 2**16),
@@ -256,11 +258,15 @@ def test_permuted_block_draws_the_sequential_permutations():
 def test_stacked_numpy_calls_match_their_2d_slices():
     # The lock-step kernel relies on numpy doing per slice of a stack what
     # it does for one 2-D array: stacked matmul (with the transposed views
-    # the kernel passes) and reductions along the last two axes.  This is
-    # how numpy behaves, not a promise it makes, so it is pinned here.
+    # the kernel passes) and reductions along the last two axes.  Its first
+    # product, W X^T into a class-major buffer, must also give the bits of
+    # the plain (X W^T)^T.  This is how numpy and its BLAS behave, not a
+    # promise they make, so it is pinned here, also at CORA's d = 1433.
     rng = np.random.default_rng(7)
-    for _ in range(200):
+    for trial in range(200):
         R, k, d, n, extra = (int(v) for v in rng.integers([2, 1, 1, 2, 0], [7, 40, 40, 9, 3]))
+        if trial % 20 == 0:
+            d = 1433
         # like the kernel's step views: rows of a taller stack, so that
         # the slices are contiguous but the stack is not
         X = rng.standard_normal((R, k + extra, d))[:, extra:, :]
@@ -274,12 +280,52 @@ def test_stacked_numpy_calls_match_their_2d_slices():
         np.add.reduce(P, -1, None, row_sum, True)
         col_sum = np.empty((R, 1, n))
         np.add.reduce(P, -2, None, col_sum, True)
+        Pc = np.empty((R, n, k))
+        np.matmul(W, X.swapaxes(-1, -2), Pc)
         for r in range(R):
             assert np.array_equal(P[r], X[r] @ W[r].T)
+            assert np.array_equal(Pc[r], (X[r] @ W[r].T).T)
             assert np.array_equal(G[r], P[r].T @ X[r])
             assert np.array_equal(row_max[r], P[r].max(axis=1, keepdims=True))
             assert np.array_equal(row_sum[r], P[r].sum(axis=1, keepdims=True))
             assert np.array_equal(col_sum[r, 0], P[r].sum(axis=0))
+
+
+def test_pairwise_class_sum_adds_in_the_row_sum_order():
+    # The kernel sums the softmax's n terms over the outer axis of a
+    # class-major buffer, and must add them as numpy's add.reduce does along
+    # a contiguous row of n.  That order (left to right below 8 terms, eight
+    # running sums up to 128, halves above) is how numpy behaves, not a
+    # promise it makes, so it is pinned here.
+    rng = np.random.default_rng(11)
+    for n in range(1, 301):
+        P = rng.standard_normal((2, 5, n)) * 10.0 ** rng.integers(-3, 4, (2, 5, n))
+        Pc = np.ascontiguousarray(P.swapaxes(-1, -2))
+        out = np.empty((2, 1, 5))
+        assert classifiers._pairwise_class_sum(Pc, -2, None, out, True) is out
+        assert np.array_equal(out.swapaxes(-1, -2), np.add.reduce(P, -1, keepdims=True)), n
+        if n < 8:  # where the kernel reduces over the outer axis itself
+            assert np.array_equal(np.add.reduce(Pc, -2, keepdims=True), out), n
+
+
+@pytest.mark.parametrize("d", [2, 6, 12, 16])
+def test_predict_proba_rows_do_not_depend_on_their_call(d):
+    # star_divergences predicts each distinct neighbour once, with other
+    # neighbours, where the per-occurrence route predicted every leaf with
+    # the leaves of its star block.  The two agree bit for bit because a row
+    # of predict_proba does not depend on the rows that share its call, in
+    # calls of two rows or more at the synthetic configs' feature counts.
+    # This is how numpy's matmul and its BLAS behave, not a promise they
+    # make: a one-row call goes through gemv, which rounds otherwise (so the
+    # table never makes one where the batch has more neighbours), and at
+    # CORA's d = 1433 some rows differ in the last bit with their call.
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((300, d)) * rng.choice([0.1, 1.0, 10.0], (300, 1))
+    model = MlrModel(rng.standard_normal((7, d)), rng.standard_normal(7), MlrConfig(n_classes=7))
+    full = predict_proba(model, X)
+    for _ in range(60):
+        rows = rng.choice(300, size=int(rng.integers(2, 301)), replace=bool(rng.random() < 0.5))
+        assert np.array_equal(predict_proba(model, X[rows]).view(np.int64), full[rows].view(np.int64))
 
 
 @st.composite
@@ -453,11 +499,23 @@ class TestLockstepChecks:
             (None, X, y, MlrConfig(n_classes=2, learning_rate=1e30, epochs=20)),
             (None, X, y, MlrConfig(n_classes=2, learning_rate=1e31, epochs=20)),
         ]
-        with pytest.raises(ValueError, match=r"^member 1 trained to non-finite weights or bias at learning_rate 1e\+30$"):
+        with pytest.raises(classifiers.TrainingDiverged, match=r"^member 1 trained to non-finite weights, bias or class scores at learning_rate 1e\+30$") as caught:
             train_mlr_lockstep(members)
-        with pytest.raises(ValueError, match=r"^member 0 trained to non-finite weights or bias at learning_rate 1e\+31$"):
+        assert (caught.value.member, caught.value.learning_rate) == (1, 1e30)
+        with pytest.raises(ValueError, match=r"^member 0 trained to non-finite weights, bias or class scores at learning_rate 1e\+31$"):
             train_mlr(*members[2])
         assert np.isfinite(train_mlr(*members[0]).weights).all()
+
+    def test_finite_weights_whose_scores_overflow_are_named(self):
+        # weights near 1e308 are finite, but their class scores on the
+        # member's own rows overflow; they used to pass, and the model's
+        # first prediction warned and gave NaN probabilities
+        X, y = separable_1d()
+        config = MlrConfig(n_classes=2, learning_rate=0.5, epochs=0)
+        huge = MlrModel(np.array([[1e308], [-1e308]]), np.zeros(2), config)
+        with pytest.raises(classifiers.TrainingDiverged, match=r"^member 0 .* at learning_rate 0\.5$"):
+            train_mlr(huge, X, y)
+        assert np.isfinite(train_mlr(MlrModel(np.array([[1e300], [-1e300]]), np.zeros(2), config), X, y).weights).all()
 
     def test_no_members_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ctxnoise import classifiers, cli, detector, generate_synthetic, harness, load_config, noise
+from ctxnoise import Dataset, SyntheticConfig, classifiers, cli, detector, generate_synthetic, harness, load_config, noise, save_cora
 from ctxnoise.cli import main
 
 from test_harness import start_arrays
@@ -34,6 +34,22 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
     return path
+
+
+def tiny_detect_with(tmp_path, extra="", **replace):
+    """configs/tiny_detect.cfg with ``extra`` lines appended and each
+    ``old=new`` text replaced; returns its path and its text."""
+    text = (Path(__file__).parent.parent / "configs" / "tiny_detect.cfg").read_text()
+    for old, new in replace.items():
+        text = text.replace(old, new)
+    config = tmp_path / "tiny.cfg"
+    config.write_text(text + extra)
+    return config, text + extra
+
+
+def line_of(text, key):
+    """The line number at which a config text sets ``key``."""
+    return next(n for n, line in enumerate(text.splitlines(), start=1) if line.split("=")[0].strip() == key)
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -87,13 +103,13 @@ def test_repeated_seed_override_rejected(tmp_path, tiny_config, capsys, value):
 @pytest.mark.parametrize("command", ["detect", "active-learn"])
 def test_empty_test_split_names_its_key(tmp_path, command, capsys):
     # it used to fail later, as "error: empty query set" (detect) or
-    # "error: empty test set" (active-learn), naming no key
-    config = tmp_path / "tiny.cfg"
-    text = (Path(__file__).parent.parent / "configs" / "tiny_detect.cfg").read_text()
-    config.write_text(text + "test_fraction = 0.001\n")
+    # "error: empty test set" (active-learn), naming no key; then named the
+    # key but not the line that sets it
+    config, text = tiny_detect_with(tmp_path, "test_fraction = 0.001\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: test_fraction leaves the test split empty: 210 train ids, 0 test ids\n"
+    where = f"{config}:{line_of(text, 'test_fraction')}"
+    assert capsys.readouterr().err == f"error: {where}: test_fraction leaves the test split empty: 210 train ids, 0 test ids\n"
     assert not out.exists()
 
 
@@ -101,13 +117,12 @@ def test_empty_test_split_names_its_key(tmp_path, command, capsys):
 def test_short_train_split_names_its_key(tmp_path, command, capsys):
     # it used to fail later, as "error: more batches than instances",
     # naming neither the key nor the split sizes
-    config = tmp_path / "tiny.cfg"
-    text = (Path(__file__).parent.parent / "configs" / "tiny_detect.cfg").read_text()
-    config.write_text(text + "test_fraction = 0.999\n")
+    config, text = tiny_detect_with(tmp_path, "test_fraction = 0.999\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: test_fraction leaves fewer train ids than n_batches = 4: 0 train ids, 210 test ids\n"
+    where = f"{config}:{line_of(text, 'test_fraction')}"
+    assert err == f"error: {where}: test_fraction leaves fewer train ids than n_batches = 4: 0 train ids, 210 test ids\n"
     assert not out.exists()
 
 
@@ -115,27 +130,106 @@ def test_short_train_split_names_its_key(tmp_path, command, capsys):
 def test_diverging_training_fails_loudly(tmp_path, command, capsys):
     # active-learn used to print numpy RuntimeWarnings and exit 0, with an
     # accuracy of 0.3968 at every batch; detect failed as a non-finite
-    # dissimilarity, far from the cause
-    config = tmp_path / "tiny.cfg"
-    text = (Path(__file__).parent.parent / "configs" / "tiny_detect.cfg").read_text()
-    config.write_text(text + "mode = sn\nmlr_learning_rate = 1e30\n")
+    # dissimilarity, far from the cause.  Then both named only "member 0"
+    # of a lock-step call, and no line of the config
+    config, text = tiny_detect_with(tmp_path, "mode = sn\nmlr_learning_rate = 1e30\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: member 0 trained to non-finite weights or bias at learning_rate 1e+30\n"
+    where = f"{config}:{line_of(text, 'mlr_learning_rate')}"
+    model = "the main model of seed 0" if command == "detect" else "the initial model of seed 0"
+    expected = f"error: {where}: {model} trained to non-finite weights, bias or class scores at mlr_learning_rate 1e+30\n"
+    assert capsys.readouterr().err == expected
     assert not out.exists()
+
+
+def test_diverging_update_named_by_seed_and_batch(tmp_path, capsys):
+    # at this rate batch 0 trains to finite weights, the second update not
+    config, text = tiny_detect_with(tmp_path, "mode = sn\nmlr_learning_rate = 1e6\n")
+    out = tmp_path / "out"
+    assert main(["active-learn", "--config", str(config), "--out", str(out)]) == 1
+    where = f"{config}:{line_of(text, 'mlr_learning_rate')}"
+    model = "the model of seed 0 updated at batch 2"
+    expected = f"error: {where}: {model} trained to non-finite weights, bias or class scores at mlr_learning_rate 1000000.0\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "member, name",
+    [
+        (0, "the main model of seed 3"),
+        (1, "the main model of seed 5"),
+        (2, "the aux logistic member of seed 3"),
+        (3, "the aux logistic member of seed 5"),
+    ],
+)
+def test_diverging_detect_member_named_by_seed_and_role(tmp_path, capsys, member, name):
+    # one lock-step call trains every seed's main model, then every seed's
+    # aux logistic member; the aux member trains at MlrConfig's fixed rate,
+    # so its failure names no config key and no line
+    config, text = tiny_detect_with(tmp_path, "seeds = 3, 5\n", **{"seeds = 0\n": ""})
+    rate = 0.1 if "aux" in name else 1e30
+    diverged = classifiers.TrainingDiverged(member, rate)
+    with mock.patch.object(harness, "train_mlr_lockstep", side_effect=diverged):
+        assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    if "aux" in name:
+        assert err == f"error: {name} trained to non-finite weights, bias or class scores at learning_rate 0.1\n"
+    else:  # mlr_learning_rate keeps its default, so the file alone is named
+        assert err == f"error: {config}: {name} trained to non-finite weights, bias or class scores at mlr_learning_rate 1e+30\n"
 
 
 @pytest.mark.parametrize("command", ["detect", "active-learn", "pseudo", "sweep"])
 def test_too_small_initial_batch_names_n_batches(tmp_path, command, capsys):
-    # it used to say only "initial batch too small to cover every class"
-    config = tmp_path / "tiny.cfg"
-    text = (Path(__file__).parent.parent / "configs" / "tiny_detect.cfg").read_text()
-    config.write_text(text.replace("instances_per_class = 70", "instances_per_class = 5"))
+    # it used to say only "initial batch too small to cover every class",
+    # then named the key but not the line that sets it
+    config, text = tiny_detect_with(tmp_path, **{"instances_per_class = 70": "instances_per_class = 5"})
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: n_batches = 4 gives an initial batch of size 2, too small for 3 classes: it lacks classes [2]\n"
+    where = f"{config}:{line_of(text, 'n_batches')}"
+    assert err == f"error: {where}: n_batches = 4 gives an initial batch of size 2, too small for 3 classes: it lacks classes [2]\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "active-learn"])
+def test_train_split_without_a_class_names_its_key(tmp_path, command, capsys):
+    # of 15 ids, the 8 test ids hold every instance of class 0; the split
+    # used to fail as "error: classes absent from dataset: [0]"
+    config, text = tiny_detect_with(tmp_path, "test_fraction = 0.5\n", **{"instances_per_class = 70": "instances_per_class = 5"})
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    where = f"{config}:{line_of(text, 'test_fraction')}"
+    assert capsys.readouterr().err == f"error: {where}: test_fraction leaves no train ids of classes [0]: 7 train ids, 8 test ids\n"
+
+
+def test_error_of_a_key_at_its_default_names_the_file(tmp_path, capsys):
+    # n_batches keeps its default of 10, which gives batches of one here
+    config, text = tiny_detect_with(tmp_path, **{"n_batches = 4\n": "", "instances_per_class = 70": "instances_per_class = 9"})
+    assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: n_batches = 10 gives an initial batch of size 1, too small for 3 classes: it lacks classes [0, 1]\n"
+
+
+@pytest.mark.parametrize("command, mode", [("pseudo", "cnld"), ("active-learn", "manual")])
+def test_mode_of_another_command_names_its_line(tmp_path, capsys, command, mode):
+    config, text = tiny_detect_with(tmp_path, f"mode = {mode}\n")
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    kind = "a pseudo-labeling" if command == "pseudo" else "an active-learning"
+    assert capsys.readouterr().err == f"error: {config}:{line_of(text, 'mode')}: mode {mode!r} is not {kind} mode\n"
+
+
+def test_empty_cora_fold_names_its_line(tmp_path, capsys):
+    # nine papers in ten folds leave the last fold empty
+    tiny = generate_synthetic(SyntheticConfig(n_classes=3, n_features=2, instances_per_class=3, seed=0))[0]
+    tiny = Dataset(
+        ids=tiny.ids, labels=tiny.labels, features=(tiny.features > 0).astype(float), links=tiny.links,
+        n_classes=3, m_attribute_classes=0, class_names=["a", "b", "c"],
+    )
+    save_cora(tiny, tmp_path / "x.content", tmp_path / "x.cites")
+    config = tmp_path / "cora.cfg"
+    config.write_text(f"dataset = cora\ncora_content = {tmp_path / 'x.content'}\ncora_cites = {tmp_path / 'x.cites'}\ncora_fold = 9\n")
+    assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {config}:4: cora_fold leaves the test split empty: 9 train ids, 0 test ids\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "detect"])
@@ -158,7 +252,7 @@ def test_gen_data_on_cora_leaves_no_output_directory(tmp_path, capsys):
     config.write_text("dataset = cora\ncora_content = x.content\ncora_cites = x.cites\n")
     out = tmp_path / "out"
     assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: gen-data needs a synthetic dataset config\n"
+    assert capsys.readouterr().err == f"error: {config}:1: gen-data needs a synthetic dataset config\n"
     assert not out.exists()
 
 
@@ -282,11 +376,12 @@ def test_nar_sweep_over_many_omegas_rejected(tmp_path, tiny_config, capsys):
     tiny_config.write_text(TINY.replace("noise = ncar", "noise = nar"))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(tiny_config), "--out", str(out)]) == 1
-    message = f"{tiny_config}: omegas must hold one value under noise = nar, which reads no omega"
-    assert capsys.readouterr().err == f"error: {message}\n"
+    message = "omegas must hold one value under noise = nar, which reads no omega"
+    assert capsys.readouterr().err == f"error: {tiny_config}:{line_of(TINY, 'omegas')}: {message}\n"
     assert not out.exists()
+    args = cli._build_parser().parse_args(["sweep", "--config", str(tiny_config), "--out", str(out)])
     with pytest.raises(harness.ConfigError, match=f"^{message}$") as caught:
-        cli._cmd_sweep(cli._build_parser().parse_args(["sweep", "--config", str(tiny_config), "--out", str(out)]))
+        cli._cmd_sweep(args, load_config(tiny_config), out)
     assert caught.value.key == "omegas"
 
 

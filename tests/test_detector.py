@@ -25,7 +25,13 @@ from ctxnoise import (
 )
 from ctxnoise import detector
 
-from oracles import NoContextError, PosteriorConditionals, build_instance_graph, posterior_conditionals
+from oracles import (
+    NoContextError,
+    PosteriorConditionals,
+    build_instance_graph,
+    per_occurrence_star_divergences,
+    posterior_conditionals,
+)
 
 from test_relationship import linked_dataset
 
@@ -371,6 +377,15 @@ def scoring_cases(draw, max_degree=4):
     return queried, assigned, dataset, model, rel
 
 
+def assert_same_divergences(got, want):
+    for name in ("ids", "has_context", "data_kl", "attr_kl"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+    assert (got.n_classes, got.m_attribute_classes) == (want.n_classes, want.m_attribute_classes)
+
+
 class TestBatchKernel:
     @given(scoring_cases(), st.sampled_from([1, 400, detector.BLOCK_BYTES]), st.data())
     @settings(max_examples=200, deadline=None)
@@ -388,6 +403,33 @@ class TestBatchKernel:
             assert np.array_equal(table.has_context, want_context)
             assert np.isfinite(scores).all() and (scores >= 0).all()
             assert np.abs(scores - want_scores).max() <= 1e-12
+
+    @given(scoring_cases(), st.sampled_from([1, 400, detector.BLOCK_BYTES]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_neighbour_table_matches_the_per_occurrence_route(self, case, block_bytes, data):
+        # Neighbours repeat across stars (each link joins two), some stars
+        # have no leaves, some have attribute leaves, and at 400 bytes the
+        # table's blocks split a star's neighbours.  The logits are exact,
+        # so the bits cannot hang on the rows a classifier call holds.
+        queried, _, dataset, model, rel = case
+        queried = queried[: data.draw(st.integers(1, len(queried)))]
+        with mock.patch.object(detector, "BLOCK_BYTES", block_bytes):
+            assert_same_divergences(
+                star_divergences(queried, dataset, model, rel),
+                per_occurrence_star_divergences(queried, dataset, model, rel),
+            )
+
+    @pytest.mark.parametrize("block_bytes", [1 << 12, detector.BLOCK_BYTES])
+    def test_neighbour_table_matches_the_per_occurrence_route_on_a_trained_model(self, trained_setup, block_bytes):
+        # float logits: the bits agree because a predict_proba row does not
+        # depend on its call at this d (test_classifiers pins that)
+        dataset, pool, rest, model = trained_setup
+        rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
+        with mock.patch.object(detector, "BLOCK_BYTES", block_bytes):
+            assert_same_divergences(
+                star_divergences(rest, dataset, model, rel),
+                per_occurrence_star_divergences(rest, dataset, model, rel),
+            )
 
     def test_ids_and_labels_must_match_the_table(self):
         ds, rel, model = uniform_evidence_setup()

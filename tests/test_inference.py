@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ctxnoise import MlrConfig, MlrModel, build_relationship, prior_conditionals
+from ctxnoise.inference import batch_posterior_rows, leaf_marginals, star_posterior_rows
 
 from oracles import (
     InstanceGraph,
@@ -222,3 +223,44 @@ class TestPosteriorConditionals:
         assert (post.data_rows > 0).all()
         assert np.allclose(post.data_rows.sum(axis=1), 1.0, atol=1e-9)
 
+
+
+class TestBatchHalves:
+    """``batch_posterior_rows`` is ``star_posterior_rows`` of
+    ``leaf_marginals``; star scoring computes the first half once per
+    distinct neighbour and gathers it for every star."""
+
+    def setup(self, seed, n=3, c=4, leaves=9):
+        rng = np.random.default_rng(seed)
+        # exact zeros in the potentials, as a saturated classifier gives
+        pots = rng.uniform(0.0, 1.0, (leaves, c)) * (rng.random((leaves, c)) < 0.8)
+        pots[:, 0] += 0.01
+        return rng, rng.uniform(0.01, 1.0, (n, c)), pots
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_leaf_marginals_depend_on_the_leaf_alone(self, seed):
+        rng, edge, pots = self.setup(seed)
+        rows = leaf_marginals(edge, pots)
+        assert rows.shape == (len(pots), *edge.shape)
+        order = rng.permutation(len(pots))
+        assert np.array_equal(leaf_marginals(edge, pots[order]), rows[order])
+        for v in range(len(pots)):
+            assert np.array_equal(leaf_marginals(edge, pots[v : v + 1])[0], rows[v])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gathered_table_gives_the_batch_rows(self, seed):
+        # stars that repeat leaves, share them, or have none
+        rng, edge, pots = self.setup(seed)
+        degree = rng.integers(0, 4, 6)
+        indptr = np.concatenate([[0], np.cumsum(degree)])
+        leaf = rng.integers(0, len(pots), indptr[-1])
+        want = batch_posterior_rows(edge, pots[leaf], indptr)
+        got = star_posterior_rows(leaf_marginals(edge, pots)[leaf], indptr)
+        assert np.array_equal(got, want)
+        assert not got[degree == 0].any()
+        assert np.allclose(got[degree > 0].sum(axis=2), 1.0, atol=1e-12)
+
+    def test_no_leaves(self):
+        edge = np.ones((2, 3))
+        rows = star_posterior_rows(leaf_marginals(edge, np.empty((0, 3))), np.zeros(3, dtype=int))
+        assert rows.shape == (2, 2, 3) and not rows.any()
