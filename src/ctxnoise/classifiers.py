@@ -18,20 +18,24 @@ import numpy as np
 from .dataset import _read_only
 
 # The array kernels (the kNN's (b, N) prefilter blocks and its gathered
-# candidate rows, star scoring, the SGD loop's gathered rows) work in blocks
-# whose temporaries stay under this many bytes each, so that their memory
-# does not grow with the epoch count or the number of distance ties, nor
-# with the batch but for one table: star scoring keeps one n x n block of
-# leaf marginals per distinct linked neighbour of a batch, 8 n^2 bytes each
-# and at most 8 n^2 times the dataset's instance count in all (1.2 MB for a
-# detect-linked seed's 3,087 neighbours at n = 7).
+# candidate rows, star scoring, the SGD loop's rows gathered for all its
+# members) work in blocks whose temporaries stay under this many bytes
+# each, so that their memory does not grow with the epoch count or the
+# number of distance ties, nor with the batch but for one table: star
+# scoring keeps one n x n block of leaf marginals per distinct linked
+# neighbour of a batch, 8 n^2 bytes each and at most 8 n^2 times the
+# dataset's instance count in all (1.2 MB for a detect-linked seed's 3,087
+# neighbours at n = 7).
 BLOCK_BYTES = 256 * 1024
 
-# Stacked members save interpreter time on every step, but each gathers its
-# N x d rows once per epoch, and past this many bytes of gathered rows in
-# one call the step is bound by memory and arithmetic instead: two stacked
-# members at CORA's shape (N = 487, d = 1433) trained about 5% slower than
-# the same two one after another, on a 2-CPU Xeon with 2 MiB of L2 a core.
+# Interleaved members save interpreter time on every step, but their
+# features are copied into one stacked (R N, d) matrix and all R N x d rows
+# are gathered from it once per epoch; this bounds the bytes of that copy,
+# and of each epoch's gathered rows, in one call.  It was set when members
+# were held member-major: past it the step was bound by memory and
+# arithmetic, and two stacked members at CORA's shape (N = 487, d = 1433)
+# trained about 5% slower than the same two one after another, on a 2-CPU
+# Xeon with 2 MiB of L2 a core.
 LOCKSTEP_BYTES = 8 * 1024 * 1024
 
 
@@ -60,10 +64,12 @@ class MlrConfig:
     def __post_init__(self) -> None:
         # each check is written so that NaN fails it
         checks = (
+            ("n_classes", self.n_classes >= 2, "must be >= 2"),
             ("learning_rate", 0.0 < self.learning_rate < math.inf, "must be positive and finite"),
             ("l2", 0.0 <= self.l2 < math.inf, "must be >= 0 and finite"),
             ("epochs", self.epochs >= 0, "must be >= 0"),
             ("batch_size", self.batch_size is None or self.batch_size >= 1, "must be >= 1 or None"),
+            ("seed", self.seed >= 0, "must be >= 0"),
         )
         for name, ok, requirement in checks:
             if not ok:
@@ -132,6 +138,19 @@ def _pairwise_class_sum(
     return out
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as an int array; a label that is not a whole number (a
+    fraction, NaN, an infinity or not a number at all) raises ValueError
+    rather than being truncated."""
+    y = np.asarray(labels)
+    if y.dtype.kind in "biu":
+        return y.astype(int, copy=False)
+    whole = np.isfinite(y) & (y == np.trunc(y)) if y.dtype.kind == "f" else np.zeros(y.shape, dtype=bool)
+    if not whole.all():
+        raise ValueError(f"labels must be integer-valued, got {y[~whole].flat[0]}")
+    return y.astype(int)
+
+
 def _check_training_input(features: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("need a non-empty (N, d) feature matrix")
@@ -183,7 +202,7 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
             raise ValueError("cold start needs a config")
         cfg = config if config is not None else model.config
         X = np.asarray(features, dtype=float)
-        y = np.asarray(labels, dtype=int)
+        y = _integer_labels(labels)
         _check_training_input(X, y, cfg.n_classes)
         if model is not None:
             if model.n_features != X.shape[1]:
@@ -217,107 +236,145 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
     models, Xs, Ys, cfgs = zip(*members)
     R, (N, d), n = len(cfgs), Xs[0].shape, cfgs[0].n_classes
     epochs, batch_size = cfgs[0].epochs, cfgs[0].batch_size
-    W0 = [np.zeros((n, d)) if model is None else model.weights for model in models]
-    b0 = [np.zeros(n) if model is None else model.bias for model in models]
-    # One member runs on 2-D arrays with Python-float rates, as cheap as a
-    # plain loop; R members hold weights as (R, n, d) and their rates as
-    # (R, 1, 1), and numpy's stacked matmul and reductions do per slice what
-    # the 2-D calls do, so each member's bits are those of its own run.
+    # The members are interleaved: the member axis sits beside the innermost
+    # one, so rows are held as (rows, R, d) and (rows, R, n), class-major
+    # scores as (n, R, k) and the bias as (1, R, n), and each elementwise op
+    # and reduction of a step is one contiguous call over all R members.
+    # Only the weights lead with it, (R, n, d), and are updated through
+    # (R, n d) views.  One member drops the member axis and keeps its rates
+    # as Python floats, as cheap as a plain loop; R members hold theirs as
+    # (R, 1), which broadcasts against both the weights and the bias.
     lead = () if R == 1 else (R,)
-    W = np.array(W0[0] if R == 1 else W0, dtype=float, order="C")
-    b = np.array(b0, dtype=float).reshape(lead + (1, n))
+    W = np.array([np.zeros((n, d)) if model is None else model.weights for model in models], dtype=float)
+    W = W.reshape(lead + (n, d))
+    b = np.array([np.zeros(n) if model is None else model.bias for model in models], dtype=float)
+    b = b.reshape((1,) + lead + (n,))
     if R == 1:
         base_lr, l2 = cfgs[0].learning_rate, cfgs[0].l2
     else:
-        base_lr = np.array([c.learning_rate for c in cfgs]).reshape(R, 1, 1)
-        l2 = np.array([c.l2 for c in cfgs]).reshape(R, 1, 1)
+        base_lr = np.array([c.learning_rate for c in cfgs]).reshape(R, 1)
+        l2 = np.array([c.l2 for c in cfgs]).reshape(R, 1)
+
+    def by_member(a):  # (rows, R, cols) as an (R, rows, cols) view
+        return a if R == 1 else a.swapaxes(0, 1)
 
     # A step is P = softmax(X_b W^T + b), G = (P - Y_b) / |b|,
     # W -= lr * (G^T X_b + l2 W) and b -= lr * sum_rows(G).  Each operation
     # and its operand order are those of the plain expressions (the reference
     # loop in tests/oracles.py), so the weights are bit-identical to theirs;
     # but every temporary lives in a buffer made once, with out passed
-    # positionally, which numpy parses faster.  Each member's rows are
-    # gathered in epoch order, from its own matrix, into C-ordered buffers,
-    # as X[idx] makes them, a block of epochs at a time: one permuted call
-    # draws the block's permutations (the ones, and the generator state,
-    # that as many permutation(N) calls give; a test pins this) and one
-    # take per matrix gathers them, into buffers of at most BLOCK_BYTES of
-    # rows over all members, or of one epoch.
+    # positionally, which numpy parses faster.  The rows are gathered in
+    # epoch order, a block of epochs at a time, into C-ordered buffers, as
+    # X[idx] makes them: each member's permuted call draws its permutations
+    # (the ones, and the generator state, that as many permutation(N) calls
+    # give; a test pins this) into its column of one interleaved index over
+    # the members' stacked rows, and one take per matrix gathers every
+    # member's rows, into buffers of at most BLOCK_BYTES of rows over all
+    # members, or of one epoch.
     size = batch_size or N
     if batch_size:
         block = max(1, min(epochs, BLOCK_BYTES // (8 * R * N * (d + n))))
-        Xo, Yo = np.empty(lead + (block * N, d)), np.empty(lead + (block * N, n))
-        outs = zip(Xo, Yo) if R > 1 else [(Xo, Yo)]
-        gathers = [
-            (np.random.default_rng(c.seed), X, Y, xo, yo) for c, X, Y, (xo, yo) in zip(cfgs, Xs, Ys, outs)
-        ]
-        ranks, orders = np.broadcast_to(np.arange(N), (block, N)), np.empty((block, N), dtype=np.intp)
+        X_all = Xs[0] if R == 1 else np.concatenate(Xs)  # member r's rows from r N on
+        Y_all = Ys[0] if R == 1 else np.concatenate(Ys)
+        Xo, Yo = np.empty((block * N,) + lead + (d,)), np.empty((block * N,) + lead + (n,))
+        Xo_flat, Yo_flat = Xo.reshape(block * N * R, d), Yo.reshape(block * N * R, n)
+        index = np.empty((block, N, R), dtype=np.intp)
+        ranks = [np.broadcast_to(np.arange(r * N, (r + 1) * N), (block, N)) for r in range(R)]
+        draws = [(np.random.default_rng(c.seed), rank, index[..., r]) for r, (c, rank) in enumerate(zip(cfgs, ranks))]
     else:  # full batch: no permutation is drawn, the rows stay in order
         block = 1
-        Xo = np.ascontiguousarray(Xs[0]) if R == 1 else np.stack(Xs)
-        Yo = Ys[0] if R == 1 else np.stack(Ys)
-        gathers = []
-    # The softmax runs class-major, in a (..., n, k) buffer Pc that the first
-    # product writes straight into: W X_b^T gives the bits of (X_b W^T)^T
-    # (test_stacked_numpy_calls_match_their_2d_slices pins this), and numpy
-    # reduces over the outer class axis in one pass rather than one short
-    # row at a time.  The max is exact in any order and the row sum adds in
-    # the plain row's order (see _pairwise_class_sum), so P is the plain
-    # softmax; it is copied back row-major once, since G^T X_b must take its
-    # transposed view of a row-major G to keep the plain bits.  Each step
-    # length has its own contiguous Pc and row buffer, which the max and the
-    # sum share.  Every view is made here, once per step of an epoch and not
-    # per epoch: at sweep shapes (one member, one step an epoch, a block of
-    # 120 epochs) a few views more per epoch show.
+        Xo = np.ascontiguousarray(Xs[0]) if R == 1 else np.stack(Xs, axis=1)
+        Yo = Ys[0] if R == 1 else np.stack(Ys, axis=1)
+        draws = []
+    # With one feature, G^T X_b is a matrix-vector product, which rounds
+    # otherwise on the strided slices of interleaved buffers than on the
+    # plain loop's contiguous ones.  There the products read member-major
+    # copies: of the rows, refreshed after each gather, and of G, each step.
+    X_rows = by_member(Xo)
+    member_major = d == 1 and R > 1
+    if member_major:
+        X_rows = np.ascontiguousarray(X_rows)
+
+    # Each product is one stacked matmul over member-major views of the
+    # interleaved buffers, which makes one BLAS call per member on 2-D
+    # slices whose leading dimensions are R d (X_b), R n (the G^T view) and
+    # R k (the class-major output);
+    # test_stacked_numpy_calls_match_their_2d_slices pins their bits
+    # against the plain expressions.  The softmax runs
+    # class-major, in an (n, R, k) buffer Pc that the first product writes
+    # straight into: W X_b^T gives the bits of (X_b W^T)^T, and numpy
+    # reduces over the outer class axis of its (n, R k) view in one pass
+    # rather than one short row at a time.  The max is exact in any order
+    # and the row sum adds in the plain row's order (see
+    # _pairwise_class_sum), so P is the plain softmax; it is copied back
+    # row-major once, since G^T X_b must take its transposed view of a
+    # row-major G to keep the plain bits.  Each step length has its own Pc
+    # and row buffer, which the max and the sum share.  Every view is made
+    # here, once per step of an epoch and not per epoch: at sweep shapes
+    # (one member, one step an epoch, a block of 120 epochs) a few views
+    # more per epoch show.
     k_max = min(size, N)
-    P_buf = np.empty(lead + (k_max, n))
-    class_major = {}  # step length -> (Pc, its transpose, row buffer)
-    # (P, P^T, Pc, Pc^T, row buffer, row count) of each step of an epoch
+    P_buf = np.empty((k_max,) + lead + (n,))
+    grad_W, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
+    W_flat, grad_flat, decay_flat = (a.reshape(R, n * d) for a in (W, grad_W, decay))
+    class_major = {}  # step length -> (Pc, its member-major view, Pc^T, Pc as (n, R k), row buffer)
+    # (start, k, P, G^T, None or the (copy, P view) pair that fills a
+    # member-major G, class-major buffers) of each step of an epoch
     views = []
     for start in range(0, N, size):
         k = min(size, N - start)
         if k not in class_major:
-            Pc = np.empty(lead + (n, k))
-            class_major[k] = (Pc, Pc.swapaxes(-1, -2), np.empty(lead + (1, k)))
-        P = P_buf[..., :k, :]
-        views.append((start, k, (P, P.swapaxes(-1, -2), *class_major[k], k)))
-    # (X rows, their transpose, Y rows, *views) of each step, per epoch of a block
+            Pc = np.empty((n,) + lead + (k,))
+            class_major[k] = (Pc, by_member(Pc), Pc.T, Pc.reshape(n, R * k), np.empty((1, R * k)))
+        P = P_buf[:k]
+        G = np.empty((R, k, n)) if member_major else by_member(P)
+        G_copy = (G, by_member(P)) if member_major else None
+        views.append((start, k, P, G.swapaxes(-1, -2), G_copy, class_major[k]))
+    # (X rows member-major and their transpose, Y rows, P, G^T, G's copy,
+    # Pc, its member-major view, Pc^T, Pc 2-D, row buffer, row count) of
+    # each step, per epoch of a block
     steps = []
     for e in range(block):
         epoch_steps = []
-        for start, k, step in views:
-            Xb = Xo[..., e * N + start : e * N + start + k, :]
-            epoch_steps.append((Xb, Xb.swapaxes(-1, -2), Yo[..., e * N + start : e * N + start + k, :], *step))
+        for start, k, P, GT, G_copy, buffers in views:
+            Xb = X_rows[..., e * N + start : e * N + start + k, :]
+            Yb = Yo[e * N + start : e * N + start + k]
+            epoch_steps.append((Xb, Xb.swapaxes(-1, -2), Yb, P, GT, G_copy, *buffers, k))
         steps.append(epoch_steps)
     sum_classes = np.add.reduce if n < 8 else _pairwise_class_sum
-    bT = b.swapaxes(-1, -2)
-    grad_W, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
+    bT = b.T
     for first in range(1, epochs + 1, block):
         count = min(block, epochs + 1 - first)
-        for rng, X, Y, xo, yo in gathers:
-            order = rng.permuted(ranks[:count], axis=1, out=orders[:count]).reshape(-1)
-            np.take(X, order, 0, xo[: count * N], "clip")  # "clip" skips the copy that "raise" makes of out
-            np.take(Y, order, 0, yo[: count * N], "clip")
+        if draws:
+            for rng, ranks, orders in draws:
+                rng.permuted(ranks[:count], axis=1, out=orders[:count])
+            order = index[:count].reshape(-1)
+            # "clip" skips the copy that "raise" makes of out
+            np.take(X_all, order, 0, Xo_flat[: count * N * R], "clip")
+            np.take(Y_all, order, 0, Yo_flat[: count * N * R], "clip")
+            if member_major:
+                X_rows[...] = by_member(Xo)
         for epoch, epoch_steps in zip(range(first, first + count), steps):
             lr = base_lr / math.sqrt(epoch)
-            for Xb, XbT, Yb, P, PT, Pc, PcT, row, k in epoch_steps:
-                np.matmul(W, XbT, Pc)
+            for Xb, XbT, Yb, P, GT, G_copy, Pc, Pcm, PcT, Pc2, row, k in epoch_steps:
+                np.matmul(W, XbT, Pcm)
                 np.add(Pc, bT, Pc)
-                np.maximum.reduce(Pc, -2, None, row, True)
-                np.subtract(Pc, row, Pc)
-                np.exp(Pc, Pc)
-                sum_classes(Pc, -2, None, row, True)
-                np.divide(Pc, row, Pc)  # softmax, class-major
+                np.maximum.reduce(Pc2, -2, None, row, True)
+                np.subtract(Pc2, row, Pc2)
+                np.exp(Pc2, Pc2)
+                sum_classes(Pc2, -2, None, row, True)
+                np.divide(Pc2, row, Pc2)  # softmax, class-major
                 P[...] = PcT
                 np.subtract(P, Yb, P)
                 np.divide(P, k, P)  # G
-                np.matmul(PT, Xb, grad_W)
-                np.multiply(l2, W, decay)
-                np.add(grad_W, decay, grad_W)
-                np.multiply(lr, grad_W, grad_W)
-                np.subtract(W, grad_W, W)
-                np.add.reduce(P, -2, None, grad_b, True)
+                if G_copy:
+                    np.copyto(*G_copy)
+                np.matmul(GT, Xb, grad_W)
+                np.multiply(l2, W_flat, decay_flat)
+                np.add(grad_flat, decay_flat, grad_flat)
+                np.multiply(lr, grad_flat, grad_flat)
+                np.subtract(W_flat, grad_flat, W_flat)
+                np.add.reduce(P, 0, None, grad_b, True)
                 np.multiply(lr, grad_b, grad_b)
                 np.subtract(b, grad_b, b)
 
@@ -358,10 +415,12 @@ class AuxConfig:
     def __post_init__(self) -> None:
         # each check is written so that NaN fails it
         checks = (
+            ("n_classes", self.n_classes >= 2, "must be >= 2"),
             ("knn_k", self.knn_k >= 1 and self.knn_k % 2 == 1, "must be a positive odd number"),
             ("svm_learning_rate", 0.0 < self.svm_learning_rate < math.inf, "must be positive and finite"),
             ("svm_l2", 0.0 <= self.svm_l2 < math.inf, "must be >= 0 and finite"),
             ("svm_epochs", self.svm_epochs >= 0, "must be >= 0"),
+            ("seed", self.seed >= 0, "must be >= 0"),
         )
         for name, ok, requirement in checks:
             if not ok:
@@ -399,7 +458,7 @@ def train_aux(
     seed=config.seed)`` would train it, by a caller that trains it in lock
     step with other models; None trains it here."""
     X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = _integer_labels(labels)
     _check_training_input(X, y, config.n_classes)
     if config.knn_k > X.shape[0]:
         raise ValueError(f"knn_k={config.knn_k} exceeds store size {X.shape[0]}")
@@ -410,18 +469,39 @@ def train_aux(
     elif mlr.weights.shape != (config.n_classes, X.shape[1]):
         raise ValueError(f"logistic member is {mlr.weights.shape}, expected {(config.n_classes, X.shape[1])}")
 
-    # One-vs-rest hinge loss by full-batch subgradient descent.
-    n = config.n_classes
-    W = np.zeros((n, X.shape[1]))
+    # One-vs-rest hinge loss by full-batch subgradient descent.  An epoch is
+    # margins = S * (X W^T + b), active = (margins < 1) * S,
+    # W -= lr * (-active^T X / N + l2 W) and b -= lr * (-sum_rows(active) / N),
+    # each operation in the plain expressions' order (-active^T X negates
+    # active^T before the product), into buffers made once.
+    (N, d), n, l2 = X.shape, config.n_classes, config.svm_l2
+    W = np.zeros((n, d))
     b = np.zeros(n)
-    S = -np.ones((X.shape[0], n))
-    S[np.arange(X.shape[0]), y] = 1.0
+    S = -np.ones((N, n))
+    S[np.arange(N), y] = 1.0
+    margins, active, negated = np.empty((N, n)), np.empty((N, n)), np.empty((N, n))
+    below = np.empty((N, n), dtype=bool)
+    grad_W, decay, grad_b = np.empty((n, d)), np.empty((n, d)), np.empty(n)
+    WT, negated_T = W.T, negated.T
     for epoch in range(1, config.svm_epochs + 1):
         lr = config.svm_learning_rate / math.sqrt(epoch)
-        margins = S * (X @ W.T + b)
-        active = (margins < 1.0) * S
-        W -= lr * (-active.T @ X / X.shape[0] + config.svm_l2 * W)
-        b -= lr * (-active.sum(axis=0) / X.shape[0])
+        np.matmul(X, WT, margins)
+        np.add(margins, b, margins)
+        np.multiply(S, margins, margins)
+        np.less(margins, 1.0, below)
+        np.multiply(below, S, active)
+        np.negative(active, negated)
+        np.matmul(negated_T, X, grad_W)
+        np.divide(grad_W, N, grad_W)
+        np.multiply(l2, W, decay)
+        np.add(grad_W, decay, grad_W)
+        np.multiply(lr, grad_W, grad_W)
+        np.subtract(W, grad_W, W)
+        np.add.reduce(active, 0, None, grad_b)
+        np.negative(grad_b, grad_b)
+        np.divide(grad_b, N, grad_b)
+        np.multiply(lr, grad_b, grad_b)
+        np.subtract(b, grad_b, b)
 
     mean = std = None
     store = X

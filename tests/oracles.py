@@ -9,7 +9,9 @@
   the brute-force oracles.
 * ``mlr_loss``/``mlr_gradient`` are the logistic objective and its analytic
   gradient, and ``reference_train_mlr`` is the plain SGD loop that
-  ``train_mlr`` must reproduce bit for bit.
+  ``train_mlr`` must reproduce bit for bit; ``reference_train_svm`` is the
+  plain one-vs-rest hinge loop that ``train_aux``'s SVM member must
+  reproduce bit for bit.
 * ``reference_knn_predict`` is the kNN member's broadcast kernel, which
   forms every query's full ``(N, d)`` difference tensor; the package's
   prefiltered kernel must give the same votes on every input.
@@ -119,6 +121,23 @@ def reference_train_mlr(weights, bias, features, labels, config):
             G = (P - Y[idx]) / len(idx)
             W -= lr * (G.T @ X[idx] + config.l2 * W)
             b -= lr * G.sum(axis=0)
+    return W, b
+
+
+def reference_train_svm(features, labels, config):
+    """The plain full-batch hinge loop of ``train_aux``'s SVM member, each
+    update written as one expression with fresh temporaries."""
+    X = np.asarray(features, dtype=float)
+    W = np.zeros((config.n_classes, X.shape[1]))
+    b = np.zeros(config.n_classes)
+    S = -np.ones((X.shape[0], config.n_classes))
+    S[np.arange(X.shape[0]), labels] = 1.0
+    for epoch in range(1, config.svm_epochs + 1):
+        lr = config.svm_learning_rate / math.sqrt(epoch)
+        margins = S * (X @ W.T + b)
+        active = (margins < 1.0) * S
+        W -= lr * (-active.T @ X / X.shape[0] + config.svm_l2 * W)
+        b -= lr * (-active.sum(axis=0) / X.shape[0])
     return W, b
 
 

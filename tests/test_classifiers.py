@@ -23,7 +23,7 @@ from ctxnoise import (
 )
 from ctxnoise import classifiers, harness, run_detection_suite
 
-from oracles import mlr_gradient, mlr_loss, reference_knn_predict, reference_train_mlr
+from oracles import mlr_gradient, mlr_loss, reference_knn_predict, reference_train_mlr, reference_train_svm
 from test_harness import small_config
 
 
@@ -212,6 +212,16 @@ def test_lockstep_one_row_tail_steps_and_two_classes(R, n, N, batch_size, seed):
     )
 
 
+@pytest.mark.parametrize("epochs, seed", [(2, 0), (3, 1)])
+def test_lockstep_is_bit_identical_at_the_detect_shape(epochs, seed):
+    # the detection suite's lock-step call on the synthetic detect configs:
+    # every seed's main model and aux logistic member, 10 members of 441
+    # rows, d = 16, n = 7, steps of 32 rows and a 25-row tail
+    test_lockstep_members_are_bit_identical_to_the_plain_loop.hypothesis.inner_test(
+        R=10, N=441, d=16, n=7, batch_size=32, epochs=epochs, seed=seed
+    )
+
+
 @pytest.mark.parametrize("block_bytes", [1, classifiers.BLOCK_BYTES, 1 << 30], ids=["1B", "default", "1GiB"])
 def test_lockstep_is_bit_identical_at_any_epoch_block(block_bytes):
     # one epoch per block, as many as the default budget holds, and every
@@ -256,39 +266,72 @@ def test_permuted_block_draws_the_sequential_permutations():
 
 
 def test_stacked_numpy_calls_match_their_2d_slices():
-    # The lock-step kernel relies on numpy doing per slice of a stack what
-    # it does for one 2-D array: stacked matmul (with the transposed views
-    # the kernel passes) and reductions along the last two axes.  Its first
-    # product, W X^T into a class-major buffer, must also give the bits of
-    # the plain (X W^T)^T.  This is how numpy and its BLAS behave, not a
-    # promise they make, so it is pinned here, also at CORA's d = 1433.
+    # The lock-step kernel holds its members interleaved: rows as
+    # (k, R, d) and (k, R, n), class-major scores as (n, R, k).  It relies
+    # on numpy doing per member slice of these buffers what it does for the
+    # plain loop's contiguous 2-D arrays: the stacked products W X^T (into
+    # the class-major buffer, which must also give the bits of the plain
+    # (X W^T)^T) and G^T X, whose per-member slices have leading dimensions
+    # R n, R d and R k; the class max and sum over the outer axis of the
+    # (n, R k) view; and the bias gradient's reduce over rows.  At d = 1 the
+    # kernel feeds G^T X member-major copies, since a matrix-vector product
+    # on the strided slices rounds otherwise.  This is how numpy and its
+    # BLAS behave, not a promise they make, so it is pinned here, also at
+    # CORA's d = 1433 and for one-row steps.
     rng = np.random.default_rng(7)
-    for trial in range(200):
-        R, k, d, n, extra = (int(v) for v in rng.integers([2, 1, 1, 2, 0], [7, 40, 40, 9, 3]))
+    for trial in range(240):
+        R, k, d, n, extra = (int(v) for v in rng.integers([2, 1, 1, 2, 0], [8, 40, 40, 10, 3]))
         if trial % 20 == 0:
             d = 1433
-        # like the kernel's step views: rows of a taller stack, so that
-        # the slices are contiguous but the stack is not
-        X = rng.standard_normal((R, k + extra, d))[:, extra:, :]
+        elif trial % 20 in (1, 2):
+            d = 1
+        if trial % 10 == 3:
+            k = 1
+        # like the kernel's step views: the leading rows of taller buffers
+        X = rng.standard_normal((k + extra, R, d))[:k]
+        P = (rng.standard_normal((k + extra, R, n)) * 10.0 ** rng.integers(-3, 4, (k + extra, R, n)))[:k]
         W = rng.standard_normal((R, n, d))
-        P = np.empty((R, k + extra, n))[:, :k, :]
-        np.matmul(X, W.swapaxes(-1, -2), P)
-        G = np.empty((R, n, d))
-        np.matmul(P.swapaxes(-1, -2), X, G)
-        row_max, row_sum = np.empty((R, k + extra, 1))[:, :k, :], np.empty((R, k + extra, 1))[:, :k, :]
-        np.maximum.reduce(P, -1, None, row_max, True)
-        np.add.reduce(P, -1, None, row_sum, True)
-        col_sum = np.empty((R, 1, n))
-        np.add.reduce(P, -2, None, col_sum, True)
-        Pc = np.empty((R, n, k))
-        np.matmul(W, X.swapaxes(-1, -2), Pc)
+        X_m, G_m = X.swapaxes(0, 1), P.swapaxes(0, 1)  # member-major views
+        if d == 1:
+            X_m, G_m = np.ascontiguousarray(X_m), np.ascontiguousarray(G_m)
+        Pc = np.empty((n, R, k))
+        np.matmul(W, X_m.swapaxes(-1, -2), Pc.swapaxes(0, 1))
+        grad_W = np.empty((R, n, d))
+        np.matmul(G_m.swapaxes(-1, -2), X_m, grad_W)
+        scores = Pc.reshape(n, R * k)
+        row_max, row_sum = np.empty((1, R * k)), np.empty((1, R * k))
+        np.maximum.reduce(scores, -2, None, row_max, True)
+        (np.add.reduce if n < 8 else classifiers._pairwise_class_sum)(scores, -2, None, row_sum, True)
+        grad_b = np.empty((1, R, n))
+        np.add.reduce(P, 0, None, grad_b, True)
         for r in range(R):
-            assert np.array_equal(P[r], X[r] @ W[r].T)
-            assert np.array_equal(Pc[r], (X[r] @ W[r].T).T)
-            assert np.array_equal(G[r], P[r].T @ X[r])
-            assert np.array_equal(row_max[r], P[r].max(axis=1, keepdims=True))
-            assert np.array_equal(row_sum[r], P[r].sum(axis=1, keepdims=True))
-            assert np.array_equal(col_sum[r, 0], P[r].sum(axis=0))
+            Xr, Gr = np.ascontiguousarray(X[:, r]), np.ascontiguousarray(P[:, r])  # as X[idx] and G are
+            plain_scores = Xr @ W[r].T
+            assert np.array_equal(Pc[:, r], plain_scores.T)
+            assert np.array_equal(grad_W[r], Gr.T @ Xr)
+            assert np.array_equal(row_max.reshape(R, k)[r], plain_scores.max(axis=1))
+            assert np.array_equal(row_sum.reshape(R, k)[r], plain_scores.sum(axis=1))
+            assert np.array_equal(grad_b[0, r], Gr.sum(axis=0))
+
+
+def test_permuted_draws_into_an_interleaved_index_column():
+    # each lock-step member draws its block of orders, offset by its rows'
+    # place in the stacked matrix, into its column of one (E, N, R) index;
+    # that a strided out gets the orders and the generator state of one
+    # permutation call per epoch is pinned here, as for a contiguous out
+    for seed in range(3):
+        for N in (1, 2, 7, 33, 441):
+            for E, R in ((1, 2), (3, 10), (7, 3)):
+                sequential = [np.random.default_rng([seed, r]) for r in range(R)]
+                blocked = [np.random.default_rng([seed, r]) for r in range(R)]
+                index = np.empty((E, N, R), dtype=np.intp)
+                for r, rng in enumerate(blocked):
+                    ranks = np.broadcast_to(np.arange(r * N, (r + 1) * N), (E, N))
+                    rng.permuted(ranks, axis=1, out=index[..., r])
+                for r in range(R):
+                    expected = np.stack([sequential[r].permutation(N) for _ in range(E)])
+                    assert np.array_equal(index[..., r] - r * N, expected)
+                    assert blocked[r].bit_generator.state == sequential[r].bit_generator.state
 
 
 def test_pairwise_class_sum_adds_in_the_row_sum_order():
@@ -356,7 +399,8 @@ def test_softmax_row_max_gives_the_plain_bits(scores):
     # _softmax takes its row max over a class-major copy; a max is exact in
     # any order, and a zero max of either sign leaves exp(s - max) unchanged
     assert np.array_equal(classifiers._softmax(scores).view(np.int64), plain_softmax(scores).view(np.int64))
-    if scores.ndim == 2:  # predict_proba is that softmax of X W^T + b
+    # predict_proba is that softmax of X W^T + b, for a model of 2 classes or more
+    if scores.ndim == 2 and scores.shape[1] >= 2:
         X, n = scores, scores.shape[1]
         model = MlrModel(np.eye(n)[::-1], np.linspace(-1.0, 1.0, n), MlrConfig(n_classes=n))
         plain = plain_softmax(X @ model.weights.T + model.bias)
@@ -411,6 +455,49 @@ class TestLockstepChecks:
             replace(config, **{field: value})
         with pytest.raises(FrozenInstanceError):
             setattr(config, field, value)
+
+    @pytest.mark.parametrize(
+        "config, field, value",
+        [
+            (MlrConfig, "n_classes", 1),  # used to train a one-class model
+            (MlrConfig, "n_classes", 0),
+            (MlrConfig, "seed", -1),  # used to fail inside numpy, naming no field
+            (AuxConfig, "n_classes", 0),  # used to build
+            (AuxConfig, "n_classes", 1),
+            (AuxConfig, "seed", -1),
+        ],
+    )
+    def test_class_count_and_seed_checked_at_construction(self, config, field, value):
+        message = rf"^{config.__name__}\.{field} must be >= [02], got {value}$"
+        with pytest.raises(ValueError, match=message):
+            config(**{"n_classes": 2, field: value})
+        with pytest.raises(ValueError, match=message):
+            replace(config(n_classes=2), **{field: value})
+
+    @pytest.mark.parametrize(
+        "labels, shown",
+        [([0.7, 1.2], "0.7"), ([1.0, np.nan], "nan"), ([np.inf, 0.0], "inf"), (["0", "1"], "0")],
+    )
+    def test_labels_that_are_not_whole_numbers_rejected(self, labels, shown):
+        # labels of 0.7 and 1.2 used to be truncated to 0 and 1 and trained on
+        message = rf"^labels must be integer-valued, got {shown}$"
+        X = np.ones((2, 2))
+        with pytest.raises(ValueError, match=message):
+            train_mlr(None, X, np.array(labels), MlrConfig(3))
+        with pytest.raises(ValueError, match=message):
+            train_mlr_lockstep([(None, X, np.array([0, 1]), MlrConfig(3)), (None, X, np.array(labels), MlrConfig(3))])
+        with pytest.raises(ValueError, match=message):
+            train_aux(X, np.array(labels), AuxConfig(3, knn_k=1))
+
+    def test_whole_float_and_bool_labels_train_as_integers(self):
+        X, y = separable_1d()
+        config = MlrConfig(n_classes=2, epochs=5, seed=1)
+        plain = train_mlr(None, X, y, config)
+        for labels in (y.astype(float), y.astype(bool), y.tolist()):
+            model = train_mlr(None, X, labels, config)
+            assert np.array_equal(model.weights, plain.weights) and np.array_equal(model.bias, plain.bias)
+        aux = train_aux(X, y.astype(float), AuxConfig(2, knn_k=1))
+        assert aux.knn_labels.dtype == int and np.array_equal(aux.knn_labels, y)
 
     def test_featureless_pool_trains_the_bias(self):
         # an N x 0 pool used to divide by zero when the lock-step chunks were sized
@@ -626,6 +713,21 @@ class TestAuxEnsemble:
         assert np.array_equal(given.svm_weights, trained.svm_weights)
         with pytest.raises(ValueError, match="logistic member"):
             train_aux(X, y, AuxConfig(n_classes=4, seed=4), mlr=mlr)
+
+    @pytest.mark.parametrize("N, d, n, fortran", [(1, 1, 2, False), (30, 4, 3, True), (441, 16, 7, False), (57, 12, 5, True)])
+    def test_svm_member_is_bit_identical_to_the_plain_loop(self, N, d, n, fortran):
+        # the hinge loop runs in buffers made once; its weights must be the
+        # plain expressions' bit for bit
+        rng = np.random.default_rng(N)
+        X = rng.standard_normal((N, d)) * rng.choice([0.1, 1.0, 10.0])
+        if fortran:
+            X = np.asfortranarray(X)
+        y = rng.integers(0, n, N)
+        config = AuxConfig(n_classes=n, knn_k=1, svm_learning_rate=0.3, svm_l2=1e-2, svm_epochs=40)
+        ensemble = train_aux(X, y, config)
+        W, b = reference_train_svm(X, y, config)
+        assert np.array_equal(ensemble.svm_weights, W)
+        assert np.array_equal(ensemble.svm_bias, b)
 
     def test_normalization_flag(self):
         X, y = self.make_blobs()
