@@ -85,8 +85,14 @@ class MlrModel:
     config: MlrConfig
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _read_only(np.array(self.weights, dtype=float)))
-        object.__setattr__(self, "bias", _read_only(np.array(self.bias, dtype=float)))
+        weights, bias = np.array(self.weights, dtype=float), np.array(self.bias, dtype=float)
+        n = self.config.n_classes
+        if weights.ndim != 2 or weights.shape[0] != n or bias.shape != (n,):
+            raise ValueError(
+                f"MlrModel needs (n, d) weights and (n,) bias for n = {n} classes, got {weights.shape} and {bias.shape}"
+            )
+        object.__setattr__(self, "weights", _read_only(weights))
+        object.__setattr__(self, "bias", _read_only(bias))
 
     @property
     def n_classes(self) -> int:
@@ -106,36 +112,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     row_max = np.maximum.reduce(np.swapaxes(scores, -1, -2).copy(), -2, keepdims=True)
     e = np.exp(scores - np.swapaxes(row_max, -1, -2))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _pairwise_class_sum(
-    Pc: np.ndarray, axis: int = -2, dtype=None, out: np.ndarray | None = None, keepdims: bool = True
-) -> np.ndarray:
-    """``np.add.reduce(Pc, -2, None, out, True)`` of a class-major (..., n, k)
-    array, each column's n terms added in the order numpy's add.reduce takes
-    along a contiguous row of n: left to right below 8 terms; up to 128,
-    eight running sums over blocks of 8, combined as a tree, then the tail
-    left to right; above 128, the sum of two halves split at a multiple of
-    8.  An outer-axis reduce adds left to right, so it is that order only
-    below 8 classes.  The other arguments are those the kernel passes."""
-    n = Pc.shape[-2]
-    if n < 8:
-        total = np.add.reduce(Pc, -2, keepdims=True)
-    elif n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_class_sum(Pc[..., :half, :]) + _pairwise_class_sum(Pc[..., half:, :])
-    else:
-        m = n - n % 8
-        r = np.add.reduce(Pc[..., :m, :].reshape(Pc.shape[:-2] + (m // 8, 8, Pc.shape[-1])), -3)
-        r = r[..., 0::2, :] + r[..., 1::2, :]
-        r = r[..., 0::2, :] + r[..., 1::2, :]
-        total = r[..., :1, :] + r[..., 1:, :]
-        for i in range(m, n):
-            total += Pc[..., i : i + 1, :]
-    if out is None:
-        return total
-    out[...] = total
-    return out
 
 
 def _integer_labels(labels) -> np.ndarray:
@@ -187,9 +163,10 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
     would return, bit for bit: its own permutation stream, learning rate,
     l2 and start point.  Members that agree on the number of rows N, the
     feature count d, ``n_classes``, ``epochs`` and ``batch_size`` share one
-    SGD loop, at most ``LOCKSTEP_BYTES`` of gathered rows at a time, in
-    which one numpy call does a step's work for all of them.  Every member's
-    input is checked before any trains; the models come back in member order.
+    SGD loop, at most ``LOCKSTEP_BYTES`` of gathered rows at a time (one
+    member at d = 1), in which one numpy call does a step's work for all of
+    them.  Every member's input is checked before any trains; the models
+    come back in member order.
     A member whose weights, bias or class scores on its own rows end up
     non-finite (a learning rate too large for its data) raises
     :class:`TrainingDiverged` naming the member and its rate.
@@ -220,7 +197,9 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
     # at the model's first prediction.
     with np.errstate(over="ignore", invalid="ignore"):
         for ((N, d), *_), index in groups.items():
-            size = max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
+            # at d = 1, G^T X_b is a matrix-vector product, which rounds
+            # otherwise on interleaved slices, so those members train alone
+            size = 1 if d == 1 else max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
             for start in range(0, len(index), size):
                 chunk = index[start : start + size]
                 models.update(zip(chunk, _train_stacked([checked[i] for i in chunk])))
@@ -286,40 +265,32 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
         Xo = np.ascontiguousarray(Xs[0]) if R == 1 else np.stack(Xs, axis=1)
         Yo = Ys[0] if R == 1 else np.stack(Ys, axis=1)
         draws = []
-    # With one feature, G^T X_b is a matrix-vector product, which rounds
-    # otherwise on the strided slices of interleaved buffers than on the
-    # plain loop's contiguous ones.  There the products read member-major
-    # copies: of the rows, refreshed after each gather, and of G, each step.
-    X_rows = by_member(Xo)
-    member_major = d == 1 and R > 1
-    if member_major:
-        X_rows = np.ascontiguousarray(X_rows)
 
     # Each product is one stacked matmul over member-major views of the
     # interleaved buffers, which makes one BLAS call per member on 2-D
     # slices whose leading dimensions are R d (X_b), R n (the G^T view) and
     # R k (the class-major output);
     # test_stacked_numpy_calls_match_their_2d_slices pins their bits
-    # against the plain expressions.  The softmax runs
-    # class-major, in an (n, R, k) buffer Pc that the first product writes
-    # straight into: W X_b^T gives the bits of (X_b W^T)^T, and numpy
-    # reduces over the outer class axis of its (n, R k) view in one pass
-    # rather than one short row at a time.  The max is exact in any order
-    # and the row sum adds in the plain row's order (see
-    # _pairwise_class_sum), so P is the plain softmax; it is copied back
-    # row-major once, since G^T X_b must take its transposed view of a
-    # row-major G to keep the plain bits.  Each step length has its own Pc
-    # and row buffer, which the max and the sum share.  Every view is made
-    # here, once per step of an epoch and not per epoch: at sweep shapes
-    # (one member, one step an epoch, a block of 120 epochs) a few views
-    # more per epoch show.
+    # against the plain expressions.  The softmax runs class-major, in an
+    # (n, R, k) buffer Pc that the first product writes straight into:
+    # W X_b^T gives the bits of (X_b W^T)^T, and numpy reduces over the
+    # outer class axis of its (n, R k) view in one pass rather than one
+    # short row at a time.  The max is exact in any order.  Below 8 classes
+    # the outer-axis sum adds left to right, as numpy sums a contiguous row;
+    # from 8 on numpy sums a row pairwise, so the sum reduces the rows of a
+    # contiguous transposed copy instead.  So P is the plain softmax; it is
+    # copied back row-major once, since G^T X_b must take its transposed
+    # view of a row-major G to keep the plain bits.  Each step length has
+    # its own Pc and row buffer, which the max and the sum share.  Every
+    # view is made here, once per step of an epoch and not per epoch: at
+    # sweep shapes (one member, one step an epoch, a block of 120 epochs) a
+    # few views more per epoch show.
     k_max = min(size, N)
     P_buf = np.empty((k_max,) + lead + (n,))
     grad_W, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
     W_flat, grad_flat, decay_flat = (a.reshape(R, n * d) for a in (W, grad_W, decay))
     class_major = {}  # step length -> (Pc, its member-major view, Pc^T, Pc as (n, R k), row buffer)
-    # (start, k, P, G^T, None or the (copy, P view) pair that fills a
-    # member-major G, class-major buffers) of each step of an epoch
+    # (start, k, P, G^T, class-major buffers) of each step of an epoch
     views = []
     for start in range(0, N, size):
         k = min(size, N - start)
@@ -327,21 +298,18 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
             Pc = np.empty((n,) + lead + (k,))
             class_major[k] = (Pc, by_member(Pc), Pc.T, Pc.reshape(n, R * k), np.empty((1, R * k)))
         P = P_buf[:k]
-        G = np.empty((R, k, n)) if member_major else by_member(P)
-        G_copy = (G, by_member(P)) if member_major else None
-        views.append((start, k, P, G.swapaxes(-1, -2), G_copy, class_major[k]))
-    # (X rows member-major and their transpose, Y rows, P, G^T, G's copy,
-    # Pc, its member-major view, Pc^T, Pc 2-D, row buffer, row count) of
-    # each step, per epoch of a block
+        views.append((start, k, P, by_member(P).swapaxes(-1, -2), class_major[k]))
+    # (X rows member-major and their transpose, Y rows, P, G^T, Pc, its
+    # member-major view, Pc^T, Pc 2-D, row buffer, row count) of each step,
+    # per epoch of a block
     steps = []
     for e in range(block):
         epoch_steps = []
-        for start, k, P, GT, G_copy, buffers in views:
-            Xb = X_rows[..., e * N + start : e * N + start + k, :]
+        for start, k, P, GT, buffers in views:
+            Xb = by_member(Xo)[..., e * N + start : e * N + start + k, :]
             Yb = Yo[e * N + start : e * N + start + k]
-            epoch_steps.append((Xb, Xb.swapaxes(-1, -2), Yb, P, GT, G_copy, *buffers, k))
+            epoch_steps.append((Xb, Xb.swapaxes(-1, -2), Yb, P, GT, *buffers, k))
         steps.append(epoch_steps)
-    sum_classes = np.add.reduce if n < 8 else _pairwise_class_sum
     bT = b.T
     for first in range(1, epochs + 1, block):
         count = min(block, epochs + 1 - first)
@@ -352,23 +320,22 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
             # "clip" skips the copy that "raise" makes of out
             np.take(X_all, order, 0, Xo_flat[: count * N * R], "clip")
             np.take(Y_all, order, 0, Yo_flat[: count * N * R], "clip")
-            if member_major:
-                X_rows[...] = by_member(Xo)
         for epoch, epoch_steps in zip(range(first, first + count), steps):
             lr = base_lr / math.sqrt(epoch)
-            for Xb, XbT, Yb, P, GT, G_copy, Pc, Pcm, PcT, Pc2, row, k in epoch_steps:
+            for Xb, XbT, Yb, P, GT, Pc, Pcm, PcT, Pc2, row, k in epoch_steps:
                 np.matmul(W, XbT, Pcm)
                 np.add(Pc, bT, Pc)
                 np.maximum.reduce(Pc2, -2, None, row, True)
                 np.subtract(Pc2, row, Pc2)
                 np.exp(Pc2, Pc2)
-                sum_classes(Pc2, -2, None, row, True)
+                if n < 8:
+                    np.add.reduce(Pc2, -2, None, row, True)
+                else:
+                    np.add.reduce(np.ascontiguousarray(Pc2.T), -1, None, row.T, True)
                 np.divide(Pc2, row, Pc2)  # softmax, class-major
                 P[...] = PcT
                 np.subtract(P, Yb, P)
                 np.divide(P, k, P)  # G
-                if G_copy:
-                    np.copyto(*G_copy)
                 np.matmul(GT, Xb, grad_W)
                 np.multiply(l2, W_flat, decay_flat)
                 np.add(grad_flat, decay_flat, grad_flat)
@@ -469,39 +436,18 @@ def train_aux(
     elif mlr.weights.shape != (config.n_classes, X.shape[1]):
         raise ValueError(f"logistic member is {mlr.weights.shape}, expected {(config.n_classes, X.shape[1])}")
 
-    # One-vs-rest hinge loss by full-batch subgradient descent.  An epoch is
-    # margins = S * (X W^T + b), active = (margins < 1) * S,
-    # W -= lr * (-active^T X / N + l2 W) and b -= lr * (-sum_rows(active) / N),
-    # each operation in the plain expressions' order (-active^T X negates
-    # active^T before the product), into buffers made once.
-    (N, d), n, l2 = X.shape, config.n_classes, config.svm_l2
-    W = np.zeros((n, d))
+    # One-vs-rest hinge loss by full-batch subgradient descent.
+    n = config.n_classes
+    W = np.zeros((n, X.shape[1]))
     b = np.zeros(n)
-    S = -np.ones((N, n))
-    S[np.arange(N), y] = 1.0
-    margins, active, negated = np.empty((N, n)), np.empty((N, n)), np.empty((N, n))
-    below = np.empty((N, n), dtype=bool)
-    grad_W, decay, grad_b = np.empty((n, d)), np.empty((n, d)), np.empty(n)
-    WT, negated_T = W.T, negated.T
+    S = -np.ones((X.shape[0], n))
+    S[np.arange(X.shape[0]), y] = 1.0
     for epoch in range(1, config.svm_epochs + 1):
         lr = config.svm_learning_rate / math.sqrt(epoch)
-        np.matmul(X, WT, margins)
-        np.add(margins, b, margins)
-        np.multiply(S, margins, margins)
-        np.less(margins, 1.0, below)
-        np.multiply(below, S, active)
-        np.negative(active, negated)
-        np.matmul(negated_T, X, grad_W)
-        np.divide(grad_W, N, grad_W)
-        np.multiply(l2, W, decay)
-        np.add(grad_W, decay, grad_W)
-        np.multiply(lr, grad_W, grad_W)
-        np.subtract(W, grad_W, W)
-        np.add.reduce(active, 0, None, grad_b)
-        np.negative(grad_b, grad_b)
-        np.divide(grad_b, N, grad_b)
-        np.multiply(lr, grad_b, grad_b)
-        np.subtract(b, grad_b, b)
+        margins = S * (X @ W.T + b)
+        active = (margins < 1.0) * S
+        W -= lr * (-active.T @ X / X.shape[0] + config.svm_l2 * W)
+        b -= lr * (-active.sum(axis=0) / X.shape[0])
 
     mean = std = None
     store = X

@@ -171,7 +171,8 @@ class Dataset:
     Row r holds instance ``ids[r]`` with true class ``labels[r]`` and
     feature vector ``features[r]``; ``links`` maps a row to its neighbours'
     rows and ``attributes`` to its stacked attribute observations (each a
-    distribution over the m attribute classes; None for none), both as CSR.
+    distribution over the m attribute classes), both as CSR, and None for
+    none.  ``class_names`` names each of the ``n_classes`` classes.
     Rows keep their input order, and the arrays are read-only copies.
     Construction checks every invariant (at least 2 classes, labels in
     range, observations that are distributions, symmetric links without
@@ -204,10 +205,12 @@ class Dataset:
         ids = arrays["ids"] = _read_only(np.array(arrays["ids"], dtype=np.int64))
         labels = arrays["labels"] = _read_only(np.array(arrays["labels"], dtype=np.int64))
         features = arrays["features"] = _read_only(np.array(arrays["features"], dtype=float))
-        n, links = len(ids), arrays["links"]
+        n = len(ids)
+        if arrays["links"] is None:
+            arrays["links"] = CsrIndex(np.zeros(n + 1), np.empty(0, dtype=np.intp))
         if arrays["attributes"] is None:
             arrays["attributes"] = CsrIndex(np.zeros(n + 1), np.empty((0, m)))
-        attributes = arrays["attributes"]
+        links, attributes = arrays["links"], arrays["attributes"]
         if not (
             ids.ndim == 1 and labels.shape == (n,) and features.ndim == 2 and len(features) == n
             and len(links.indptr) == len(attributes.indptr) == n + 1
@@ -217,6 +220,8 @@ class Dataset:
             raise ValueError(f"dataset arrays do not describe {n} instances with {m} attribute classes")
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
+        if len(self.class_names) != self.n_classes:
+            raise ValueError(f"{len(self.class_names)} class names for {self.n_classes} classes")
         bad_label = (labels < 0) | (labels >= self.n_classes)
         obs = attributes.values
         bad_obs = (obs < 0).any(axis=1) | (np.abs(obs.sum(axis=1) - 1.0) > 1e-9)

@@ -212,6 +212,25 @@ def test_lockstep_one_row_tail_steps_and_two_classes(R, n, N, batch_size, seed):
     )
 
 
+@pytest.mark.parametrize("N, n, batch_size", [(2, 4, 7), (33, 3, 32), (20, 9, None)])
+def test_one_feature_members_train_one_per_stacked_loop(N, n, batch_size):
+    # at d = 1, G^T X_b is a matrix-vector product, which rounds otherwise
+    # on interleaved slices (found at R = 2, N = 2, n = 4, batch 7), so each
+    # one-feature member trains in its own loop, with the plain loop's bits
+    rng = np.random.default_rng(N)
+    members = [
+        (None, rng.standard_normal((N, 1)), rng.integers(0, n, N), MlrConfig(n, epochs=3, batch_size=batch_size, seed=r))
+        for r in range(3)
+    ]
+    with mock.patch.object(classifiers, "_train_stacked", wraps=classifiers._train_stacked) as spy:
+        models = train_mlr_lockstep(members)
+    assert [len(call.args[0]) for call in spy.call_args_list] == [1, 1, 1]
+    for model, (_, X, y, config) in zip(models, members):
+        W, b = reference_train_mlr(np.zeros((n, 1)), np.zeros(n), X, y, config)
+        assert np.array_equal(model.weights, W)
+        assert np.array_equal(model.bias, b)
+
+
 @pytest.mark.parametrize("epochs, seed", [(2, 0), (3, 1)])
 def test_lockstep_is_bit_identical_at_the_detect_shape(epochs, seed):
     # the detection suite's lock-step call on the synthetic detect configs:
@@ -273,18 +292,17 @@ def test_stacked_numpy_calls_match_their_2d_slices():
     # the class-major buffer, which must also give the bits of the plain
     # (X W^T)^T) and G^T X, whose per-member slices have leading dimensions
     # R n, R d and R k; the class max and sum over the outer axis of the
-    # (n, R k) view; and the bias gradient's reduce over rows.  At d = 1 the
-    # kernel feeds G^T X member-major copies, since a matrix-vector product
-    # on the strided slices rounds otherwise.  This is how numpy and its
-    # BLAS behave, not a promise they make, so it is pinned here, also at
-    # CORA's d = 1433 and for one-row steps.
+    # (n, R k) view, or from 8 classes on the sum over the rows of a
+    # contiguous transposed copy; and the bias gradient's reduce over rows.
+    # This is how numpy and its BLAS behave, not a promise they make, so it
+    # is pinned here, also at CORA's d = 1433 and for one-row steps.  At
+    # d = 1, G^T X is a matrix-vector product that rounds otherwise on the
+    # strided slices, so there the kernel trains one member at a time.
     rng = np.random.default_rng(7)
     for trial in range(240):
-        R, k, d, n, extra = (int(v) for v in rng.integers([2, 1, 1, 2, 0], [8, 40, 40, 10, 3]))
+        R, k, d, n, extra = (int(v) for v in rng.integers([2, 1, 2, 2, 0], [8, 40, 40, 10, 3]))
         if trial % 20 == 0:
             d = 1433
-        elif trial % 20 in (1, 2):
-            d = 1
         if trial % 10 == 3:
             k = 1
         # like the kernel's step views: the leading rows of taller buffers
@@ -292,8 +310,6 @@ def test_stacked_numpy_calls_match_their_2d_slices():
         P = (rng.standard_normal((k + extra, R, n)) * 10.0 ** rng.integers(-3, 4, (k + extra, R, n)))[:k]
         W = rng.standard_normal((R, n, d))
         X_m, G_m = X.swapaxes(0, 1), P.swapaxes(0, 1)  # member-major views
-        if d == 1:
-            X_m, G_m = np.ascontiguousarray(X_m), np.ascontiguousarray(G_m)
         Pc = np.empty((n, R, k))
         np.matmul(W, X_m.swapaxes(-1, -2), Pc.swapaxes(0, 1))
         grad_W = np.empty((R, n, d))
@@ -301,7 +317,10 @@ def test_stacked_numpy_calls_match_their_2d_slices():
         scores = Pc.reshape(n, R * k)
         row_max, row_sum = np.empty((1, R * k)), np.empty((1, R * k))
         np.maximum.reduce(scores, -2, None, row_max, True)
-        (np.add.reduce if n < 8 else classifiers._pairwise_class_sum)(scores, -2, None, row_sum, True)
+        if n < 8:
+            np.add.reduce(scores, -2, None, row_sum, True)
+        else:
+            np.add.reduce(np.ascontiguousarray(scores.T), -1, None, row_sum.T, True)
         grad_b = np.empty((1, R, n))
         np.add.reduce(P, 0, None, grad_b, True)
         for r in range(R):
@@ -332,23 +351,6 @@ def test_permuted_draws_into_an_interleaved_index_column():
                     expected = np.stack([sequential[r].permutation(N) for _ in range(E)])
                     assert np.array_equal(index[..., r] - r * N, expected)
                     assert blocked[r].bit_generator.state == sequential[r].bit_generator.state
-
-
-def test_pairwise_class_sum_adds_in_the_row_sum_order():
-    # The kernel sums the softmax's n terms over the outer axis of a
-    # class-major buffer, and must add them as numpy's add.reduce does along
-    # a contiguous row of n.  That order (left to right below 8 terms, eight
-    # running sums up to 128, halves above) is how numpy behaves, not a
-    # promise it makes, so it is pinned here.
-    rng = np.random.default_rng(11)
-    for n in range(1, 301):
-        P = rng.standard_normal((2, 5, n)) * 10.0 ** rng.integers(-3, 4, (2, 5, n))
-        Pc = np.ascontiguousarray(P.swapaxes(-1, -2))
-        out = np.empty((2, 1, 5))
-        assert classifiers._pairwise_class_sum(Pc, -2, None, out, True) is out
-        assert np.array_equal(out.swapaxes(-1, -2), np.add.reduce(P, -1, keepdims=True)), n
-        if n < 8:  # where the kernel reduces over the outer axis itself
-            assert np.array_equal(np.add.reduce(Pc, -2, keepdims=True), out), n
 
 
 @pytest.mark.parametrize("d", [2, 6, 12, 16])
@@ -429,7 +431,9 @@ def test_lockstep_chunks_stay_under_lockstep_bytes(mlr_epochs, members_per_call,
 
 class TestLockstepChecks:
     def members(self, R=2, **config):
+        # two features, since one-feature members train one at a time
         X, y = separable_1d()
+        X = np.hstack([X, -X])
         return [(None, X, y, MlrConfig(n_classes=2, seed=r, **config)) for r in range(R)]
 
     @pytest.mark.parametrize(
@@ -546,12 +550,13 @@ class TestLockstepChecks:
         # members that differ in N, d, n_classes, epochs or batch_size used
         # to be rejected; each now trains in the stacked loop of its own
         # shape, and the models come back in member order
-        X, y = separable_1d()
+        X1, y = separable_1d()
+        X = np.hstack([X1, -X1])  # two features, so that members of one shape stack
         base = MlrConfig(n_classes=2, epochs=20, seed=0)
         members = [
             (None, X, y, base),
             (None, X[:-1], y[:-1], replace(base, seed=1)),  # N
-            (None, np.hstack([X, -X]), y, replace(base, seed=2)),  # d
+            (None, X1, y, replace(base, seed=2)),  # d
             (None, X, y, replace(base, n_classes=3, seed=3)),  # n_classes
             (None, X, y, replace(base, epochs=7, seed=4)),  # epochs
             (None, X, y, replace(base, batch_size=None, seed=5)),  # batch_size
@@ -663,6 +668,19 @@ class TestImmutability:
         X, y = separable_1d()
         train_mlr(model, X, y)
         assert np.array_equal(model.weights, np.ones((2, 1)))
+
+    @pytest.mark.parametrize(
+        "weights, bias",
+        [
+            (np.zeros((3, 2)), np.zeros(1)),  # used to build and predict 3-column rows
+            (np.zeros(2), np.zeros(2)),  # used to build, then fail with IndexError
+            (np.zeros((2, 2)), np.zeros((2, 1))),
+        ],
+    )
+    def test_shapes_checked_at_construction(self, weights, bias):
+        message = r"^MlrModel needs \(n, d\) weights and \(n,\) bias for n = 2 classes, got "
+        with pytest.raises(ValueError, match=message):
+            MlrModel(weights, bias, MlrConfig(2))
 
 
 class TestAuxEnsemble:

@@ -322,6 +322,15 @@ class TestArrays:
         with pytest.raises(dataclasses.FrozenInstanceError):
             records.ids = np.array([1, 2])
 
+    def test_omitted_links_and_attributes_mean_none(self):
+        # links=None used to fail with AttributeError: 'NoneType' object has no attribute 'indptr'
+        dataset = Dataset(
+            ids=[20, 10], labels=[1, 0], features=[[1.0], [0.0]], n_classes=2, m_attribute_classes=0, class_names=["a", "b"]
+        )
+        none = CsrIndex([0, 0, 0], np.empty(0, dtype=np.intp))
+        assert dataset == self.arrays(features=[[1.0], [0.0]], links=none, attributes=None, m_attribute_classes=0)
+        assert dataset.links.values.dtype == np.intp and not dataset.links.values.flags.writeable
+
     def test_inconsistent_arrays_rejected(self):
         with pytest.raises(ValueError, match="duplicate instance ids"):
             self.arrays(ids=[10, 10])
@@ -343,6 +352,9 @@ class TestArrays:
             ({"attributes": CsrIndex([0, 1, 1], [[0.7, 0.7]])}, "instance 20: attribute observation is not a distribution"),
             ({"attributes": CsrIndex([0, 0, 1], [[1.5, -0.5]])}, "instance 10: attribute observation is not a distribution"),
             ({"n_classes": 1}, "need at least 2 classes"),
+            # used to build, after which save_cora failed with IndexError
+            ({"class_names": ["a"]}, "1 class names for 2 classes"),
+            ({"class_names": ["a", "b", "c"]}, "3 class names for 2 classes"),
         ],
     )
     def test_broken_invariant_rejected_at_construction(self, overrides, message):
