@@ -29,12 +29,10 @@ from .dataset import (
 )
 from .detector import (
     DEFAULT_BETA,
-    DetectionResult,
     StarDivergences,
     batch_weights,
     cnld_detect,
     detect_topk,
-    detection_to_csv,
     dissimilarity,
     star_divergences,
 )

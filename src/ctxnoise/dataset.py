@@ -172,7 +172,8 @@ class Dataset:
     feature vector ``features[r]``; ``links`` maps a row to its neighbours'
     rows and ``attributes`` to its stacked attribute observations (each a
     distribution over the m attribute classes), both as CSR, and None for
-    none.  ``class_names`` names each of the ``n_classes`` classes.
+    none.  ``class_names`` names each of the ``n_classes`` classes, held as
+    a tuple whatever sequence is given.
     Rows keep their input order, and the arrays are read-only copies.
     Construction checks every invariant (at least 2 classes, labels in
     range, observations that are distributions, symmetric links without
@@ -190,7 +191,7 @@ class Dataset:
     attributes: CsrIndex = None      # (., m) observations
     n_classes: int
     m_attribute_classes: int
-    class_names: list[str]
+    class_names: tuple[str, ...]
     seed: int = -1
     instances: InitVar[Sequence[Instance] | None] = None
 
@@ -220,6 +221,7 @@ class Dataset:
             raise ValueError(f"dataset arrays do not describe {n} instances with {m} attribute classes")
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
+        object.__setattr__(self, "class_names", tuple(self.class_names))
         if len(self.class_names) != self.n_classes:
             raise ValueError(f"{len(self.class_names)} class names for {self.n_classes} classes")
         bad_label = (labels < 0) | (labels >= self.n_classes)

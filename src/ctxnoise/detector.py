@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -27,33 +26,11 @@ from .inference import batch_posterior_rows, leaf_marginals, star_posterior_rows
 from .metrics import first_k
 from .relationship import Conditionals, RelationshipModel, prior_conditionals
 
-KEEP = "keep"
-REMOVE = "remove"
-UNFILTERABLE = "unfilterable"
-
 DEFAULT_BETA = 0.85
 
 # scores at or below this are indistinguishable from zero; snapping them keeps
 # the batch-max normalization from amplifying KL rounding noise into removals
 SCORE_FLOOR = 1e-12
-
-
-@dataclass
-class DetectionResult:
-    """Per-instance scores, weights and verdicts for one queried batch; every
-    array is aligned with ``ids``."""
-
-    ids: list[int]
-    assigned: np.ndarray
-    scores: np.ndarray
-    weights: np.ndarray
-    removed: np.ndarray      # (B,) bool
-    has_context: np.ndarray  # (B,) bool: False marks an unfilterable instance
-
-    @property
-    def verdicts(self) -> list[str]:
-        """``remove``, ``keep`` or ``unfilterable`` (kept, without context)."""
-        return np.where(self.removed, REMOVE, np.where(self.has_context, KEEP, UNFILTERABLE)).tolist()
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -245,25 +222,17 @@ def cnld_detect(
     assigned_labels: Sequence[int],
     divergences: StarDivergences,
     beta: float = DEFAULT_BETA,
-) -> DetectionResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Score a queried batch and keep instances whose weight exceeds beta.
 
-    ``divergences`` is :func:`star_divergences` of the same ids.  Instances
-    without any context cannot be checked: they are marked unfilterable and
-    kept.
+    ``divergences`` is :func:`star_divergences` of the same ids.  Returns
+    the ``(B,)`` bool removed mask and the ``(B,)`` scores.  Instances
+    without any context cannot be checked: they are kept.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     scores = _scores(queried_ids, assigned_labels, divergences)
-    weights = batch_weights(scores)
-    return DetectionResult(
-        ids=list(queried_ids),
-        assigned=np.asarray(assigned_labels, dtype=int),
-        scores=scores,
-        weights=weights,
-        removed=divergences.has_context & ~(weights > beta),
-        has_context=divergences.has_context,
-    )
+    return divergences.has_context & ~(batch_weights(scores) > beta), scores
 
 
 def detect_topk(
@@ -271,10 +240,11 @@ def detect_topk(
     assigned_labels: Sequence[int],
     divergences: StarDivergences,
     removal_count: int,
-) -> DetectionResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Remove exactly the ``removal_count`` highest-scoring instances.
 
-    ``divergences`` is :func:`star_divergences` of the same ids.  Ties break
+    ``divergences`` is :func:`star_divergences` of the same ids.  Returns
+    the ``(B,)`` bool removed mask and the ``(B,)`` scores.  Ties break
     toward the lower instance id, by :func:`metrics.first_k`.  Used when the
     evaluation protocol fixes the removal budget instead of thresholding on
     beta.
@@ -286,31 +256,4 @@ def detect_topk(
     scores = _scores(queried_ids, assigned_labels, divergences)
     removed = np.zeros(len(scores), dtype=bool)
     removed[first_k(queried_ids, removal_count, -scores)] = True
-    return DetectionResult(
-        ids=list(queried_ids),
-        assigned=np.asarray(assigned_labels, dtype=int),
-        scores=scores,
-        weights=batch_weights(scores),
-        removed=removed,
-        has_context=divergences.has_context,
-    )
-
-
-def detection_to_csv(result: DetectionResult, path: str | Path, flipped: np.ndarray | None = None) -> None:
-    """Write ``id, assigned, l, gamma, verdict[, truly_flipped]`` rows;
-    ``flipped`` is a (B,) bool mask aligned with ``result.ids``."""
-    if flipped is not None and len(flipped) != len(result.ids):
-        raise ValueError("flipped must hold one entry per id")
-    with Path(path).open("w") as fh:
-        header = "id,assigned,l,gamma,verdict"
-        if flipped is not None:
-            header += ",truly_flipped"
-        fh.write(header + "\n")
-        for i, (qid, verdict) in enumerate(zip(result.ids, result.verdicts)):
-            row = (
-                f"{qid},{int(result.assigned[i])},{repr(float(result.scores[i]))},"
-                f"{repr(float(result.weights[i]))},{verdict}"
-            )
-            if flipped is not None:
-                row += f",{int(bool(flipped[i]))}"
-            fh.write(row + "\n")
+    return removed, scores

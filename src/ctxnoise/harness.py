@@ -39,7 +39,7 @@ batch, models and whether the run is pseudo-labeling; and its update, by
 batch, models and rows: the retrained classifier, the updated relationship
 model and the test accuracy.  Models are immutable and compare by
 identity, so a run whose batch reaches the state another run reached takes
-that run's models and keeps sharing until the two first differ.  Noise injection, verdicts
+that run's models and keeps sharing until the two first differ.  Noise injection, removals
 and metrics read omega, beta or the mode, and every run computes its own.
 A run without a shared start begins with an empty cache.
 
@@ -457,7 +457,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, start: RunStart | N
             key = ("stars", t, model, rel, pseudo)  # the batch and model fix the candidates
             if key not in cache:
                 cache[key] = star_divergences(candidates, dataset, model, rel)
-            removed = cnld_detect(candidates, labels, cache[key], config.beta).removed
+            removed, _ = cnld_detect(candidates, labels, cache[key], config.beta)
             budget = int(removed.sum())
             if config.mode == "pb":
                 proba = predict_proba(model, dataset.feature_matrix(candidates))
@@ -563,11 +563,9 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
             removal_count = min(removal_count, len(test_ids))
             assigned, flipped = noise_plan.assigned, noise_plan.flipped
 
-            det = detect_topk(test_ids, assigned, divergences, removal_count)
-            auc = None
-            if 0 < flipped.sum() < len(test_ids):
-                auc = ranking_auc(det.scores, flipped)
-            rows.append(DetectionSuiteRow("cnld", omega, seed, detection_metrics(det.removed, flipped), auc))
+            removed, scores = detect_topk(test_ids, assigned, divergences, removal_count)
+            auc = ranking_auc(scores, flipped) if 0 < flipped.sum() < len(test_ids) else None
+            rows.append(DetectionSuiteRow("cnld", omega, seed, detection_metrics(removed, flipped), auc))
             removed = probabilistic_detect(test_proba, test_ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("probabilistic", omega, seed, detection_metrics(removed, flipped)))
             removed = consensus_detect(member_preds, mlr_proba, test_ids, assigned, removal_count)

@@ -13,22 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _read_only
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Row-stochastic matrix of P(assigned = col | true = row)."""
+    """Row-stochastic matrix of P(assigned = col | true = row); construction
+    copies it into a read-only array."""
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("transition matrix must be square")
         if (p < 0).any() or (p > 1).any():
             raise ValueError("transition probabilities must lie in [0, 1]")
         if not np.allclose(p.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("transition matrix rows must sum to 1")
-        self.probs = p
+        object.__setattr__(self, "probs", _read_only(p))
 
     @property
     def n_classes(self) -> int:

@@ -362,6 +362,24 @@ class TestArrays:
             self.arrays(**overrides)
 
 
+class TestImmutability:
+    def test_class_names_are_a_tuple(self):
+        # a list used to be kept as given: appending to it gave 3 names for
+        # 2 classes, and a dataset built from ("a", "b") compared unequal to
+        # the same one built from ["a", "b"]
+        names = ["a", "b"]
+        fields = dict(ids=[20, 10], labels=[1, 0], features=[[1.0], [0.0]], n_classes=2, m_attribute_classes=0)
+        from_list, from_tuple = Dataset(**fields, class_names=names), Dataset(**fields, class_names=("a", "b"))
+        assert from_list.class_names == ("a", "b")
+        assert from_list == from_tuple
+        names.append("c")
+        assert from_list.class_names == ("a", "b")
+        with pytest.raises(AttributeError):
+            from_list.class_names.append("c")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            from_list.class_names = ("a", "b", "c")
+
+
 class TestValidateLinks:
     def dataset(self, links):
         instances = [Instance(id=i, features=np.zeros(1), true_label=i % 2, link_ids=ids) for i, ids in enumerate(links)]
@@ -404,7 +422,7 @@ class TestCoraLoader:
         assert ds.n_classes == 2
         assert ds.m_attribute_classes == 0
         # classes sorted lexicographically
-        assert ds.class_names == ["Case_Based", "Genetic_Algorithms"]
+        assert ds.class_names == ("Case_Based", "Genetic_Algorithms")
         assert ds.true_labels([20]).tolist() == [0]
         # links are symmetric and undirected
         assert ds.ids[ds.links.gather(ds.rows([10]))[0]].tolist() == [20, 30]

@@ -16,7 +16,6 @@ from ctxnoise import (
     build_relationship,
     cnld_detect,
     detect_topk,
-    detection_to_csv,
     dissimilarity,
     inject_ncar,
     prior_conditionals,
@@ -172,16 +171,17 @@ class TestCnldDetect:
         ds, rel, model = uniform_evidence_setup()
         ids = ds.ids.tolist()
         table = star_divergences(ids, ds, model, rel)
-        result = cnld_detect(ids, ds.true_labels(ids), table, beta=0.85)
-        assert result.verdicts == ["keep"] * len(ids)
-        assert np.allclose(result.scores, 0.0, atol=1e-12)
-        assert np.array_equal(result.weights, np.ones(len(ids)))
+        removed, scores = cnld_detect(ids, ds.true_labels(ids), table, beta=0.85)
+        assert not removed.any() and table.has_context.all()
+        assert np.allclose(scores, 0.0, atol=1e-12)
+        assert np.array_equal(batch_weights(scores), np.ones(len(ids)))
 
     def test_single_instance_batch_composition_rule(self):
         ds, rel, model = uniform_evidence_setup()
-        result = cnld_detect([0], ds.true_labels([0]), star_divergences([0], ds, model, rel), beta=0.85)
-        assert result.verdicts == ["keep"]
-        assert result.weights[0] == 1.0
+        table = star_divergences([0], ds, model, rel)
+        removed, scores = cnld_detect([0], ds.true_labels([0]), table, beta=0.85)
+        assert removed.tolist() == [False] and table.has_context.tolist() == [True]
+        assert batch_weights(scores)[0] == 1.0
 
     def test_single_instance_with_positive_score_is_its_own_max(self, trained_setup):
         # a lone scored instance has weight 0 (removed) or 1 (kept), nothing between
@@ -189,19 +189,19 @@ class TestCnldDetect:
         rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         qid = rest[0]
         wrong = (int(dataset.true_labels([qid])[0]) + 1) % 4
-        result = cnld_detect([qid], [wrong], star_divergences([qid], dataset, model, rel), beta=0.85)
-        assert result.weights[0] in (0.0, 1.0)
-        if result.scores[0] > 0:
-            assert result.verdicts == ["remove"]
+        removed, scores = cnld_detect([qid], [wrong], star_divergences([qid], dataset, model, rel), beta=0.85)
+        assert batch_weights(scores)[0] in (0.0, 1.0)
+        if scores[0] > 0:
+            assert removed.tolist() == [True]
 
     def test_beta_zero_removes_only_the_max(self, trained_setup):
         dataset, pool, rest, model = trained_setup
         rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         queried = rest[:40]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.5, seed=1)
-        result = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel), beta=0.0)
-        assert np.array_equal(result.removed, result.weights == 0.0)
-        assert result.removed.sum() >= 1
+        removed, scores = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel), beta=0.0)
+        assert np.array_equal(removed, batch_weights(scores) == 0.0)
+        assert removed.sum() >= 1
 
     def test_flipped_instances_score_higher(self, trained_setup):
         dataset, pool, rest, model = trained_setup
@@ -209,10 +209,10 @@ class TestCnldDetect:
         aucs, gaps = [], []
         for seed in range(5):
             plan = inject_ncar(dataset.true_labels(rest), 4, 0.4, seed=seed)
-            result = cnld_detect(rest, plan.assigned, star_divergences(rest, dataset, model, rel))
+            _, scores = cnld_detect(rest, plan.assigned, star_divergences(rest, dataset, model, rel))
             flipped = plan.flipped
-            gaps.append(result.scores[flipped].mean() - result.scores[~flipped].mean())
-            aucs.append(ranking_auc(result.scores, flipped))
+            gaps.append(scores[flipped].mean() - scores[~flipped].mean())
+            aucs.append(ranking_auc(scores, flipped))
         assert len(rest) >= 200
         assert min(gaps) > 0
         assert np.mean(aucs) > 0.85
@@ -221,12 +221,12 @@ class TestCnldDetect:
         ds = linked_dataset(labels=(0, 1, 2), links=((0, 1),))  # instance 2 isolated
         rel = build_relationship(ds, {0: 0, 1: 1, 2: 2})
         model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
-        result = cnld_detect([0, 1, 2], [0, 1, 2], star_divergences([0, 1, 2], ds, model, rel), beta=0.85)
-        assert result.verdicts[2] == "unfilterable"
-        assert not result.removed[2]
+        table = star_divergences([0, 1, 2], ds, model, rel)
+        removed, _ = cnld_detect([0, 1, 2], [0, 1, 2], table, beta=0.85)
+        assert not table.has_context[2] and not removed[2]
         # an isolated instance's label is never scored, so it is not range-checked
-        result = cnld_detect([0, 1, 2], [0, 1, 7], star_divergences([0, 1, 2], ds, model, rel), beta=0.85)
-        assert result.verdicts[2] == "unfilterable"
+        removed, _ = cnld_detect([0, 1, 2], [0, 1, 7], table, beta=0.85)
+        assert not table.has_context[2] and not removed[2]
 
     def test_empty_query_rejected(self):
         ds, rel, model = uniform_evidence_setup()
@@ -243,10 +243,10 @@ class TestCnldDetect:
         rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         queried = rest[:30]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.3, seed=0)
-        a = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
-        b = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
-        assert np.array_equal(a.scores, b.scores)
-        assert a.verdicts == b.verdicts
+        a_removed, a_scores = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
+        b_removed, b_scores = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
+        assert np.array_equal(a_scores, b_scores)
+        assert np.array_equal(a_removed, b_removed)
 
     def test_scores_are_per_instance(self, trained_setup):
         # dropping one instance from the batch must not change the others' scores
@@ -254,10 +254,10 @@ class TestCnldDetect:
         rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         queried = rest[:20]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=2)
-        full = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
+        _, full = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
         table = star_divergences(queried[1:], dataset, model, rel)
-        partial = cnld_detect(queried[1:], plan.assigned[1:], table)
-        assert np.allclose(full.scores[1:], partial.scores, atol=0)
+        _, partial = cnld_detect(queried[1:], plan.assigned[1:], table)
+        assert np.allclose(full[1:], partial, atol=0)
 
 
 class TestDetectTopk:
@@ -266,8 +266,8 @@ class TestDetectTopk:
         rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
         queried = rest[:15]
         table = star_divergences(queried, dataset, model, rel)
-        result = detect_topk(queried, dataset.true_labels(queried), table, 0)
-        assert not result.removed.any()
+        removed, _ = detect_topk(queried, dataset.true_labels(queried), table, 0)
+        assert not removed.any()
 
     def test_full_budget_removes_everything(self, trained_setup):
         dataset, pool, rest, model = trained_setup
@@ -275,15 +275,15 @@ class TestDetectTopk:
         queried = rest[:15]
         plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=0)
         table = star_divergences(queried, dataset, model, rel)
-        result = detect_topk(queried, plan.assigned, table, len(queried))
-        assert result.removed.all()
+        removed, _ = detect_topk(queried, plan.assigned, table, len(queried))
+        assert removed.all()
 
     def test_ties_break_toward_lower_id(self):
         ds, rel, model = uniform_evidence_setup()  # all scores exactly zero
         ids = ds.ids.tolist()
         table = star_divergences(ids, ds, model, rel)
-        result = detect_topk(ids, ds.true_labels(ids), table, 2)
-        assert result.removed.tolist() == [i in (0, 1) for i in ids]
+        removed, _ = detect_topk(ids, ds.true_labels(ids), table, 2)
+        assert removed.tolist() == [i in (0, 1) for i in ids]
 
     def test_budget_validation(self):
         ds, rel, model = uniform_evidence_setup()
@@ -291,22 +291,6 @@ class TestDetectTopk:
             detect_topk([0], [0], star_divergences([0], ds, model, rel), removal_count=2)
         with pytest.raises(ValueError):
             detect_topk([0], [0], star_divergences([0], ds, model, rel), removal_count=-1)
-
-
-def test_detection_csv(tmp_path, trained_setup):
-    dataset, pool, rest, model = trained_setup
-    rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
-    queried = rest[:10]
-    plan = inject_ncar(dataset.true_labels(queried), 4, 0.3, seed=0)
-    result = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
-    path = tmp_path / "det.csv"
-    detection_to_csv(result, path, flipped=plan.flipped)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "id,assigned,l,gamma,verdict,truly_flipped"
-    assert len(lines) == 11
-    assert [line.split(",")[-1] for line in lines[1:]] == [str(int(f)) for f in plan.flipped]
-    with pytest.raises(ValueError, match="one entry per id"):
-        detection_to_csv(result, path, flipped=plan.flipped[1:])
 
 
 def reference_scores(queried, assigned, dataset, model, rel):
@@ -398,7 +382,7 @@ class TestBatchKernel:
         label = st.integers(0, dataset.n_classes - 1)
         others = data.draw(st.lists(st.lists(label, min_size=len(queried), max_size=len(queried)), max_size=3))
         for labels in [assigned, *others]:
-            scores = detect_topk(queried, labels, table, 0).scores
+            _, scores = detect_topk(queried, labels, table, 0)
             want_scores, want_context = reference_scores(queried, labels, dataset, model, rel)
             assert np.array_equal(table.has_context, want_context)
             assert np.isfinite(scores).all() and (scores >= 0).all()

@@ -61,9 +61,10 @@ def test_detect_topk_can_be_forced_to_remove_unfilterable():
     ds = linked_dataset(labels=(0, 1, 2), links=((0, 1),))  # instance 2 isolated
     rel = build_relationship(ds, {0: 0, 1: 1, 2: 2})
     model = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(n_classes=3))
-    result = detect_topk([0, 1, 2], [0, 1, 2], star_divergences([0, 1, 2], ds, model, rel), removal_count=3)
-    assert result.removed.all()
-    assert result.verdicts == ["remove", "remove", "remove"]
+    table = star_divergences([0, 1, 2], ds, model, rel)
+    removed, _ = detect_topk([0, 1, 2], [0, 1, 2], table, removal_count=3)
+    assert removed.all()
+    assert table.has_context.tolist() == [True, True, False]
 
 
 def saturated_setup():
@@ -86,9 +87,8 @@ def test_saturated_classifier_still_detects_flips():
     assert (predict_proba(model, dataset.feature_matrix(batch)) == 0).any()
     plan = inject_ncar(dataset.true_labels(batch), 3, 0.4, seed=1)
     assert plan.flipped.sum() == 24
-    result = cnld_detect(batch, plan.assigned, star_divergences(batch, dataset, model, rel), beta=0.85)
-    assert np.isfinite(result.scores).all()
-    removed = result.removed
+    removed, scores = cnld_detect(batch, plan.assigned, star_divergences(batch, dataset, model, rel), beta=0.85)
+    assert np.isfinite(scores).all()
     assert (removed & plan.flipped).sum() > removed.sum() / 2 > 0
 
 
@@ -134,15 +134,15 @@ def test_parallel_scoring_matches_sequential(trained_setup):
     rel = build_relationship(dataset, dict(zip(pool, dataset.true_labels(pool).tolist())))
     queried = rest[:40]
     plan = inject_ncar(dataset.true_labels(queried), 4, 0.4, seed=9)
-    sequential = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
+    _, sequential = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel))
 
     def score_one(pair):
         qid, assigned = pair
-        return cnld_detect([qid], [assigned], star_divergences([qid], dataset, model, rel)).scores[0]
+        return cnld_detect([qid], [assigned], star_divergences([qid], dataset, model, rel))[1][0]
 
     with ThreadPoolExecutor(max_workers=8) as pool_exec:
         parallel = list(pool_exec.map(score_one, zip(queried, plan.assigned)))
-    assert np.array_equal(sequential.scores, np.array(parallel))
+    assert np.array_equal(sequential, np.array(parallel))
 
 
 def test_epsilon_config_key():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ class TestInjectNar:
             inject_nar(np.array([0]), np.array([[0.5, 0.2], [0.1, 0.9]]), seed=0)
         with pytest.raises(ValueError):
             TransitionMatrix(np.array([[1.2, -0.2], [0.0, 1.0]]))
+
+    def test_transition_matrix_is_read_only(self):
+        # its rows used to be checked at construction only, then stay
+        # writable, though one matrix serves every NAR run of a start
+        given = np.array([[0.75, 0.25], [0.25, 0.75]])
+        t = TransitionMatrix(given)
+        given[0, 0] = 5.0
+        assert t.probs[0, 0] == 0.75
+        with pytest.raises(ValueError, match="read-only"):
+            t.probs[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.probs = np.eye(2)
+        assert np.array_equal(t.probs, [[0.75, 0.25], [0.25, 0.75]])
 
 
 class TestEstimateTransition:

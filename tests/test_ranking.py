@@ -1,5 +1,5 @@
 """Tie order of every ranking: ``first_k`` itself, the detectors' removal
-budgets, the verdict masks, entropy selection and the AUC.
+budgets, the removed masks, entropy selection and the AUC.
 
 Inputs lie on a small integer grid, so that ties are common.  Each ranking
 must match a reference written here with ``sorted`` over the documented key,
@@ -16,6 +16,7 @@ from ctxnoise import (
     MlrConfig,
     MlrModel,
     StarDivergences,
+    batch_weights,
     cnld_detect,
     consensus_detect,
     detect_topk,
@@ -26,7 +27,6 @@ from ctxnoise import (
     select_informative,
 )
 from ctxnoise.classifiers import entropy, predict_proba
-from ctxnoise.detector import KEEP, REMOVE, UNFILTERABLE
 
 
 @st.composite
@@ -70,13 +70,10 @@ def test_detect_topk_and_verdicts(batch, data):
     ids, count = batch
     scores = grid(data, len(ids)) / 2.0
     has_context = grid(data, len(ids), high=1).astype(bool)
-    result = detect_topk(ids, [0] * len(ids), scored(ids, scores, has_context), count)
-    assert np.array_equal(result.scores, scores)
-    removed = first(ids, count, lambda r: (-scores[r],))
-    assert np.array_equal(result.removed, removed)
-    assert result.verdicts == [
-        REMOVE if removed[r] else KEEP if has_context[r] else UNFILTERABLE for r in range(len(ids))
-    ]
+    removed, got_scores = detect_topk(ids, [0] * len(ids), scored(ids, scores, has_context), count)
+    assert np.array_equal(got_scores, scores)
+    # the budget reaches stars without context too: only the scores rank
+    assert np.array_equal(removed, first(ids, count, lambda r: (-scores[r],)))
 
 
 @given(batches(), st.data(), st.sampled_from([0.0, 0.5, 0.85]))
@@ -85,13 +82,28 @@ def test_cnld_verdicts(batch, data, beta):
     ids, _ = batch
     scores = grid(data, len(ids)) / 2.0
     has_context = grid(data, len(ids), high=1).astype(bool)
-    result = cnld_detect(ids, [0] * len(ids), scored(ids, scores, has_context), beta)
-    assert np.array_equal(result.scores, scores)
-    assert np.array_equal(result.removed, has_context & (result.weights <= beta))
-    assert result.verdicts == [
-        UNFILTERABLE if not has_context[r] else KEEP if result.weights[r] > beta else REMOVE
-        for r in range(len(ids))
-    ]
+    table = scored(ids, scores, has_context)
+    removed, got_scores = cnld_detect(ids, [0] * len(ids), table, beta)
+    assert np.array_equal(got_scores, scores)
+    # a star without context is always kept; one with context is removed
+    # exactly when its weight is at most beta
+    assert np.array_equal(removed, table.has_context & (batch_weights(scores) <= beta))
+
+
+@given(batches(), st.data(), st.sampled_from([0.0, 0.5, 0.85]))
+@settings(max_examples=100, deadline=None)
+def test_both_detectors_score_alike(batch, data, beta):
+    # any finite nonnegative KL rows, two and three classes, labels of either
+    ids, count = batch
+    n = data.draw(st.integers(2, 3))
+    kl = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+    kls = np.array(data.draw(st.lists(kl, min_size=len(ids) * n, max_size=len(ids) * n))).reshape(len(ids), n)
+    has_context = grid(data, len(ids), high=1).astype(bool)
+    labels = grid(data, len(ids), high=n - 1)
+    table = StarDivergences(np.array(ids), has_context, kls, None, n_classes=n, m_attribute_classes=0)
+    _, cnld_scores = cnld_detect(ids, labels, table, beta)
+    _, topk_scores = detect_topk(ids, labels, table, count)
+    assert cnld_scores.tobytes() == topk_scores.tobytes()
 
 
 @given(batches(), st.data())
