@@ -16,15 +16,21 @@ from .classifiers import entropy
 from .metrics import first_k
 
 
-def _checked(ids: Sequence[int], assigned: Sequence[int], removal_count: int, *rows: np.ndarray) -> np.ndarray:
-    """The assigned labels as an int array, after checking that they and
-    every array of ``rows`` hold one entry per id, and that the budget
-    fits the batch."""
+def _checked(
+    ids: Sequence[int], assigned: Sequence[int], removal_count: int, proba: np.ndarray, *rows: np.ndarray
+) -> np.ndarray:
+    """The assigned labels as an int array, after checking that they,
+    ``proba`` and every array of ``rows`` hold one entry per id, that each
+    label is a column of ``proba``, and that the budget fits the batch."""
     a = np.asarray(assigned, dtype=int)
     if len(a) != len(ids):
         raise ValueError("ids and assigned labels must align")
-    if any(r.ndim != 2 or len(r) != len(ids) for r in rows):
+    if any(r.ndim != 2 or len(r) != len(ids) for r in (proba, *rows)):
         raise ValueError("member predictions and probabilities need one row per instance")
+    n = proba.shape[1]
+    out_of_range = (a < 0) | (a >= n)
+    if out_of_range.any():
+        raise ValueError(f"assigned class {int(a[out_of_range.argmax()])} out of range [0, {n})")
     if not 0 <= removal_count <= len(ids):
         raise ValueError("removal_count out of range")
     return a
@@ -42,7 +48,7 @@ def _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, min_dis
     other than the assigned label.
     """
     preds, proba = np.asarray(predictions), np.asarray(mlr_proba)
-    a = _checked(ids, assigned, removal_count, preds, proba)
+    a = _checked(ids, assigned, removal_count, proba, preds)
     flagged = (preds != a[:, None]).sum(axis=1) >= min_disagreements
     removed = np.zeros(len(a), dtype=bool)
     removed[first_k(ids, removal_count, ~flagged, proba[np.arange(len(a)), a])] = True

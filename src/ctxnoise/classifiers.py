@@ -499,7 +499,9 @@ def _knn_candidates(
         e = 16 * (q.shape[1] + 4) * np.finfo(float).eps * (r + np.finfo(float).tiny)
         limit = np.partition(a, k - 1, axis=1)[:, k - 1] + 2 * e
         finite = np.isfinite(a).all() and np.isfinite(4 * r).all()
-    return np.nonzero((a <= limit[:, None]) | (not finite))
+    if not finite:
+        return np.divmod(np.arange(a.size), a.shape[1])
+    return np.divmod(np.flatnonzero(a <= limit[:, None]), a.shape[1])
 
 
 def _knn_predict(ensemble: AuxEnsemble, X: np.ndarray) -> np.ndarray:
@@ -534,11 +536,12 @@ def _knn_predict(ensemble: AuxEnsemble, X: np.ndarray) -> np.ndarray:
         for c in range(0, len(i), chunk):
             part = slice(c, c + chunk)
             dists[part] = ((store[j[part]] - q[i[part]]) ** 2).sum(axis=-1)
-        # i is sorted, so each query's candidates keep their places when
-        # sorted by (query, distance, store index); its first k vote
+        # i is sorted, and j ascends within each query, so each query's
+        # candidates keep their places when stably sorted by (query,
+        # distance), ties in store order; its first k vote
         counts = np.bincount(i, minlength=len(q))
         rank = np.arange(len(i)) - (np.cumsum(counts) - counts)[i]
-        nearest = np.lexsort((j, dists, i))[rank < k]
+        nearest = np.lexsort((dists, i))[rank < k]
         votes = np.bincount(i[nearest] * n + labels[j[nearest]], minlength=len(q) * n)
         out[start : start + step] = votes.reshape(len(q), n).argmax(axis=1)
     return out

@@ -54,7 +54,10 @@ included, instead of on the batch's kept labels alone.
 0, inject noise into the evaluation split, and remove a fixed fraction with
 every detector.  Everything the detectors read that does not depend on the
 injected labels, the star divergences included, is computed once per seed
-and serves every noise level.
+and serves every noise level.  The noise is drawn over the split in split
+order, and the detectors see the split in ascending id order.  That order
+changes no result: a detector's removed set follows from each id's keys,
+ties going to the lower id, the metrics only count, and the AUC sums ranks.
 """
 
 from __future__ import annotations
@@ -503,7 +506,10 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
     """Fixed-budget detection benchmark over methods x noise levels x seeds.
 
     Trains on batch 0 only, injects noise into the evaluation split and
-    removes exactly the injected fraction with each detector.
+    removes exactly the injected fraction with each detector.  The noise is
+    drawn in split order and the detectors read the split in id order, the
+    order their rankings sort fastest.  The order changes no result: a
+    removed set follows from the ids' keys, ties going to the lower id.
     """
     dataset = load_experiment_dataset(config)
     n = dataset.n_classes
@@ -542,8 +548,11 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
         y_test = dataset.true_labels(test_ids)
         # the detectors' classifier outputs and star divergences do not
         # depend on the injected labels
-        X_test = dataset.feature_matrix(test_ids)
-        divergences = star_divergences(test_ids, dataset, model, rel)
+        split = np.asarray(test_ids, dtype=int)
+        by_id = np.argsort(split)
+        ids = split[by_id]
+        X_test = dataset.feature_matrix(ids)
+        divergences = star_divergences(ids, dataset, model, rel)
         test_proba = predict_proba(model, X_test)
         member_preds = aux_predictions(aux, X_test)
         mlr_proba = predict_proba(aux.mlr, X_test)
@@ -561,16 +570,16 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
 
         for omega, noise_plan, removal_count in cells:
             removal_count = min(removal_count, len(test_ids))
-            assigned, flipped = noise_plan.assigned, noise_plan.flipped
+            assigned, flipped = noise_plan.assigned[by_id], noise_plan.flipped[by_id]
 
-            removed, scores = detect_topk(test_ids, assigned, divergences, removal_count)
+            removed, scores = detect_topk(ids, assigned, divergences, removal_count)
             auc = ranking_auc(scores, flipped) if 0 < flipped.sum() < len(test_ids) else None
             rows.append(DetectionSuiteRow("cnld", omega, seed, detection_metrics(removed, flipped), auc))
-            removed = probabilistic_detect(test_proba, test_ids, assigned, removal_count)
+            removed = probabilistic_detect(test_proba, ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("probabilistic", omega, seed, detection_metrics(removed, flipped)))
-            removed = consensus_detect(member_preds, mlr_proba, test_ids, assigned, removal_count)
+            removed = consensus_detect(member_preds, mlr_proba, ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("consensus", omega, seed, detection_metrics(removed, flipped)))
-            removed = majority_detect(member_preds, mlr_proba, test_ids, assigned, removal_count)
+            removed = majority_detect(member_preds, mlr_proba, ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("majority", omega, seed, detection_metrics(removed, flipped)))
     return rows
 

@@ -94,6 +94,9 @@ def first_k(ids: Sequence[int], k: int, *keys: np.ndarray) -> np.ndarray:
     Every ranking in the package follows this rule: the baselines and
     ``detect_topk`` remove the first ``removal_count``, and entropy
     selection queries the first k.
+
+    ``np.lexsort`` sorts by the ids first, and is fastest when they arrive
+    as an ascending int array: the detection suite passes its split so.
     """
     ids = np.asarray(ids)
     if not 0 <= k <= len(ids):

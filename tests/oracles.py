@@ -19,6 +19,10 @@
   link stream, one ``random()``/``integers()`` call at a time; the
   package's bulk replay must give the same partners and leave the
   generator in the same state.
+* ``reference_first_k`` is the ranking rule written with ``sorted``: NaN
+  after every number, -0.0 equal to 0.0, then the lower id, then the
+  earlier position.  The package's ``np.lexsort`` must give the same
+  positions on every numpy the package admits.
 * ``per_occurrence_star_divergences`` is the star scoring kernel as it was
   before the per-neighbour table: every leaf occurrence is predicted and
   normalized again, with the stars of its block.  The package's table must
@@ -189,6 +193,22 @@ def reference_knn_predict(ensemble: AuxEnsemble, X: np.ndarray) -> np.ndarray:
         votes = (closer | ties) @ one_hot
         out[start : start + step] = votes.argmax(axis=1)
     return out
+
+
+def reference_first_k(ids: Sequence[int], k: int, *keys: np.ndarray) -> np.ndarray:
+    """Positions of the ``k`` entries that sort first by ``keys``, the first
+    key most significant, NaN after every number and ties going to the lower
+    id, then to the earlier position, in rank order."""
+    ids = np.asarray(ids).tolist()
+    columns = [np.asarray(key, dtype=float).tolist() for key in keys]
+    if not 0 <= k <= len(ids) or any(len(column) != len(ids) for column in columns):
+        raise ValueError("k or a key does not fit the ids")
+
+    def rank(r):
+        values = [column[r] for column in columns]
+        return *((math.isnan(v), 0.0 if math.isnan(v) else v) for v in values), ids[r], r
+
+    return np.array(sorted(range(len(ids)), key=rank)[:k], dtype=np.intp)
 
 
 def mlr_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float) -> float:
