@@ -3,7 +3,8 @@
 Each detector ranks a batch by keys computed from label-free classifier
 outputs and the assigned labels, and removes the first ``removal_count``
 by :func:`metrics.first_k`; ties go to the lower id.  It returns a (B,)
-bool mask of the removed instances, aligned with ``ids``.
+bool mask of the removed instances, aligned with ``ids``.  A key that is
+not finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import entropy
+from .dataset import _whole_numbers
 from .metrics import first_k
 
 
@@ -22,18 +24,27 @@ def _checked(
     """The assigned labels as an int array, after checking that they,
     ``proba`` and every array of ``rows`` hold one entry per id, that each
     label is a column of ``proba``, and that the budget fits the batch."""
-    a = np.asarray(assigned, dtype=int)
-    if len(a) != len(ids):
-        raise ValueError("ids and assigned labels must align")
     if any(r.ndim != 2 or len(r) != len(ids) for r in (proba, *rows)):
         raise ValueError("member predictions and probabilities need one row per instance")
-    n = proba.shape[1]
-    out_of_range = (a < 0) | (a >= n)
-    if out_of_range.any():
-        raise ValueError(f"assigned class {int(a[out_of_range.argmax()])} out of range [0, {n})")
+    a = _whole_numbers(assigned, proba.shape[1])
+    if len(a) != len(ids):
+        raise ValueError("ids and assigned labels must align")
     if not 0 <= removal_count <= len(ids):
         raise ValueError("removal_count out of range")
     return a
+
+
+def _removed(ids: Sequence[int], removal_count: int, unflagged: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The (B,) mask of the first ``removal_count`` ids by ``first_k`` over
+    ``(unflagged, key)``; a key that is not finite raises ValueError naming
+    the first id that has one, since it would rank by NaN's sort order."""
+    finite = np.isfinite(key)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"non-finite ranking key {key[bad]} for instance {ids[bad]}")
+    removed = np.zeros(len(key), dtype=bool)
+    removed[first_k(ids, removal_count, unflagged, key)] = True
+    return removed
 
 
 def _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, min_disagreements) -> np.ndarray:
@@ -50,9 +61,7 @@ def _voting_detect(predictions, mlr_proba, ids, assigned, removal_count, min_dis
     preds, proba = np.asarray(predictions), np.asarray(mlr_proba)
     a = _checked(ids, assigned, removal_count, proba, preds)
     flagged = (preds != a[:, None]).sum(axis=1) >= min_disagreements
-    removed = np.zeros(len(a), dtype=bool)
-    removed[first_k(ids, removal_count, ~flagged, proba[np.arange(len(a)), a])] = True
-    return removed
+    return _removed(ids, removal_count, ~flagged, proba[np.arange(len(a)), a])
 
 
 def majority_detect(
@@ -91,6 +100,4 @@ def probabilistic_detect(
     a = _checked(ids, assigned, removal_count, P)
     mismatch = P.argmax(axis=1) != a
     s = np.where(mismatch, 1.0 - P[np.arange(len(a)), a], 0.5 * (entropy(P) / np.log(P.shape[1])))
-    removed = np.zeros(len(a), dtype=bool)
-    removed[first_k(ids, removal_count, ~mismatch, -s)] = True
-    return removed
+    return _removed(ids, removal_count, ~mismatch, -s)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _read_only
+from .dataset import _read_only, _whole_numbers
 
 # The array kernels (the kNN's (b, N) prefilter blocks and its gathered
 # candidate rows, star scoring, the SGD loop's rows gathered for all its
@@ -114,28 +114,16 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _integer_labels(labels) -> np.ndarray:
-    """``labels`` as an int array; a label that is not a whole number (a
-    fraction, NaN, an infinity or not a number at all) raises ValueError
-    rather than being truncated."""
-    y = np.asarray(labels)
-    if y.dtype.kind in "biu":
-        return y.astype(int, copy=False)
-    whole = np.isfinite(y) & (y == np.trunc(y)) if y.dtype.kind == "f" else np.zeros(y.shape, dtype=bool)
-    if not whole.all():
-        raise ValueError(f"labels must be integer-valued, got {y[~whole].flat[0]}")
-    return y.astype(int)
-
-
-def _check_training_input(features: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
+def _check_training_input(features: np.ndarray, labels, n_classes: int) -> np.ndarray:
+    """``labels`` as an int array, after checking them and ``features``."""
+    y = _whole_numbers(labels, n_classes)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("need a non-empty (N, d) feature matrix")
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
-    if labels.shape != (features.shape[0],):
+    if y.shape != (features.shape[0],):
         raise ValueError("labels must align with features")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
-        raise ValueError(f"labels must lie in [0, {n_classes})")
+    return y
 
 
 def train_mlr(
@@ -179,8 +167,7 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
             raise ValueError("cold start needs a config")
         cfg = config if config is not None else model.config
         X = np.asarray(features, dtype=float)
-        y = _integer_labels(labels)
-        _check_training_input(X, y, cfg.n_classes)
+        y = _check_training_input(X, labels, cfg.n_classes)
         if model is not None:
             if model.n_features != X.shape[1]:
                 raise ValueError(f"model expects d={model.n_features}, got {X.shape[1]}")
@@ -425,8 +412,7 @@ def train_aux(
     seed=config.seed)`` would train it, by a caller that trains it in lock
     step with other models; None trains it here."""
     X = np.asarray(features, dtype=float)
-    y = _integer_labels(labels)
-    _check_training_input(X, y, config.n_classes)
+    y = _check_training_input(X, labels, config.n_classes)
     if config.knn_k > X.shape[0]:
         raise ValueError(f"knn_k={config.knn_k} exceeds store size {X.shape[0]}")
 

@@ -25,6 +25,7 @@ Floats are written with repr precision and round-trip exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
@@ -103,6 +104,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _whole_numbers(values, n: int | None = None, what: str = "labels") -> np.ndarray:
+    """``values`` as an int array, after checking that every entry is a
+    whole number that an int64 holds and, given ``n``, lies in [0, n).  A
+    fraction, NaN, an infinity, None, a string or a float of magnitude
+    2**63 or more raises ValueError naming the first such entry, rather
+    than being truncated or wrapped; so does the first out-of-range one.
+    Every entry point that takes class labels or instance ids calls this."""
+    y = np.asarray(values)
+    if y.dtype.kind not in "biu":
+        real = (v if isinstance(v, numbers.Real) else math.nan for v in y.flat)  # None or a string reads as NaN
+        f = y.ravel() if y.dtype.kind == "f" else np.fromiter(real, dtype=float, count=y.size)
+        with np.errstate(invalid="ignore"):  # NaN fails both tests
+            whole = (np.abs(f) < 2.0**63) & (f == np.trunc(f))
+        if not whole.all():
+            raise ValueError(f"{what} must be integer-valued, got {y.flat[np.argmin(whole)]}")
+    y = y.astype(int, copy=False)
+    if n is not None and y.size and (y.min() < 0 or y.max() >= n):
+        raise ValueError(f"{what} must lie in [0, {n}), got {y[(y < 0) | (y >= n)].flat[0]}")
+    return y
+
+
 def _id_order(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows in ascending id order, and the ids in that order."""
     order = np.argsort(ids, kind="stable")
@@ -140,7 +162,7 @@ def _link_index(heads: np.ndarray, tails: np.ndarray, order: np.ndarray) -> CsrI
 
 def _records(instances: Sequence[Instance], m: int) -> dict:
     """The arrays of a list of records, with the records' checks and messages."""
-    ids = np.array([inst.id for inst in instances], dtype=np.int64)
+    ids = _whole_numbers([inst.id for inst in instances], what="ids")
     d = instances[0].features.shape if instances else (0,)
     for inst in instances:
         if inst.features.shape != d or len(d) != 1:
@@ -203,8 +225,9 @@ class Dataset:
             raise TypeError("pass either instances or the arrays, not both")
         else:
             arrays = _records(instances, m)
-        ids = arrays["ids"] = _read_only(np.array(arrays["ids"], dtype=np.int64))
-        labels = arrays["labels"] = _read_only(np.array(arrays["labels"], dtype=np.int64))
+        # labels get the whole-number check here; the range check below names the instance
+        ids = arrays["ids"] = _read_only(np.array(_whole_numbers(arrays["ids"], what="ids"), dtype=np.int64))
+        labels = arrays["labels"] = _read_only(np.array(_whole_numbers(arrays["labels"]), dtype=np.int64))
         features = arrays["features"] = _read_only(np.array(arrays["features"], dtype=float))
         n = len(ids)
         if arrays["links"] is None:
@@ -676,7 +699,7 @@ def split_batches(
     """
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
-    pool = np.sort(np.asarray(dataset.ids if ids is None else ids, dtype=np.int64))
+    pool = np.sort(_whole_numbers(dataset.ids if ids is None else ids, what="ids"))
     if len(pool) < n_batches:
         raise ValueError("more batches than instances")
 

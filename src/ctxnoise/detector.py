@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import BLOCK_BYTES, MlrModel, predict_proba
-from .dataset import Dataset, _read_only
+from .dataset import Dataset, _read_only, _whole_numbers
 from .inference import batch_posterior_rows, leaf_marginals, star_posterior_rows
 from .metrics import first_k
 from .relationship import Conditionals, RelationshipModel, prior_conditionals
@@ -57,18 +57,17 @@ def dissimilarity(prior: Conditionals, posterior, assigned_class: int) -> float:
     strictly positive.  A non-finite total raises ValueError.
     """
     n = prior.data_rows.shape[0]
-    if not 0 <= assigned_class < n:
-        raise ValueError(f"assigned class {assigned_class} out of range [0, {n})")
+    assigned = _whole_numbers([assigned_class], n)
     total = 0.0
     if posterior.data_rows is not None:
         if posterior.data_rows.shape != prior.data_rows.shape:
             raise ValueError("posterior and prior data conditionals have different shapes")
-        total += float(_hinge(_kl_rows(posterior.data_rows, prior.data_rows)[None], [assigned_class], n)[0])
+        total += float(_hinge(_kl_rows(posterior.data_rows, prior.data_rows)[None], assigned, n)[0])
     if posterior.attr_rows is not None:
         if prior.attr_rows is None or posterior.attr_rows.shape != prior.attr_rows.shape:
             raise ValueError("posterior and prior attribute conditionals have different shapes")
         m = prior.attr_rows.shape[1]
-        total += float(_hinge(_kl_rows(posterior.attr_rows, prior.attr_rows)[None], [assigned_class], m)[0])
+        total += float(_hinge(_kl_rows(posterior.attr_rows, prior.attr_rows)[None], assigned, m)[0])
     if not math.isfinite(total):
         raise ValueError(f"non-finite dissimilarity {total} for assigned class {assigned_class}")
     return total if total > SCORE_FLOOR else 0.0
@@ -137,7 +136,8 @@ def star_divergences(
         raise ValueError("classifier feature dimension does not match the dataset")
     if classifier.n_classes != relationship.n_classes:
         raise ValueError("classifier and relationship class counts differ")
-    rows = dataset.rows(queried_ids)
+    ids = _whole_numbers(queried_ids, what="ids")
+    rows = dataset.rows(ids)
     leaf_rows, link_ptr = dataset.links.gather(rows)
     observations, obs_ptr = dataset.attributes.gather(rows)
     if obs_ptr[-1] > 0:
@@ -178,7 +178,7 @@ def star_divergences(
         start = stop
 
     return StarDivergences(
-        ids=_read_only(np.array(queried_ids, dtype=int)),
+        ids=_read_only(ids.copy()),
         has_context=_read_only((np.diff(link_ptr) > 0) | (np.diff(obs_ptr) > 0)),
         data_kl=None if data_kl is None else _read_only(data_kl),
         attr_kl=None if attr_kl is None else _read_only(attr_kl),
@@ -197,13 +197,10 @@ def _scores(
         raise ValueError("queried ids and assigned labels must align")
     if not np.array_equal(np.asarray(queried_ids), divergences.ids):
         raise ValueError("queried ids differ from the ids the star divergences were computed for")
-    assigned = np.asarray(assigned_labels, dtype=int)
     has_context, n = divergences.has_context, divergences.n_classes
-    out_of_range = has_context & ((assigned < 0) | (assigned >= n))
-    if out_of_range.any():
-        bad = int(assigned[out_of_range.argmax()])
-        raise ValueError(f"assigned class {bad} out of range [0, {n})")
-    assigned = np.where(has_context, assigned, 0)  # an unscored label is never checked
+    assigned = np.array(assigned_labels)
+    assigned[~has_context] = 0  # an unscored label is never checked
+    assigned = _whole_numbers(assigned, n)
 
     scores = np.zeros(len(assigned))
     if divergences.data_kl is not None:

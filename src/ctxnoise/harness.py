@@ -85,7 +85,9 @@ from .classifiers import (
     train_mlr,
     train_mlr_lockstep,
 )
-from .dataset import ConfigError, Dataset, SyntheticConfig, _read_only, generate_synthetic, load_cora, split_batches
+from .dataset import (
+    ConfigError, Dataset, SyntheticConfig, _read_only, _whole_numbers, generate_synthetic, load_cora, split_batches
+)
 from .detector import DEFAULT_BETA, cnld_detect, detect_topk, star_divergences
 from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc
 from .noise import inject_nar, inject_ncar, estimate_transition, _round_half_up
@@ -194,7 +196,7 @@ class ExperimentConfig:
             ("mlr_l2", 0.0 <= self.mlr_l2 < math.inf, "must be >= 0 and finite"),
             ("mlr_epochs", self.mlr_epochs >= 1, "must be >= 1"),
             ("mlr_batch_size", self.mlr_batch_size is None or self.mlr_batch_size >= 1, "must be >= 1 or none"),
-            ("knn_k", self.knn_k >= 1, "must be >= 1"),
+            ("knn_k", self.knn_k >= 1 and self.knn_k % 2 == 1, "must be a positive odd number"),
         )
         for key, ok, requirement in checks:
             if not ok:
@@ -295,7 +297,7 @@ def select_informative(
         raise ValueError("k must be >= 1")
     if k > len(batch_ids):
         raise ValueError("k exceeds the batch size")
-    ordered = np.sort(np.asarray(batch_ids, dtype=int))
+    ordered = np.sort(_whole_numbers(batch_ids, what="ids"))
     if strategy == "random":
         rng = np.random.default_rng(seed)
         return ordered[rng.choice(len(ordered), size=k, replace=False)].tolist()
@@ -531,6 +533,7 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
     for seed, (batches, test_ids, pool_X, pool_y, rel, _), model, aux_mlr in zip(
         config.seeds, parts, models, models[len(parts) :]
     ):
+        # an odd knn_k is clipped to the pool, and kept odd
         knn_k = min(config.knn_k, len(batches[0]))
         if knn_k % 2 == 0:
             knn_k -= 1
@@ -548,7 +551,7 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
         y_test = dataset.true_labels(test_ids)
         # the detectors' classifier outputs and star divergences do not
         # depend on the injected labels
-        split = np.asarray(test_ids, dtype=int)
+        split = np.asarray(test_ids)
         by_id = np.argsort(split)
         ids = split[by_id]
         X_test = dataset.feature_matrix(ids)

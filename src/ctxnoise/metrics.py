@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import MlrModel, predict_proba
+from .dataset import _whole_numbers
 
 
 @dataclass
@@ -58,7 +59,7 @@ def detection_metrics(removed: np.ndarray, flipped: np.ndarray) -> DetectionMetr
 
 def accuracy(classifier: MlrModel, features: np.ndarray, labels: Sequence[int]) -> float:
     """Fraction of argmax predictions on ``features`` agreeing with ``labels``."""
-    y = np.asarray(labels)
+    y = _whole_numbers(labels, classifier.n_classes)
     if len(y) == 0:
         raise ValueError("empty test set")
     if len(features) != len(y):

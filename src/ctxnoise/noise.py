@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _read_only
+from .dataset import _read_only, _whole_numbers
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +59,7 @@ def inject_ncar(labels: np.ndarray, n_classes: int, omega: float, seed: int) -> 
     """Flip exactly round(omega * class size) labels per class, never to self."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
-    y = np.asarray(labels, dtype=int)
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise ValueError(f"labels must lie in [0, {n_classes})")
+    y = _whole_numbers(labels, n_classes)
     rng = np.random.default_rng(seed)
     assigned = y.copy()
     for c in range(n_classes):
@@ -79,10 +77,8 @@ def inject_nar(labels: np.ndarray, transition: TransitionMatrix | np.ndarray, se
     """Redraw each label from the transition row of its true class."""
     if not isinstance(transition, TransitionMatrix):
         transition = TransitionMatrix(np.asarray(transition, dtype=float))
-    y = np.asarray(labels, dtype=int)
     n = transition.n_classes
-    if y.size and (y.min() < 0 or y.max() >= n):
-        raise ValueError(f"labels must lie in [0, {n})")
+    y = _whole_numbers(labels, n)
     rng = np.random.default_rng(seed)
     assigned = y.copy()
     for c in range(n):
@@ -105,7 +101,7 @@ def estimate_transition(features: np.ndarray, labels: np.ndarray, n_classes: int
     class y.  Fully deterministic.
     """
     X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = _whole_numbers(labels, n_classes)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("features and labels must align")
     for c in range(n_classes):

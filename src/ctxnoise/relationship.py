@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset, _read_only
+from .dataset import Dataset, _read_only, _whole_numbers
 
 DEFAULT_SMOOTHING = 1e-6
 
@@ -104,20 +104,15 @@ def update_relationship(
     instance in ascending id order.
     """
     n = model.n_classes
-    ids = np.fromiter(new_labels.keys(), dtype=np.int64, count=len(new_labels))
+    ids = _whole_numbers(list(new_labels), what="ids")
     rows = dataset.rows(ids)  # raises on unknown id
-    values = list(new_labels.values())
-    if None in values:
-        raise ValueError(f"instance {ids[values.index(None)]} has no label")
-    classes = np.array(values, dtype=np.int64)
-    bad = (classes < 0) | (classes >= n)
-    if bad.any():
-        raise ValueError(f"label {classes[bad][0]} for instance {ids[bad][0]} out of range")
+    classes = _whole_numbers(list(new_labels.values()), n)
+    accepted = dict(zip(ids.tolist(), classes.tolist()))  # stored as Python ints, in the caller's order
 
     # the class of every labeled row, -1 where unlabeled; new labels win
     known = model.labels
     row_class = np.full(len(dataset), -1, dtype=np.int64)
-    row_class[dataset.rows(np.fromiter(known.keys(), dtype=np.int64, count=len(known)))] = list(known.values())
+    row_class[dataset.rows(_whole_numbers(list(known), what="ids"))] = _whole_numbers(list(known.values()), n)
     row_class[rows] = classes
     is_new = np.zeros(len(dataset), dtype=bool)
     is_new[rows] = True
@@ -145,7 +140,7 @@ def update_relationship(
         data_counts=data,
         attr_counts=attr,
         epsilon=model.epsilon,
-        labels={**known, **new_labels},
+        labels={**known, **accepted},
     )
 
 

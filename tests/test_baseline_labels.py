@@ -21,13 +21,13 @@ DETECTORS = {
 @pytest.mark.parametrize("name", DETECTORS)
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_label_outside_the_classes_rejected(name, bad):
-    with pytest.raises(ValueError, match=rf"assigned class {bad} out of range \[0, 3\)"):
+    with pytest.raises(ValueError, match=rf"^labels must lie in \[0, 3\), got {bad}$"):
         DETECTORS[name]([0, bad, 2])
 
 
 @pytest.mark.parametrize("name", DETECTORS)
 def test_first_bad_label_is_named(name):
-    with pytest.raises(ValueError, match=r"assigned class 5 out of range"):
+    with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\), got 5$"):
         DETECTORS[name]([5, 0, -1])
 
 

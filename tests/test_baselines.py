@@ -144,3 +144,23 @@ class TestProbabilisticDetector:
         proba = self.rows([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         removed = removed_ids(probabilistic_detect(proba, [2, 0, 1], [1, 1, 1], 2), [2, 0, 1])
         assert removed == {0, 1}
+
+
+NAN_ROW_FIRST = np.array([[np.nan] * 3, [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]])
+SURE_MEMBERS = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+
+
+@pytest.mark.parametrize(
+    "detect",
+    [
+        # used to remove id 3, the NaN score of id 1 sorting after every number
+        lambda: probabilistic_detect(NAN_ROW_FIRST, [1, 2, 3], [0, 1, 0], 1),
+        # used to remove id 1 on its NaN confidence in the assigned class
+        lambda: majority_detect(SURE_MEMBERS, NAN_ROW_FIRST, [1, 2, 3], [1, 1, 2], 1),
+        lambda: consensus_detect(SURE_MEMBERS, NAN_ROW_FIRST, [1, 2, 3], [1, 1, 2], 1),
+    ],
+    ids=["probabilistic", "majority", "consensus"],
+)
+def test_non_finite_ranking_key_named(detect):
+    with pytest.raises(ValueError, match=r"^non-finite ranking key nan for instance 1$"):
+        detect()

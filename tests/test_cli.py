@@ -410,3 +410,22 @@ def test_out_dir_env_var(tmp_path, tiny_config, monkeypatch):
     monkeypatch.setenv("CTXNOISE_OUT", str(target))
     assert main(["gen-data", "--config", str(tiny_config)]) == 0
     assert (target / "dataset.txt").exists()
+
+
+def test_verbose_adds_one_line_per_batch(tmp_path, tiny_config, capsys):
+    args = ["active-learn", "--config", str(tiny_config), "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    quiet = capsys.readouterr().out.splitlines()
+    assert main(args + ["--verbose"]) == 0
+    verbose = capsys.readouterr().out.splitlines()
+    # n_batches = 4, so batches 1 to 3 update the initial pool
+    assert [line.split(":")[0] for line in verbose[:3]] == [f"seed 0 batch {b}" for b in (1, 2, 3)]
+    assert all(" accuracy " in line and " kept " in line and " removed " in line for line in verbose[:3])
+    assert verbose[3:] == quiet
+
+
+def test_even_knn_k_names_its_line(tmp_path, capsys):
+    # an even k used to run as a (k - 1)-NN member
+    config, text = tiny_detect_with(tmp_path, "knn_k = 4\n")
+    assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {config}:{line_of(text, 'knn_k')}: knn_k must be a positive odd number\n"

@@ -425,6 +425,15 @@ class TestRunDetectionSuite:
         with mock.patch.object(harness, "train_mlr_lockstep", lambda members: [train_mlr(*m) for m in members]):
             assert run_detection_suite(config) == rows
 
+    @pytest.mark.parametrize("n_batches, knn_k, used", [(42, 5, 3), (33, 7, 5), (5, 5, 5)])
+    def test_knn_k_clipped_to_the_initial_pool(self, n_batches, knn_k, used):
+        # 168 train ids give initial pools of 4, 5 and 33; k is clipped to
+        # the pool, then made odd by taking one off
+        config = small_config(omegas=[0.2], n_batches=n_batches, knn_k=knn_k)
+        with mock.patch.object(harness, "train_aux", wraps=classifiers.train_aux) as spy:
+            run_detection_suite(config)
+        assert [call.args[2].knn_k for call in spy.call_args_list] == [used]
+
     def test_nar_suite(self):
         config = small_config(noise="nar", seeds=[0])
         rows = run_detection_suite(config)
@@ -482,6 +491,8 @@ seeds = 0
             # later summary entry overwrote the earlier
             ("omegas", [0.2, 0.2000001]),
             ("betas", [0.8, 0.85, 0.80000001]),
+            # an even k used to run as a (k - 1)-NN member
+            ("knn_k", 4),
         ],
     )
     def test_invalid_config_cannot_be_built(self, key, value):

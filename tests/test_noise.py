@@ -149,6 +149,15 @@ class TestEstimateTransition:
         assert np.allclose(trans.probs[0], [3 / 4, 1 / 4])
         assert np.allclose(trans.probs[1], [2 / 3, 1 / 3])
 
+    def test_empty_cluster_reseeded_at_the_farthest_point(self):
+        # both classes have mean 1, so every point ties to center 0 and
+        # cluster 1 is reseeded at the first farthest point, x = 0; then
+        # cluster 0 = {2, 1, 1} (classes 0, 1, 1) and cluster 1 = {0}
+        # (class 0).  Without the reseed both rows would be uniform.
+        X = np.array([[0.0], [2.0], [1.0], [1.0]])
+        trans = estimate_transition(X, np.array([0, 0, 1, 1]), 2)
+        assert np.array_equal(trans.probs, [[1.0, 0.0], [1 / 3, 2 / 3]])
+
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
             estimate_transition(np.zeros((4, 1)), np.zeros(4, dtype=int), 2)

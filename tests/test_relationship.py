@@ -133,6 +133,14 @@ class TestUpdateRelationship:
         with pytest.raises(KeyError):
             update_relationship(model, ds, {42: 0})
 
+    def test_labels_kept_in_the_given_order_as_ints(self):
+        # the counts are folded in ascending id order; the stored labels
+        # keep each id's own label, in the order given
+        ds = linked_dataset(labels=(0, 1, 2), links=((0, 1), (1, 2)))
+        model = update_relationship(build_relationship(ds, {1: 1}), ds, {2: 2.0, 0: True})
+        assert list(model.labels.items()) == [(1, 1), (2, 2), (0, 1)]
+        assert all(type(c) is int for c in model.labels.values())
+
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_symmetry_preserved_under_any_update_sequence(self, pairs):
