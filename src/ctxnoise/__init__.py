@@ -2,7 +2,6 @@
 
 from .baselines import consensus_detect, majority_detect, probabilistic_detect
 from .classifiers import (
-    AuxConfig,
     AuxEnsemble,
     MlrConfig,
     MlrModel,

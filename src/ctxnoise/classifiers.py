@@ -38,6 +38,13 @@ BLOCK_BYTES = 256 * 1024
 # Xeon with 2 MiB of L2 a core.
 LOCKSTEP_BYTES = 8 * 1024 * 1024
 
+# The aux ensemble's SVM member: its learning rate (decayed as
+# 1/sqrt(epoch)), L2 weight and epoch count.  The ensemble is a fixed
+# comparator for the context detector, so these are not settable.
+SVM_LEARNING_RATE = 0.1
+SVM_L2 = 1e-4
+SVM_EPOCHS = 200
+
 
 class TrainingDiverged(ValueError):
     """A :func:`train_mlr_lockstep` member trained to non-finite weights,
@@ -130,14 +137,15 @@ def train_mlr(
     model: MlrModel | None,
     features: np.ndarray,
     labels: np.ndarray,
-    config: MlrConfig | None = None,
+    config: MlrConfig,
 ) -> MlrModel:
     """Fit (or warm-start update) the logistic model on the given samples.
 
     Cold start initializes at zero weights.  Passing an existing model
     continues gradient descent from its weights, which is how per-batch
-    incremental updates are done.  The learning rate decays as 1/sqrt(epoch)
-    and the run is deterministic for a fixed config seed.  This is the
+    incremental updates are done; ``config`` gives the settings and seed of
+    this call either way.  The learning rate decays as 1/sqrt(epoch) and
+    the run is deterministic for a fixed config seed.  This is the
     one-member call of :func:`train_mlr_lockstep`.
     """
     return train_mlr_lockstep([(model, features, labels, config)])[0]
@@ -162,10 +170,9 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
     if not members:
         raise ValueError("need at least one member")
     checked, groups = [], {}
-    for model, features, labels, config in members:
-        if model is None and config is None:
-            raise ValueError("cold start needs a config")
-        cfg = config if config is not None else model.config
+    for i, (model, features, labels, cfg) in enumerate(members):
+        if not isinstance(cfg, MlrConfig):
+            raise ValueError(f"member {i} needs an MlrConfig, got {cfg!r}")
         X = np.asarray(features, dtype=float)
         y = _check_training_input(X, labels, cfg.n_classes)
         if model is not None:
@@ -356,31 +363,6 @@ def entropy(proba: np.ndarray) -> np.ndarray:
     return -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class AuxConfig:
-    n_classes: int
-    knn_k: int = 5
-    normalize: bool = False     # z-score features for the kNN store
-    svm_learning_rate: float = 0.1
-    svm_l2: float = 1e-4
-    svm_epochs: int = 200
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        # each check is written so that NaN fails it
-        checks = (
-            ("n_classes", self.n_classes >= 2, "must be >= 2"),
-            ("knn_k", self.knn_k >= 1 and self.knn_k % 2 == 1, "must be a positive odd number"),
-            ("svm_learning_rate", 0.0 < self.svm_learning_rate < math.inf, "must be positive and finite"),
-            ("svm_l2", 0.0 <= self.svm_l2 < math.inf, "must be >= 0 and finite"),
-            ("svm_epochs", self.svm_epochs >= 0, "must be >= 0"),
-            ("seed", self.seed >= 0, "must be >= 0"),
-        )
-        for name, ok, requirement in checks:
-            if not ok:
-                raise ValueError(f"AuxConfig.{name} {requirement}, got {getattr(self, name)!r}")
-
-
 @dataclass
 class AuxEnsemble:
     """Logistic + one-vs-rest linear SVM + kNN trained on the same pool."""
@@ -404,40 +386,34 @@ class AuxEnsemble:
         return (X - self.feature_mean) / self.feature_std
 
 
-def train_aux(
-    features: np.ndarray, labels: np.ndarray, config: AuxConfig, mlr: MlrModel | None = None
-) -> AuxEnsemble:
-    """Fit the three members on one pool.  ``mlr`` is the logistic member
-    already trained, as ``train_mlr`` with ``MlrConfig(n_classes,
-    seed=config.seed)`` would train it, by a caller that trains it in lock
-    step with other models; None trains it here."""
+def train_aux(features: np.ndarray, labels: np.ndarray, mlr: MlrModel, knn_k: int, normalize: bool) -> AuxEnsemble:
+    """The ensemble on one pool: ``mlr`` is its logistic member, already
+    trained on the pool, and the SVM member trains here with the
+    ``SVM_*`` settings.  ``knn_k`` must be a positive odd number at most
+    the pool size; ``normalize`` z-scores the kNN store's features."""
     X = np.asarray(features, dtype=float)
-    y = _check_training_input(X, labels, config.n_classes)
-    if config.knn_k > X.shape[0]:
-        raise ValueError(f"knn_k={config.knn_k} exceeds store size {X.shape[0]}")
-
-    # the logistic member trains with MlrConfig defaults, not the experiment's mlr_* keys
-    if mlr is None:
-        mlr = train_mlr(None, X, y, MlrConfig(n_classes=config.n_classes, seed=config.seed))
-    elif mlr.weights.shape != (config.n_classes, X.shape[1]):
-        raise ValueError(f"logistic member is {mlr.weights.shape}, expected {(config.n_classes, X.shape[1])}")
+    n = mlr.n_classes
+    y = _check_training_input(X, labels, n)
+    if not (1 <= knn_k <= X.shape[0] and knn_k % 2 == 1):
+        raise ValueError(f"knn_k must be a positive odd number at most the pool size {X.shape[0]}, got {knn_k!r}")
+    if mlr.n_features != X.shape[1]:
+        raise ValueError(f"logistic member expects d={mlr.n_features}, got {X.shape[1]}")
 
     # One-vs-rest hinge loss by full-batch subgradient descent.
-    n = config.n_classes
     W = np.zeros((n, X.shape[1]))
     b = np.zeros(n)
     S = -np.ones((X.shape[0], n))
     S[np.arange(X.shape[0]), y] = 1.0
-    for epoch in range(1, config.svm_epochs + 1):
-        lr = config.svm_learning_rate / math.sqrt(epoch)
+    for epoch in range(1, SVM_EPOCHS + 1):
+        lr = SVM_LEARNING_RATE / math.sqrt(epoch)
         margins = S * (X @ W.T + b)
         active = (margins < 1.0) * S
-        W -= lr * (-active.T @ X / X.shape[0] + config.svm_l2 * W)
+        W -= lr * (-active.T @ X / X.shape[0] + SVM_L2 * W)
         b -= lr * (-active.sum(axis=0) / X.shape[0])
 
     mean = std = None
     store = X
-    if config.normalize:
+    if normalize:
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         std = np.where(std > 0, std, 1.0)
@@ -449,7 +425,7 @@ def train_aux(
         svm_bias=b,
         knn_features=store,
         knn_labels=y.copy(),
-        knn_k=config.knn_k,
+        knn_k=knn_k,
         feature_mean=mean,
         feature_std=std,
     )

@@ -287,7 +287,7 @@ class Dataset:
 
     def rows(self, instance_ids: Iterable[int]) -> np.ndarray:
         """Row of each id in the arrays; raises KeyError on an unknown id."""
-        return _find_rows(*self._index, instance_ids)
+        return _find_rows(*self._index, _whole_numbers(instance_ids, what="ids"))
 
     @property
     def n_features(self) -> int:
@@ -351,7 +351,6 @@ class SyntheticConfig:
 class GroundTruth:
     """Generating quantities of a synthetic dataset, for oracle-style checks."""
 
-    class_means: np.ndarray            # (n, d)
     data_conditionals: np.ndarray      # (n, n), row-stochastic
     attr_conditionals: np.ndarray | None  # (n, m) or None when m == 0
 
@@ -499,7 +498,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
         m_attribute_classes=m,
         class_names=[f"class_{c}" for c in range(n)],
         seed=config.seed,
-    ), GroundTruth(means, data_rows, attr_rows)
+    ), GroundTruth(data_rows, attr_rows)
 
 
 def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:

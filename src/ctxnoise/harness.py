@@ -74,7 +74,6 @@ import numpy as np
 
 from .baselines import consensus_detect, majority_detect, probabilistic_detect
 from .classifiers import (
-    AuxConfig,
     MlrConfig,
     MlrModel,
     TrainingDiverged,
@@ -537,17 +536,7 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
         knn_k = min(config.knn_k, len(batches[0]))
         if knn_k % 2 == 0:
             knn_k -= 1
-        aux = train_aux(
-            pool_X,
-            pool_y,
-            AuxConfig(
-                n_classes=n,
-                knn_k=knn_k,
-                normalize=config.dataset_kind == "synthetic",
-                seed=derive_seed(seed, _SALT_AUX),
-            ),
-            mlr=aux_mlr,
-        )
+        aux = train_aux(pool_X, pool_y, aux_mlr, knn_k, config.dataset_kind == "synthetic")
         y_test = dataset.true_labels(test_ids)
         # the detectors' classifier outputs and star divergences do not
         # depend on the injected labels

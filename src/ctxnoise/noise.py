@@ -57,6 +57,8 @@ def _round_half_up(x: float) -> int:
 
 def inject_ncar(labels: np.ndarray, n_classes: int, omega: float, seed: int) -> NoisePlan:
     """Flip exactly round(omega * class size) labels per class, never to self."""
+    if not n_classes >= 2:
+        raise ValueError(f"n_classes must be >= 2, got {n_classes!r}")
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
     y = _whole_numbers(labels, n_classes)

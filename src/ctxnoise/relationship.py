@@ -32,8 +32,9 @@ class RelationshipModel:
     cross from newly accepted instances into previously accepted ones.
     Construction copies the counts into read-only arrays and the labels
     into a read-only mapping, and raises ValueError unless ``data_counts``
-    is square, ``attr_counts`` has one row per class, and every count is
-    finite and non-negative.
+    is square, ``attr_counts`` has one row per class, every count is
+    finite and non-negative, and ``labels`` maps whole-number ids to
+    classes in [0, n).
     """
 
     data_counts: np.ndarray          # (n, n)
@@ -56,7 +57,10 @@ class RelationshipModel:
             if not ((counts >= 0) & (counts < math.inf)).all():  # written so that NaN fails it
                 raise ValueError(f"{name} hold a negative or non-finite count")
             object.__setattr__(self, name, _read_only(counts))
-        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
+        ids = _whole_numbers(list(self.labels), what="ids")
+        classes = _whole_numbers(list(self.labels.values()), data.shape[0])
+        # stored as Python ints, in the order given
+        object.__setattr__(self, "labels", MappingProxyType(dict(zip(ids.tolist(), classes.tolist()))))
 
     @property
     def n_classes(self) -> int:
@@ -107,12 +111,14 @@ def update_relationship(
     ids = _whole_numbers(list(new_labels), what="ids")
     rows = dataset.rows(ids)  # raises on unknown id
     classes = _whole_numbers(list(new_labels.values()), n)
-    accepted = dict(zip(ids.tolist(), classes.tolist()))  # stored as Python ints, in the caller's order
+    accepted = dict(zip(ids.tolist(), classes.tolist()))
 
-    # the class of every labeled row, -1 where unlabeled; new labels win
+    # the class of every labeled row, -1 where unlabeled; new labels win.
+    # The model checked its labels when it was built; their ids are mapped
+    # to rows here, which raises on one that the dataset lacks.
     known = model.labels
     row_class = np.full(len(dataset), -1, dtype=np.int64)
-    row_class[dataset.rows(_whole_numbers(list(known), what="ids"))] = _whole_numbers(list(known.values()), n)
+    row_class[dataset.rows(list(known))] = list(known.values())
     row_class[rows] = classes
     is_new = np.zeros(len(dataset), dtype=bool)
     is_new[rows] = True

@@ -11,7 +11,9 @@
   gradient, and ``reference_train_mlr`` is the plain SGD loop that
   ``train_mlr`` must reproduce bit for bit; ``reference_train_svm`` is the
   plain one-vs-rest hinge loop that ``train_aux``'s SVM member must
-  reproduce bit for bit.
+  reproduce bit for bit.  ``trained_aux`` is the ensemble that the
+  detection suite builds: the logistic member trained with ``MlrConfig``
+  defaults, then ``train_aux``.
 * ``reference_knn_predict`` is the kNN member's broadcast kernel, which
   forms every query's full ``(N, d)`` difference tensor; the package's
   prefiltered kernel must give the same votes on every input.
@@ -41,8 +43,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ctxnoise import Dataset, MlrModel, RelationshipModel, detector, predict_proba, prior_conditionals
-from ctxnoise.classifiers import BLOCK_BYTES, AuxEnsemble, _softmax
+from ctxnoise import (
+    Dataset, MlrConfig, MlrModel, RelationshipModel, detector, predict_proba, prior_conditionals, train_aux, train_mlr
+)
+from ctxnoise.classifiers import BLOCK_BYTES, SVM_EPOCHS, SVM_L2, SVM_LEARNING_RATE, AuxEnsemble, _softmax
 from ctxnoise.dataset import _read_only
 from ctxnoise.inference import batch_posterior_rows
 
@@ -128,21 +132,28 @@ def reference_train_mlr(weights, bias, features, labels, config):
     return W, b
 
 
-def reference_train_svm(features, labels, config):
+def reference_train_svm(features, labels, n_classes):
     """The plain full-batch hinge loop of ``train_aux``'s SVM member, each
     update written as one expression with fresh temporaries."""
     X = np.asarray(features, dtype=float)
-    W = np.zeros((config.n_classes, X.shape[1]))
-    b = np.zeros(config.n_classes)
-    S = -np.ones((X.shape[0], config.n_classes))
+    W = np.zeros((n_classes, X.shape[1]))
+    b = np.zeros(n_classes)
+    S = -np.ones((X.shape[0], n_classes))
     S[np.arange(X.shape[0]), labels] = 1.0
-    for epoch in range(1, config.svm_epochs + 1):
-        lr = config.svm_learning_rate / math.sqrt(epoch)
+    for epoch in range(1, SVM_EPOCHS + 1):
+        lr = SVM_LEARNING_RATE / math.sqrt(epoch)
         margins = S * (X @ W.T + b)
         active = (margins < 1.0) * S
-        W -= lr * (-active.T @ X / X.shape[0] + config.svm_l2 * W)
+        W -= lr * (-active.T @ X / X.shape[0] + SVM_L2 * W)
         b -= lr * (-active.sum(axis=0) / X.shape[0])
     return W, b
+
+
+def trained_aux(features, labels, n_classes, knn_k=5, normalize=False, seed=0):
+    """``train_aux`` on a logistic member trained on the same pool with
+    ``MlrConfig(n_classes, seed=seed)``."""
+    mlr = train_mlr(None, features, labels, MlrConfig(n_classes, seed=seed))
+    return train_aux(features, labels, mlr, knn_k, normalize)
 
 
 def reference_link_draws(rng, owners, per, links_per_instance, cdf):

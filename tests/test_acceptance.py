@@ -170,7 +170,8 @@ def test_c04_gradient_check():
         assert worst < 1e-6
 
         # train_mlr descends that gradient: one full-batch step is W - lr * grad
-        step = train_mlr(MlrModel(W, b, MlrConfig(n_classes=3, learning_rate=0.3, l2=l2, epochs=1, batch_size=None)), X, y)
+        config = MlrConfig(n_classes=3, learning_rate=0.3, l2=l2, epochs=1, batch_size=None)
+        step = train_mlr(MlrModel(W, b, config), X, y, config)
         assert np.abs(step.weights - (W - 0.3 * dW)).max() < 1e-12
         assert np.abs(step.bias - (b - 0.3 * db)).max() < 1e-12
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ctxnoise import (
-    AuxConfig,
     MlrConfig,
     MlrModel,
     RelationshipModel,
@@ -36,7 +35,7 @@ INFINITE_KL = StarDivergences(
     n_classes=2,
     m_attribute_classes=0,
 )
-ENSEMBLE = train_aux(DATASET.features, DATASET.labels, AuxConfig(3, knn_k=1, svm_epochs=1))
+ENSEMBLE = train_aux(DATASET.features, DATASET.labels, MODEL, 1, False)
 
 CASES = {
     "star features": (
@@ -64,7 +63,7 @@ CASES = {
         "unknown selection strategy 'bogus'",
     ),
     "knn store": (
-        # AuxConfig and train_aux refuse such a k, so only a replaced ensemble has it
+        # train_aux refuses such a k, so only a replaced ensemble has it
         lambda: aux_predictions(dataclasses.replace(ENSEMBLE, knn_k=5), DATASET.features),
         "knn_k exceeds store size",
     ),

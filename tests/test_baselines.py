@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from ctxnoise import (
-    AuxConfig,
     aux_predictions,
     consensus_detect,
     majority_detect,
     probabilistic_detect,
-    train_aux,
 )
 from ctxnoise.classifiers import MlrConfig, MlrModel, predict_proba
+
+from oracles import trained_aux
 
 
 def blob_ensemble(seed=0):
@@ -19,7 +19,7 @@ def blob_ensemble(seed=0):
     centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
     X = np.concatenate([c + 0.3 * rng.normal(size=(25, 2)) for c in centers])
     y = np.repeat(np.arange(3), 25)
-    ensemble = train_aux(X, y, AuxConfig(n_classes=3, seed=seed))
+    ensemble = trained_aux(X, y, 3, seed=seed)
     return X, y, (aux_predictions(ensemble, X), predict_proba(ensemble.mlr, X))
 
 

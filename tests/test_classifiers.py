@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxnoise import (
-    AuxConfig,
+    AuxEnsemble,
     MlrConfig,
     MlrModel,
     SyntheticConfig,
@@ -23,7 +23,9 @@ from ctxnoise import (
 )
 from ctxnoise import classifiers, harness, run_detection_suite
 
-from oracles import mlr_gradient, mlr_loss, reference_knn_predict, reference_train_mlr, reference_train_svm
+from oracles import (
+    mlr_gradient, mlr_loss, reference_knn_predict, reference_train_mlr, reference_train_svm, trained_aux
+)
 from test_harness import small_config
 
 
@@ -466,9 +468,6 @@ class TestLockstepChecks:
             (MlrConfig, "n_classes", 1),  # used to train a one-class model
             (MlrConfig, "n_classes", 0),
             (MlrConfig, "seed", -1),  # used to fail inside numpy, naming no field
-            (AuxConfig, "n_classes", 0),  # used to build
-            (AuxConfig, "n_classes", 1),
-            (AuxConfig, "seed", -1),
         ],
     )
     def test_class_count_and_seed_checked_at_construction(self, config, field, value):
@@ -491,7 +490,7 @@ class TestLockstepChecks:
         with pytest.raises(ValueError, match=message):
             train_mlr_lockstep([(None, X, np.array([0, 1]), MlrConfig(3)), (None, X, np.array(labels), MlrConfig(3))])
         with pytest.raises(ValueError, match=message):
-            train_aux(X, np.array(labels), AuxConfig(3, knn_k=1))
+            train_aux(X, np.array(labels), MlrModel(np.zeros((3, 2)), np.zeros(3), MlrConfig(3)), 1, False)
 
     def test_whole_float_and_bool_labels_train_as_integers(self):
         X, y = separable_1d()
@@ -500,7 +499,7 @@ class TestLockstepChecks:
         for labels in (y.astype(float), y.astype(bool), y.tolist()):
             model = train_mlr(None, X, labels, config)
             assert np.array_equal(model.weights, plain.weights) and np.array_equal(model.bias, plain.bias)
-        aux = train_aux(X, y.astype(float), AuxConfig(2, knn_k=1))
+        aux = train_aux(X, y.astype(float), plain, 1, False)
         assert aux.knn_labels.dtype == int and np.array_equal(aux.knn_labels, y)
 
     def test_featureless_pool_trains_the_bias(self):
@@ -606,12 +605,23 @@ class TestLockstepChecks:
         config = MlrConfig(n_classes=2, learning_rate=0.5, epochs=0)
         huge = MlrModel(np.array([[1e308], [-1e308]]), np.zeros(2), config)
         with pytest.raises(classifiers.TrainingDiverged, match=r"^member 0 .* at learning_rate 0\.5$"):
-            train_mlr(huge, X, y)
-        assert np.isfinite(train_mlr(MlrModel(np.array([[1e300], [-1e300]]), np.zeros(2), config), X, y).weights).all()
+            train_mlr(huge, X, y, config)
+        assert np.isfinite(train_mlr(MlrModel(np.array([[1e300], [-1e300]]), np.zeros(2), config), X, y, config).weights).all()
 
     def test_no_members_rejected(self):
         with pytest.raises(ValueError):
             train_mlr_lockstep([])
+
+    def test_member_without_config_named(self):
+        # a warm start used to fall back on the model's own config, and so
+        # replay its permutation seed
+        members = self.members(R=3)
+        model = train_mlr(*members[0])
+        members[2] = (model, *members[2][1:3], None)
+        with pytest.raises(ValueError, match=r"^member 2 needs an MlrConfig, got None$"):
+            train_mlr_lockstep(members)
+        with pytest.raises(ValueError, match=r"^member 0 needs an MlrConfig, got None$"):
+            train_mlr(model, *members[1][1:3], None)
 
 
 class TestPredictProba:
@@ -666,7 +676,7 @@ class TestImmutability:
         W[0, 0] = 5.0
         assert model.weights[0, 0] == 1.0
         X, y = separable_1d()
-        train_mlr(model, X, y)
+        train_mlr(model, X, y, model.config)
         assert np.array_equal(model.weights, np.ones((2, 1)))
 
     @pytest.mark.parametrize(
@@ -693,13 +703,13 @@ class TestAuxEnsemble:
 
     def test_members_agree_on_separable_training_data(self):
         X, y = self.make_blobs()
-        ensemble = train_aux(X, y, AuxConfig(n_classes=3, seed=0))
+        ensemble = trained_aux(X, y, 3)
         preds = aux_predictions(ensemble, X)
         assert (preds == y[:, None]).all()
 
     def test_knn_k1_returns_stored_label(self):
         X, y = self.make_blobs()
-        ensemble = train_aux(X, y, AuxConfig(n_classes=3, knn_k=1, seed=0))
+        ensemble = trained_aux(X, y, 3, knn_k=1)
         preds = aux_predictions(ensemble, X[7])
         assert preds[2] == y[7]
 
@@ -707,43 +717,43 @@ class TestAuxEnsemble:
         # query equidistant from one class-2 point and one class-1 point
         X = np.array([[-1.0], [1.0], [5.0]])
         y = np.array([2, 1, 0])
-        ensemble = train_aux(X, y, AuxConfig(n_classes=3, knn_k=3, seed=0))
+        ensemble = trained_aux(X, y, 3, knn_k=3)
         # votes: one each for classes 0, 1, 2 -> smallest class index wins
         assert aux_predictions(ensemble, np.array([0.0]))[2] == 0
 
     def test_k_larger_than_store_rejected(self):
         X, y = self.make_blobs()
-        with pytest.raises(ValueError):
-            train_aux(X[:3], y[:3], AuxConfig(n_classes=3, knn_k=5))
+        mlr = MlrModel(np.zeros((3, 2)), np.zeros(3), MlrConfig(3))
+        with pytest.raises(ValueError, match=r"^knn_k must be a positive odd number at most the pool size 3, got 5$"):
+            train_aux(X[:3], y[:3], mlr, 5, False)
 
     def test_even_k_rejected(self):
         X, y = self.make_blobs()
-        with pytest.raises(ValueError):
-            train_aux(X, y, AuxConfig(n_classes=3, knn_k=4))
+        mlr = MlrModel(np.zeros((3, 2)), np.zeros(3), MlrConfig(3))
+        with pytest.raises(ValueError, match=r"^knn_k must be .*, got 4$"):
+            train_aux(X, y, mlr, 4, False)
 
     def test_pretrained_logistic_member_is_used(self):
+        # the ensemble takes its classes and its logistic votes from mlr
         X, y = self.make_blobs()
-        config = AuxConfig(n_classes=3, seed=4)
-        mlr = train_mlr(None, X, y, MlrConfig(n_classes=3, seed=4))
-        given, trained = train_aux(X, y, config, mlr=mlr), train_aux(X, y, config)
-        assert given.mlr is mlr
-        assert np.array_equal(given.mlr.weights, trained.mlr.weights)
-        assert np.array_equal(given.svm_weights, trained.svm_weights)
-        with pytest.raises(ValueError, match="logistic member"):
-            train_aux(X, y, AuxConfig(n_classes=4, seed=4), mlr=mlr)
+        mlr = train_mlr(None, X, y, MlrConfig(n_classes=4, seed=4))
+        ensemble = train_aux(X, y, mlr, 5, False)
+        assert ensemble.mlr is mlr and ensemble.n_classes == 4
+        assert np.array_equal(aux_predictions(ensemble, X)[:, 0], predict_proba(mlr, X).argmax(axis=1))
+        with pytest.raises(ValueError, match=r"^logistic member expects d=2, got 1$"):
+            train_aux(X[:, :1], y, mlr, 5, False)
 
     @pytest.mark.parametrize("N, d, n, fortran", [(1, 1, 2, False), (30, 4, 3, True), (441, 16, 7, False), (57, 12, 5, True)])
     def test_svm_member_is_bit_identical_to_the_plain_loop(self, N, d, n, fortran):
-        # the hinge loop runs in buffers made once; its weights must be the
-        # plain expressions' bit for bit
+        # at the SVM_* settings, the hinge loop's weights are the plain
+        # expressions' bit for bit
         rng = np.random.default_rng(N)
         X = rng.standard_normal((N, d)) * rng.choice([0.1, 1.0, 10.0])
         if fortran:
             X = np.asfortranarray(X)
         y = rng.integers(0, n, N)
-        config = AuxConfig(n_classes=n, knn_k=1, svm_learning_rate=0.3, svm_l2=1e-2, svm_epochs=40)
-        ensemble = train_aux(X, y, config)
-        W, b = reference_train_svm(X, y, config)
+        ensemble = train_aux(X, y, MlrModel(np.zeros((n, d)), np.zeros(n), MlrConfig(n)), 1, False)
+        W, b = reference_train_svm(X, y, n)
         assert np.array_equal(ensemble.svm_weights, W)
         assert np.array_equal(ensemble.svm_bias, b)
 
@@ -751,7 +761,7 @@ class TestAuxEnsemble:
         X, y = self.make_blobs()
         scaled = X.copy()
         scaled[:, 1] *= 100.0
-        ensemble = train_aux(scaled, y, AuxConfig(n_classes=3, normalize=True, seed=0))
+        ensemble = trained_aux(scaled, y, 3, normalize=True)
         assert ensemble.feature_mean is not None
         preds = aux_predictions(ensemble, scaled)
         assert (preds[:, 2] == y).all()
@@ -777,7 +787,7 @@ def test_knn_matches_stable_sort_under_distance_ties(seed, k, block_bytes):
     labels = rng.integers(0, 4, size=40)
     labels[:4] = np.arange(4)
     queries = np.array([[x, y] for x in np.arange(-1.0, 3.5, 0.5) for y in np.arange(-1.0, 3.5, 0.5)])
-    ensemble = train_aux(store, labels, AuxConfig(n_classes=4, knn_k=k, seed=0, svm_epochs=1))
+    ensemble = untrained_aux(store, labels, 4, k)
     with mock.patch.object(classifiers, "BLOCK_BYTES", block_bytes):
         got = aux_predictions(ensemble, queries)[:, 2]
     assert np.array_equal(got, knn_reference(store, labels, k, 4, queries))
@@ -789,10 +799,16 @@ def test_knn_matches_stable_sort_under_distance_ties(seed, k, block_bytes):
 
 def untrained_aux(store, labels, n_classes, k, normalize=False):
     """An ensemble whose logistic and SVM members are zero, so that only
-    its kNN store is fitted, whatever the scale of the features."""
-    mlr = MlrModel(np.zeros((n_classes, store.shape[1])), np.zeros(n_classes), MlrConfig(n_classes))
-    config = AuxConfig(n_classes=n_classes, knn_k=k, normalize=normalize, svm_epochs=0)
-    return train_aux(store, labels, config, mlr=mlr)
+    its kNN store is set, z-scored as ``train_aux`` z-scores it, whatever
+    the scale of the features."""
+    mean = std = None
+    if normalize:
+        mean, std = store.mean(axis=0), store.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        store = (store - mean) / std
+    zeros = np.zeros((n_classes, store.shape[1]))
+    mlr = MlrModel(zeros, np.zeros(n_classes), MlrConfig(n_classes))
+    return AuxEnsemble(mlr, zeros, np.zeros(n_classes), store, labels, k, mean, std)
 
 
 @st.composite
@@ -855,34 +871,21 @@ def test_knn_memory_stays_within_blocks():
 
 def test_knn_rejects_non_finite_queries():
     X = np.array([[0.0], [1.0], [2.0]])
-    ensemble = train_aux(X, np.array([0, 1, 1]), AuxConfig(n_classes=2, knn_k=1, seed=0))
+    ensemble = trained_aux(X, np.array([0, 1, 1]), 2, knn_k=1)
     with pytest.raises(ValueError, match="non-finite"):
         aux_predictions(ensemble, np.array([[np.nan]]))
 
 
 class TestAuxChecks:
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("svm_learning_rate", math.nan),  # used to give NaN weights, and every SVM vote then class 0
-            ("svm_learning_rate", -1.0),  # used to train
-            ("svm_learning_rate", 0.0),
-            ("svm_l2", math.inf),  # used to train
-            ("svm_l2", -1e-4),
-            ("svm_epochs", -5),  # used to return a zero SVM
-        ],
-    )
-    def test_bad_svm_config_rejected(self, field, value):
-        # train_aux used to check its config; a bad one now cannot be built
-        message = rf"^AuxConfig\.{field} .*, got {re.escape(repr(value))}$"
-        with pytest.raises(ValueError, match=message):
-            AuxConfig(n_classes=2, knn_k=1, **{field: value})
-        config = AuxConfig(n_classes=2, knn_k=1)
-        with pytest.raises(ValueError, match=message):
-            replace(config, **{field: value})
-        with pytest.raises(FrozenInstanceError):
-            setattr(config, field, value)
-
     def test_even_k_named(self):
-        with pytest.raises(ValueError, match=r"^AuxConfig\.knn_k must be a positive odd number, got 4$"):
-            AuxConfig(n_classes=2, knn_k=4)
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
+        mlr = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(2))
+        with pytest.raises(ValueError, match=r"^knn_k must be a positive odd number at most the pool size 5, got 4$"):
+            train_aux(X, [0, 1, 0, 1, 0], mlr, 4, False)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_named(self, k):
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
+        mlr = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(2))
+        with pytest.raises(ValueError, match=rf"^knn_k must be a positive odd number at most the pool size 5, got {k}$"):
+            train_aux(X, [0, 1, 0, 1, 0], mlr, k, False)

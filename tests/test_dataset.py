@@ -317,6 +317,11 @@ class TestArrays:
         assert records.rows([10, 20]).tolist() == [1, 0]  # rows keep input order
         with pytest.raises(KeyError, match="unknown instance id 30"):
             records.rows([10, 30])
+        assert records.rows([20.0]).tolist() == [0]
+        # these used to raise KeyError, or a bare TypeError for None
+        for bad, shown in ((2.5, "2.5"), ("a", "a"), (None, "None")):
+            with pytest.raises(ValueError, match=f"^ids must be integer-valued, got {shown}$"):
+                records.rows([bad])
         for a in (records.ids, records.labels, records.features, records.links.values, records.attributes.values):
             assert not a.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -211,7 +211,7 @@ def test_replay_trains_on_every_accepted_label(mode, replay, monkeypatch):
     rows = []
     train, lockstep = harness.train_mlr, harness.train_mlr_lockstep
 
-    def probe(model, features, labels, config=None):
+    def probe(model, features, labels, config):
         rows.append(len(features))
         return train(model, features, labels, config)
 
@@ -432,7 +432,7 @@ class TestRunDetectionSuite:
         config = small_config(omegas=[0.2], n_batches=n_batches, knn_k=knn_k)
         with mock.patch.object(harness, "train_aux", wraps=classifiers.train_aux) as spy:
             run_detection_suite(config)
-        assert [call.args[2].knn_k for call in spy.call_args_list] == [used]
+        assert [call.args[3] for call in spy.call_args_list] == [used]
 
     def test_nar_suite(self):
         config = small_config(noise="nar", seeds=[0])

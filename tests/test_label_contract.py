@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from ctxnoise import (
-    AuxConfig,
     Conditionals,
     Dataset,
     Instance,
     MlrConfig,
+    RelationshipModel,
     accuracy,
     build_relationship,
     cnld_detect,
@@ -66,7 +66,7 @@ POSTERIOR = Conditionals(np.array([[0.2, 0.8], [0.5, 0.5]]), None)
 LABEL_ENTRY_POINTS = {
     "train_mlr": lambda y: vars(train_mlr(None, X, y, MlrConfig(N_CLASSES, epochs=5))),
     "train_mlr_lockstep": lambda y: [vars(m) for m in train_mlr_lockstep([(None, X, y, MlrConfig(N_CLASSES, epochs=5))])],
-    "train_aux": lambda y: vars(train_aux(X, y, AuxConfig(N_CLASSES, knn_k=1, svm_epochs=5))),
+    "train_aux": lambda y: vars(train_aux(X, y, MODEL, 1, False)),
     "probabilistic_detect": lambda y: probabilistic_detect(PROBA, IDS, y, 2),
     "consensus_detect": lambda y: consensus_detect(PREDS, PROBA, IDS, y, 2),
     "majority_detect": lambda y: majority_detect(PREDS, PROBA, IDS, y, 2),
@@ -77,6 +77,7 @@ LABEL_ENTRY_POINTS = {
     "inject_nar": lambda y: vars(inject_nar(y, np.array([[0.6, 0.4], [0.3, 0.7]]), 0)),
     "estimate_transition": lambda y: estimate_transition(X, y, N_CLASSES).probs,
     "update_relationship": lambda y: vars(update_relationship(RELATIONSHIP, DATASET, dict(zip(IDS, y)))),
+    "RelationshipModel": lambda y: vars(RelationshipModel(np.zeros((N_CLASSES, N_CLASSES)), None, labels=dict(zip(IDS, y)))),
     "accuracy": lambda y: accuracy(MODEL, X, y),
     "Dataset": lambda y: ring(IDS, y).labels,
 }
@@ -90,6 +91,12 @@ ID_ENTRY_POINTS = {
     "select_informative": lambda ids: select_informative(MODEL, DATASET, ids, 3, "entropy", 0),
     "star_divergences": lambda ids: vars(star_divergences(ids, DATASET, MODEL, RELATIONSHIP)),
     "update_relationship": lambda ids: vars(update_relationship(RELATIONSHIP, DATASET, dict(zip(ids, LABELS)))),
+    "RelationshipModel": lambda ids: vars(
+        RelationshipModel(np.zeros((N_CLASSES, N_CLASSES)), None, labels=dict(zip(ids, LABELS)))
+    ),
+    "rows": DATASET.rows,
+    "feature_matrix": DATASET.feature_matrix,
+    "true_labels": DATASET.true_labels,
 }
 
 # Each bad vector starts with the entry that must be named.  The first four

@@ -56,6 +56,12 @@ class TestInjectNcar:
         with pytest.raises(ValueError):
             inject_ncar(np.array([0, 1]), 2, 1.5, seed=0)
 
+    @pytest.mark.parametrize("n_classes", [1, 0])
+    def test_fewer_than_two_classes_named(self, n_classes):
+        # one class has no other to flip to; it used to fail inside numpy
+        with pytest.raises(ValueError, match=rf"^n_classes must be >= 2, got {n_classes}$"):
+            inject_ncar(np.zeros(4, dtype=int), n_classes, 0.5, 0)
+
     def test_labels_out_of_range_rejected(self):
         # at omega = 1 every label would flip; one outside [0, n) used to be
         # left as it was and reported clean

@@ -239,6 +239,24 @@ class TestImmutability:
         with pytest.raises(FrozenInstanceError):
             model.epsilon = 1.0
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ({0: 0.7}, r"^labels must be integer-valued, got 0\.7$"),
+            ({0: 3}, r"^labels must lie in \[0, 3\), got 3$"),
+            ({0.5: 1}, r"^ids must be integer-valued, got 0\.5$"),
+        ],
+    )
+    def test_bad_labels_rejected_at_construction(self, labels, message):
+        # these used to build, and raise only at the next update
+        with pytest.raises(ValueError, match=message):
+            RelationshipModel(np.zeros((3, 3)), None, labels=labels)
+
+    def test_stored_id_the_dataset_lacks_raises_at_update(self):
+        model = RelationshipModel(np.zeros((3, 3)), None, labels={99: 1})
+        with pytest.raises(KeyError, match="unknown instance id 99"):
+            update_relationship(model, linked_dataset(), {0: 0})
+
     def test_construction_copies(self):
         counts, labels = np.zeros((2, 2)), {0: 1}
         model = RelationshipModel(counts, None, labels=labels)
