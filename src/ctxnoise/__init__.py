@@ -1,6 +1,14 @@
 """Context-based noisy-label detection and noise-robust active learning."""
 
-from .baselines import consensus_detect, majority_detect, probabilistic_detect
+from .baselines import (
+    SuspicionTable,
+    VotingTable,
+    consensus_detect,
+    majority_detect,
+    probabilistic_detect,
+    suspicion_table,
+    voting_table,
+)
 from .classifiers import (
     AuxEnsemble,
     MlrConfig,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
+from collections.abc import Iterator, MappingView, Set
 from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -110,7 +111,12 @@ def _whole_numbers(values, n: int | None = None, what: str = "labels") -> np.nda
     fraction, NaN, an infinity, None, a string or a float of magnitude
     2**63 or more raises ValueError naming the first such entry, rather
     than being truncated or wrapped; so does the first out-of-range one.
-    Every entry point that takes class labels or instance ids calls this."""
+    ``values`` is a sequence or an array: an iterator, a generator, a set
+    or a dict view raises TypeError naming its type, since ``np.asarray``
+    would read it as one object.  Every entry point that takes class labels
+    or instance ids calls this."""
+    if isinstance(values, (Iterator, Set, MappingView)):
+        raise TypeError(f"{what} must be a sequence or an array, got {type(values).__name__}")
     y = np.asarray(values)
     if y.dtype.kind not in "biu":
         real = (v if isinstance(v, numbers.Real) else math.nan for v in y.flat)  # None or a string reads as NaN
@@ -285,18 +291,19 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def rows(self, instance_ids: Iterable[int]) -> np.ndarray:
-        """Row of each id in the arrays; raises KeyError on an unknown id."""
+    def rows(self, instance_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Row of each id in the arrays; raises KeyError on an unknown id.
+        The ids come as a sequence or an array, not as an iterator."""
         return _find_rows(*self._index, _whole_numbers(instance_ids, what="ids"))
 
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def feature_matrix(self, instance_ids: Sequence[int]) -> np.ndarray:
+    def feature_matrix(self, instance_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         return self.features[self.rows(instance_ids)]
 
-    def true_labels(self, instance_ids: Sequence[int]) -> np.ndarray:
+    def true_labels(self, instance_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         return self.labels[self.rows(instance_ids)]
 
 

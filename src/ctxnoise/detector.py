@@ -15,7 +15,7 @@ against the batch maximum and thresholded at beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,12 +41,15 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return (p * np.log(np.where(p > 0, p / q, 1.0))).sum(axis=-1)
 
 
-def _hinge(kls: np.ndarray, assigned, leaf_classes: int) -> np.ndarray:
-    """The hinged KL gap of the assigned class, divided by the number of
-    leaf classes, for every star of a (B, n) table of KL rows."""
-    assigned_kl = kls[np.arange(len(kls)), assigned]
-    with np.errstate(invalid="ignore"):
-        return np.maximum(assigned_kl[:, None] - kls, 0.0).sum(axis=-1) / leaf_classes
+def _hinge_table(kls: np.ndarray, leaf_classes: int) -> np.ndarray:
+    """Entry [b, k] is star b's hinged KL gap when labeled k, divided by the
+    number of leaf classes, for a (B, n) table of KL rows.  Each entry sums
+    its own contiguous row of n hinges over the last axis, as a sum of one
+    label's hinges alone would, so it has that sum's bits."""
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, raised when its label is assigned
+        hinges = np.subtract(kls[:, :, None], kls[:, None, :])
+        np.maximum(hinges, 0.0, out=hinges)
+    return hinges.sum(axis=-1) / leaf_classes
 
 
 def dissimilarity(prior: Conditionals, posterior, assigned_class: int) -> float:
@@ -57,17 +60,17 @@ def dissimilarity(prior: Conditionals, posterior, assigned_class: int) -> float:
     strictly positive.  A non-finite total raises ValueError.
     """
     n = prior.data_rows.shape[0]
-    assigned = _whole_numbers([assigned_class], n)
+    k = int(_whole_numbers([assigned_class], n)[0])
     total = 0.0
     if posterior.data_rows is not None:
         if posterior.data_rows.shape != prior.data_rows.shape:
             raise ValueError("posterior and prior data conditionals have different shapes")
-        total += float(_hinge(_kl_rows(posterior.data_rows, prior.data_rows)[None], assigned, n)[0])
+        total += float(_hinge_table(_kl_rows(posterior.data_rows, prior.data_rows)[None], n)[0, k])
     if posterior.attr_rows is not None:
         if prior.attr_rows is None or posterior.attr_rows.shape != prior.attr_rows.shape:
             raise ValueError("posterior and prior attribute conditionals have different shapes")
         m = prior.attr_rows.shape[1]
-        total += float(_hinge(_kl_rows(posterior.attr_rows, prior.attr_rows)[None], assigned, m)[0])
+        total += float(_hinge_table(_kl_rows(posterior.attr_rows, prior.attr_rows)[None], m)[0, k])
     if not math.isfinite(total):
         raise ValueError(f"non-finite dissimilarity {total} for assigned class {assigned_class}")
     return total if total > SCORE_FLOOR else 0.0
@@ -100,9 +103,14 @@ class StarDivergences:
     ``data_kl[b, j]`` is KL(post_j || prior_j) of star b's data leaves with
     its center clamped to class j, and ``attr_kl`` the same for its
     attribute leaves; a star without leaves of a kind has a zero row, and a
-    table is None when no star of the batch has leaves of its kind.  Only
-    the hinge against the assigned class reads labels, so one table serves
-    every label vector of the same stars and models.
+    table is None when no star of the batch has leaves of its kind.
+
+    Construction hinges every row against every label at once:
+    ``dissimilarities[b, k]`` is star b's score when labeled k, the data
+    gap plus the attribute gap, snapped to 0 at or below ``SCORE_FLOOR``.
+    Scoring a label vector then only gathers one entry per star, so one
+    table serves every label vector of the same stars and models.  A
+    non-finite entry is kept, and raises only when a star is labeled with it.
     """
 
     ids: np.ndarray            # (B,)
@@ -111,6 +119,19 @@ class StarDivergences:
     attr_kl: np.ndarray | None  # (B, n)
     n_classes: int
     m_attribute_classes: int
+    dissimilarities: np.ndarray = field(init=False, repr=False)  # (B, n)
+
+    def __post_init__(self) -> None:
+        n = self.n_classes
+        table = np.zeros((len(self.ids), n))
+        step = max(1, BLOCK_BYTES // (8 * max(1, n * n)))  # rows per (rows, n, n) hinge block
+        for lo in range(0, len(table), step):
+            if self.data_kl is not None:
+                table[lo : lo + step] += _hinge_table(self.data_kl[lo : lo + step], n)
+            if self.attr_kl is not None:
+                table[lo : lo + step] += _hinge_table(self.attr_kl[lo : lo + step], self.m_attribute_classes)
+        table[table <= SCORE_FLOOR] = 0.0
+        object.__setattr__(self, "dissimilarities", _read_only(table))
 
 
 def star_divergences(
@@ -190,27 +211,21 @@ def star_divergences(
 def _scores(
     queried_ids: Sequence[int], assigned_labels: Sequence[int], divergences: StarDivergences
 ) -> np.ndarray:
-    """Dissimilarity of each queried star against its assigned label: the
-    hinge over the table's KL rows, the data gap first, then the attribute
-    gap.  A star without context scores 0 whatever its label."""
+    """Dissimilarity of each queried star against its assigned label,
+    gathered from the table's ``dissimilarities``.  A star without context
+    scores 0 whatever its label."""
     if len(queried_ids) != len(assigned_labels):
         raise ValueError("queried ids and assigned labels must align")
     if not np.array_equal(np.asarray(queried_ids), divergences.ids):
         raise ValueError("queried ids differ from the ids the star divergences were computed for")
-    has_context, n = divergences.has_context, divergences.n_classes
     assigned = np.array(assigned_labels)
-    assigned[~has_context] = 0  # an unscored label is never checked
-    assigned = _whole_numbers(assigned, n)
+    assigned[~divergences.has_context] = 0  # an unscored label is never checked
+    assigned = _whole_numbers(assigned, divergences.n_classes)
 
-    scores = np.zeros(len(assigned))
-    if divergences.data_kl is not None:
-        scores += _hinge(divergences.data_kl, assigned, n)
-    if divergences.attr_kl is not None:
-        scores += _hinge(divergences.attr_kl, assigned, divergences.m_attribute_classes)
+    scores = divergences.dissimilarities[np.arange(len(assigned)), assigned]
     if not np.isfinite(scores).all():
         bad = int(np.argmin(np.isfinite(scores)))
         raise ValueError(f"non-finite dissimilarity {scores[bad]} for assigned class {assigned[bad]}")
-    scores[scores <= SCORE_FLOOR] = 0.0
     return scores
 
 

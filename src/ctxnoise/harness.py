@@ -44,7 +44,8 @@ and metrics read omega, beta or the mode, and every run computes its own.
 A run without a shared start begins with an empty cache.
 
 A filtered batch computes its candidates' ``star_divergences`` once, from
-the current models, and ``cnld_detect`` hinges its labels against them.
+the current models, and ``cnld_detect`` gathers its labels' scores from
+them; the ``pb`` mode builds its ``suspicion_table`` per batch.
 A candidate is flipped when its label differs from the true one;
 ER1/ER2/NEP are reported for filtered batches.  With ``replay`` every
 update retrains the classifier on all labels accepted so far, batch 0
@@ -52,12 +53,17 @@ included, instead of on the batch's kept labels alone.
 
 :func:`run_detection_suite` is the pure detection benchmark: train on batch
 0, inject noise into the evaluation split, and remove a fixed fraction with
-every detector.  Everything the detectors read that does not depend on the
-injected labels, the star divergences included, is computed once per seed
-and serves every noise level.  The noise is drawn over the split in split
-order, and the detectors see the split in ascending id order.  That order
-changes no result: a detector's removed set follows from each id's keys,
-ties going to the lower id, the metrics only count, and the AUC sums ranks.
+every detector.  Each seed computes once, before its noise levels, every
+detector's label-free table, with one entry per instance and label: the
+star divergences with each star's context score under every label, the
+main classifier's ``suspicion_table`` (its argmax and entropy) and the
+aux ensemble's ``voting_table`` (each label's member disagreements and
+the logistic member's confidence).  A noise level only gathers its
+labels' entries from them and ranks.  The noise is drawn over the split
+in split order, and the detectors see the split in ascending id order.
+That order changes no result: a detector's removed set follows from
+each id's keys, ties going to the lower id, the metrics only count, and
+the AUC sums ranks.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import consensus_detect, majority_detect, probabilistic_detect
+from .baselines import consensus_detect, majority_detect, probabilistic_detect, suspicion_table, voting_table
 from .classifiers import (
     MlrConfig,
     MlrModel,
@@ -464,8 +470,8 @@ def _run_batches(config: ExperimentConfig, seed: int | None, start: RunStart | N
             removed, _ = cnld_detect(candidates, labels, cache[key], config.beta)
             budget = int(removed.sum())
             if config.mode == "pb":
-                proba = predict_proba(model, dataset.feature_matrix(candidates))
-                removed = probabilistic_detect(proba, candidates, labels, budget)
+                suspicion = suspicion_table(predict_proba(model, dataset.feature_matrix(candidates)))
+                removed = probabilistic_detect(suspicion, candidates, labels, budget)
             elif config.mode == "cl":  # drop truly flipped labels only, up to the cnld budget
                 removed = np.zeros(len(candidates), dtype=bool)
                 removed[first_k(candidates, min(budget, int(flipped.sum())), ~flipped)] = True
@@ -538,16 +544,15 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
             knn_k -= 1
         aux = train_aux(pool_X, pool_y, aux_mlr, knn_k, config.dataset_kind == "synthetic")
         y_test = dataset.true_labels(test_ids)
-        # the detectors' classifier outputs and star divergences do not
-        # depend on the injected labels
+        # every detector's table holds its label-free half, for each label
+        # of each instance, and serves every noise level
         split = np.asarray(test_ids)
         by_id = np.argsort(split)
         ids = split[by_id]
         X_test = dataset.feature_matrix(ids)
         divergences = star_divergences(ids, dataset, model, rel)
-        test_proba = predict_proba(model, X_test)
-        member_preds = aux_predictions(aux, X_test)
-        mlr_proba = predict_proba(aux.mlr, X_test)
+        suspicion = suspicion_table(predict_proba(model, X_test))
+        votes = voting_table(aux_predictions(aux, X_test), predict_proba(aux.mlr, X_test))
 
         if config.noise == "ncar":
             cells = []
@@ -567,11 +572,11 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
             removed, scores = detect_topk(ids, assigned, divergences, removal_count)
             auc = ranking_auc(scores, flipped) if 0 < flipped.sum() < len(test_ids) else None
             rows.append(DetectionSuiteRow("cnld", omega, seed, detection_metrics(removed, flipped), auc))
-            removed = probabilistic_detect(test_proba, ids, assigned, removal_count)
+            removed = probabilistic_detect(suspicion, ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("probabilistic", omega, seed, detection_metrics(removed, flipped)))
-            removed = consensus_detect(member_preds, mlr_proba, ids, assigned, removal_count)
+            removed = consensus_detect(votes, ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("consensus", omega, seed, detection_metrics(removed, flipped)))
-            removed = majority_detect(member_preds, mlr_proba, ids, assigned, removal_count)
+            removed = majority_detect(votes, ids, assigned, removal_count)
             rows.append(DetectionSuiteRow("majority", omega, seed, detection_metrics(removed, flipped)))
     return rows
 

@@ -70,8 +70,10 @@ def accuracy(classifier: MlrModel, features: np.ndarray, labels: Sequence[int]) 
 def ranking_auc(scores: Sequence[float], positive: Sequence[bool]) -> float:
     """Probability a positive outranks a negative, ties counted half.
 
-    Rank-sum (Mann-Whitney) formulation with average ranks on ties; needs at
-    least one positive and one negative, and finite scores.
+    Rank-sum (Mann-Whitney) formulation with average ranks on ties, read
+    off one stable argsort; needs at least one positive and one negative,
+    and finite scores.  The rank sums are exact half-integers, so the
+    result equals the pair count whatever order the ranks are summed in.
     """
     s = np.asarray(scores, dtype=float)
     pos = np.asarray(positive, dtype=bool)
@@ -81,10 +83,16 @@ def ranking_auc(scores: Sequence[float], positive: Sequence[bool]) -> float:
     n_neg = len(s) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need both positive and negative examples")
-    _, tie_run, run_length = np.unique(s, return_inverse=True, return_counts=True)
-    last = np.cumsum(run_length)  # 1-based rank of the last score of each run
-    ranks = (last - 0.5 * (run_length - 1))[tie_run]
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts_run = np.empty(len(s), dtype=bool)
+    starts_run[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts_run[1:])
+    first = np.flatnonzero(starts_run)  # 0-based start of each tie run
+    last = np.append(first[1:], len(s))  # 1-based rank of the last score of each run
+    run_length = last - first
+    ranks = np.repeat(last - 0.5 * (run_length - 1), run_length)  # in ascending score order
+    u = ranks[pos[order]].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 

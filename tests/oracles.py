@@ -25,6 +25,14 @@
   after every number, -0.0 equal to 0.0, then the lower id, then the
   earlier position.  The package's ``np.lexsort`` must give the same
   positions on every numpy the package admits.
+* ``reference_probabilistic_detect`` and ``reference_voting_detect`` are
+  the baselines as they ran before their label-free tables: every call
+  takes the argmax and entropy, or counts the member disagreements, of the
+  assigned labels alone, and ranks by ``reference_first_k``.  The
+  package's table-gathering detectors must remove the same instances.
+* ``reference_hinge`` is the context score's hinge against one assigned
+  label per star, a (B, n) sum; the package's per-label table must hold
+  its bits in every column.
 * ``per_occurrence_star_divergences`` is the star scoring kernel as it was
   before the per-neighbour table: every leaf occurrence is predicted and
   normalized again, with the stars of its block.  The package's table must
@@ -46,7 +54,7 @@ import numpy as np
 from ctxnoise import (
     Dataset, MlrConfig, MlrModel, RelationshipModel, detector, predict_proba, prior_conditionals, train_aux, train_mlr
 )
-from ctxnoise.classifiers import BLOCK_BYTES, SVM_EPOCHS, SVM_L2, SVM_LEARNING_RATE, AuxEnsemble, _softmax
+from ctxnoise.classifiers import BLOCK_BYTES, SVM_EPOCHS, SVM_L2, SVM_LEARNING_RATE, AuxEnsemble, _softmax, entropy
 from ctxnoise.dataset import _read_only
 from ctxnoise.inference import batch_posterior_rows
 
@@ -220,6 +228,37 @@ def reference_first_k(ids: Sequence[int], k: int, *keys: np.ndarray) -> np.ndarr
         return *((math.isnan(v), 0.0 if math.isnan(v) else v) for v in values), ids[r], r
 
     return np.array(sorted(range(len(ids)), key=rank)[:k], dtype=np.intp)
+
+
+def reference_probabilistic_detect(proba, ids, assigned, removal_count) -> np.ndarray:
+    """The (B,) removed mask of the probabilistic detector: mismatched
+    labels first, by 1 - p(assigned), then matched ones by half their
+    normalized entropy, the highest suspicion first."""
+    P, a = np.asarray(proba), np.asarray(assigned)
+    mismatch = P.argmax(axis=1) != a
+    s = np.where(mismatch, 1.0 - P[np.arange(len(a)), a], 0.5 * (entropy(P) / np.log(P.shape[1])))
+    removed = np.zeros(len(a), dtype=bool)
+    removed[reference_first_k(ids, removal_count, ~mismatch, -s)] = True
+    return removed
+
+
+def reference_voting_detect(predictions, mlr_proba, ids, assigned, removal_count, min_disagreements) -> np.ndarray:
+    """The (B,) removed mask of a voting detector: instances that at least
+    ``min_disagreements`` members disagree with first, then ascending
+    logistic confidence in the assigned label."""
+    preds, proba, a = np.asarray(predictions), np.asarray(mlr_proba), np.asarray(assigned)
+    flagged = (preds != a[:, None]).sum(axis=1) >= min_disagreements
+    removed = np.zeros(len(a), dtype=bool)
+    removed[reference_first_k(ids, removal_count, ~flagged, proba[np.arange(len(a)), a])] = True
+    return removed
+
+
+def reference_hinge(kls: np.ndarray, assigned, leaf_classes: int) -> np.ndarray:
+    """Each star's hinged KL gap against its assigned label, divided by the
+    number of leaf classes, for a (B, n) table of KL rows."""
+    assigned_kl = kls[np.arange(len(kls)), assigned]
+    with np.errstate(invalid="ignore"):
+        return np.maximum(assigned_kl[:, None] - kls, 0.0).sum(axis=-1) / leaf_classes
 
 
 def mlr_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float) -> float:

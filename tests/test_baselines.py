@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxnoise import (
     aux_predictions,
     consensus_detect,
     majority_detect,
     probabilistic_detect,
+    suspicion_table,
+    voting_table,
 )
-from ctxnoise.classifiers import MlrConfig, MlrModel, predict_proba
+from ctxnoise.classifiers import MlrConfig, MlrModel, entropy, predict_proba
 
-from oracles import trained_aux
+from oracles import reference_probabilistic_detect, reference_voting_detect, trained_aux
 
 
 def blob_ensemble(seed=0):
@@ -164,3 +168,64 @@ SURE_MEMBERS = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
 def test_non_finite_ranking_key_named(detect):
     with pytest.raises(ValueError, match=r"^non-finite ranking key nan for instance 1$"):
         detect()
+
+
+@st.composite
+def baseline_cells(draw):
+    """Ids, class distributions, member predictions, a few label vectors and
+    a budget from 0 to B.  Distributions come from a coarse grid and some
+    copy row 0, so that instances tie on every key."""
+    size = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 4))
+    ids = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size, unique=True))
+    counts = np.array(draw(st.lists(st.integers(1, 3), min_size=size * n, max_size=size * n)), dtype=float)
+    counts = counts.reshape(size, n)
+    counts[np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))] = counts[0]
+    label = st.integers(0, n - 1)
+    preds = np.array(draw(st.lists(label, min_size=3 * size, max_size=3 * size))).reshape(size, 3)
+    labelings = draw(st.lists(st.lists(label, min_size=size, max_size=size), min_size=1, max_size=3))
+    return ids, counts / counts.sum(axis=1, keepdims=True), preds, labelings, draw(st.integers(0, size))
+
+
+@given(baseline_cells())
+@settings(max_examples=300, deadline=None)
+def test_tables_remove_what_the_per_cell_detectors_removed(cell):
+    # one table serves every label vector, as one seed's does every noise level
+    ids, proba, preds, labelings, count = cell
+    suspicion, votes = suspicion_table(proba), voting_table(preds, proba)
+    rows = np.arange(len(ids))
+    for assigned in map(np.array, labelings):
+        mismatch = proba.argmax(axis=1) != assigned
+        s = np.where(mismatch, 1.0 - proba[rows, assigned], 0.5 * (entropy(proba) / np.log(proba.shape[1])))
+        assert suspicion.suspicion[rows, assigned].tobytes() == s.tobytes()
+        assert np.array_equal(suspicion.mismatch[rows, assigned], mismatch)
+        want = reference_probabilistic_detect(proba, ids, assigned, count)
+        assert np.array_equal(probabilistic_detect(suspicion, ids, assigned, count), want)
+        assert np.array_equal(probabilistic_detect(proba, ids, assigned, count), want)
+        for detect, needed in ((majority_detect, 2), (consensus_detect, 3)):
+            want = reference_voting_detect(preds, proba, ids, assigned, count, needed)
+            assert np.array_equal(detect(votes, ids, assigned, count), want)
+            assert np.array_equal(detect(preds, proba, ids, assigned, count), want)
+
+
+def test_tables_need_one_row_per_instance():
+    proba, preds = np.full((3, 2), 0.5), np.zeros((3, 3), dtype=int)
+    message = "^member predictions and probabilities need one row per instance$"
+    with pytest.raises(ValueError, match=message):
+        voting_table(preds[:2], proba)
+    with pytest.raises(ValueError, match=message):
+        suspicion_table(proba[0])
+    with pytest.raises(ValueError, match=message):
+        majority_detect(voting_table(preds, proba), [0, 1], [0, 0], 1)
+    with pytest.raises(ValueError, match=message):
+        probabilistic_detect(suspicion_table(proba), [0, 1, 2, 3], [0, 0, 0, 0], 1)
+
+
+def test_tables_are_read_only_snapshots():
+    proba, preds = np.full((3, 2), 0.5), np.zeros((3, 3), dtype=int)
+    suspicion, votes = suspicion_table(proba), voting_table(preds, proba)
+    proba[0], preds[0] = [0.9, 0.1], 1
+    assert votes.confidence[0].tolist() == [0.5, 0.5] and votes.disagreements[0].tolist() == [0, 3]
+    assert suspicion.suspicion[0].tolist() == [0.5, 0.5]
+    for table in (suspicion.mismatch, suspicion.suspicion, votes.disagreements, votes.confidence):
+        assert not table.flags.writeable

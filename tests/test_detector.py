@@ -30,6 +30,7 @@ from oracles import (
     build_instance_graph,
     per_occurrence_star_divergences,
     posterior_conditionals,
+    reference_hinge,
 )
 
 from test_relationship import linked_dataset
@@ -445,3 +446,80 @@ class TestBatchKernel:
         model = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(n_classes=2))
         with pytest.raises(ValueError, match="attribute class counts differ"):
             cnld_detect([0, 1], [0, 1], star_divergences([0, 1], ds, model, rel))
+
+
+def star_dissimilarities(queried, dataset, model, rel):
+    """Per-star route for every label: row b holds ``dissimilarity`` of
+    star b's posterior conditionals against each class, zeros without context."""
+    prior = prior_conditionals(rel)
+    table = np.zeros((len(queried), dataset.n_classes))
+    for b, qid in enumerate(queried):
+        try:
+            posterior = posterior_conditionals(build_instance_graph(qid, dataset, model, rel))
+        except NoContextError:
+            continue
+        table[b] = [dissimilarity(prior, posterior, k) for k in range(dataset.n_classes)]
+    return table
+
+
+class TestDissimilarityTable:
+    def test_every_entry_is_the_dissimilarity_of_its_label(self):
+        # star 0 has data and attribute leaves, star 2 attribute leaves only,
+        # star 3 data leaves only and star 4 no context at all
+        ds = linked_dataset(
+            labels=(0, 1, 2, 1, 0), links=((0, 1), (0, 3), (1, 3)), m=2,
+            attr_obs={0: [[0.9, 0.1], [0.2, 0.8]], 2: [[1.0, 0.0]]},
+        )
+        rel = build_relationship(ds, {0: 0, 1: 1, 3: 1})
+        model = MlrModel(np.array([[1.0], [-0.5], [0.25]]), np.array([0.0, 0.5, -0.5]), MlrConfig(n_classes=3))
+        queried = [4, 2, 0, 3, 1]
+        table = star_divergences(queried, ds, model, rel)
+        assert table.dissimilarities.shape == (5, 3) and not table.dissimilarities.flags.writeable
+        assert table.has_context.tolist() == [False, True, True, True, True]
+        assert np.array_equal(table.dissimilarities[0], np.zeros(3))
+        assert (table.dissimilarities[1:] > 0).any(axis=1).all()
+        want = star_dissimilarities(queried, ds, model, rel)
+        assert np.abs(table.dissimilarities - want).max() <= 1e-12
+
+    @given(scoring_cases(), st.sampled_from([1, 400, detector.BLOCK_BYTES]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_entry_matches_the_per_star_route(self, case, block_bytes):
+        queried, _, dataset, model, rel = case
+        with mock.patch.object(detector, "BLOCK_BYTES", block_bytes):
+            table = star_divergences(queried, dataset, model, rel)
+        assert np.array_equal(table.dissimilarities[~table.has_context], np.zeros((int((~table.has_context).sum()), dataset.n_classes)))
+        assert np.abs(table.dissimilarities - star_dissimilarities(queried, dataset, model, rel)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 9, 13, 16, 31])
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 49, detector.BLOCK_BYTES])
+    def test_each_column_has_the_bits_of_the_one_label_hinge(self, n, block_bytes):
+        # below 8 classes numpy adds a row left to right, from 8 on pairwise;
+        # the (B, n, n) table reduces rows of the same length in the same way
+        rng = np.random.default_rng(n)
+        kls = rng.exponential(size=(40, n)) * rng.choice([1e-14, 1.0, 1e3], size=(40, 1))
+        kls[rng.random(kls.shape) < 0.2] = 0.0  # exact ties between classes
+        attr = rng.exponential(size=(40, n))
+        with mock.patch.object(detector, "BLOCK_BYTES", block_bytes):
+            table = detector.StarDivergences(np.arange(40), np.ones(40, dtype=bool), kls, attr, n, 3)
+        for k in range(n):
+            want = np.zeros(40)
+            want += reference_hinge(kls, np.full(40, k), n)
+            want += reference_hinge(attr, np.full(40, k), 3)
+            want[want <= detector.SCORE_FLOOR] = 0.0
+            assert table.dissimilarities[:, k].tobytes() == want.tobytes()
+
+    def test_non_finite_entry_raises_only_when_its_label_is_assigned(self):
+        table = detector.StarDivergences(
+            ids=np.array([1, 2]),
+            has_context=np.array([True, False]),
+            data_kl=np.array([[0.0, np.inf], [0.0, 0.0]]),
+            attr_kl=None,
+            n_classes=2,
+            m_attribute_classes=0,
+        )
+        # built without a warning; star 2 has no context, so its label is never read
+        assert np.isnan(table.dissimilarities).tolist() == [[False, True], [False, False]]
+        removed, scores = detect_topk([1, 2], [0, 7], table, 1)
+        assert scores.tolist() == [0.0, 0.0] and removed.tolist() == [True, False]
+        with pytest.raises(ValueError, match=r"^non-finite dissimilarity nan for assigned class 1$"):
+            cnld_detect([1, 2], [1, 0], table)

@@ -191,3 +191,41 @@ ID_FORMS = {
 def test_id_forms_give_identical_outputs(entry, form):
     run = ID_ENTRY_POINTS[entry]
     assert_identical(run(ID_FORMS[form]), run(IDS))
+
+
+NOT_SEQUENCES = {
+    "list_iterator": lambda values: iter(values),
+    "generator": lambda values: (v for v in values),
+    "set": set,
+    "dict_keys": lambda values: dict.fromkeys(values).keys(),
+    "dict_values": lambda values: dict(enumerate(values)).values(),
+}
+
+
+# the entry points that hand the vector to the check as they receive it
+STRAIGHT_IDS = ["Dataset arrays", "split_batches", "rows", "feature_matrix", "true_labels"]
+STRAIGHT_LABELS = [
+    "train_mlr", "train_mlr_lockstep", "train_aux", "probabilistic_detect", "consensus_detect",
+    "majority_detect", "inject_ncar", "inject_nar", "estimate_transition", "accuracy",
+]
+
+
+@pytest.mark.parametrize("entry", STRAIGHT_IDS)
+@pytest.mark.parametrize("form", NOT_SEQUENCES)
+def test_ids_that_are_not_a_sequence_named(entry, form):
+    # numpy reads an iterator, a set or a dict view as one object
+    with pytest.raises(TypeError, match=rf"^ids must be a sequence or an array, got {form}$"):
+        ID_ENTRY_POINTS[entry](NOT_SEQUENCES[form](IDS))
+
+
+@pytest.mark.parametrize("entry", STRAIGHT_LABELS)
+@pytest.mark.parametrize("form", NOT_SEQUENCES)
+def test_labels_that_are_not_a_sequence_named(entry, form):
+    with pytest.raises(TypeError, match=rf"^labels must be a sequence or an array, got {form}$"):
+        LABEL_ENTRY_POINTS[entry](NOT_SEQUENCES[form](LABELS))
+
+
+@pytest.mark.parametrize("entry", ["rows", "feature_matrix", "true_labels"])
+def test_a_range_of_ids_is_a_sequence(entry):
+    run = ID_ENTRY_POINTS[entry]
+    assert_identical(run(range(10, 16)), run(IDS))

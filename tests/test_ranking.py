@@ -161,3 +161,32 @@ def test_ranking_auc_counts_ties_half(data):
     pos, neg = scores[positive], scores[~positive]
     pairs = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
     assert ranking_auc(scores, positive) == pairs / (len(pos) * len(neg))
+
+
+def pair_count_auc(scores, positive) -> float:
+    """Share of (positive, negative) pairs the positive wins, ties half."""
+    pos = [s for s, p in zip(scores, positive) if p]
+    neg = [s for s, p in zip(scores, positive) if not p]
+    return sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg) / (len(pos) * len(neg))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_ranking_auc_is_the_pair_count_on_any_finite_scores(data):
+    # signed zeros tie with each other; wide floats and repeats make runs
+    n = data.draw(st.integers(2, 20))
+    value = st.sampled_from([-0.0, 0.0, 0.5, -1.5, 5e-324]) | st.floats(-1e300, 1e300)
+    scores = data.draw(st.lists(value, min_size=n, max_size=n))
+    positive = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    first, second = data.draw(st.permutations(range(n)))[:2]
+    positive[first], positive[second] = True, False  # both classes present
+    assert ranking_auc(scores, positive) == pair_count_auc(scores, positive)
+
+
+def test_ranking_auc_edge_cases():
+    assert ranking_auc([-0.0, 0.0], [True, False]) == 0.5
+    assert ranking_auc([0.0, -0.0, 1.0], [True, False, False]) == 0.25
+    assert ranking_auc([2.0] * 7, [True, False, True, False, False, True, False]) == 0.5
+    single = [0.1, 0.3, 0.2, 0.3, -0.0]
+    assert ranking_auc(single, [False, True, False, False, False]) == pair_count_auc(single, [0, 1, 0, 0, 0]) == 3.5 / 4
+    assert ranking_auc(single, [True, True, True, True, False]) == 1.0
