@@ -8,8 +8,7 @@ The per-label half gathers each instance's assigned-label entries from
 it, ranks the batch by them and removes the first ``removal_count`` by
 :func:`metrics.first_k`; ties go to the lower id.  It returns a (B,) bool
 mask of the removed instances, aligned with ``ids``.  A key that is not
-finite raises ValueError.  Each detector also takes the classifier
-outputs in place of their table, and then builds the table first.
+finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -45,10 +44,13 @@ class VotingTable:
     confidence: np.ndarray     # (B, n)
 
 
-def _rows(*arrays: np.ndarray) -> None:
-    """Raise unless every array is 2-D with the same number of rows."""
-    if any(a.ndim != 2 or len(a) != len(arrays[0]) for a in arrays):
+def _rows(proba: np.ndarray, *others: np.ndarray) -> None:
+    """Raise unless ``proba`` and ``others`` are 2-D with one row per
+    instance, and ``proba`` has a column for each of at least 2 classes."""
+    if any(a.ndim != 2 or len(a) != len(proba) for a in (proba, *others)):
         raise ValueError("member predictions and probabilities need one row per instance")
+    if proba.shape[1] < 2:
+        raise ValueError(f"class distributions need at least 2 classes, got {proba.shape[1]}")
 
 
 def suspicion_table(proba: np.ndarray) -> SuspicionTable:
@@ -66,7 +68,8 @@ def voting_table(predictions: np.ndarray, mlr_proba: np.ndarray) -> VotingTable:
     one row per instance as :func:`aux_predictions` returns them, and of the
     logistic member's class distributions."""
     preds, proba = np.asarray(predictions), np.array(mlr_proba)  # a copy: the table is a snapshot
-    _rows(preds, proba)
+    _rows(proba, preds)
+    preds = _whole_numbers(preds, proba.shape[1])
     disagreements = (preds[:, :, None] != np.arange(proba.shape[1])).sum(axis=1)
     return VotingTable(_read_only(disagreements), _read_only(proba))
 
@@ -98,51 +101,38 @@ def _removed(ids: Sequence[int], removal_count: int, unflagged: np.ndarray, key:
     return removed
 
 
-def _voting_detect(min_disagreements: int, table: VotingTable | np.ndarray, cell: tuple) -> np.ndarray:
+def _voting_detect(
+    table: VotingTable, ids: Sequence[int], assigned: Sequence[int], removal_count: int, min_disagreements: int
+) -> np.ndarray:
     """Flagged instances first, then ascending confidence in the assigned
     class.  An instance is flagged when at least ``min_disagreements``
-    members predict something other than the assigned label.  ``cell`` is
-    ``(ids, assigned, removal_count)`` after a :class:`VotingTable`, or
-    ``(mlr_proba, ids, assigned, removal_count)`` after member predictions."""
-    if not isinstance(table, VotingTable):
-        mlr_proba, *cell = cell
-        table = voting_table(table, mlr_proba)
-    ids, assigned, removal_count = cell
+    members predict something other than the assigned label."""
     a = _assigned(ids, assigned, removal_count, table.confidence)
     rows = np.arange(len(a))
     flagged = table.disagreements[rows, a] >= min_disagreements
     return _removed(ids, removal_count, ~flagged, table.confidence[rows, a])
 
 
-def majority_detect(table: VotingTable | np.ndarray, *cell) -> np.ndarray:
-    """Flag when at least 2 of 3 members disagree with the assigned label.
-
-    Called as ``majority_detect(table, ids, assigned, removal_count)`` with
-    a :func:`voting_table`, or as ``majority_detect(predictions, mlr_proba,
-    ids, assigned, removal_count)``.
-    """
-    return _voting_detect(2, table, cell)
+def majority_detect(table: VotingTable, ids: Sequence[int], assigned: Sequence[int], removal_count: int) -> np.ndarray:
+    """Flag when at least 2 of 3 members disagree with the assigned label;
+    ``table`` is a :func:`voting_table`."""
+    return _voting_detect(table, ids, assigned, removal_count, 2)
 
 
-def consensus_detect(table: VotingTable | np.ndarray, *cell) -> np.ndarray:
-    """Flag only when all 3 members disagree with the assigned label.
-
-    Called as :func:`majority_detect` is.
-    """
-    return _voting_detect(3, table, cell)
+def consensus_detect(table: VotingTable, ids: Sequence[int], assigned: Sequence[int], removal_count: int) -> np.ndarray:
+    """Flag only when all 3 members disagree with the assigned label;
+    ``table`` is a :func:`voting_table`."""
+    return _voting_detect(table, ids, assigned, removal_count, 3)
 
 
 def probabilistic_detect(
-    table: SuspicionTable | np.ndarray, ids: Sequence[int], assigned: Sequence[int], removal_count: int
+    table: SuspicionTable, ids: Sequence[int], assigned: Sequence[int], removal_count: int
 ) -> np.ndarray:
     """Suspicion from prediction mismatch and predictive entropy.
 
-    ``table`` is a :func:`suspicion_table`, or the class distributions it is
-    built from.  Mismatched instances always outrank matched ones; the
-    highest suspicions are removed first.
+    ``table`` is a :func:`suspicion_table`.  Mismatched instances always
+    outrank matched ones; the highest suspicions are removed first.
     """
-    if not isinstance(table, SuspicionTable):
-        table = suspicion_table(table)
     a = _assigned(ids, assigned, removal_count, table.suspicion)
     rows = np.arange(len(a))
     return _removed(ids, removal_count, ~table.mismatch[rows, a], -table.suspicion[rows, a])

@@ -346,15 +346,11 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
 
 
 def predict_proba(model: MlrModel, features: np.ndarray) -> np.ndarray:
-    """Class distribution(s) for one feature vector or a stack of them."""
+    """The (N, n) class distributions of an (N, d) feature matrix."""
     X = np.asarray(features, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"expected feature length {model.n_features}, got {X.shape[1]}")
-    P = _softmax(X @ model.weights.T + model.bias)
-    return P[0] if single else P
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ValueError(f"expected an (N, {model.n_features}) feature matrix, got shape {X.shape}")
+    return _softmax(X @ model.weights.T + model.bias)
 
 
 def entropy(proba: np.ndarray) -> np.ndarray:
@@ -363,9 +359,11 @@ def entropy(proba: np.ndarray) -> np.ndarray:
     return -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=1)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AuxEnsemble:
-    """Logistic + one-vs-rest linear SVM + kNN trained on the same pool."""
+    """Logistic + one-vs-rest linear SVM + kNN trained on the same pool.
+    Construction copies the arrays into read-only ones and checks that
+    ``knn_k`` is a positive odd number at most the pool size."""
 
     mlr: MlrModel
     svm_weights: np.ndarray   # (n, d)
@@ -375,6 +373,14 @@ class AuxEnsemble:
     knn_k: int
     feature_mean: np.ndarray | None
     feature_std: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        for name in ("svm_weights", "svm_bias", "knn_features", "knn_labels", "feature_mean", "feature_std"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+        N, k = self.knn_features.shape[0], self.knn_k
+        if not (1 <= k <= N and k % 2 == 1):
+            raise ValueError(f"knn_k must be a positive odd number at most the pool size {N}, got {k!r}")
 
     @property
     def n_classes(self) -> int:
@@ -394,8 +400,6 @@ def train_aux(features: np.ndarray, labels: np.ndarray, mlr: MlrModel, knn_k: in
     X = np.asarray(features, dtype=float)
     n = mlr.n_classes
     y = _check_training_input(X, labels, n)
-    if not (1 <= knn_k <= X.shape[0] and knn_k % 2 == 1):
-        raise ValueError(f"knn_k must be a positive odd number at most the pool size {X.shape[0]}, got {knn_k!r}")
     if mlr.n_features != X.shape[1]:
         raise ValueError(f"logistic member expects d={mlr.n_features}, got {X.shape[1]}")
 
@@ -424,7 +428,7 @@ def train_aux(features: np.ndarray, labels: np.ndarray, mlr: MlrModel, knn_k: in
         svm_weights=W,
         svm_bias=b,
         knn_features=store,
-        knn_labels=y.copy(),
+        knn_labels=y,
         knn_k=knn_k,
         feature_mean=mean,
         feature_std=std,
@@ -510,17 +514,10 @@ def _knn_predict(ensemble: AuxEnsemble, X: np.ndarray) -> np.ndarray:
 
 
 def aux_predictions(ensemble: AuxEnsemble, features: np.ndarray) -> np.ndarray:
-    """Per-member class predictions, columns ordered (mlr, svm, knn)."""
-    if ensemble is None:
-        raise ValueError("ensemble is not trained")
+    """Per-member class predictions of an (N, d) feature matrix, an (N, 3)
+    array with columns ordered (mlr, svm, knn)."""
     X = np.asarray(features, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if ensemble.knn_k > ensemble.knn_features.shape[0]:
-        raise ValueError("knn_k exceeds store size")
     mlr_pred = predict_proba(ensemble.mlr, X).argmax(axis=1)
     svm_pred = (X @ ensemble.svm_weights.T + ensemble.svm_bias).argmax(axis=1)
     knn_pred = _knn_predict(ensemble, X)
-    preds = np.stack([mlr_pred, svm_pred, knn_pred], axis=1)
-    return preds[0] if single else preds
+    return np.stack([mlr_pred, svm_pred, knn_pred], axis=1)

@@ -27,9 +27,10 @@
   positions on every numpy the package admits.
 * ``reference_probabilistic_detect`` and ``reference_voting_detect`` are
   the baselines as they ran before their label-free tables: every call
-  takes the argmax and entropy, or counts the member disagreements, of the
-  assigned labels alone, and ranks by ``reference_first_k``.  The
-  package's table-gathering detectors must remove the same instances.
+  takes the classifier outputs themselves, takes the argmax and entropy,
+  or counts the member disagreements, of the assigned labels alone, and
+  ranks by ``reference_first_k``.  The package's detectors take only the
+  tables, and must remove the same instances from them.
 * ``reference_hinge`` is the context score's hinge against one assigned
   label per star, a (B, n) sum; the package's per-label table must hold
   its bits in every column.
@@ -337,7 +338,7 @@ def build_instance_graph(
         raise NoContextError(f"instance {instance_id} has no links and no attributes")
 
     n = classifier.n_classes
-    center = predict_proba(classifier, dataset.features[row[0]])
+    center = predict_proba(classifier, dataset.features[row[:1]])[0]
     data_pots = predict_proba(classifier, dataset.features[neighbours]) if len(neighbours) else np.empty((0, n))
     attr_pots = observations if len(observations) else np.empty((0, relationship.m_attribute_classes))
 

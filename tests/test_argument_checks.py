@@ -11,7 +11,6 @@ from ctxnoise import (
     MlrModel,
     RelationshipModel,
     StarDivergences,
-    aux_predictions,
     build_relationship,
     detect_topk,
     select_informative,
@@ -63,9 +62,9 @@ CASES = {
         "unknown selection strategy 'bogus'",
     ),
     "knn store": (
-        # train_aux refuses such a k, so only a replaced ensemble has it
-        lambda: aux_predictions(dataclasses.replace(ENSEMBLE, knn_k=5), DATASET.features),
-        "knn_k exceeds store size",
+        # an ensemble checks its k when it is built, and so when it is replaced
+        lambda: dataclasses.replace(ENSEMBLE, knn_k=5),
+        "knn_k must be a positive odd number at most the pool size 3, got 5",
     ),
     "one batch": (lambda: split_batches(DATASET, 1, 0), "n_batches must be >= 2"),
     "batches past instances": (lambda: split_batches(DATASET, 4, 0), "more batches than instances"),

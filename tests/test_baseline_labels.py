@@ -5,16 +5,17 @@ class's column (-1 wraps to class n - 1) or raising IndexError (n)."""
 import numpy as np
 import pytest
 
-from ctxnoise import consensus_detect, majority_detect, probabilistic_detect
+from ctxnoise import consensus_detect, majority_detect, probabilistic_detect, suspicion_table, voting_table
 
 PROBA = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
-PREDS = np.array([[0, 0, 1], [1, 2, 1], [2, 2, 2]])
+SUSPICION = suspicion_table(PROBA)
+VOTES = voting_table(np.array([[0, 0, 1], [1, 2, 1], [2, 2, 2]]), PROBA)
 IDS = [1, 2, 3]
 
 DETECTORS = {
-    "probabilistic": lambda assigned: probabilistic_detect(PROBA, IDS, assigned, 1),
-    "consensus": lambda assigned: consensus_detect(PREDS, PROBA, IDS, assigned, 1),
-    "majority": lambda assigned: majority_detect(PREDS, PROBA, IDS, assigned, 1),
+    "probabilistic": lambda assigned: probabilistic_detect(SUSPICION, IDS, assigned, 1),
+    "consensus": lambda assigned: consensus_detect(VOTES, IDS, assigned, 1),
+    "majority": lambda assigned: majority_detect(VOTES, IDS, assigned, 1),
 }
 
 

@@ -627,7 +627,7 @@ class TestLockstepChecks:
 class TestPredictProba:
     def test_zero_model_is_uniform(self):
         model = MlrModel(np.zeros((4, 3)), np.zeros(4), MlrConfig(n_classes=4))
-        p = predict_proba(model, np.ones(3))
+        p = predict_proba(model, np.ones((1, 3)))
         assert np.allclose(p, 0.25)
 
     def test_shift_invariance(self):
@@ -640,7 +640,7 @@ class TestPredictProba:
     def test_two_class_logit_gap(self):
         # logit gap of 2 gives sigmoid(2) on the favoured class
         model = MlrModel(np.zeros((2, 1)), np.array([2.0, 0.0]), MlrConfig(n_classes=2))
-        p = predict_proba(model, np.zeros(1))
+        p = predict_proba(model, np.zeros((1, 1)))[0]
         sigma = 1.0 / (1.0 + math.exp(-2.0))
         assert abs(p[0] - sigma) < 1e-9
         assert abs(p[0] - 0.8808) < 1e-4
@@ -657,6 +657,13 @@ class TestPredictProba:
         model = MlrModel(np.zeros((2, 3)), np.zeros(2), MlrConfig(n_classes=2))
         with pytest.raises(ValueError):
             predict_proba(model, np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(3,), (), (1, 1, 3), (1, 4)])
+    def test_anything_but_an_n_by_d_matrix_rejected(self, shape):
+        # a 1-D vector of length d used to be scored as one row
+        model = MlrModel(np.zeros((2, 3)), np.zeros(2), MlrConfig(n_classes=2))
+        with pytest.raises(ValueError, match=rf"^expected an \(N, 3\) feature matrix, got shape {re.escape(str(shape))}$"):
+            predict_proba(model, np.zeros(shape))
 
 
 class TestImmutability:
@@ -710,8 +717,8 @@ class TestAuxEnsemble:
     def test_knn_k1_returns_stored_label(self):
         X, y = self.make_blobs()
         ensemble = trained_aux(X, y, 3, knn_k=1)
-        preds = aux_predictions(ensemble, X[7])
-        assert preds[2] == y[7]
+        preds = aux_predictions(ensemble, X[7:8])
+        assert preds[0, 2] == y[7]
 
     def test_knn_tie_breaks_to_smaller_class(self):
         # query equidistant from one class-2 point and one class-1 point
@@ -719,7 +726,7 @@ class TestAuxEnsemble:
         y = np.array([2, 1, 0])
         ensemble = trained_aux(X, y, 3, knn_k=3)
         # votes: one each for classes 0, 1, 2 -> smallest class index wins
-        assert aux_predictions(ensemble, np.array([0.0]))[2] == 0
+        assert aux_predictions(ensemble, np.array([[0.0]]))[0, 2] == 0
 
     def test_k_larger_than_store_rejected(self):
         X, y = self.make_blobs()
@@ -765,6 +772,32 @@ class TestAuxEnsemble:
         assert ensemble.feature_mean is not None
         preds = aux_predictions(ensemble, scaled)
         assert (preds[:, 2] == y).all()
+
+    def test_a_feature_vector_rejected(self):
+        # one 1-D vector used to be scored as a row, and its votes returned 1-D
+        X, y = self.make_blobs()
+        with pytest.raises(ValueError, match=r"^expected an \(N, 2\) feature matrix, got shape \(2,\)$"):
+            aux_predictions(trained_aux(X, y, 3), X[7])
+
+    def test_immutable_and_independent_of_its_inputs(self):
+        # writes to the store or a new even k used to change the votes silently
+        X, y = self.make_blobs()
+        queries = X.copy()
+        normalized = trained_aux(queries, y, 3, normalize=True)
+        plain = trained_aux(X, y, 3)
+        votes = aux_predictions(plain, queries)
+        X[:], y[:] = 0.0, 1  # the plain ensemble's pool, which its kNN store used to alias
+        assert np.array_equal(aux_predictions(plain, queries), votes)
+        for e in (normalized, plain):
+            for name in ("svm_weights", "svm_bias", "knn_features", "knn_labels"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(e, name)[:] = 1
+        for name in ("feature_mean", "feature_std"):
+            assert not getattr(normalized, name).flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            plain.knn_k = 3
+        with pytest.raises(ValueError, match=r"^knn_k must be a positive odd number at most the pool size 60, got 4$"):
+            replace(plain, knn_k=4)
 
 
 def knn_reference(store, labels, k, n_classes, queries):

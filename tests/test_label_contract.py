@@ -32,10 +32,12 @@ from ctxnoise import (
     select_informative,
     split_batches,
     star_divergences,
+    suspicion_table,
     train_aux,
     train_mlr,
     train_mlr_lockstep,
     update_relationship,
+    voting_table,
 )
 
 N_CLASSES = 2
@@ -58,7 +60,8 @@ MODEL = train_mlr(None, X, LABELS, MlrConfig(N_CLASSES, epochs=5))
 RELATIONSHIP = build_relationship(DATASET, dict(zip(IDS, LABELS)))
 DIVERGENCES = star_divergences(IDS, DATASET, MODEL, RELATIONSHIP)
 PROBA = predict_proba(MODEL, X)
-PREDS = np.array([[0, 0, 1], [1, 1, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0]])
+SUSPICION = suspicion_table(PROBA)
+VOTES = voting_table(np.array([[0, 0, 1], [1, 1, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0]]), PROBA)
 PRIOR = Conditionals(np.array([[0.7, 0.3], [0.4, 0.6]]), None)
 POSTERIOR = Conditionals(np.array([[0.2, 0.8], [0.5, 0.5]]), None)
 
@@ -67,9 +70,11 @@ LABEL_ENTRY_POINTS = {
     "train_mlr": lambda y: vars(train_mlr(None, X, y, MlrConfig(N_CLASSES, epochs=5))),
     "train_mlr_lockstep": lambda y: [vars(m) for m in train_mlr_lockstep([(None, X, y, MlrConfig(N_CLASSES, epochs=5))])],
     "train_aux": lambda y: vars(train_aux(X, y, MODEL, 1, False)),
-    "probabilistic_detect": lambda y: probabilistic_detect(PROBA, IDS, y, 2),
-    "consensus_detect": lambda y: consensus_detect(PREDS, PROBA, IDS, y, 2),
-    "majority_detect": lambda y: majority_detect(PREDS, PROBA, IDS, y, 2),
+    "probabilistic_detect": lambda y: probabilistic_detect(SUSPICION, IDS, y, 2),
+    "consensus_detect": lambda y: consensus_detect(VOTES, IDS, y, 2),
+    "majority_detect": lambda y: majority_detect(VOTES, IDS, y, 2),
+    # member predictions are class labels: here all three members predict y
+    "voting_table": lambda y: vars(voting_table([[c] * 3 for c in y], PROBA)),
     "cnld_detect": lambda y: cnld_detect(IDS, y, DIVERGENCES),
     "detect_topk": lambda y: detect_topk(IDS, y, DIVERGENCES, 2),
     "dissimilarity": lambda y: [dissimilarity(PRIOR, POSTERIOR, c) for c in y],
@@ -229,3 +234,14 @@ def test_labels_that_are_not_a_sequence_named(entry, form):
 def test_a_range_of_ids_is_a_sequence(entry):
     run = ID_ENTRY_POINTS[entry]
     assert_identical(run(range(10, 16)), run(IDS))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [suspicion_table, lambda proba: voting_table(np.zeros((len(proba), 3), dtype=int), proba)],
+    ids=["suspicion_table", "voting_table"],
+)
+def test_table_builders_need_two_classes(build):
+    # a single column used to divide 0 by 0 in the suspicion table's entropy
+    with pytest.raises(ValueError, match=r"^class distributions need at least 2 classes, got 1$"):
+        build(np.ones((len(IDS), 1)))

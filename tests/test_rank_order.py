@@ -23,6 +23,8 @@ from ctxnoise import (
     majority_detect,
     probabilistic_detect,
     ranking_auc,
+    suspicion_table,
+    voting_table,
 )
 
 from oracles import reference_first_k
@@ -106,11 +108,12 @@ def _detect_all(b, count):
     table = StarDivergences(b["ids"], b["has_context"], b["kls"], None, n_classes=n, m_attribute_classes=0)
     removed, scores = detect_topk(b["ids"], b["assigned"], table, count)
     proba = b["proba"] / b["proba"].sum(axis=1, keepdims=True)
+    votes = voting_table(b["preds"], proba)
     masks = {
         "cnld": removed,
-        "probabilistic": probabilistic_detect(proba, b["ids"], b["assigned"], count),
-        "consensus": consensus_detect(b["preds"], proba, b["ids"], b["assigned"], count),
-        "majority": majority_detect(b["preds"], proba, b["ids"], b["assigned"], count),
+        "probabilistic": probabilistic_detect(suspicion_table(proba), b["ids"], b["assigned"], count),
+        "consensus": consensus_detect(votes, b["ids"], b["assigned"], count),
+        "majority": majority_detect(votes, b["ids"], b["assigned"], count),
     }
     return masks, scores
 

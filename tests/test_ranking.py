@@ -7,6 +7,7 @@ ties going to the lower id, or, for the AUC, with explicit pair counts.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,8 @@ from ctxnoise import (
     probabilistic_detect,
     ranking_auc,
     select_informative,
+    suspicion_table,
+    voting_table,
 )
 from ctxnoise.classifiers import entropy, predict_proba
 
@@ -116,7 +119,7 @@ def test_voting_detectors(batch, data):
     for detect, needed in ((majority_detect, 2), (consensus_detect, 3)):
         flagged = (preds != assigned[:, None]).sum(axis=1) >= needed
         removed = first(ids, count, lambda r: (not flagged[r], proba[r, assigned[r]]))
-        assert np.array_equal(detect(preds, proba, ids, assigned, count), removed)
+        assert np.array_equal(detect(voting_table(preds, proba), ids, assigned, count), removed)
 
 
 @given(batches(), st.data())
@@ -133,7 +136,7 @@ def test_probabilistic_detector(batch, data):
         s = 1.0 - proba[r, assigned[r]] if mismatch[r] else 0.5 * norm_entropy[r]
         return (not mismatch[r], -s)
 
-    assert np.array_equal(probabilistic_detect(proba, ids, assigned, count), first(ids, count, key))
+    assert np.array_equal(probabilistic_detect(suspicion_table(proba), ids, assigned, count), first(ids, count, key))
 
 
 @given(batches(), st.data())
@@ -190,3 +193,17 @@ def test_ranking_auc_edge_cases():
     single = [0.1, 0.3, 0.2, 0.3, -0.0]
     assert ranking_auc(single, [False, True, False, False, False]) == pair_count_auc(single, [0, 1, 0, 0, 0]) == 3.5 / 4
     assert ranking_auc(single, [True, True, True, True, False]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "scores, positive",
+    [
+        ([0.1, 0.5, 0.3], [True, False, False, True]),  # used to return -1.0
+        ([0.1, 0.5, 0.3, 0.2], [True, False, False]),  # used to raise IndexError
+        ([[0.1, 0.5], [0.3, 0.2]], [[True, False], [False, True]]),
+        (0.1, True),
+    ],
+)
+def test_ranking_auc_rejects_misaligned_inputs(scores, positive):
+    with pytest.raises(ValueError, match=r"^scores and positive flags must be aligned 1-D arrays$"):
+        ranking_auc(scores, positive)
