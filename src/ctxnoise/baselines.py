@@ -79,7 +79,7 @@ def _assigned(ids: Sequence[int], assigned: Sequence[int], removal_count: int, t
     holds one row per id and each label is one of its columns, and that
     the budget fits the batch."""
     if len(table) != len(ids):
-        raise ValueError("member predictions and probabilities need one row per instance")
+        raise ValueError(f"table has {len(table)} rows for {len(ids)} ids")
     a = _whole_numbers(assigned, table.shape[1])
     if len(a) != len(ids):
         raise ValueError("ids and assigned labels must align")

@@ -31,11 +31,12 @@ BLOCK_BYTES = 256 * 1024
 # Interleaved members save interpreter time on every step, but their
 # features are copied into one stacked (R N, d) matrix and all R N x d rows
 # are gathered from it once per epoch; this bounds the bytes of that copy,
-# and of each epoch's gathered rows, in one call.  It was set when members
-# were held member-major: past it the step was bound by memory and
-# arithmetic, and two stacked members at CORA's shape (N = 487, d = 1433)
-# trained about 5% slower than the same two one after another, on a 2-CPU
-# Xeon with 2 MiB of L2 a core.
+# and of each epoch's gathered rows, in one call, and of the (R, N, d)
+# stack of pools that train_aux's SVM members train on together.  It was
+# set when members were held member-major: past it the step was bound by
+# memory and arithmetic, and two stacked members at CORA's shape (N = 487,
+# d = 1433) trained about 5% slower than the same two one after another, on
+# a 2-CPU Xeon with 2 MiB of L2 a core.
 LOCKSTEP_BYTES = 8 * 1024 * 1024
 
 # The aux ensemble's SVM member: its learning rate (decayed as
@@ -214,15 +215,16 @@ def _train_stacked(members: list[tuple]) -> list[MlrModel]:
     # scores as (n, R, k) and the bias as (1, R, n), and each elementwise op
     # and reduction of a step is one contiguous call over all R members.
     # Only the weights lead with it, (R, n, d), and are updated through
-    # (R, n d) views.  One member drops the member axis and keeps its rates
-    # as Python floats, as cheap as a plain loop; R members hold theirs as
-    # (R, 1), which broadcasts against both the weights and the bias.
+    # (R, n d) views.  One member drops the member axis, as cheap as a plain
+    # loop.  Members that share one learning rate and one l2 keep them as
+    # Python floats; others hold theirs as (R, 1), which broadcasts against
+    # both the weights and the bias.
     lead = () if R == 1 else (R,)
     W = np.array([np.zeros((n, d)) if model is None else model.weights for model in models], dtype=float)
     W = W.reshape(lead + (n, d))
     b = np.array([np.zeros(n) if model is None else model.bias for model in models], dtype=float)
     b = b.reshape((1,) + lead + (n,))
-    if R == 1:
+    if len({(c.learning_rate, c.l2) for c in cfgs}) == 1:
         base_lr, l2 = cfgs[0].learning_rate, cfgs[0].l2
     else:
         base_lr = np.array([c.learning_rate for c in cfgs]).reshape(R, 1)
@@ -363,7 +365,8 @@ def entropy(proba: np.ndarray) -> np.ndarray:
 class AuxEnsemble:
     """Logistic + one-vs-rest linear SVM + kNN trained on the same pool.
     Construction copies the arrays into read-only ones and checks that
-    ``knn_k`` is a positive odd number at most the pool size."""
+    ``knn_labels`` holds one class label per stored row and that ``knn_k``
+    is a positive odd number at most the pool size."""
 
     mlr: MlrModel
     svm_weights: np.ndarray   # (n, d)
@@ -379,6 +382,10 @@ class AuxEnsemble:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
         N, k = self.knn_features.shape[0], self.knn_k
+        labels = _whole_numbers(self.knn_labels, self.n_classes, "knn_labels")
+        if labels.shape != (N,):
+            raise ValueError(f"knn_labels need one label per stored row, got shape {labels.shape} for {N} rows")
+        object.__setattr__(self, "knn_labels", _read_only(labels))
         if not (1 <= k <= N and k % 2 == 1):
             raise ValueError(f"knn_k must be a positive odd number at most the pool size {N}, got {k!r}")
 
@@ -392,47 +399,96 @@ class AuxEnsemble:
         return (X - self.feature_mean) / self.feature_std
 
 
-def train_aux(features: np.ndarray, labels: np.ndarray, mlr: MlrModel, knn_k: int, normalize: bool) -> AuxEnsemble:
-    """The ensemble on one pool: ``mlr`` is its logistic member, already
-    trained on the pool, and the SVM member trains here with the
-    ``SVM_*`` settings.  ``knn_k`` must be a positive odd number at most
-    the pool size; ``normalize`` z-scores the kNN store's features."""
-    X = np.asarray(features, dtype=float)
-    n = mlr.n_classes
-    y = _check_training_input(X, labels, n)
-    if mlr.n_features != X.shape[1]:
-        raise ValueError(f"logistic member expects d={mlr.n_features}, got {X.shape[1]}")
+def train_aux(members: Sequence[tuple], knn_k: int, normalize: bool) -> list[AuxEnsemble]:
+    """The ensembles on several pools, one per ``(features, labels, mlr)``
+    member: ``mlr`` is the pool's logistic member, already trained on it,
+    and the SVM member trains here with the ``SVM_*`` settings.  ``knn_k``
+    must be a positive odd number at most each pool's size; ``normalize``
+    z-scores each kNN store's features.  Every member's input is checked
+    before any SVM trains.  Members that agree on the pool size N, the
+    feature count d and the class count share one hinge loop, at most
+    ``LOCKSTEP_BYTES`` of stacked pools at a time; each gets the weights it
+    would get alone, bit for bit.  The ensembles come back in member order.
+    """
+    if not members:
+        raise ValueError("need at least one member")
+    checked, groups = [], {}
+    for features, labels, mlr in members:
+        X = np.asarray(features, dtype=float)
+        y = _check_training_input(X, labels, mlr.n_classes)
+        if mlr.n_features != X.shape[1]:
+            raise ValueError(f"logistic member expects d={mlr.n_features}, got {X.shape[1]}")
+        groups.setdefault((X.shape, mlr.n_classes), []).append(len(checked))
+        checked.append((X, y, mlr))
+    svms = {}
+    for ((N, d), n), index in groups.items():
+        size = max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
+        for start in range(0, len(index), size):
+            chunk = index[start : start + size]
+            # a lone pool trains as a (1, N, d) view of itself, with no copy
+            X = checked[chunk[0]][0][None] if len(chunk) == 1 else np.stack([checked[i][0] for i in chunk])
+            S = np.full((len(chunk), N, n), -1.0)
+            S[np.arange(len(chunk))[:, None], np.arange(N), [checked[i][1] for i in chunk]] = 1.0
+            W, b = _train_hinge(X, S)
+            svms.update(zip(chunk, zip(W, b)))
 
-    # One-vs-rest hinge loss by full-batch subgradient descent.
-    W = np.zeros((n, X.shape[1]))
-    b = np.zeros(n)
-    S = -np.ones((X.shape[0], n))
-    S[np.arange(X.shape[0]), y] = 1.0
+    ensembles = []
+    for i, (X, y, mlr) in enumerate(checked):
+        mean = std = None
+        store = X
+        if normalize:
+            mean = X.mean(axis=0)
+            std = X.std(axis=0)
+            std = np.where(std > 0, std, 1.0)
+            store = (X - mean) / std
+        ensembles.append(AuxEnsemble(mlr, *svms[i], store, y, knn_k, mean, std))
+    return ensembles
+
+
+def _train_hinge(X: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-vs-rest hinge loss of :func:`train_aux`'s SVM members, by
+    full-batch subgradient descent, on an (R, N, d) stack of pools whose
+    (R, N, n) class signs ``S`` are +1 at each row's label and -1 elsewhere;
+    the (R, n, d) weights and (R, n) biases.
+
+    An epoch is Z = S (X W^T + b), A = -(Z < 1) S, W -= lr (A^T X / N +
+    SVM_L2 W) and b -= lr sum_rows(A) / N.  Each operation and its operand
+    order are those of the plain expressions (``reference_train_svm`` in
+    tests/oracles.py), so the weights are bit-identical to theirs: the
+    products are one stacked matmul over (N, d) slices, each a contiguous
+    copy or the pool itself, and their transposed views, which gives each
+    slice the plain 2-D product's bits.  A's row sums are whole numbers,
+    exact in any order, so they are taken as one product with a row of
+    ones, several times faster than numpy's reduce over the middle axis;
+    b, which starts at +0, never holds -0, so the sign of a zero sum does
+    not show.  Every temporary lives in a buffer made once, with out passed
+    positionally.
+    """
+    R, N, d = X.shape
+    n = S.shape[2]
+    W, b = np.zeros((R, n, d)), np.zeros((R, 1, n))
+    neg_S = -S
+    Z, A, mask = np.empty((R, N, n)), np.empty((R, N, n)), np.empty((R, N, n), dtype=bool)
+    G, decay, grad_b = np.empty_like(W), np.empty_like(W), np.empty_like(b)
+    WT, AT, ones = W.swapaxes(1, 2), A.swapaxes(1, 2), np.ones((1, N))
     for epoch in range(1, SVM_EPOCHS + 1):
         lr = SVM_LEARNING_RATE / math.sqrt(epoch)
-        margins = S * (X @ W.T + b)
-        active = (margins < 1.0) * S
-        W -= lr * (-active.T @ X / X.shape[0] + SVM_L2 * W)
-        b -= lr * (-active.sum(axis=0) / X.shape[0])
-
-    mean = std = None
-    store = X
-    if normalize:
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        store = (X - mean) / std
-
-    return AuxEnsemble(
-        mlr=mlr,
-        svm_weights=W,
-        svm_bias=b,
-        knn_features=store,
-        knn_labels=y,
-        knn_k=knn_k,
-        feature_mean=mean,
-        feature_std=std,
-    )
+        np.matmul(X, WT, Z)
+        np.add(Z, b, Z)
+        np.multiply(Z, S, Z)
+        np.less(Z, 1.0, mask)
+        np.multiply(mask, neg_S, A)  # the bits of -(mask S)
+        np.matmul(AT, X, G)
+        np.divide(G, N, G)
+        np.multiply(SVM_L2, W, decay)
+        np.add(G, decay, G)
+        np.multiply(G, lr, G)
+        np.subtract(W, G, W)
+        np.matmul(ones, A, grad_b)
+        np.divide(grad_b, N, grad_b)
+        np.multiply(grad_b, lr, grad_b)
+        np.subtract(b, grad_b, b)
+    return W, b.reshape(R, n)
 
 
 def _knn_candidates(

@@ -534,15 +534,19 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
     keys = ["mlr_learning_rate"] * len(parts) + [None] * len(parts)  # the aux member trains at MlrConfig's rate
     with _named_divergence(names, keys):
         models = train_mlr_lockstep([member for *_, member in parts] + aux_members)
+    # every seed's pool (batch 0) holds n_train // n_batches ids, so one
+    # knn_k serves them all: clipped to the pool, and an even one made odd;
+    # their ensembles train in one call
+    knn_k = min(config.knn_k, len(aux_members[0][1]))
+    if knn_k % 2 == 0:
+        knn_k -= 1
+    auxes = train_aux(
+        [(pool_X, pool_y, mlr) for (_, pool_X, pool_y, _), mlr in zip(aux_members, models[len(parts) :])],
+        knn_k,
+        config.dataset_kind == "synthetic",
+    )
 
-    for seed, (batches, test_ids, pool_X, pool_y, rel, _), model, aux_mlr in zip(
-        config.seeds, parts, models, models[len(parts) :]
-    ):
-        # an odd knn_k is clipped to the pool, and kept odd
-        knn_k = min(config.knn_k, len(batches[0]))
-        if knn_k % 2 == 0:
-            knn_k -= 1
-        aux = train_aux(pool_X, pool_y, aux_mlr, knn_k, config.dataset_kind == "synthetic")
+    for seed, (_, test_ids, pool_X, pool_y, rel, _), model, aux in zip(config.seeds, parts, models, auxes):
         y_test = dataset.true_labels(test_ids)
         # every detector's table holds its label-free half, for each label
         # of each instance, and serves every noise level

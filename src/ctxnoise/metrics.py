@@ -71,13 +71,14 @@ def ranking_auc(scores: Sequence[float], positive: Sequence[bool]) -> float:
     """Probability a positive outranks a negative, ties counted half.
 
     Rank-sum (Mann-Whitney) formulation with average ranks on ties, read
-    off one stable argsort; needs aligned 1-D scores and flags, at least
-    one positive and one negative, and finite scores.  The rank sums are
-    exact half-integers, so the result equals the pair count whatever
+    off one stable argsort; needs aligned 1-D scores and bool flags, at
+    least one positive and one negative, and finite scores.  The rank sums
+    are exact half-integers, so the result equals the pair count whatever
     order the ranks are summed in.
     """
-    s = np.asarray(scores, dtype=float)
-    pos = np.asarray(positive, dtype=bool)
+    s, pos = np.asarray(scores, dtype=float), np.asarray(positive)
+    if pos.dtype != bool:
+        raise ValueError(f"positive flags must be bool, got dtype {pos.dtype}")
     if s.ndim != 1 or pos.shape != s.shape:
         raise ValueError("scores and positive flags must be aligned 1-D arrays")
     if not np.isfinite(s).all():

@@ -162,7 +162,7 @@ def trained_aux(features, labels, n_classes, knn_k=5, normalize=False, seed=0):
     """``train_aux`` on a logistic member trained on the same pool with
     ``MlrConfig(n_classes, seed=seed)``."""
     mlr = train_mlr(None, features, labels, MlrConfig(n_classes, seed=seed))
-    return train_aux(features, labels, mlr, knn_k, normalize)
+    return train_aux([(features, labels, mlr)], knn_k, normalize)[0]
 
 
 def reference_link_draws(rng, owners, per, links_per_instance, cdf):

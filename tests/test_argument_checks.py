@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ctxnoise import (
+    AuxEnsemble,
     MlrConfig,
     MlrModel,
     RelationshipModel,
@@ -24,6 +25,7 @@ from test_relationship import linked_dataset
 DATASET = linked_dataset(labels=(0, 1, 2), links=((0, 1), (1, 2)))  # ids 0, 1, 2; one feature
 WITH_ATTRIBUTES = linked_dataset(labels=(0, 1, 2), m=2, attr_obs={0: [[0.5, 0.5]]})
 MODEL = MlrModel(np.zeros((3, 1)), np.zeros(3), MlrConfig(3))
+MODEL_2 = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(2))
 EMPTY = build_relationship(DATASET, {})
 # star 1's KL row is infinite in the class it is labeled with
 INFINITE_KL = StarDivergences(
@@ -34,7 +36,7 @@ INFINITE_KL = StarDivergences(
     n_classes=2,
     m_attribute_classes=0,
 )
-ENSEMBLE = train_aux(DATASET.features, DATASET.labels, MODEL, 1, False)
+(ENSEMBLE,) = train_aux([(DATASET.features, DATASET.labels, MODEL)], 1, False)
 
 CASES = {
     "star features": (
@@ -65,6 +67,16 @@ CASES = {
         # an ensemble checks its k when it is built, and so when it is replaced
         lambda: dataclasses.replace(ENSEMBLE, knn_k=5),
         "knn_k must be a positive odd number at most the pool size 3, got 5",
+    ),
+    # an ensemble checks its kNN labels when it is built: a label past its
+    # classes, or a missing one, used to raise IndexError at its first vote
+    "knn label": (
+        lambda: AuxEnsemble(MODEL_2, np.zeros((2, 1)), np.zeros(2), np.arange(5.0)[:, None], [0, 1, 9], 1, None, None),
+        r"knn_labels must lie in \[0, 2\), got 9",
+    ),
+    "knn label count": (
+        lambda: AuxEnsemble(MODEL_2, np.zeros((2, 1)), np.zeros(2), np.arange(5.0)[:, None], [0, 1, 1], 1, None, None),
+        r"knn_labels need one label per stored row, got shape \(3,\) for 5 rows",
     ),
     "one batch": (lambda: split_batches(DATASET, 1, 0), "n_batches must be >= 2"),
     "batches past instances": (lambda: split_batches(DATASET, 4, 0), "more batches than instances"),

@@ -223,9 +223,11 @@ def test_tables_need_one_row_per_instance():
         voting_table(preds[:2], proba)
     with pytest.raises(ValueError, match=message):
         suspicion_table(proba[0])
-    with pytest.raises(ValueError, match=message):
+    # a detector names the table's rows and the ids: the probabilistic
+    # detector's table holds no member predictions
+    with pytest.raises(ValueError, match="^table has 3 rows for 2 ids$"):
         majority_detect(voting_table(preds, proba), [0, 1], [0, 0], 1)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="^table has 3 rows for 4 ids$"):
         probabilistic_detect(suspicion_table(proba), [0, 1, 2, 3], [0, 0, 0, 0], 1)
 
 

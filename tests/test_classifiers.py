@@ -233,6 +233,34 @@ def test_one_feature_members_train_one_per_stacked_loop(N, n, batch_size):
         assert np.array_equal(model.bias, b)
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [
+        [(0.1, 1e-4)] * 3,  # shared: Python floats
+        [(0.1, 1e-4), (0.5, 1e-4), (0.1, 0.0)],  # mixed: one per member
+    ],
+    ids=["shared", "mixed"],
+)
+@pytest.mark.parametrize("batch_size", [None, 7])
+def test_lockstep_shared_and_mixed_rates_give_the_plain_bits(rates, batch_size):
+    # members of one step shape train in one stacked loop, whether they
+    # share their learning rate and l2 or not
+    rng = np.random.default_rng(len(rates))
+    N, d, n = 20, 3, 4
+    members = []
+    for seed, (learning_rate, l2) in enumerate(rates):
+        config = MlrConfig(n, learning_rate=learning_rate, l2=l2, epochs=4, batch_size=batch_size, seed=seed)
+        W0 = rng.standard_normal((n, d))
+        members.append((MlrModel(W0, np.zeros(n), config), rng.standard_normal((N, d)), rng.integers(0, n, N), config))
+    with mock.patch.object(classifiers, "_train_stacked", wraps=classifiers._train_stacked) as spy:
+        models = train_mlr_lockstep(members)
+    assert [len(call.args[0]) for call in spy.call_args_list] == [len(rates)]
+    for model, (start, X, y, config) in zip(models, members):
+        W, b = reference_train_mlr(start.weights.copy(), start.bias.copy(), X, y, config)
+        assert model.weights.tobytes() == W.tobytes()
+        assert model.bias.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("epochs, seed", [(2, 0), (3, 1)])
 def test_lockstep_is_bit_identical_at_the_detect_shape(epochs, seed):
     # the detection suite's lock-step call on the synthetic detect configs:
@@ -490,7 +518,7 @@ class TestLockstepChecks:
         with pytest.raises(ValueError, match=message):
             train_mlr_lockstep([(None, X, np.array([0, 1]), MlrConfig(3)), (None, X, np.array(labels), MlrConfig(3))])
         with pytest.raises(ValueError, match=message):
-            train_aux(X, np.array(labels), MlrModel(np.zeros((3, 2)), np.zeros(3), MlrConfig(3)), 1, False)
+            train_aux([(X, np.array(labels), MlrModel(np.zeros((3, 2)), np.zeros(3), MlrConfig(3)))], 1, False)
 
     def test_whole_float_and_bool_labels_train_as_integers(self):
         X, y = separable_1d()
@@ -499,7 +527,7 @@ class TestLockstepChecks:
         for labels in (y.astype(float), y.astype(bool), y.tolist()):
             model = train_mlr(None, X, labels, config)
             assert np.array_equal(model.weights, plain.weights) and np.array_equal(model.bias, plain.bias)
-        aux = train_aux(X, y.astype(float), plain, 1, False)
+        (aux,) = train_aux([(X, y.astype(float), plain)], 1, False)
         assert aux.knn_labels.dtype == int and np.array_equal(aux.knn_labels, y)
 
     def test_featureless_pool_trains_the_bias(self):
@@ -732,23 +760,23 @@ class TestAuxEnsemble:
         X, y = self.make_blobs()
         mlr = MlrModel(np.zeros((3, 2)), np.zeros(3), MlrConfig(3))
         with pytest.raises(ValueError, match=r"^knn_k must be a positive odd number at most the pool size 3, got 5$"):
-            train_aux(X[:3], y[:3], mlr, 5, False)
+            train_aux([(X[:3], y[:3], mlr)], 5, False)
 
     def test_even_k_rejected(self):
         X, y = self.make_blobs()
         mlr = MlrModel(np.zeros((3, 2)), np.zeros(3), MlrConfig(3))
         with pytest.raises(ValueError, match=r"^knn_k must be .*, got 4$"):
-            train_aux(X, y, mlr, 4, False)
+            train_aux([(X, y, mlr)], 4, False)
 
     def test_pretrained_logistic_member_is_used(self):
         # the ensemble takes its classes and its logistic votes from mlr
         X, y = self.make_blobs()
         mlr = train_mlr(None, X, y, MlrConfig(n_classes=4, seed=4))
-        ensemble = train_aux(X, y, mlr, 5, False)
+        (ensemble,) = train_aux([(X, y, mlr)], 5, False)
         assert ensemble.mlr is mlr and ensemble.n_classes == 4
         assert np.array_equal(aux_predictions(ensemble, X)[:, 0], predict_proba(mlr, X).argmax(axis=1))
         with pytest.raises(ValueError, match=r"^logistic member expects d=2, got 1$"):
-            train_aux(X[:, :1], y, mlr, 5, False)
+            train_aux([(X[:, :1], y, mlr)], 5, False)
 
     @pytest.mark.parametrize("N, d, n, fortran", [(1, 1, 2, False), (30, 4, 3, True), (441, 16, 7, False), (57, 12, 5, True)])
     def test_svm_member_is_bit_identical_to_the_plain_loop(self, N, d, n, fortran):
@@ -759,10 +787,39 @@ class TestAuxEnsemble:
         if fortran:
             X = np.asfortranarray(X)
         y = rng.integers(0, n, N)
-        ensemble = train_aux(X, y, MlrModel(np.zeros((n, d)), np.zeros(n), MlrConfig(n)), 1, False)
+        (ensemble,) = train_aux([(X, y, MlrModel(np.zeros((n, d)), np.zeros(n), MlrConfig(n)))], 1, False)
         W, b = reference_train_svm(X, y, n)
         assert np.array_equal(ensemble.svm_weights, W)
         assert np.array_equal(ensemble.svm_bias, b)
+
+    def test_pools_of_one_shape_stack_in_chunks_under_lockstep_bytes(self):
+        # five pools of one shape, at most two per stack, train in three
+        # hinge loops; the lone pool of the last is a view of its features
+        rng = np.random.default_rng(0)
+        N, d, n = 9, 3, 4
+        pools = [rng.standard_normal((N, d)) for _ in range(5)]
+        members = [(X, rng.integers(0, n, N), MlrModel(np.zeros((n, d)), np.zeros(n), MlrConfig(n))) for X in pools]
+        with (
+            mock.patch.object(classifiers, "LOCKSTEP_BYTES", 2 * 8 * N * d),
+            mock.patch.object(classifiers, "_train_hinge", wraps=classifiers._train_hinge) as spy,
+        ):
+            ensembles = train_aux(members, 1, False)
+        stacks = [call.args[0] for call in spy.call_args_list]
+        assert [len(X) for X in stacks] == [2, 2, 1]
+        assert stacks[2].base is pools[4]
+        for ensemble, (X, y, _) in zip(ensembles, members):
+            W, b = reference_train_svm(X, y, n)
+            assert np.array_equal(ensemble.svm_weights, W) and np.array_equal(ensemble.svm_bias, b)
+
+    def test_every_member_is_checked_before_any_trains(self):
+        X, y = self.make_blobs()
+        mlr = MlrModel(np.zeros((3, 2)), np.zeros(3), MlrConfig(3))
+        with mock.patch.object(classifiers, "_train_hinge") as spy:
+            with pytest.raises(ValueError, match=r"^logistic member expects d=2, got 1$"):
+                train_aux([(X, y, mlr), (X[:, :1], y, mlr)], 5, False)
+            with pytest.raises(ValueError, match=r"^need at least one member$"):
+                train_aux([], 5, False)
+        assert not spy.called
 
     def test_normalization_flag(self):
         X, y = self.make_blobs()
@@ -798,6 +855,45 @@ class TestAuxEnsemble:
             plain.knn_k = 3
         with pytest.raises(ValueError, match=r"^knn_k must be a positive odd number at most the pool size 60, got 4$"):
             replace(plain, knn_k=4)
+
+
+@st.composite
+def svm_pools(draw):
+    """Pools of one to three shapes, one to three pools each, in a drawn
+    order: N = 1 and d = 1 among them, n = 2 and n >= 8, and C- and
+    Fortran-ordered features."""
+    shapes = draw(
+        st.lists(
+            st.tuples(st.sampled_from([1, 2, 13, 40]), st.sampled_from([1, 2, 5, 16]), st.sampled_from([2, 3, 8, 9])),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pools = []
+    for N, d, n in shapes:
+        for _ in range(draw(st.integers(1, 3))):
+            X = rng.standard_normal((N, d)) * rng.choice([0.1, 1.0, 10.0])
+            if draw(st.booleans()):
+                X = np.asfortranarray(X)
+            pools.append((X, rng.integers(0, n, N), n))
+    return draw(st.permutations(pools))
+
+
+@given(svm_pools(), st.sampled_from([1, 2, None]))
+@settings(max_examples=60, deadline=None)
+def test_aux_svm_members_are_bit_identical_to_the_plain_loop(pools, per_stack):
+    # each member of one call gets the plain hinge loop's weights bit for
+    # bit, whatever the shapes beside it; the pools of the first pool's
+    # shape stack per_stack at a time (None: all in one stack)
+    budget = classifiers.LOCKSTEP_BYTES if per_stack is None else per_stack * 8 * pools[0][0].size
+    members = [(X, y, MlrModel(np.zeros((n, X.shape[1])), np.zeros(n), MlrConfig(n))) for X, y, n in pools]
+    with mock.patch.object(classifiers, "LOCKSTEP_BYTES", budget):
+        ensembles = train_aux(members, 1, False)
+    for ensemble, (X, y, n) in zip(ensembles, pools):
+        W, b = reference_train_svm(X, y, n)
+        assert ensemble.svm_weights.tobytes() == W.tobytes()
+        assert ensemble.svm_bias.tobytes() == b.tobytes()
 
 
 def knn_reference(store, labels, k, n_classes, queries):
@@ -914,11 +1010,11 @@ class TestAuxChecks:
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         mlr = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(2))
         with pytest.raises(ValueError, match=r"^knn_k must be a positive odd number at most the pool size 5, got 4$"):
-            train_aux(X, [0, 1, 0, 1, 0], mlr, 4, False)
+            train_aux([(X, [0, 1, 0, 1, 0], mlr)], 4, False)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_non_positive_k_named(self, k):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         mlr = MlrModel(np.zeros((2, 1)), np.zeros(2), MlrConfig(2))
         with pytest.raises(ValueError, match=rf"^knn_k must be a positive odd number at most the pool size 5, got {k}$"):
-            train_aux(X, [0, 1, 0, 1, 0], mlr, k, False)
+            train_aux([(X, [0, 1, 0, 1, 0], mlr)], k, False)

@@ -425,6 +425,20 @@ class TestRunDetectionSuite:
         with mock.patch.object(harness, "train_mlr_lockstep", lambda members: [train_mlr(*m) for m in members]):
             assert run_detection_suite(config) == rows
 
+    def test_aux_ensembles_train_in_one_call(self):
+        # every seed's ensemble trains in one train_aux call, and gives the
+        # rows that one call per seed gives
+        config = small_config(omegas=[0.2], seeds=[0, 1, 2])
+        with mock.patch.object(harness, "train_aux", wraps=classifiers.train_aux) as spy:
+            rows = run_detection_suite(config)
+        assert [len(call.args[0]) for call in spy.call_args_list] == [3]
+
+        def one_per_seed(members, knn_k, normalize):
+            return [classifiers.train_aux([member], knn_k, normalize)[0] for member in members]
+
+        with mock.patch.object(harness, "train_aux", one_per_seed):
+            assert run_detection_suite(config) == rows
+
     @pytest.mark.parametrize("n_batches, knn_k, used", [(42, 5, 3), (33, 7, 5), (5, 5, 5)])
     def test_knn_k_clipped_to_the_initial_pool(self, n_batches, knn_k, used):
         # 168 train ids give initial pools of 4, 5 and 33; k is clipped to
@@ -432,7 +446,7 @@ class TestRunDetectionSuite:
         config = small_config(omegas=[0.2], n_batches=n_batches, knn_k=knn_k)
         with mock.patch.object(harness, "train_aux", wraps=classifiers.train_aux) as spy:
             run_detection_suite(config)
-        assert [call.args[3] for call in spy.call_args_list] == [used]
+        assert [call.args[1] for call in spy.call_args_list] == [used]
 
     def test_nar_suite(self):
         config = small_config(noise="nar", seeds=[0])

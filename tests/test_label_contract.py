@@ -69,7 +69,7 @@ POSTERIOR = Conditionals(np.array([[0.2, 0.8], [0.5, 0.5]]), None)
 LABEL_ENTRY_POINTS = {
     "train_mlr": lambda y: vars(train_mlr(None, X, y, MlrConfig(N_CLASSES, epochs=5))),
     "train_mlr_lockstep": lambda y: [vars(m) for m in train_mlr_lockstep([(None, X, y, MlrConfig(N_CLASSES, epochs=5))])],
-    "train_aux": lambda y: vars(train_aux(X, y, MODEL, 1, False)),
+    "train_aux": lambda y: vars(train_aux([(X, y, MODEL)], 1, False)[0]),
     "probabilistic_detect": lambda y: probabilistic_detect(SUSPICION, IDS, y, 2),
     "consensus_detect": lambda y: consensus_detect(VOTES, IDS, y, 2),
     "majority_detect": lambda y: majority_detect(VOTES, IDS, y, 2),

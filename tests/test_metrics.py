@@ -121,6 +121,12 @@ class TestRankingAuc:
         with pytest.raises(ValueError):
             ranking_auc([0.1, 0.2], [True, True])
 
+    @pytest.mark.parametrize("flags, dtype", [([0.5, 0.0], "float64"), ([1, 0], "int64")])
+    def test_flags_that_are_not_bool_rejected(self, flags, dtype):
+        # a flag of 0.5 used to be read as a positive, giving 0.0 here
+        with pytest.raises(ValueError, match=rf"^positive flags must be bool, got dtype {dtype}$"):
+            ranking_auc([0.1, 0.9], flags)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_scores_rejected(self, bad):
         # NaN scores used to give 0.5 here without a word
