@@ -27,6 +27,7 @@ from .harness import (
     learning_result_rows,
     load_config,
     load_experiment_dataset,
+    result_row,
     run_active_learning,
     run_detection_suite,
     run_pseudo,
@@ -146,19 +147,10 @@ def _cmd_sweep(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path
                 )
                 gains.append(100.0 * (filtered.final_accuracy - unfiltered[seed].final_accuracy))
                 rows.append(
-                    {
-                        "run_id": f"sweep-omega{omega:g}-beta{beta:g}-seed{seed}",
-                        "seed": seed,
-                        "mode": "cnld_vs_sn",
-                        "omega": omega,
-                        "batch": "",
-                        "accuracy": filtered.final_accuracy,
-                        "er1": None,
-                        "er2": None,
-                        "nep": None,
-                        "removed": "",
-                        "kept": "",
-                    }
+                    result_row(
+                        run_id=f"sweep-omega{omega:g}-beta{beta:g}-seed{seed}", seed=seed, mode="cnld_vs_sn",
+                        omega=omega, accuracy=filtered.final_accuracy,
+                    )
                 )
             mean = _sum_in_order(gains) / len(gains)
             var = _sum_in_order([(g - mean) ** 2 for g in gains]) / len(gains)

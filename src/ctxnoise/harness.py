@@ -630,7 +630,7 @@ def summarize_learning(logs: list[ExperimentLog]) -> dict:
 
 
 def _csv_cell(value) -> str:
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
@@ -640,46 +640,35 @@ def _csv_cell(value) -> str:
 RESULTS_HEADER = ["run_id", "seed", "mode", "omega", "batch", "accuracy", "er1", "er2", "nep", "removed", "kept"]
 
 
+def result_row(**cells) -> dict:
+    """A results-file row: every column of RESULTS_HEADER, None where none is given."""
+    unknown = cells.keys() - set(RESULTS_HEADER)
+    if unknown:
+        raise ValueError(f"unknown results column(s) {sorted(unknown)}")
+    return {column: cells.get(column) for column in RESULTS_HEADER}
+
+
 def learning_result_rows(log: ExperimentLog) -> list[dict]:
     run_id = f"{log.mode}-omega{log.omega:g}-seed{log.seed}"
+    # every column from batch on is a BatchRecord field of the same name
     return [
-        {
-            "run_id": run_id,
-            "seed": log.seed,
-            "mode": log.mode,
-            "omega": log.omega,
-            "batch": r.batch,
-            "accuracy": r.accuracy,
-            "er1": r.er1,
-            "er2": r.er2,
-            "nep": r.nep,
-            "removed": r.removed,
-            "kept": r.kept,
-        }
+        result_row(
+            run_id=run_id, seed=log.seed, mode=log.mode, omega=log.omega,
+            **{column: getattr(r, column) for column in RESULTS_HEADER[RESULTS_HEADER.index("batch"):]},
+        )
         for r in log.records
     ]
 
 
 def detection_result_rows(rows: list[DetectionSuiteRow]) -> list[dict]:
-    out = []
-    for row in rows:
-        m = row.metrics
-        out.append(
-            {
-                "run_id": f"{row.method}-omega{row.omega:g}-seed{row.seed}",
-                "seed": row.seed,
-                "mode": row.method,
-                "omega": row.omega,
-                "batch": "",
-                "accuracy": "",
-                "er1": m.er1,
-                "er2": m.er2,
-                "nep": m.nep,
-                "removed": m.removed,
-                "kept": m.correct_total + m.mislabeled_total - m.removed,
-            }
+    return [
+        result_row(
+            run_id=f"{row.method}-omega{row.omega:g}-seed{row.seed}", seed=row.seed, mode=row.method, omega=row.omega,
+            er1=row.metrics.er1, er2=row.metrics.er2, nep=row.metrics.nep, removed=row.metrics.removed,
+            kept=row.metrics.correct_total + row.metrics.mislabeled_total - row.metrics.removed,
         )
-    return out
+        for row in rows
+    ]
 
 
 def write_results_csv(path: str | Path, rows: list[dict]) -> None:
@@ -701,25 +690,20 @@ def write_summary_json(path: str | Path, summary: dict) -> None:
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-# converter of every top-level key and every synthetic.* key
+# the converter of a config-file value, per field annotation
+_CONVERTERS = {
+    "int": int, "float": float, "str": str, "str | None": str,
+    "bool": lambda v: _BOOLEANS[v.lower()],
+    "int | None": lambda v: None if v.lower() == "none" else int(v),
+    "tuple[int, ...]": lambda v: [int(t) for t in v.replace(",", " ").split()],
+    "tuple[float, ...]": lambda v: [float(t) for t in v.replace(",", " ").split()],
+}
+# converter of every top-level key and every synthetic.* key, by its field's
+# annotation: a field whose annotation has no converter fails here, at import
 _KEY_TYPES = {
-    **dict.fromkeys(("n_batches", "cora_fold", "mlr_epochs", "knn_k"), int),
-    **dict.fromkeys(("query_fraction", "omega", "beta", "test_fraction", "mlr_learning_rate", "mlr_l2", "epsilon"), float),
-    **dict.fromkeys(("selection", "mode", "noise", "cora_content", "cora_cites"), str),
-    "replay": lambda v: _BOOLEANS[v.lower()],
-    "seeds": lambda v: [int(t) for t in v.replace(",", " ").split()],
-    "omegas": lambda v: [float(t) for t in v.replace(",", " ").split()],
-    "betas": lambda v: [float(t) for t in v.replace(",", " ").split()],
-    "mlr_batch_size": lambda v: None if v.lower() == "none" else int(v),
+    f.name: _CONVERTERS[f.type] for f in fields(ExperimentConfig) if f.name not in ("dataset_kind", "synthetic")
 }
-_SYN_KEY_TYPES = {
-    **dict.fromkeys(
-        ("n_classes", "n_features", "instances_per_class", "m_attribute_classes",
-         "links_per_instance", "attributes_per_instance", "seed"),
-        int,
-    ),
-    **dict.fromkeys(("concentration", "separation", "noise_scale"), float),
-}
+_SYN_KEY_TYPES = {f.name: _CONVERTERS[f.type] for f in fields(SyntheticConfig)}
 
 
 def config_lines(text: str, source: str = "<config>") -> dict[str, tuple[str, str]]:
