@@ -66,10 +66,14 @@ def _prepare(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     config = load_config(args.config)
     if args.seeds is not None:
         try:
-            config = replace(config, seeds=_KEY_TYPES["seeds"](args.seeds))
-        except ValueError as exc:  # a malformed seed, or a ConfigError from the config's own checks
-            expects = "distinct seeds" if str(exc) == "seeds must be distinct" else "comma-separated non-negative integers"
-            raise ConfigError(f"--seeds expects {expects}, got {args.seeds!r}") from None
+            seeds = _KEY_TYPES["seeds"](args.seeds)
+            # each seed once, so that replace reports no seeds or a negative one
+            # and a repeat is left to the count below
+            config = replace(config, seeds=tuple(dict.fromkeys(seeds)))
+        except ValueError:  # a malformed seed, or a ConfigError from the config's own checks
+            raise ConfigError(f"--seeds expects comma-separated non-negative integers, got {args.seeds!r}") from None
+        if len(config.seeds) < len(seeds):
+            raise ConfigError(f"--seeds expects distinct seeds, got {args.seeds!r}")
     return config, Path(args.out or os.environ.get(OUT_ENV_VAR, "out"))
 
 

@@ -28,7 +28,7 @@ import math
 import numbers
 from bisect import bisect_right
 from collections.abc import Iterator, MappingView, Set
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -51,6 +51,50 @@ class ConfigError(ValueError):
     def __init__(self, message: str, key: str | None = None) -> None:
         super().__init__(message)
         self.key = key
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _items(convert, check):
+    """A tuple field's converter and check: a config file separates its
+    values by commas or spaces; Python may pass any non-string sequence."""
+    return (
+        lambda v: [convert(t) for t in v.replace(",", " ").split()],
+        lambda v: isinstance(v, Sequence) and not isinstance(v, (str, bytes)) and all(map(check, v)),
+    )
+
+
+# per config field annotation: the converter of a config-file value (a
+# KeyError or ValueError is a bad value) and the check of a Python value
+FIELD_TYPES = {
+    "int": (int, _is_int),
+    "float": (float, _is_real),
+    "str": (str, lambda v: isinstance(v, str)),
+    "str | None": (str, lambda v: v is None or isinstance(v, str)),
+    "bool": (lambda v: _BOOLEANS[v.lower()], lambda v: isinstance(v, (bool, np.bool_))),
+    "int | None": (lambda v: None if v.lower() == "none" else int(v), lambda v: v is None or _is_int(v)),
+    "tuple[int, ...]": _items(int, _is_int),
+    "tuple[float, ...]": _items(float, _is_real),
+}
+
+
+def check_field_types(config, prefix: str = "") -> None:
+    """Raise a :class:`ConfigError` keyed ``prefix + name`` at the first
+    field of a config dataclass whose value is not of its annotated type;
+    a field whose annotation :data:`FIELD_TYPES` lacks is not checked."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in FIELD_TYPES and not FIELD_TYPES[f.type][1](value):
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}", prefix + f.name)
 
 
 @dataclass(eq=False)
@@ -314,9 +358,9 @@ class SyntheticConfig:
     ``concentration`` in [0, 1] mixes a one-hot co-occurrence row (peaked on
     the instance's own class) with the uniform distribution; 1.0 makes every
     link stay inside its class.  ``separation`` scales the class means and
-    ``noise_scale`` the isotropic feature noise around them.  An
-    out-of-range value raises :class:`ConfigError` at construction, keyed
-    ``synthetic.<field>``.
+    ``noise_scale`` the isotropic feature noise around them.  A value of
+    the wrong type or out of range raises :class:`ConfigError` at
+    construction, keyed ``synthetic.<field>``.
     """
 
     n_classes: int
@@ -331,6 +375,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self, "synthetic.")
         # each check is written so that NaN fails it
         checks = (
             ("n_classes", self.n_classes >= 2, "must be >= 2"),

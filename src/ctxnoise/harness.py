@@ -91,7 +91,8 @@ from .classifiers import (
     train_mlr_lockstep,
 )
 from .dataset import (
-    ConfigError, Dataset, SyntheticConfig, _read_only, _whole_numbers, generate_synthetic, load_cora, split_batches
+    FIELD_TYPES, ConfigError, Dataset, SyntheticConfig, _read_only, _whole_numbers, check_field_types, generate_synthetic,
+    load_cora, split_batches,
 )
 from .detector import DEFAULT_BETA, cnld_detect, detect_topk, star_divergences
 from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc
@@ -138,9 +139,9 @@ def _named_divergence(names: Sequence[str], keys: Sequence[str | None]):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, immutable and valid by construction: an invalid value
-    raises :class:`ConfigError` naming its key, and ``seeds``, ``omegas``
-    and ``betas`` are stored as tuples."""
+    """One experiment, immutable and valid by construction: a value of the
+    wrong type or out of range raises :class:`ConfigError` naming its key,
+    and ``seeds``, ``omegas`` and ``betas`` are stored as tuples."""
 
     dataset_kind: str
     synthetic: SyntheticConfig | None = None
@@ -169,6 +170,7 @@ class ExperimentConfig:
     epsilon: float = DEFAULT_SMOOTHING
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("seeds", "omegas", "betas"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.dataset_kind not in ("synthetic", "cora"):
@@ -687,23 +689,12 @@ def write_summary_json(path: str | Path, summary: dict) -> None:
 # ---------------------------------------------------------------------------
 # key=value config files
 
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-# the converter of a config-file value, per field annotation
-_CONVERTERS = {
-    "int": int, "float": float, "str": str, "str | None": str,
-    "bool": lambda v: _BOOLEANS[v.lower()],
-    "int | None": lambda v: None if v.lower() == "none" else int(v),
-    "tuple[int, ...]": lambda v: [int(t) for t in v.replace(",", " ").split()],
-    "tuple[float, ...]": lambda v: [float(t) for t in v.replace(",", " ").split()],
-}
 # converter of every top-level key and every synthetic.* key, by its field's
 # annotation: a field whose annotation has no converter fails here, at import
 _KEY_TYPES = {
-    f.name: _CONVERTERS[f.type] for f in fields(ExperimentConfig) if f.name not in ("dataset_kind", "synthetic")
+    f.name: FIELD_TYPES[f.type][0] for f in fields(ExperimentConfig) if f.name not in ("dataset_kind", "synthetic")
 }
-_SYN_KEY_TYPES = {f.name: _CONVERTERS[f.type] for f in fields(SyntheticConfig)}
+_SYN_KEY_TYPES = {f.name: FIELD_TYPES[f.type][0] for f in fields(SyntheticConfig)}
 
 
 def config_lines(text: str, source: str = "<config>") -> dict[str, tuple[str, str]]:

@@ -27,11 +27,13 @@ from ctxnoise.cli import main
 from ctxnoise.dataset import Dataset, Instance
 from ctxnoise.harness import (
     LEARNING_MODES,
+    RESULTS_HEADER,
     _KEY_TYPES,
     _SYN_KEY_TYPES,
     detection_result_rows,
     learning_result_rows,
     load_config,
+    result_row,
     write_results_csv,
 )
 
@@ -518,6 +520,63 @@ seeds = 0
         with pytest.raises(ConfigError, match=f"^{key} "):
             replace(small_config(), **{key: value})
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # a non-empty string is true, so this one used to run with replay on
+            ("replay", "no", "replay must be bool, got 'no'"),
+            # a synthetic run reads no fold, so this one used to be accepted
+            ("cora_fold", 0.5, "cora_fold must be int, got 0.5"),
+            # these used to fail with a bare TypeError far from the key, the
+            # kNN's "Partition index must be integer" among them
+            ("knn_k", 3.0, "knn_k must be int, got 3.0"),
+            ("n_batches", 4.0, "n_batches must be int, got 4.0"),
+            ("seeds", (0.0,), "seeds must be tuple[int, ...], got (0.0,)"),
+            ("omegas", 0.2, "omegas must be tuple[float, ...], got 0.2"),
+        ],
+    )
+    def test_value_of_the_wrong_type_names_its_key(self, key, value, message):
+        for build in (lambda: small_config(**{key: value}), lambda: replace(small_config(), **{key: value})):
+            with pytest.raises(ConfigError) as caught:
+                build()
+            assert (str(caught.value), caught.value.key) == (message, key)
+
+    def test_synthetic_value_of_the_wrong_type_names_its_key(self):
+        # it used to fail with a bare TypeError inside the generator
+        with pytest.raises(ConfigError) as caught:
+            SyntheticConfig(n_classes=3.0, n_features=4, instances_per_class=10)
+        assert (str(caught.value), caught.value.key) == ("synthetic.n_classes must be int, got 3.0", "synthetic.n_classes")
+
+    def test_values_of_the_annotated_kinds_are_accepted(self):
+        config = small_config(
+            replay=np.bool_(True), knn_k=np.int64(3), omega=0, seeds=[np.int64(2)], omegas=[np.float64(0.1), 1],
+            mlr_batch_size=None,
+        )
+        assert config.replay and config.knn_k == 3 and config.seeds == (2,) and config.mlr_batch_size is None
+        with pytest.raises(ConfigError, match="^omega must be float, got True$"):
+            small_config(omega=True)
+
+    def test_key_tables_follow_the_config_fields(self):
+        assert set(_KEY_TYPES) == {
+            "cora_content", "cora_cites", "n_batches", "query_fraction", "selection", "mode", "noise", "omega",
+            "beta", "seeds", "test_fraction", "cora_fold", "replay", "omegas", "betas", "mlr_learning_rate",
+            "mlr_l2", "mlr_epochs", "mlr_batch_size", "knn_k", "epsilon",
+        }
+        assert set(_SYN_KEY_TYPES) == {
+            "n_classes", "n_features", "instances_per_class", "m_attribute_classes", "concentration",
+            "separation", "noise_scale", "links_per_instance", "attributes_per_instance", "seed",
+        }
+        assert _KEY_TYPES["mlr_batch_size"]("none") is None
+        assert _KEY_TYPES["mlr_batch_size"]("16") == 16
+        assert _KEY_TYPES["replay"]("YES") is True
+        assert _KEY_TYPES["seeds"]("0, 1") == [0, 1]
+        assert _KEY_TYPES["omegas"]("0.1 0.2") == [0.1, 0.2]
+        assert _KEY_TYPES["cora_content"]("a.content") == "a.content"
+        assert _SYN_KEY_TYPES["concentration"]("0.5") == 0.5
+        for key, value in (("n_batches", "2.5"), ("replay", "ture"), ("seeds", "0, x")):
+            with pytest.raises((KeyError, ValueError)):
+                _KEY_TYPES[key](value)
+
     def test_parse_fields(self):
         config = parse_config(self.GOOD)
         assert config.synthetic.n_classes == 3
@@ -594,7 +653,7 @@ seeds = 0
             "omegas = 0.2, 0.2000001",
             "betas = 0.9, 0.9000000001",
         )]
-        # with dataset = cora every synthetic.* key is ignored, typos included
+        # with dataset = cora a synthetic.* key does not apply, typo or not
         + [pytest.param("CORA", line, id=f"cora: {line}") for line in (
             "synthetic.n_clases = 3",
             "synthetic.n_classes = 3",
@@ -685,6 +744,11 @@ class TestResultFiles:
             "run_id", "seed", "mode", "omega", "batch", "accuracy",
             "er1", "er2", "nep", "removed", "kept",
         } for r in rows)
+
+    def test_result_row_fills_every_column_and_rejects_an_unknown_one(self):
+        assert result_row(seed=3, kept=0) == {**dict.fromkeys(RESULTS_HEADER), "seed": 3, "kept": 0}
+        with pytest.raises(ValueError, match="acuracy"):
+            result_row(seed=3, acuracy=0.5)
 
     def test_learning_summary(self):
         logs = [run_active_learning(small_config(mode="sn"), seed=s) for s in (0, 1)]

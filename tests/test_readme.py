@@ -6,6 +6,8 @@ and its traceback names the README line."""
 import re
 from pathlib import Path
 
+from ctxnoise.harness import _KEY_TYPES, _SYN_KEY_TYPES
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -24,3 +26,13 @@ def test_readme_python_blocks_run_in_order():
     for fence, code in blocks:
         # padded so that the code's line numbers are the README's
         exec(compile("\n" * (fence + 1) + code, str(README), "exec"), namespace)
+
+
+def test_config_keys_block_names_every_key():
+    # the block is hand-written; the key tables come from the config fields
+    block = re.search(r"^### Config keys\n\n```\n(.*?)^```$", README.read_text(encoding="utf-8"), re.DOTALL | re.MULTILINE)
+    lines = block.group(1).splitlines()
+    top = {w for line in lines if not line.startswith("synthetic.") for w in re.findall(r"\w+", line.split("#")[0])}
+    synthetic = {w for line in lines if line.startswith("synthetic.") for w in re.findall(r"\w+", line)}
+    assert set(_KEY_TYPES) <= top
+    assert set(_SYN_KEY_TYPES) <= synthetic
