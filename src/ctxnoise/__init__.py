@@ -62,7 +62,7 @@ from .harness import (
     summarize_learning,
 )
 from .inference import batch_posterior_rows
-from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc
+from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc, remove_first
 from .noise import (
     NoisePlan,
     TransitionMatrix,

@@ -5,10 +5,9 @@ the batch, row b for instance b and column k for label k, built from the
 classifier outputs once per set of models: :func:`suspicion_table` for
 the probabilistic detector, :func:`voting_table` for the voting pair.
 The per-label half gathers each instance's assigned-label entries from
-it, ranks the batch by them and removes the first ``removal_count`` by
-:func:`metrics.first_k`; ties go to the lower id.  It returns a (B,) bool
-mask of the removed instances, aligned with ``ids``.  A key that is not
-finite raises ValueError.
+it and removes the first ``removal_count`` by them with
+:func:`metrics.remove_first`; ties go to the lower id.  It returns a (B,)
+bool mask of the removed instances, aligned with ``ids``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .classifiers import entropy
 from .dataset import _read_only, _whole_numbers
-from .metrics import first_k
+from .metrics import _assigned_classes, remove_first
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,31 +73,12 @@ def voting_table(predictions: np.ndarray, mlr_proba: np.ndarray) -> VotingTable:
     return VotingTable(_read_only(disagreements), _read_only(proba))
 
 
-def _assigned(ids: Sequence[int], assigned: Sequence[int], removal_count: int, table: np.ndarray) -> np.ndarray:
+def _assigned(ids: Sequence[int], assigned: Sequence[int], table: np.ndarray) -> np.ndarray:
     """The assigned labels as an int array, after checking that ``table``
-    holds one row per id and each label is one of its columns, and that
-    the budget fits the batch."""
+    holds one row per id and each label is one of its columns."""
     if len(table) != len(ids):
         raise ValueError(f"table has {len(table)} rows for {len(ids)} ids")
-    a = _whole_numbers(assigned, table.shape[1])
-    if len(a) != len(ids):
-        raise ValueError("ids and assigned labels must align")
-    if not 0 <= removal_count <= len(ids):
-        raise ValueError("removal_count out of range")
-    return a
-
-
-def _removed(ids: Sequence[int], removal_count: int, unflagged: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """The (B,) mask of the first ``removal_count`` ids by ``first_k`` over
-    ``(unflagged, key)``; a key that is not finite raises ValueError naming
-    the first id that has one, since it would rank by NaN's sort order."""
-    finite = np.isfinite(key)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"non-finite ranking key {key[bad]} for instance {ids[bad]}")
-    removed = np.zeros(len(key), dtype=bool)
-    removed[first_k(ids, removal_count, unflagged, key)] = True
-    return removed
+    return _assigned_classes(ids, assigned, table.shape[1])
 
 
 def _voting_detect(
@@ -107,10 +87,10 @@ def _voting_detect(
     """Flagged instances first, then ascending confidence in the assigned
     class.  An instance is flagged when at least ``min_disagreements``
     members predict something other than the assigned label."""
-    a = _assigned(ids, assigned, removal_count, table.confidence)
+    a = _assigned(ids, assigned, table.confidence)
     rows = np.arange(len(a))
     flagged = table.disagreements[rows, a] >= min_disagreements
-    return _removed(ids, removal_count, ~flagged, table.confidence[rows, a])
+    return remove_first(ids, removal_count, ~flagged, table.confidence[rows, a])
 
 
 def majority_detect(table: VotingTable, ids: Sequence[int], assigned: Sequence[int], removal_count: int) -> np.ndarray:
@@ -133,6 +113,6 @@ def probabilistic_detect(
     ``table`` is a :func:`suspicion_table`.  Mismatched instances always
     outrank matched ones; the highest suspicions are removed first.
     """
-    a = _assigned(ids, assigned, removal_count, table.suspicion)
+    a = _assigned(ids, assigned, table.suspicion)
     rows = np.arange(len(a))
-    return _removed(ids, removal_count, ~table.mismatch[rows, a], -table.suspicion[rows, a])
+    return remove_first(ids, removal_count, ~table.mismatch[rows, a], -table.suspicion[rows, a])

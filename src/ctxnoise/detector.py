@@ -23,7 +23,7 @@ import numpy as np
 from .classifiers import BLOCK_BYTES, MlrModel, predict_proba
 from .dataset import Dataset, _read_only, _whole_numbers
 from .inference import batch_posterior_rows, leaf_marginals, star_posterior_rows
-from .metrics import first_k
+from .metrics import _assigned_classes, remove_first
 from .relationship import Conditionals, RelationshipModel, prior_conditionals
 
 DEFAULT_BETA = 0.85
@@ -214,13 +214,12 @@ def _scores(
     """Dissimilarity of each queried star against its assigned label,
     gathered from the table's ``dissimilarities``.  A star without context
     scores 0 whatever its label."""
-    if len(queried_ids) != len(assigned_labels):
-        raise ValueError("queried ids and assigned labels must align")
     if not np.array_equal(np.asarray(queried_ids), divergences.ids):
         raise ValueError("queried ids differ from the ids the star divergences were computed for")
     assigned = np.array(assigned_labels)
-    assigned[~divergences.has_context] = 0  # an unscored label is never checked
-    assigned = _whole_numbers(assigned, divergences.n_classes)
+    if assigned.shape == divergences.has_context.shape:  # a misaligned vector is named below
+        assigned[~divergences.has_context] = 0  # an unscored label is never checked
+    assigned = _assigned_classes(queried_ids, assigned, divergences.n_classes)
 
     scores = divergences.dissimilarities[np.arange(len(assigned)), assigned]
     if not np.isfinite(scores).all():
@@ -257,15 +256,9 @@ def detect_topk(
 
     ``divergences`` is :func:`star_divergences` of the same ids.  Returns
     the ``(B,)`` bool removed mask and the ``(B,)`` scores.  Ties break
-    toward the lower instance id, by :func:`metrics.first_k`.  Used when the
-    evaluation protocol fixes the removal budget instead of thresholding on
-    beta.
+    toward the lower instance id, by :func:`metrics.remove_first`.  Used
+    when the evaluation protocol fixes the removal budget instead of
+    thresholding on beta.
     """
-    if removal_count < 0:
-        raise ValueError("removal_count must be >= 0")
-    if removal_count > len(queried_ids):
-        raise ValueError("removal_count exceeds batch size")
     scores = _scores(queried_ids, assigned_labels, divergences)
-    removed = np.zeros(len(scores), dtype=bool)
-    removed[first_k(queried_ids, removal_count, -scores)] = True
-    return removed, scores
+    return remove_first(queried_ids, removal_count, -scores), scores

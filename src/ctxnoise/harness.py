@@ -95,7 +95,7 @@ from .dataset import (
     load_cora, split_batches,
 )
 from .detector import DEFAULT_BETA, cnld_detect, detect_topk, star_divergences
-from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc
+from .metrics import DetectionMetrics, accuracy, detection_metrics, first_k, ranking_auc, remove_first
 from .noise import inject_nar, inject_ncar, estimate_transition, _round_half_up
 from .relationship import DEFAULT_SMOOTHING, RelationshipModel, build_relationship, update_relationship
 
@@ -475,8 +475,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, start: RunStart | N
                 suspicion = suspicion_table(predict_proba(model, dataset.feature_matrix(candidates)))
                 removed = probabilistic_detect(suspicion, candidates, labels, budget)
             elif config.mode == "cl":  # drop truly flipped labels only, up to the cnld budget
-                removed = np.zeros(len(candidates), dtype=bool)
-                removed[first_k(candidates, min(budget, int(flipped.sum())), ~flipped)] = True
+                removed = remove_first(candidates, min(budget, int(flipped.sum())), ~flipped)
             batch_metrics = detection_metrics(removed, flipped)
 
         kept = fixed + [(i, int(c)) for i, c, r in zip(candidates, labels, removed) if not r]

@@ -104,8 +104,8 @@ def first_k(ids: Sequence[int], k: int, *keys: np.ndarray) -> np.ndarray:
     """Positions of the ``k`` entries that sort first by ``keys``, the first
     key most significant and ties going to the lower id, in rank order.
 
-    Every ranking in the package follows this rule: the baselines and
-    ``detect_topk`` remove the first ``removal_count``, and entropy
+    Every ranking in the package follows this rule: every detector removes
+    the first ``removal_count`` through :func:`remove_first`, and entropy
     selection queries the first k.
 
     ``np.lexsort`` sorts by the ids first, and is fastest when they arrive
@@ -115,3 +115,30 @@ def first_k(ids: Sequence[int], k: int, *keys: np.ndarray) -> np.ndarray:
     if not 0 <= k <= len(ids):
         raise ValueError(f"k={k} out of range [0, {len(ids)}]")
     return np.lexsort((ids, *reversed(keys)))[:k]
+
+
+def remove_first(ids: Sequence[int], removal_count: int, *keys: np.ndarray) -> np.ndarray:
+    """The (B,) bool mask of the first ``removal_count`` of the B ``ids`` by
+    :func:`first_k` over ``keys``: the removal step of every detector.
+
+    A budget outside [0, B] raises ValueError, and so does a float key that
+    is not finite, naming the first id that has one, since it would rank by
+    NaN's sort order."""
+    if not 0 <= removal_count <= len(ids):
+        raise ValueError(f"removal_count {removal_count} out of range [0, {len(ids)}]")
+    for key in keys:
+        if key.dtype.kind == "f" and not np.isfinite(key).all():
+            bad = int(np.argmin(np.isfinite(key)))
+            raise ValueError(f"non-finite ranking key {key[bad]} for instance {ids[bad]}")
+    removed = np.zeros(len(ids), dtype=bool)
+    removed[first_k(ids, removal_count, *keys)] = True
+    return removed
+
+
+def _assigned_classes(ids: Sequence[int], labels: Sequence[int], n_classes: int) -> np.ndarray:
+    """``labels`` as an int array, after checking that it holds one class
+    in [0, ``n_classes``) per id."""
+    assigned = _whole_numbers(labels, n_classes)
+    if len(assigned) != len(ids):
+        raise ValueError("ids and assigned labels must align")
+    return assigned

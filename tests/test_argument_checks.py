@@ -14,9 +14,11 @@ from ctxnoise import (
     StarDivergences,
     build_relationship,
     detect_topk,
+    probabilistic_detect,
     select_informative,
     split_batches,
     star_divergences,
+    suspicion_table,
     train_aux,
 )
 
@@ -54,6 +56,15 @@ CASES = {
     "non-finite score": (
         lambda: detect_topk([1, 2], [1, 0], INFINITE_KL, 1),
         "non-finite dissimilarity nan for assigned class 1",
+    ),
+    # every detector's budget is checked once, by metrics.remove_first
+    "budget below 0": (
+        lambda: detect_topk([1, 2], [0, 0], INFINITE_KL, -1),
+        r"removal_count -1 out of range \[0, 2\]",
+    ),
+    "budget above the batch": (
+        lambda: probabilistic_detect(suspicion_table(np.full((2, 2), 0.5)), [1, 2], [0, 0], 3),
+        r"removal_count 3 out of range \[0, 2\]",
     ),
     "select too many": (
         lambda: select_informative(MODEL, DATASET, [0, 1], 3, "entropy", 0),
