@@ -358,7 +358,7 @@ def predict_proba(model: MlrModel, features: np.ndarray) -> np.ndarray:
 def entropy(proba: np.ndarray) -> np.ndarray:
     """Natural-log entropy of each row of class distributions, with
     0 * log 0 = 0: a saturated classifier gives exact zeros."""
-    return -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=1)
+    return -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

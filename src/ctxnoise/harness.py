@@ -171,6 +171,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        if not (self.synthetic is None or isinstance(self.synthetic, SyntheticConfig)):
+            raise ConfigError(f"synthetic must be SyntheticConfig | None, got {self.synthetic!r}", "synthetic")
         for name in ("seeds", "omegas", "betas"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.dataset_kind not in ("synthetic", "cora"):
@@ -179,6 +181,8 @@ class ExperimentConfig:
             raise ConfigError("missing required config key: synthetic.n_classes")
         if self.dataset_kind == "cora" and not (self.cora_content and self.cora_cites):
             raise ConfigError("missing required config key: cora_content / cora_cites")
+        if self.dataset_kind == "cora" and self.synthetic is not None:
+            raise ConfigError("synthetic does not apply to dataset = cora", "synthetic")
         # each check is written so that NaN fails it
         checks = (
             ("query_fraction", 0.0 < self.query_fraction <= 1.0, "must lie in (0, 1]"),

@@ -61,4 +61,134 @@ MUTANTS = (
             "tests/test_harness.py::TestConfigFiles::test_parse_fields",
         ),
     ),
+    Mutant(
+        "remove_first admits a negative budget",
+        "ctxnoise/metrics.py",
+        "if not 0 <= removal_count <= len(ids):",
+        "if not removal_count <= len(ids):",
+        (
+            "tests/test_argument_checks.py::test_bad_argument_named[budget below 0]",
+            "tests/test_baselines.py::TestVotingDetectors::test_exact_removal_count_and_determinism",
+        ),
+    ),
+    Mutant(
+        "remove_first admits a budget past the batch",
+        "ctxnoise/metrics.py",
+        "if not 0 <= removal_count <= len(ids):",
+        "if not 0 <= removal_count:",
+        (
+            "tests/test_argument_checks.py::test_bad_argument_named[budget above the batch]",
+            "tests/test_baselines.py::TestVotingDetectors::test_exact_removal_count_and_determinism",
+        ),
+    ),
+    Mutant(
+        "remove_first ranks by a NaN key",
+        "ctxnoise/metrics.py",
+        'if key.dtype.kind == "f" and not np.isfinite(key).all():',
+        "if False:",
+        ("tests/test_baselines.py::test_non_finite_ranking_key_named",),
+    ),
+    Mutant(
+        "first_k drops the id tie-break",
+        "ctxnoise/metrics.py",
+        "np.lexsort((ids, *reversed(keys)))",
+        "np.lexsort(tuple(reversed(keys)))",
+        (
+            "tests/test_baselines.py::TestProbabilisticDetector::test_tie_breaks_toward_lower_id",
+            "tests/test_detector.py::TestDetectTopk::test_ties_break_toward_lower_id",
+        ),
+    ),
+    Mutant(
+        "assigned labels need not align with the ids",
+        "ctxnoise/metrics.py",
+        '    if len(assigned) != len(ids):\n        raise ValueError("ids and assigned labels must align")\n',
+        "",
+        ("tests/test_detector.py::TestBatchKernel::test_ids_and_labels_must_match_the_table",),
+    ),
+    Mutant(
+        "assigned labels need not be classes",
+        "ctxnoise/metrics.py",
+        "assigned = _whole_numbers(labels, n_classes)",
+        "assigned = _whole_numbers(labels)",
+        ("tests/test_baseline_labels.py::test_label_outside_the_classes_rejected",),
+    ),
+    Mutant(
+        "a misaligned label vector is masked instead of named",
+        "ctxnoise/detector.py",
+        "if assigned.shape == divergences.has_context.shape:",
+        "if True:",
+        ("tests/test_detector.py::TestBatchKernel::test_ids_and_labels_must_match_the_table",),
+    ),
+    Mutant(
+        "table arrays of two shapes",
+        "ctxnoise/baselines.py",
+        "if first.ndim != 2 or first.shape != second.shape:",
+        "if first.ndim != 2:",
+        ("tests/test_baselines.py::test_bad_table_rejected_at_construction",),
+    ),
+    Mutant(
+        "table arrays that are not 2-D",
+        "ctxnoise/baselines.py",
+        "if first.ndim != 2 or first.shape != second.shape:",
+        "if first.shape != second.shape:",
+        (
+            "tests/test_baselines.py::test_bad_table_rejected_at_construction",
+            "tests/test_baselines.py::test_tables_need_one_row_per_instance",
+        ),
+    ),
+    Mutant(
+        "a table of one class",
+        "ctxnoise/baselines.py",
+        "if first.shape[1] < 2:",
+        "if first.shape[1] < 1:",
+        (
+            "tests/test_baselines.py::test_bad_table_rejected_at_construction",
+            "tests/test_label_contract.py::test_table_builders_need_two_classes",
+        ),
+    ),
+    Mutant(
+        "a table keeps its caller's writable arrays",
+        "ctxnoise/baselines.py",
+        "        object.__setattr__(table, name, _read_only(array))\n",
+        "        pass\n",
+        (
+            "tests/test_baselines.py::test_hand_built_tables_are_read_only_copies",
+            "tests/test_baselines.py::test_tables_are_read_only_snapshots",
+        ),
+    ),
+    Mutant(
+        "a mismatch table that is not bool",
+        "ctxnoise/baselines.py",
+        "if mismatch.dtype != bool:",
+        "if False:",
+        ("tests/test_baselines.py::test_bad_table_rejected_at_construction",),
+    ),
+    Mutant(
+        "disagreement counts past 3",
+        "ctxnoise/baselines.py",
+        '4, what="disagreements")',
+        'None, what="disagreements")',
+        ("tests/test_baselines.py::test_bad_table_rejected_at_construction",),
+    ),
+    Mutant(
+        "disagreement counts that are not whole",
+        "ctxnoise/baselines.py",
+        '_whole_numbers(_freeze(self, ("disagreements", "confidence")), 4, what="disagreements")',
+        '_freeze(self, ("disagreements", "confidence"))',
+        ("tests/test_baselines.py::test_bad_table_rejected_at_construction",),
+    ),
+    Mutant(
+        "synthetic admits another type",
+        "ctxnoise/harness.py",
+        "if not (self.synthetic is None or isinstance(self.synthetic, SyntheticConfig)):",
+        "if False:",
+        ("tests/test_harness.py::TestConfigFiles::test_value_of_the_wrong_type_names_its_key",),
+    ),
+    Mutant(
+        "a generator config on cora is ignored",
+        "ctxnoise/harness.py",
+        'if self.dataset_kind == "cora" and self.synthetic is not None:',
+        "if False:",
+        ("tests/test_harness.py::TestConfigFiles::test_generator_config_on_cora_rejected",),
+    ),
 )

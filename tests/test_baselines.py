@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxnoise import (
+    SuspicionTable,
+    VotingTable,
     aux_predictions,
     consensus_detect,
     majority_detect,
@@ -221,7 +225,8 @@ def test_tables_need_one_row_per_instance():
     message = "^member predictions and probabilities need one row per instance$"
     with pytest.raises(ValueError, match=message):
         voting_table(preds[:2], proba)
-    with pytest.raises(ValueError, match=message):
+    # the suspicion table rejects the arrays built from one row
+    with pytest.raises(ValueError, match=r"^mismatch and suspicion need one \(B, n\) shape, got \(2,\) and \(2,\)$"):
         suspicion_table(proba[0])
     # a detector names the table's rows and the ids: the probabilistic
     # detector's table holds no member predictions
@@ -237,5 +242,39 @@ def test_tables_are_read_only_snapshots():
     proba[0], preds[0] = [0.9, 0.1], 1
     assert votes.confidence[0].tolist() == [0.5, 0.5] and votes.disagreements[0].tolist() == [0, 3]
     assert suspicion.suspicion[0].tolist() == [0.5, 0.5]
+    for table in (suspicion.mismatch, suspicion.suspicion, votes.disagreements, votes.confidence):
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # this one used to build, writable, and majority_detect on it raised
+        # a bare IndexError at the fourth id
+        (lambda: VotingTable(np.zeros((3, 2), int), np.zeros((4, 2))),
+         "disagreements and confidence need one (B, n) shape, got (3, 2) and (4, 2)"),
+        (lambda: VotingTable(np.zeros(3, int), np.zeros(3)),
+         "disagreements and confidence need one (B, n) shape, got (3,) and (3,)"),
+        (lambda: VotingTable(np.zeros((3, 1), int), np.ones((3, 1))), "class distributions need at least 2 classes, got 1"),
+        (lambda: VotingTable(np.full((3, 2), 4), np.zeros((3, 2))), "disagreements must lie in [0, 4), got 4"),
+        (lambda: VotingTable(np.full((3, 2), -1), np.zeros((3, 2))), "disagreements must lie in [0, 4), got -1"),
+        (lambda: VotingTable(np.full((3, 2), 1.5), np.zeros((3, 2))), "disagreements must be integer-valued, got 1.5"),
+        (lambda: SuspicionTable(np.zeros((3, 2), bool), np.zeros((2, 2))),
+         "mismatch and suspicion need one (B, n) shape, got (3, 2) and (2, 2)"),
+        (lambda: SuspicionTable(np.zeros((3, 1), bool), np.zeros((3, 1))), "class distributions need at least 2 classes, got 1"),
+        (lambda: SuspicionTable(np.zeros((3, 2), np.int64), np.zeros((3, 2))), "mismatch must be bool, got dtype int64"),
+    ],
+)
+def test_bad_table_rejected_at_construction(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_hand_built_tables_are_read_only_copies():
+    disagreements, mismatch, values = np.zeros((3, 2), int), np.zeros((3, 2), bool), np.full((3, 2), 0.5)
+    votes, suspicion = VotingTable(disagreements, values), SuspicionTable(mismatch, values)
+    disagreements[0], mismatch[0], values[0] = 3, True, 0.9
+    assert votes.disagreements[0].tolist() == [0, 0] and votes.confidence[0].tolist() == [0.5, 0.5]
+    assert suspicion.mismatch[0].tolist() == [False, False] and suspicion.suspicion[0].tolist() == [0.5, 0.5]
     for table in (suspicion.mismatch, suspicion.suspicion, votes.disagreements, votes.confidence):
         assert not table.flags.writeable

@@ -533,6 +533,8 @@ seeds = 0
             ("n_batches", 4.0, "n_batches must be int, got 4.0"),
             ("seeds", (0.0,), "seeds must be tuple[int, ...], got (0.0,)"),
             ("omegas", 0.2, "omegas must be tuple[float, ...], got 0.2"),
+            # a dict used to fail with an AttributeError deep in the generator
+            ("synthetic", {"n_classes": 3}, "synthetic must be SyntheticConfig | None, got {'n_classes': 3}"),
         ],
     )
     def test_value_of_the_wrong_type_names_its_key(self, key, value, message):
@@ -540,6 +542,14 @@ seeds = 0
             with pytest.raises(ConfigError) as caught:
                 build()
             assert (str(caught.value), caught.value.key) == (message, key)
+
+    def test_generator_config_on_cora_rejected(self):
+        # it used to build, and the run ignored the generator config
+        cora = dict(dataset_kind="cora", synthetic=small_config().synthetic, cora_content="a", cora_cites="b")
+        for build in (lambda: ExperimentConfig(**cora), lambda: replace(small_config(), **cora)):
+            with pytest.raises(ConfigError) as caught:
+                build()
+            assert (str(caught.value), caught.value.key) == ("synthetic does not apply to dataset = cora", "synthetic")
 
     def test_synthetic_value_of_the_wrong_type_names_its_key(self):
         # it used to fail with a bare TypeError inside the generator
