@@ -28,15 +28,13 @@ from .dataset import _read_only, _whole_numbers
 # neighbours at n = 7).
 BLOCK_BYTES = 256 * 1024
 
-# Interleaved members save interpreter time on every step, but their
-# features are copied into one stacked (R N, d) matrix and all R N x d rows
-# are gathered from it once per epoch; this bounds the bytes of that copy,
-# and of each epoch's gathered rows, in one call, and of the (R, N, d)
-# stack of pools that train_aux's SVM members train on together.  It was
-# set when members were held member-major: past it the step was bound by
-# memory and arithmetic, and two stacked members at CORA's shape (N = 487,
-# d = 1433) trained about 5% slower than the same two one after another, on
-# a 2-CPU Xeon with 2 MiB of L2 a core.
+# _lockstep trains members of one step shape together, in chunks whose
+# stacked features, R N d floats, stay under this many bytes; the softmax
+# SGD loop also gathers as many rows each epoch.  It was set when members
+# were held member-major: past it the step was bound by memory and
+# arithmetic, and two stacked members at CORA's shape (N = 487, d = 1433)
+# trained about 5% slower than the same two one after another, on a 2-CPU
+# Xeon with 2 MiB of L2 a core.
 LOCKSTEP_BYTES = 8 * 1024 * 1024
 
 # The aux ensemble's SVM member: its learning rate (decayed as
@@ -122,16 +120,46 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_training_input(features: np.ndarray, labels, n_classes: int) -> np.ndarray:
-    """``labels`` as an int array, after checking them and ``features``."""
+def _checked_pool(features, labels, n_classes: int, model: MlrModel | None, who: str) -> tuple:
+    """The float (N, d) pool, its int labels and their (N, n) one-hot rows,
+    after checking them and that ``model`` (named ``who``), if any, fits
+    the pool's feature count and the class count."""
+    X = np.asarray(features, dtype=float)
     y = _whole_numbers(labels, n_classes)
-    if features.ndim != 2 or features.shape[0] == 0:
+    if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("need a non-empty (N, d) feature matrix")
-    if not np.isfinite(features).all():
+    if not np.isfinite(X).all():
         raise ValueError("features contain non-finite values")
-    if y.shape != (features.shape[0],):
+    if y.shape != (X.shape[0],):
         raise ValueError("labels must align with features")
-    return y
+    if model is not None and model.n_features != X.shape[1]:
+        raise ValueError(f"{who} expects d={model.n_features}, got {X.shape[1]}")
+    if model is not None and model.n_classes != n_classes:
+        raise ValueError("config n_classes does not match the model")
+    Y = np.zeros((X.shape[0], n_classes))
+    Y[np.arange(X.shape[0]), y] = 1.0
+    return X, y, Y
+
+
+def _lockstep(keys: list[tuple], train, interleaved: bool) -> list:
+    """Each member's result, in member order, from ``train(chunk)``, which
+    trains the members indexed by ``chunk`` in one stacked loop, results in
+    chunk order.  Members group by key, whose first entry is their pool's
+    (N, d), in order of first appearance, and each group trains in chunks
+    of at most ``LOCKSTEP_BYTES`` of stacked features; an ``interleaved``
+    loop trains each d = 1 member alone: G^T X_b is then a matrix-vector
+    product, which rounds otherwise on interleaved slices."""
+    if not keys:
+        raise ValueError("need at least one member")
+    groups, results = {}, {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for ((N, d), *_), index in groups.items():
+        size = 1 if interleaved and d == 1 else max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
+        for start in range(0, len(index), size):
+            chunk = index[start : start + size]
+            results.update(zip(chunk, train(chunk)))
+    return [results[i] for i in range(len(keys))]
 
 
 def train_mlr(
@@ -168,37 +196,19 @@ def train_mlr_lockstep(members: Sequence[tuple]) -> list[MlrModel]:
     non-finite (a learning rate too large for its data) raises
     :class:`TrainingDiverged` naming the member and its rate.
     """
-    if not members:
-        raise ValueError("need at least one member")
-    checked, groups = [], {}
+    checked = []
     for i, (model, features, labels, cfg) in enumerate(members):
         if not isinstance(cfg, MlrConfig):
             raise ValueError(f"member {i} needs an MlrConfig, got {cfg!r}")
-        X = np.asarray(features, dtype=float)
-        y = _check_training_input(X, labels, cfg.n_classes)
-        if model is not None:
-            if model.n_features != X.shape[1]:
-                raise ValueError(f"model expects d={model.n_features}, got {X.shape[1]}")
-            if model.n_classes != cfg.n_classes:
-                raise ValueError("config n_classes does not match the model")
-        Y = np.zeros((X.shape[0], cfg.n_classes))
-        Y[np.arange(X.shape[0]), y] = 1.0
-        groups.setdefault((X.shape, cfg.n_classes, cfg.epochs, cfg.batch_size), []).append(len(checked))
+        X, _, Y = _checked_pool(features, labels, cfg.n_classes, model, "model")
         checked.append((model, X, Y, cfg))
-    models: dict[int, MlrModel] = {}
+    keys = [(X.shape, cfg.n_classes, cfg.epochs, cfg.batch_size) for _, X, _, cfg in checked]
     # A diverging member overflows to inf and NaN, which stay non-finite, or
     # stops short of them with weights whose class scores overflow on its
     # own rows.  It fails here by name, not through numpy's warnings here or
     # at the model's first prediction.
     with np.errstate(over="ignore", invalid="ignore"):
-        for ((N, d), *_), index in groups.items():
-            # at d = 1, G^T X_b is a matrix-vector product, which rounds
-            # otherwise on interleaved slices, so those members train alone
-            size = 1 if d == 1 else max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
-            for start in range(0, len(index), size):
-                chunk = index[start : start + size]
-                models.update(zip(chunk, _train_stacked([checked[i] for i in chunk])))
-        trained = [models[i] for i in range(len(members))]
+        trained = _lockstep(keys, lambda chunk: _train_stacked([checked[i] for i in chunk]), interleaved=True)
         for i, ((_, X, _, _), model) in enumerate(zip(checked, trained)):
             if not (np.isfinite(model.weights).all() and np.isfinite(X @ model.weights.T + model.bias).all()):
                 raise TrainingDiverged(i, model.config.learning_rate)
@@ -410,30 +420,16 @@ def train_aux(members: Sequence[tuple], knn_k: int, normalize: bool) -> list[Aux
     ``LOCKSTEP_BYTES`` of stacked pools at a time; each gets the weights it
     would get alone, bit for bit.  The ensembles come back in member order.
     """
-    if not members:
-        raise ValueError("need at least one member")
-    checked, groups = [], {}
-    for features, labels, mlr in members:
-        X = np.asarray(features, dtype=float)
-        y = _check_training_input(X, labels, mlr.n_classes)
-        if mlr.n_features != X.shape[1]:
-            raise ValueError(f"logistic member expects d={mlr.n_features}, got {X.shape[1]}")
-        groups.setdefault((X.shape, mlr.n_classes), []).append(len(checked))
-        checked.append((X, y, mlr))
-    svms = {}
-    for ((N, d), n), index in groups.items():
-        size = max(1, LOCKSTEP_BYTES // (8 * N * max(1, d)))
-        for start in range(0, len(index), size):
-            chunk = index[start : start + size]
-            # a lone pool trains as a (1, N, d) view of itself, with no copy
-            X = checked[chunk[0]][0][None] if len(chunk) == 1 else np.stack([checked[i][0] for i in chunk])
-            S = np.full((len(chunk), N, n), -1.0)
-            S[np.arange(len(chunk))[:, None], np.arange(N), [checked[i][1] for i in chunk]] = 1.0
-            W, b = _train_hinge(X, S)
-            svms.update(zip(chunk, zip(W, b)))
+    checked = [_checked_pool(features, labels, mlr.n_classes, mlr, "logistic member") for features, labels, mlr in members]
+
+    def stack(chunk, j):  # a lone pool trains as a (1, N, d) view of itself, with no copy
+        return checked[chunk[0]][j][None] if len(chunk) == 1 else np.stack([checked[i][j] for i in chunk])
+
+    keys = [(X.shape, Y.shape[1]) for X, _, Y in checked]
+    svms = _lockstep(keys, lambda chunk: zip(*_train_hinge(stack(chunk, 0), stack(chunk, 2))), interleaved=False)
 
     ensembles = []
-    for i, (X, y, mlr) in enumerate(checked):
+    for (X, y, _), (_, _, mlr), svm in zip(checked, members, svms):
         mean = std = None
         store = X
         if normalize:
@@ -441,14 +437,14 @@ def train_aux(members: Sequence[tuple], knn_k: int, normalize: bool) -> list[Aux
             std = X.std(axis=0)
             std = np.where(std > 0, std, 1.0)
             store = (X - mean) / std
-        ensembles.append(AuxEnsemble(mlr, *svms[i], store, y, knn_k, mean, std))
+        ensembles.append(AuxEnsemble(mlr, *svm, store, y, knn_k, mean, std))
     return ensembles
 
 
-def _train_hinge(X: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _train_hinge(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one-vs-rest hinge loss of :func:`train_aux`'s SVM members, by
-    full-batch subgradient descent, on an (R, N, d) stack of pools whose
-    (R, N, n) class signs ``S`` are +1 at each row's label and -1 elsewhere;
+    full-batch subgradient descent, on an (R, N, d) stack of pools with
+    (R, N, n) one-hot rows ``Y``, whose class signs S = 2 Y - 1 are exact;
     the (R, n, d) weights and (R, n) biases.
 
     An epoch is Z = S (X W^T + b), A = -(Z < 1) S, W -= lr (A^T X / N +
@@ -464,8 +460,8 @@ def _train_hinge(X: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     not show.  Every temporary lives in a buffer made once, with out passed
     positionally.
     """
-    R, N, d = X.shape
-    n = S.shape[2]
+    (R, N, d), n = X.shape, Y.shape[2]
+    S = 2.0 * Y - 1.0
     W, b = np.zeros((R, n, d)), np.zeros((R, 1, n))
     neg_S = -S
     Z, A, mask = np.empty((R, N, n)), np.empty((R, N, n)), np.empty((R, N, n), dtype=bool)

@@ -111,6 +111,9 @@ class StarDivergences:
     Scoring a label vector then only gathers one entry per star, so one
     table serves every label vector of the same stars and models.  A
     non-finite entry is kept, and raises only when a star is labeled with it.
+    Construction checks that ``ids`` is 1-D, ``has_context`` one bool per
+    id and each KL table (B, n) or None, and copies them into read-only
+    arrays, so the caller's arrays cannot leave ``dissimilarities`` stale.
     """
 
     ids: np.ndarray            # (B,)
@@ -122,8 +125,22 @@ class StarDivergences:
     dissimilarities: np.ndarray = field(init=False, repr=False)  # (B, n)
 
     def __post_init__(self) -> None:
-        n = self.n_classes
-        table = np.zeros((len(self.ids), n))
+        ids, has_context, n = np.array(self.ids), np.array(self.has_context), self.n_classes
+        if ids.ndim != 1:
+            raise ValueError(f"StarDivergences needs 1-D ids, got shape {ids.shape}")
+        if has_context.dtype != bool or has_context.shape != ids.shape:
+            raise ValueError(
+                f"StarDivergences needs one bool has_context flag per id, got {has_context.dtype} {has_context.shape} for {len(ids)} ids"
+            )
+        object.__setattr__(self, "ids", _read_only(ids))
+        object.__setattr__(self, "has_context", _read_only(has_context))
+        for name in ("data_kl", "attr_kl"):
+            if getattr(self, name) is not None:
+                kl = np.array(getattr(self, name), dtype=float)
+                if kl.shape != (len(ids), n):
+                    raise ValueError(f"StarDivergences.{name} must be None or {(len(ids), n)}, got shape {kl.shape}")
+                object.__setattr__(self, name, _read_only(kl))
+        table = np.zeros((len(ids), n))
         step = max(1, BLOCK_BYTES // (8 * max(1, n * n)))  # rows per (rows, n, n) hinge block
         for lo in range(0, len(table), step):
             if self.data_kl is not None:
@@ -199,10 +216,10 @@ def star_divergences(
         start = stop
 
     return StarDivergences(
-        ids=_read_only(ids.copy()),
-        has_context=_read_only((np.diff(link_ptr) > 0) | (np.diff(obs_ptr) > 0)),
-        data_kl=None if data_kl is None else _read_only(data_kl),
-        attr_kl=None if attr_kl is None else _read_only(attr_kl),
+        ids=ids,
+        has_context=(np.diff(link_ptr) > 0) | (np.diff(obs_ptr) > 0),
+        data_kl=data_kl,
+        attr_kl=attr_kl,
         n_classes=n,
         m_attribute_classes=relationship.m_attribute_classes,
     )

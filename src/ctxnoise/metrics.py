@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,9 +122,11 @@ def remove_first(ids: Sequence[int], removal_count: int, *keys: np.ndarray) -> n
     """The (B,) bool mask of the first ``removal_count`` of the B ``ids`` by
     :func:`first_k` over ``keys``: the removal step of every detector.
 
-    A budget outside [0, B] raises ValueError, and so does a float key that
-    is not finite, naming the first id that has one, since it would rank by
-    NaN's sort order."""
+    A budget that is a bool, not an integer or outside [0, B] raises
+    ValueError, and so does a float key that is not finite, naming the first
+    id that has one, since it would rank by NaN's sort order."""
+    if not isinstance(removal_count, numbers.Integral) or isinstance(removal_count, bool):
+        raise ValueError(f"removal_count must be an integer, got {removal_count!r}")
     if not 0 <= removal_count <= len(ids):
         raise ValueError(f"removal_count {removal_count} out of range [0, {len(ids)}]")
     for key in keys:
@@ -136,9 +139,11 @@ def remove_first(ids: Sequence[int], removal_count: int, *keys: np.ndarray) -> n
 
 
 def _assigned_classes(ids: Sequence[int], labels: Sequence[int], n_classes: int) -> np.ndarray:
-    """``labels`` as an int array, after checking that it holds one class
-    in [0, ``n_classes``) per id."""
+    """``labels`` as an int array, after checking that it is 1-D and holds
+    one class in [0, ``n_classes``) per id."""
     assigned = _whole_numbers(labels, n_classes)
+    if assigned.ndim != 1:
+        raise ValueError(f"assigned labels must be 1-D, got shape {assigned.shape}")
     if len(assigned) != len(ids):
         raise ValueError("ids and assigned labels must align")
     return assigned

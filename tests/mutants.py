@@ -191,4 +191,118 @@ MUTANTS = (
         "if False:",
         ("tests/test_harness.py::TestConfigFiles::test_generator_config_on_cora_rejected",),
     ),
+    Mutant(
+        "lock-step trainers accept no members",
+        "ctxnoise/classifiers.py",
+        '    if not keys:\n        raise ValueError("need at least one member")\n',
+        "",
+        (
+            "tests/test_classifiers.py::TestLockstepChecks::test_no_members_rejected",
+            "tests/test_classifiers.py::TestAuxEnsemble::test_every_member_is_checked_before_any_trains",
+        ),
+    ),
+    Mutant(
+        "a warm-start model of another feature count",
+        "ctxnoise/classifiers.py",
+        '_checked_pool(features, labels, cfg.n_classes, model, "model")',
+        '_checked_pool(features, labels, cfg.n_classes, None, "model")',
+        ("tests/test_classifiers.py::TestLockstepChecks::test_warm_start_model_must_fit_the_member",),
+    ),
+    Mutant(
+        "a logistic member of another feature count",
+        "ctxnoise/classifiers.py",
+        '_checked_pool(features, labels, mlr.n_classes, mlr, "logistic member")',
+        '_checked_pool(features, labels, mlr.n_classes, None, "logistic member")',
+        (
+            "tests/test_classifiers.py::TestAuxEnsemble::test_pretrained_logistic_member_is_used",
+            "tests/test_classifiers.py::TestAuxEnsemble::test_every_member_is_checked_before_any_trains",
+        ),
+    ),
+    Mutant(
+        "a warm-start model of another class count",
+        "ctxnoise/classifiers.py",
+        "if model is not None and model.n_classes != n_classes:",
+        "if False:",
+        ("tests/test_classifiers.py::TestLockstepChecks::test_warm_start_model_must_fit_the_member",),
+    ),
+    Mutant(
+        "lock-step chunks divide by a zero feature count",
+        "ctxnoise/classifiers.py",
+        "LOCKSTEP_BYTES // (8 * N * max(1, d))",
+        "LOCKSTEP_BYTES // (8 * N * d)",
+        ("tests/test_classifiers.py::TestLockstepChecks::test_featureless_pool_trains_the_bias",),
+    ),
+    Mutant(
+        "one-feature members stack in the interleaved loop",
+        "ctxnoise/classifiers.py",
+        "size = 1 if interleaved and d == 1 else max(",
+        "size = max(",
+        ("tests/test_classifiers.py::test_one_feature_members_train_one_per_stacked_loop",),
+    ),
+    Mutant(
+        "remove_first admits a fractional budget",
+        "ctxnoise/metrics.py",
+        "if not isinstance(removal_count, numbers.Integral) or isinstance(removal_count, bool):",
+        "if isinstance(removal_count, bool):",
+        ("tests/test_argument_checks.py::test_bad_argument_named[budget a fraction]",),
+    ),
+    Mutant(
+        "remove_first admits a bool budget",
+        "ctxnoise/metrics.py",
+        "if not isinstance(removal_count, numbers.Integral) or isinstance(removal_count, bool):",
+        "if not isinstance(removal_count, numbers.Integral):",
+        ("tests/test_argument_checks.py::test_bad_argument_named[budget a bool]",),
+    ),
+    Mutant(
+        "assigned labels need not be 1-D",
+        "ctxnoise/metrics.py",
+        "if assigned.ndim != 1:",
+        "if False:",
+        (
+            "tests/test_label_contract.py::test_a_column_of_labels_named[probabilistic_detect]",
+            "tests/test_label_contract.py::test_a_column_of_labels_named[cnld_detect]",
+        ),
+    ),
+    Mutant(
+        "star divergences of ids that are not 1-D",
+        "ctxnoise/detector.py",
+        "if ids.ndim != 1:",
+        "if False:",
+        ("tests/test_detector.py::TestStarDivergencesConstruction::test_bad_table_rejected_at_construction",),
+    ),
+    Mutant(
+        "star divergences of context flags that are not bool",
+        "ctxnoise/detector.py",
+        "if has_context.dtype != bool or has_context.shape != ids.shape:",
+        "if has_context.shape != ids.shape:",
+        ("tests/test_detector.py::TestStarDivergencesConstruction::test_bad_table_rejected_at_construction",),
+    ),
+    Mutant(
+        "star divergences of one context flag too few",
+        "ctxnoise/detector.py",
+        "if has_context.dtype != bool or has_context.shape != ids.shape:",
+        "if has_context.dtype != bool:",
+        ("tests/test_detector.py::TestStarDivergencesConstruction::test_bad_table_rejected_at_construction",),
+    ),
+    Mutant(
+        "star divergences of a KL table of another shape",
+        "ctxnoise/detector.py",
+        "if kl.shape != (len(ids), n):",
+        "if False:",
+        ("tests/test_detector.py::TestStarDivergencesConstruction::test_bad_table_rejected_at_construction",),
+    ),
+    Mutant(
+        "star divergences keep the caller's KL table",
+        "ctxnoise/detector.py",
+        "object.__setattr__(self, name, _read_only(kl))",
+        "pass",
+        ("tests/test_detector.py::TestStarDivergencesConstruction::test_hand_built_table_is_a_read_only_snapshot",),
+    ),
+    Mutant(
+        "star divergences keep the caller's ids",
+        "ctxnoise/detector.py",
+        'object.__setattr__(self, "ids", _read_only(ids))',
+        "pass",
+        ("tests/test_detector.py::TestStarDivergencesConstruction::test_hand_built_table_is_a_read_only_snapshot",),
+    ),
 )

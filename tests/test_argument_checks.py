@@ -66,6 +66,15 @@ CASES = {
         lambda: probabilistic_detect(suspicion_table(np.full((2, 2), 0.5)), [1, 2], [0, 0], 3),
         r"removal_count 3 out of range \[0, 2\]",
     ),
+    # a fraction used to fail inside a slice, and True to remove one instance
+    "budget a fraction": (
+        lambda: probabilistic_detect(suspicion_table(np.full((2, 2), 0.5)), [1, 2], [0, 0], 1.5),
+        "removal_count must be an integer, got 1.5",
+    ),
+    "budget a bool": (
+        lambda: detect_topk([1, 2], [0, 0], INFINITE_KL, True),
+        "removal_count must be an integer, got True",
+    ),
     "select too many": (
         lambda: select_informative(MODEL, DATASET, [0, 1], 3, "entropy", 0),
         "k exceeds the batch size",

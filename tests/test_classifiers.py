@@ -640,6 +640,17 @@ class TestLockstepChecks:
         with pytest.raises(ValueError):
             train_mlr_lockstep([])
 
+    def test_warm_start_model_must_fit_the_member(self):
+        # the model's feature count and class count are checked against the
+        # member's pool and config before anything trains
+        members = self.members()
+        model = train_mlr(*members[0])
+        _, X, y, config = members[1]
+        with pytest.raises(ValueError, match=r"^model expects d=2, got 1$"):
+            train_mlr_lockstep([members[0], (model, X[:, :1], y, config)])
+        with pytest.raises(ValueError, match=r"^config n_classes does not match the model$"):
+            train_mlr(model, X, y, MlrConfig(n_classes=3))
+
     def test_member_without_config_named(self):
         # a warm start used to fall back on the model's own config, and so
         # replay its permutation seed

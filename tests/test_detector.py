@@ -448,6 +448,52 @@ class TestBatchKernel:
             cnld_detect([0, 1], [0, 1], star_divergences([0, 1], ds, model, rel))
 
 
+class TestStarDivergencesConstruction:
+    def table(self, **fields):
+        arrays = dict(ids=np.array([1, 2]), has_context=np.array([True, True]), data_kl=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        return detector.StarDivergences(**{**arrays, **fields}, attr_kl=None, n_classes=2, m_attribute_classes=0)
+
+    def test_hand_built_table_is_a_read_only_snapshot(self):
+        # a hand-built table used to keep the caller's writable arrays, so
+        # editing data_kl afterwards left dissimilarities stale
+        ids, has_context, kls = np.array([1, 2]), np.array([True, True]), np.array([[0.0, 2.0], [2.0, 0.0]])
+        table = self.table(ids=ids, has_context=has_context, data_kl=kls)
+        ids[0], has_context[0], kls[0] = 7, False, [4.0, 0.0]
+        assert table.ids.tolist() == [1, 2] and table.has_context.tolist() == [True, True]
+        assert table.data_kl.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert table.dissimilarities.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        for name in ("ids", "has_context", "data_kl", "dissimilarities"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 0
+
+    BAD_TABLES = {
+        "2-D ids": (
+            dict(ids=np.array([[1, 2]]), has_context=np.array([[True, True]])),
+            r"StarDivergences needs 1-D ids, got shape \(1, 2\)",
+        ),
+        "int flags": (
+            dict(has_context=np.array([1, 1])),
+            r"StarDivergences needs one bool has_context flag per id, got int64 \(2,\) for 2 ids",
+        ),
+        "one flag short": (
+            dict(has_context=np.array([True])),
+            r"StarDivergences needs one bool has_context flag per id, got bool \(1,\) for 2 ids",
+        ),
+        "a class too many": (
+            dict(data_kl=np.zeros((2, 3))),
+            r"StarDivergences.data_kl must be None or \(2, 2\), got shape \(2, 3\)",
+        ),
+        "1-D table": (dict(data_kl=np.zeros(2)), r"StarDivergences.data_kl must be None or \(2, 2\), got shape \(2,\)"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_TABLES)
+    def test_bad_table_rejected_at_construction(self, case):
+        # each used to build, and fail later inside a gather or a broadcast
+        fields, message = self.BAD_TABLES[case]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.table(**fields)
+
+
 def star_dissimilarities(queried, dataset, model, rel):
     """Per-star route for every label: row b holds ``dissimilarity`` of
     star b's posterior conditionals against each class, zeros without context."""

@@ -215,6 +215,14 @@ STRAIGHT_LABELS = [
 ]
 
 
+@pytest.mark.parametrize("entry", ["probabilistic_detect", "consensus_detect", "majority_detect", "cnld_detect", "detect_topk"])
+def test_a_column_of_labels_named(entry):
+    # a (B, 1) column used to pass the label check: probabilistic_detect
+    # then failed inside np.lexsort, and cnld_detect returned a (B, B) mask
+    with pytest.raises(ValueError, match=r"^assigned labels must be 1-D, got shape \(6, 1\)$"):
+        LABEL_ENTRY_POINTS[entry](np.array(LABELS)[:, None])
+
+
 @pytest.mark.parametrize("entry", STRAIGHT_IDS)
 @pytest.mark.parametrize("form", NOT_SEQUENCES)
 def test_ids_that_are_not_a_sequence_named(entry, form):
