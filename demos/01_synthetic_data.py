@@ -1,14 +1,14 @@
 """Generate a linked synthetic dataset and check it against its own ground truth.
 
 Every instance gets class-conditional features, neighbours drawn from its
-class's co-occurrence row, and (optionally) attribute observations.  Because
-the generating quantities are returned alongside the data, empirical
-statistics can be compared against them directly.
+class's co-occurrence row, and (optionally) attribute observations.  The
+generating rows follow from the config alone (``synthetic_conditionals``),
+so empirical statistics can be compared against them directly.
 """
 
 import numpy as np
 
-from ctxnoise import SyntheticConfig, generate_synthetic, load_synthetic, save_synthetic
+from ctxnoise import SyntheticConfig, generate_synthetic, load_synthetic, save_synthetic, synthetic_conditionals
 
 config = SyntheticConfig(
     n_classes=4,
@@ -22,7 +22,8 @@ config = SyntheticConfig(
     attributes_per_instance=2,
     seed=42,
 )
-dataset, truth = generate_synthetic(config)
+dataset = generate_synthetic(config)
+data_rows, _ = synthetic_conditionals(config)
 
 # row r of the dataset's arrays is instance dataset.ids[r]; links and
 # attribute observations are CSR indexes over those rows
@@ -37,10 +38,10 @@ np.add.at(hist, (dataset.labels[dataset.links.owners()], dataset.labels[dataset.
 rows = hist / hist.sum(axis=1, keepdims=True)
 
 print("\ngenerating co-occurrence rows:")
-print(np.round(truth.data_conditionals, 3))
+print(np.round(data_rows, 3))
 print("empirical neighbour frequencies:")
 print(np.round(rows, 3))
-tv = 0.5 * np.abs(rows - truth.data_conditionals).sum(axis=1)
+tv = 0.5 * np.abs(rows - data_rows).sum(axis=1)
 print(f"total-variation distance per class: {np.round(tv, 4)}")
 
 # the text serialization round-trips exactly

@@ -21,7 +21,7 @@ config = SyntheticConfig(
     links_per_instance=2,
     seed=1,
 )
-dataset, _ = generate_synthetic(config)
+dataset = generate_synthetic(config)
 labels = dataset.labels
 features = dataset.features
 
@@ -45,4 +45,4 @@ emp = np.stack(
 print("empirical assignment frequencies after injection:")
 print(np.round(emp, 3))
 print(f"max deviation: {np.abs(emp - transition.probs).max():.4f}")
-print(f"realized flip rate: {plan.rate:.3f}")
+print(f"realized flip rate: {plan.flipped.mean():.3f}")

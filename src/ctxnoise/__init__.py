@@ -24,7 +24,6 @@ from .dataset import (
     CoraFormatError,
     CsrIndex,
     Dataset,
-    GroundTruth,
     Instance,
     SyntheticConfig,
     generate_synthetic,
@@ -33,6 +32,7 @@ from .dataset import (
     save_cora,
     save_synthetic,
     split_batches,
+    synthetic_conditionals,
 )
 from .detector import (
     DEFAULT_BETA,

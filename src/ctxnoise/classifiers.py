@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _read_only, _whole_numbers
+from .dataset import _freeze_arrays, _read_only, _whole_numbers
 
 # The array kernels (the kNN's (b, N) prefilter blocks and its gathered
 # candidate rows, star scoring, the SGD loop's rows gathered for all its
@@ -91,14 +91,12 @@ class MlrModel:
     config: MlrConfig
 
     def __post_init__(self) -> None:
-        weights, bias = np.array(self.weights, dtype=float), np.array(self.bias, dtype=float)
-        n = self.config.n_classes
+        _freeze_arrays(self, "weights", "bias", dtype=float)
+        weights, bias, n = self.weights, self.bias, self.config.n_classes
         if weights.ndim != 2 or weights.shape[0] != n or bias.shape != (n,):
             raise ValueError(
                 f"MlrModel needs (n, d) weights and (n,) bias for n = {n} classes, got {weights.shape} and {bias.shape}"
             )
-        object.__setattr__(self, "weights", _read_only(weights))
-        object.__setattr__(self, "bias", _read_only(bias))
 
     @property
     def n_classes(self) -> int:
@@ -388,9 +386,7 @@ class AuxEnsemble:
     feature_std: np.ndarray | None
 
     def __post_init__(self) -> None:
-        for name in ("svm_weights", "svm_bias", "knn_features", "knn_labels", "feature_mean", "feature_std"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+        _freeze_arrays(self, "svm_weights", "svm_bias", "knn_features", "knn_labels", "feature_mean", "feature_std")
         N, k = self.knn_features.shape[0], self.knn_k
         labels = _whole_numbers(self.knn_labels, self.n_classes, "knn_labels")
         if labels.shape != (N,):

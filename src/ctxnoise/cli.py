@@ -80,7 +80,7 @@ def _prepare(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
 def _cmd_gen_data(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> None:
     if config.dataset_kind != "synthetic":
         raise ConfigError("gen-data needs a synthetic dataset config", "dataset")
-    dataset, _ = generate_synthetic(config.synthetic)
+    dataset = generate_synthetic(config.synthetic)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "dataset.txt"
     save_synthetic(dataset, path)

@@ -44,6 +44,15 @@ class CoraFormatError(ValueError):
     """Raised for malformed CORA-format files, with file and line context."""
 
 
+class InstanceError(ValueError):
+    """A :class:`Dataset` invariant that one instance breaks; ``row`` is its
+    row in the arrays the dataset was given."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
 class ConfigError(ValueError):
     """Bad or missing experiment configuration; ``key`` names the config key
     at fault, when there is one."""
@@ -149,6 +158,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _freeze_arrays(record, *names: str, dtype=None) -> None:
+    """Set each named array field of a frozen record, unless None, to a read-only copy of ``dtype``."""
+    for name in names:
+        if getattr(record, name) is not None:
+            object.__setattr__(record, name, _read_only(np.array(getattr(record, name), dtype=dtype)))
+
+
 def _whole_numbers(values, n: int | None = None, what: str = "labels") -> np.ndarray:
     """``values`` as an int array, after checking that every entry is a
     whole number that an int64 holds and, given ``n``, lies in [0, n).  A
@@ -248,9 +264,9 @@ class Dataset:
     a tuple whatever sequence is given.
     Rows keep their input order, and the arrays are read-only copies.
     Construction checks every invariant (at least 2 classes, labels in
-    range, observations that are distributions, symmetric links without
-    self-links) and raises ValueError naming the first instance, in row
-    order, that breaks one.
+    range, finite features, observations that are distributions, symmetric
+    links without self-links) and raises :class:`InstanceError` naming the
+    first instance, in row order, that breaks one.
 
     ``Dataset(instances=[Instance(...), ...], n_classes=..., ...)`` builds
     the same arrays from a list of records instead.
@@ -298,8 +314,9 @@ class Dataset:
         if len(self.class_names) != self.n_classes:
             raise ValueError(f"{len(self.class_names)} class names for {self.n_classes} classes")
         bad_label = (labels < 0) | (labels >= self.n_classes)
+        bad_feature = ~np.isfinite(features).all(axis=1)
         obs = attributes.values
-        bad_obs = (obs < 0).any(axis=1) | (np.abs(obs.sum(axis=1) - 1.0) > 1e-9)
+        bad_obs = ~((obs >= 0).all(axis=1) & (np.abs(obs.sum(axis=1) - 1.0) <= 1e-9))  # so that NaN fails
         owners, neighbours = links.owners(), links.values
         self_link = owners == neighbours
         forward, backward = np.sort(owners * n + neighbours), neighbours * n + owners
@@ -309,17 +326,19 @@ class Dataset:
         if not np.array_equal(forward, np.sort(backward)):
             one_way = forward[np.searchsorted(forward, backward).clip(max=len(forward) - 1)] != backward
         bad_obs_row = np.bincount(attributes.owners()[bad_obs], minlength=n) > 0
-        bad_row = bad_label | bad_obs_row | (np.bincount(owners[self_link | one_way], minlength=n) > 0)
+        bad_row = bad_label | bad_feature | bad_obs_row | (np.bincount(owners[self_link | one_way], minlength=n) > 0)
         if bad_row.any():
             r = int(bad_row.argmax())
             if bad_label[r]:
-                raise ValueError(f"instance {ids[r]}: true_label {labels[r]} out of range")
+                raise InstanceError(f"instance {ids[r]}: true_label {labels[r]} out of range", r)
+            if bad_feature[r]:
+                raise InstanceError(f"instance {ids[r]}: non-finite feature", r)
             if bad_obs_row[r]:
-                raise ValueError(f"instance {ids[r]}: attribute observation is not a distribution")
+                raise InstanceError(f"instance {ids[r]}: attribute observation is not a distribution", r)
             lo, hi = links.indptr[r], links.indptr[r + 1]
             if self_link[lo:hi].any():
-                raise ValueError(f"instance {ids[r]}: self-link")
-            raise ValueError(f"link {ids[r]}->{ids[neighbours[lo + one_way[lo:hi].argmax()]]} is not symmetric")
+                raise InstanceError(f"instance {ids[r]}: self-link", r)
+            raise InstanceError(f"link {ids[r]}->{ids[neighbours[lo + one_way[lo:hi].argmax()]]} is not symmetric", r)
         for name, value in arrays.items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_index", _id_order(ids))
@@ -399,12 +418,17 @@ class SyntheticConfig:
                 raise ConfigError(f"synthetic.{name} {requirement}", f"synthetic.{name}")
 
 
-@dataclass
-class GroundTruth:
-    """Generating quantities of a synthetic dataset, for oracle-style checks."""
-
-    data_conditionals: np.ndarray      # (n, n), row-stochastic
-    attr_conditionals: np.ndarray | None  # (n, m) or None when m == 0
+def synthetic_conditionals(config: SyntheticConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """The generator's ground truth, which follows from the config with no
+    draw: the (n, n) class co-occurrence rows that links are drawn from and
+    the (n, m) class-to-attribute rows, None when m == 0."""
+    n, m, c = config.n_classes, config.m_attribute_classes, config.concentration
+    data_rows = c * np.eye(n) + (1.0 - c) / n
+    attr_rows = None
+    if m > 0:
+        attr_rows = np.full((n, m), (1.0 - c) / m)
+        attr_rows[np.arange(n), np.arange(n) % m] += c
+    return data_rows, attr_rows
 
 
 def _choice_cdfs(rows: np.ndarray) -> np.ndarray:
@@ -495,14 +519,14 @@ def _link_tails(rng: np.random.Generator, owners: np.ndarray, per: int, links: i
     return tails
 
 
-def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
+def generate_synthetic(config: SyntheticConfig) -> Dataset:
     """Sample a linked dataset whose context structure is known exactly.
 
     Features are drawn class-conditionally around separated class means.
     Each instance draws its neighbours' classes from the ground-truth
     co-occurrence row of its own class, and its attribute observations from
-    the class-to-attribute row, encoded as smoothed one-hots.  Deterministic
-    for a fixed seed.
+    the class-to-attribute row (both from :func:`synthetic_conditionals`),
+    encoded as smoothed one-hots.  Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(config.seed)
     n, m, d = config.n_classes, config.m_attribute_classes, config.n_features
@@ -510,11 +534,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
     total = n * per
 
     means = config.separation * rng.standard_normal((n, d))
-    data_rows = config.concentration * np.eye(n) + (1.0 - config.concentration) / n
-    attr_rows = None
-    if m > 0:
-        attr_rows = np.full((n, m), (1.0 - config.concentration) / m)
-        attr_rows[np.arange(n), np.arange(n) % m] += config.concentration
+    data_rows, attr_rows = synthetic_conditionals(config)
 
     labels = np.repeat(np.arange(n), per)
     features = means[labels] + config.noise_scale * rng.standard_normal((total, d))
@@ -550,32 +570,41 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, GroundTruth]:
         m_attribute_classes=m,
         class_names=[f"class_{c}" for c in range(n)],
         seed=config.seed,
-    ), GroundTruth(data_rows, attr_rows)
+    )
+
+
+def _lines(fh, start: int = 1) -> Iterator[tuple[int, str]]:
+    """Each line of ``fh`` that is not blank, numbered from ``start``, without its newline."""
+    for lineno, line in enumerate(fh, start):
+        if line.strip():
+            yield lineno, line.rstrip("\n")
 
 
 def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
-    """Load a CORA-format content/cites file pair into a Dataset with m=0."""
+    """Load a CORA-format content/cites file pair into a Dataset with m=0.
+    A malformed file raises :class:`CoraFormatError` naming ``path:line``
+    where one line is at fault."""
     content_path, cites_path = Path(content_path), Path(cites_path)
-    ids: list[int] = []
+    seen: dict[int, int] = {}  # each id's line, in file order
     features: list[np.ndarray] = []  # bools until the Dataset copies them into its float matrix
     label_names: list[str] = []
     d: int | None = None
     with content_path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+        for lineno, line in _lines(fh):
             parts = line.split("\t")
             if len(parts) < 3:
                 raise CoraFormatError(f"{content_path}:{lineno}: expected id, features and label")
             if d is None:
-                d = len(parts) - 2
+                d, d_line = len(parts) - 2, lineno
             elif len(parts) - 2 != d:
-                raise CoraFormatError(f"{content_path}:{lineno}: expected {d} features, got {len(parts) - 2}")
+                raise CoraFormatError(f"{content_path}:{lineno}: expected {d} features as on line {d_line}, got {len(parts) - 2}")
             try:
-                ids.append(int(parts[0]))
+                inst_id = int(parts[0])
             except ValueError:
                 raise CoraFormatError(f"{content_path}:{lineno}: non-integer id {parts[0]!r}") from None
+            if inst_id in seen:
+                raise CoraFormatError(f"{content_path}:{lineno}: duplicate id {inst_id}, first on line {seen[inst_id]}")
+            seen[inst_id] = lineno
             feats = np.empty(d, dtype=bool)
             for k, tok in enumerate(parts[1:-1]):
                 if tok not in ("0", "1"):
@@ -585,25 +614,19 @@ def load_cora(content_path: str | Path, cites_path: str | Path) -> Dataset:
             if not parts[-1]:
                 raise CoraFormatError(f"{content_path}:{lineno}: empty label")
             label_names.append(parts[-1])
-    if not ids:
+    if not seen:
         raise CoraFormatError(f"{content_path}: no instances")
 
     class_names = sorted(set(label_names))
     labels = np.searchsorted(class_names, label_names)
-    ids_arr = np.array(ids, dtype=np.int64)
-    try:
-        order, sorted_ids = _id_order(ids_arr)
-    except ValueError:
-        raise CoraFormatError(f"{content_path}: duplicate instance id") from None
+    ids_arr = np.array(list(seen), dtype=np.int64)
+    order, sorted_ids = _id_order(ids_arr)
 
     pairs: list[tuple[int, int]] = []  # (cited, citing)
     linenos: list[int] = []
     with cites_path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
+        for lineno, line in _lines(fh):
+            parts = line.strip().split("\t")
             if len(parts) != 2:
                 raise CoraFormatError(f"{cites_path}:{lineno}: expected cited_id and citing_id")
             try:
@@ -678,9 +701,11 @@ def save_synthetic(dataset: Dataset, path: str | Path) -> None:
 
 def load_synthetic(path: str | Path) -> Dataset:
     """Load a dataset written by :func:`save_synthetic`; a malformed line
-    raises ValueError naming ``path:line``."""
+    raises ValueError naming ``path:line``, and so does an instance that
+    breaks a :class:`Dataset` invariant, by its own line."""
     path = Path(path)
-    ids, labels, features = [], [], []
+    seen: dict[int, int] = {}  # each id's line, in file order
+    labels, features = [], []
     link_ids, link_counts, observations, obs_counts = [], [], [], []
     with path.open() as fh:
         header = fh.readline().split()
@@ -688,10 +713,7 @@ def load_synthetic(path: str | Path) -> Dataset:
             n, m, d, count, seed = (int(v) for v in header)
         except ValueError:
             raise ValueError(f"{path}:1: bad header, expected 'n m d count seed'") from None
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+        for lineno, line in _lines(fh, start=2):
             where = f"{path}:{lineno}"
             sections = line.split("|")
             if len(sections) != 3:
@@ -700,7 +722,7 @@ def load_synthetic(path: str | Path) -> Dataset:
             if len(head) != d + 2:
                 raise ValueError(f"{where}: expected an id, a label and {d} features")
             try:
-                ids.append(int(head[0]))
+                inst_id = int(head[0])
                 labels.append(int(head[1]))
                 features.append([float(t) for t in head[2:]])
                 links = [int(t) for t in links_part]
@@ -709,27 +731,36 @@ def load_synthetic(path: str | Path) -> Dataset:
                 raise ValueError(f"{where}: {exc}") from None
             if any(len(o) != m for o in obs):
                 raise ValueError(f"{where}: attribute observation length != {m}")
+            if inst_id in seen:
+                raise ValueError(f"{where}: duplicate id {inst_id}, first on line {seen[inst_id]}")
+            seen[inst_id] = lineno
             link_ids.extend(links)
             link_counts.append(len(links))
             observations.extend(obs)
             obs_counts.append(len(obs))
-    if len(ids) != count:
-        raise ValueError(f"{path}: header promises {count} instances, found {len(ids)}")
-    ids_arr = np.array(ids, dtype=np.int64)
+    if len(seen) != count:
+        raise ValueError(f"{path}: header promises {count} instances, found {len(seen)}")
+    ids_arr, linenos, link_ptr = np.array(list(seen), dtype=np.int64), list(seen.values()), _indptr(link_counts)
+    unknown = ~np.isin(link_ids, ids_arr)
+    if unknown.any():
+        k = int(unknown.argmax())
+        raise ValueError(f"{path}:{linenos[np.searchsorted(link_ptr, k, 'right') - 1]}: unknown instance id {link_ids[k]}")
     try:
         return Dataset(
             ids=ids_arr,
             labels=labels,
-            features=np.array(features, dtype=float).reshape(len(ids), d),
-            links=CsrIndex(_indptr(link_counts), _find_rows(*_id_order(ids_arr), link_ids)),
+            features=np.array(features, dtype=float).reshape(count, d),
+            links=CsrIndex(link_ptr, _find_rows(*_id_order(ids_arr), link_ids)),
             attributes=CsrIndex(_indptr(obs_counts), np.array(observations, dtype=float).reshape(len(observations), m)),
             n_classes=n,
             m_attribute_classes=m,
             class_names=[f"class_{c}" for c in range(n)],
             seed=seed,
         )
-    except (KeyError, ValueError) as exc:  # a broken dataset invariant, a repeated or an unknown id
-        raise ValueError(f"{path}: {exc.args[0]}") from None
+    except InstanceError as exc:
+        raise ValueError(f"{path}:{linenos[exc.row]}: {exc}") from None
+    except ValueError as exc:  # a broken invariant of the whole dataset
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def split_batches(

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import BLOCK_BYTES, MlrModel, predict_proba
-from .dataset import Dataset, _read_only, _whole_numbers
+from .dataset import Dataset, _freeze_arrays, _read_only, _whole_numbers
 from .inference import batch_posterior_rows, leaf_marginals, star_posterior_rows
 from .metrics import _assigned_classes, remove_first
 from .relationship import Conditionals, RelationshipModel, prior_conditionals
@@ -134,12 +134,10 @@ class StarDivergences:
             )
         object.__setattr__(self, "ids", _read_only(ids))
         object.__setattr__(self, "has_context", _read_only(has_context))
-        for name in ("data_kl", "attr_kl"):
-            if getattr(self, name) is not None:
-                kl = np.array(getattr(self, name), dtype=float)
-                if kl.shape != (len(ids), n):
-                    raise ValueError(f"StarDivergences.{name} must be None or {(len(ids), n)}, got shape {kl.shape}")
-                object.__setattr__(self, name, _read_only(kl))
+        _freeze_arrays(self, "data_kl", "attr_kl", dtype=float)
+        for name, kl in (("data_kl", self.data_kl), ("attr_kl", self.attr_kl)):
+            if kl is not None and kl.shape != (len(ids), n):
+                raise ValueError(f"StarDivergences.{name} must be None or {(len(ids), n)}, got shape {kl.shape}")
         table = np.zeros((len(ids), n))
         step = max(1, BLOCK_BYTES // (8 * max(1, n * n)))  # rows per (rows, n, n) hinge block
         for lo in range(0, len(table), step):

@@ -91,7 +91,7 @@ from .classifiers import (
     train_mlr_lockstep,
 )
 from .dataset import (
-    FIELD_TYPES, ConfigError, Dataset, SyntheticConfig, _read_only, _whole_numbers, check_field_types, generate_synthetic,
+    FIELD_TYPES, ConfigError, Dataset, SyntheticConfig, _freeze_arrays, _whole_numbers, check_field_types, generate_synthetic,
     load_cora, split_batches,
 )
 from .detector import DEFAULT_BETA, cnld_detect, detect_topk, star_divergences
@@ -224,7 +224,7 @@ class ExperimentConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchRecord:
     batch: int
     accuracy: float
@@ -233,23 +233,23 @@ class BatchRecord:
     er1: float | None
     er2: float | None
     nep: float | None
-    queried: list[int]
+    queried: tuple[int, ...]
     elapsed: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentLog:
     mode: str
     omega: float
     seed: int
-    records: list[BatchRecord]
+    records: tuple[BatchRecord, ...]
 
     @property
     def final_accuracy(self) -> float:
         return self.records[-1].accuracy
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionSuiteRow:
     method: str
     omega: float
@@ -260,7 +260,7 @@ class DetectionSuiteRow:
 
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     if config.dataset_kind == "synthetic":
-        return generate_synthetic(config.synthetic)[0]
+        return generate_synthetic(config.synthetic)
     return load_cora(config.cora_content, config.cora_cites)
 
 
@@ -337,9 +337,9 @@ class RunStart:
 
     ``config`` is the frozen config the start was built from, the caller's
     own object; a run may differ from it only in the :data:`RUN_KEYS`.
-    Construction makes the arrays read-only; the models are immutable
-    already.  ``cache`` holds the batch steps its runs have taken (see the
-    module docstring).
+    Construction copies the arrays into read-only ones; the models are
+    immutable already.  ``cache`` holds the batch steps its runs have
+    taken (see the module docstring).
     """
 
     seed: int
@@ -354,8 +354,7 @@ class RunStart:
     cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pool_X", _read_only(self.pool_X))
-        object.__setattr__(self, "pool_y", _read_only(self.pool_y))
+        _freeze_arrays(self, "pool_X", "pool_y")
 
     def check(self, config: ExperimentConfig, seed: int) -> None:
         """Raise ValueError unless a run of ``config`` and ``seed`` would have built this start."""
@@ -467,7 +466,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, start: RunStart | N
                 labels = inject_nar(true_q, transition, noise_seed).assigned
 
         removed = np.zeros(len(candidates), dtype=bool)
-        batch_metrics = None
+        rates = (None, None, None)  # ER1, ER2 and NEP, of a filtered batch only
         if candidates and config.mode in FILTERED_MODES:
             flipped = labels != dataset.true_labels(candidates)
             key = ("stars", t, model, rel, pseudo)  # the batch and model fix the candidates
@@ -481,6 +480,7 @@ def _run_batches(config: ExperimentConfig, seed: int | None, start: RunStart | N
             elif config.mode == "cl":  # drop truly flipped labels only, up to the cnld budget
                 removed = remove_first(candidates, min(budget, int(flipped.sum())), ~flipped)
             batch_metrics = detection_metrics(removed, flipped)
+            rates = (batch_metrics.er1, batch_metrics.er2, batch_metrics.nep)
 
         kept = fixed + [(i, int(c)) for i, c, r in zip(candidates, labels, removed) if not r]
         if kept:
@@ -498,20 +498,9 @@ def _run_batches(config: ExperimentConfig, seed: int | None, start: RunStart | N
         else:
             score = accuracy(model, X_test, y_test)
 
-        records.append(
-            BatchRecord(
-                batch=t,
-                accuracy=score,
-                removed=int(removed.sum()),
-                kept=len(kept),
-                er1=batch_metrics.er1 if batch_metrics else None,
-                er2=batch_metrics.er2 if batch_metrics else None,
-                nep=batch_metrics.nep if batch_metrics else None,
-                queried=list(queried),
-                elapsed=time.perf_counter() - began,
-            )
-        )
-    return ExperimentLog(mode=config.mode, omega=config.omega, seed=seed, records=records)
+        elapsed = time.perf_counter() - began
+        records.append(BatchRecord(t, score, int(removed.sum()), len(kept), *rates, tuple(queried), elapsed))
+    return ExperimentLog(mode=config.mode, omega=config.omega, seed=seed, records=tuple(records))
 
 
 def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
@@ -563,19 +552,19 @@ def run_detection_suite(config: ExperimentConfig) -> list[DetectionSuiteRow]:
         suspicion = suspicion_table(predict_proba(model, X_test))
         votes = voting_table(aux_predictions(aux, X_test), predict_proba(aux.mlr, X_test))
 
+        # (omega, noise plan) of each cell; NAR's omega is its realised flip rate
         if config.noise == "ncar":
-            cells = []
-            for omega in config.omegas:
-                noise_seed = derive_seed(seed, _SALT_NOISE, int(round(omega * 1000)))
-                noise_plan = inject_ncar(y_test, n, omega, noise_seed)
-                cells.append((omega, noise_plan, _round_half_up(omega * len(test_ids))))
+            cells = [
+                (omega, inject_ncar(y_test, n, omega, derive_seed(seed, _SALT_NOISE, int(round(omega * 1000)))))
+                for omega in config.omegas
+            ]
         else:
-            transition = estimate_transition(pool_X, pool_y, n)
-            noise_plan = inject_nar(y_test, transition, derive_seed(seed, _SALT_NOISE, 0))
-            cells = [(noise_plan.rate, noise_plan, int(noise_plan.flipped.sum()))]
+            noise_plan = inject_nar(y_test, estimate_transition(pool_X, pool_y, n), derive_seed(seed, _SALT_NOISE, 0))
+            cells = [(float(noise_plan.flipped.mean()), noise_plan)]
 
-        for omega, noise_plan, removal_count in cells:
-            removal_count = min(removal_count, len(test_ids))
+        for omega, noise_plan in cells:
+            # the flipped count under NAR, as omega is that count over the split
+            removal_count = _round_half_up(omega * len(test_ids))
             assigned, flipped = noise_plan.assigned[by_id], noise_plan.flipped[by_id]
 
             removed, scores = detect_topk(ids, assigned, divergences, removal_count)
@@ -606,13 +595,9 @@ def summarize_detection(rows: list[DetectionSuiteRow]) -> dict:
     out = {}
     for (method, omega), group in sorted(cells.items()):
         entry = {"seeds": len(group)}
-        for name in ("er1", "er2", "nep"):
-            mean, std = _mean_std([getattr(r.metrics, name) for r in group])
-            entry[name] = mean
-            entry[f"{name}_std"] = std
-        auc_mean, auc_std = _mean_std([r.auc for r in group])
-        entry["auc"] = auc_mean
-        entry["auc_std"] = auc_std
+        for name in ("er1", "er2", "nep", "auc"):
+            values = [r.auc if name == "auc" else getattr(r.metrics, name) for r in group]
+            entry[name], entry[f"{name}_std"] = _mean_std(values)
         out[f"{method}@omega={omega:g}"] = entry
     return out
 
@@ -624,8 +609,7 @@ def summarize_learning(logs: list[ExperimentLog]) -> dict:
         groups.setdefault(log.mode, []).append(log)
     out = {}
     for mode, group in sorted(groups.items()):
-        finals = [g.final_accuracy for g in group]
-        mean, std = _mean_std(finals)
+        mean, std = _mean_std([g.final_accuracy for g in group])
         out[mode] = {"final_accuracy": mean, "final_accuracy_std": std, "seeds": len(group)}
     return out
 

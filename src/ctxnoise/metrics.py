@@ -12,9 +12,10 @@ from .classifiers import MlrModel, predict_proba
 from .dataset import _whole_numbers
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionMetrics:
-    """ER1 (correct removed), ER2 (mislabeled kept), NEP (removed purity).
+    """ER1 (correct removed), ER2 (mislabeled kept), NEP (removed purity),
+    with the removed count and the batch's correct and mislabeled totals.
 
     A ratio whose denominator is zero is reported as None, never as 0 or 1,
     so aggregation cannot average fictitious values.
@@ -23,9 +24,6 @@ class DetectionMetrics:
     er1: float | None
     er2: float | None
     nep: float | None
-    correct_removed: int
-    mislabeled_kept: int
-    mislabeled_removed: int
     removed: int
     correct_total: int
     mislabeled_total: int
@@ -42,16 +40,11 @@ def detection_metrics(removed: np.ndarray, flipped: np.ndarray) -> DetectionMetr
     mislabeled_total = int(flipped.sum())
     correct_total = len(flipped) - mislabeled_total
     mislabeled_removed = int((removed & flipped).sum())
-    correct_removed = n_removed - mislabeled_removed
-    mislabeled_kept = mislabeled_total - mislabeled_removed
 
     return DetectionMetrics(
-        er1=correct_removed / correct_total if correct_total else None,
-        er2=mislabeled_kept / mislabeled_total if mislabeled_total else None,
+        er1=(n_removed - mislabeled_removed) / correct_total if correct_total else None,
+        er2=(mislabeled_total - mislabeled_removed) / mislabeled_total if mislabeled_total else None,
         nep=mislabeled_removed / n_removed if n_removed else None,
-        correct_removed=correct_removed,
-        mislabeled_kept=mislabeled_kept,
-        mislabeled_removed=mislabeled_removed,
         removed=n_removed,
         correct_total=correct_total,
         mislabeled_total=mislabeled_total,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _read_only, _whole_numbers
+from .dataset import _freeze_arrays, _read_only, _whole_numbers
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,22 +33,16 @@ class TransitionMatrix:
             raise ValueError("transition matrix rows must sum to 1")
         object.__setattr__(self, "probs", _read_only(p))
 
-    @property
-    def n_classes(self) -> int:
-        return self.probs.shape[0]
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NoisePlan:
-    """Assigned labels and flip mask for one injection.
-
-    ``rate`` is the requested fraction for NCAR and the realized flipped
-    fraction for NAR.
-    """
+    """Assigned labels and flip mask of one injection, as read-only copies."""
 
     assigned: np.ndarray
     flipped: np.ndarray
-    rate: float
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self, "assigned", "flipped")
 
 
 def _round_half_up(x: float) -> int:
@@ -72,14 +66,14 @@ def inject_ncar(labels: np.ndarray, n_classes: int, omega: float, seed: int) -> 
         chosen = rng.choice(members, size=count, replace=False)
         draws = rng.integers(0, n_classes - 1, size=count)
         assigned[chosen] = np.where(draws < c, draws, draws + 1)
-    return NoisePlan(assigned=assigned, flipped=assigned != y, rate=omega)
+    return NoisePlan(assigned=assigned, flipped=assigned != y)
 
 
 def inject_nar(labels: np.ndarray, transition: TransitionMatrix | np.ndarray, seed: int) -> NoisePlan:
     """Redraw each label from the transition row of its true class."""
     if not isinstance(transition, TransitionMatrix):
         transition = TransitionMatrix(np.asarray(transition, dtype=float))
-    n = transition.n_classes
+    n = len(transition.probs)
     y = _whole_numbers(labels, n)
     rng = np.random.default_rng(seed)
     assigned = y.copy()
@@ -88,8 +82,7 @@ def inject_nar(labels: np.ndarray, transition: TransitionMatrix | np.ndarray, se
         if len(members) == 0:
             continue
         assigned[members] = rng.choice(n, size=len(members), p=transition.probs[c])
-    flipped = assigned != y
-    return NoisePlan(assigned=assigned, flipped=flipped, rate=float(flipped.mean()))
+    return NoisePlan(assigned=assigned, flipped=assigned != y)
 
 
 def estimate_transition(features: np.ndarray, labels: np.ndarray, n_classes: int) -> TransitionMatrix:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset, _read_only, _whole_numbers
+from .dataset import Dataset, _freeze_arrays, _read_only, _whole_numbers
 
 DEFAULT_SMOOTHING = 1e-6
 
@@ -71,12 +71,16 @@ class RelationshipModel:
         return 0 if self.attr_counts is None else self.attr_counts.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Conditionals:
-    """Row-stochastic conditionals: row j is the distribution given class j."""
+    """Row-stochastic conditionals: row j is the distribution given class j.
+    Construction copies them into read-only arrays."""
 
     data_rows: np.ndarray            # (n, n)
     attr_rows: np.ndarray | None     # (n, m)
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self, "data_rows", "attr_rows")
 
 
 def build_relationship(
@@ -152,10 +156,9 @@ def update_relationship(
 
 def prior_conditionals(model: RelationshipModel) -> Conditionals:
     """Normalize smoothed count rows into strictly positive distributions."""
-    data = model.data_counts + model.epsilon
-    data /= data.sum(axis=1, keepdims=True)
-    attr = None
-    if model.attr_counts is not None:
-        attr = model.attr_counts + model.epsilon
-        attr /= attr.sum(axis=1, keepdims=True)
-    return Conditionals(data_rows=data, attr_rows=attr)
+
+    def rows(counts: np.ndarray) -> np.ndarray:
+        smoothed = counts + model.epsilon
+        return smoothed / smoothed.sum(axis=1, keepdims=True)
+
+    return Conditionals(rows(model.data_counts), None if model.attr_counts is None else rows(model.attr_counts))

@@ -1,5 +1,6 @@
-"""Mutation catalogue: each entry breaks one check of the program, and the
-tests it lists must catch the break.
+"""Mutation catalogue: each entry breaks one check of the program, or one
+step of the method's arithmetic, and the tests it lists must catch the
+break.
 
 An entry names a file under ``src/``, an exact text found once in it, the
 text to put in its place, and the test node ids (from the repository root)
@@ -287,14 +288,14 @@ MUTANTS = (
     Mutant(
         "star divergences of a KL table of another shape",
         "ctxnoise/detector.py",
-        "if kl.shape != (len(ids), n):",
+        "if kl is not None and kl.shape != (len(ids), n):",
         "if False:",
         ("tests/test_detector.py::TestStarDivergencesConstruction::test_bad_table_rejected_at_construction",),
     ),
     Mutant(
         "star divergences keep the caller's KL table",
         "ctxnoise/detector.py",
-        "object.__setattr__(self, name, _read_only(kl))",
+        '_freeze_arrays(self, "data_kl", "attr_kl", dtype=float)',
         "pass",
         ("tests/test_detector.py::TestStarDivergencesConstruction::test_hand_built_table_is_a_read_only_snapshot",),
     ),
@@ -304,5 +305,253 @@ MUTANTS = (
         'object.__setattr__(self, "ids", _read_only(ids))',
         "pass",
         ("tests/test_detector.py::TestStarDivergencesConstruction::test_hand_built_table_is_a_read_only_snapshot",),
+    ),
+
+    # noise.py: one entry per check
+    Mutant(
+        "ncar admits one class",
+        "ctxnoise/noise.py",
+        "if not n_classes >= 2:",
+        "if False:",
+        ("tests/test_noise.py::TestInjectNcar::test_fewer_than_two_classes_named",),
+    ),
+    Mutant(
+        "ncar admits a rate past 1",
+        "ctxnoise/noise.py",
+        "if not 0.0 <= omega <= 1.0:",
+        "if False:",
+        ("tests/test_argument_checks.py::test_bad_argument_named[ncar omega]",),
+    ),
+    Mutant(
+        "a transition matrix that is not square",
+        "ctxnoise/noise.py",
+        "if p.ndim != 2 or p.shape[0] != p.shape[1]:",
+        "if False:",
+        ("tests/test_argument_checks.py::test_bad_argument_named[transition shape]",),
+    ),
+    Mutant(
+        "transition probabilities outside [0, 1]",
+        "ctxnoise/noise.py",
+        "if (p < 0).any() or (p > 1).any():",
+        "if False:",
+        ("tests/test_argument_checks.py::test_bad_argument_named[transition range]",),
+    ),
+    Mutant(
+        "transition rows that do not sum to 1",
+        "ctxnoise/noise.py",
+        "if not np.allclose(p.sum(axis=1), 1.0, atol=1e-9):",
+        "if False:",
+        ("tests/test_argument_checks.py::test_bad_argument_named[transition rows]",),
+    ),
+    Mutant(
+        "transition estimate from misaligned features",
+        "ctxnoise/noise.py",
+        "if X.ndim != 2 or X.shape[0] != y.shape[0]:",
+        "if False:",
+        ("tests/test_argument_checks.py::test_bad_argument_named[transition pool]",),
+    ),
+    Mutant(
+        "transition estimate without a class",
+        "ctxnoise/noise.py",
+        "if not (y == c).any():",
+        "if False:",
+        ("tests/test_argument_checks.py::test_bad_argument_named[transition class]",),
+    ),
+    # relationship.py: one entry per check
+    Mutant(
+        "relationship admits a NaN epsilon",
+        "ctxnoise/relationship.py",
+        "if not 0.0 < self.epsilon < math.inf:",
+        "if False:",
+        ("tests/test_relationship.py::TestImmutability::test_nan_epsilon_rejected",),
+    ),
+    Mutant(
+        "relationship admits a non-square class table",
+        "ctxnoise/relationship.py",
+        "if data.ndim != 2 or data.shape[0] != data.shape[1]:",
+        "if False:",
+        ("tests/test_relationship.py::TestImmutability::test_misshaped_counts_rejected",),
+    ),
+    Mutant(
+        "relationship admits an attribute table of other rows",
+        "ctxnoise/relationship.py",
+        "if attr.ndim != 2 or attr.shape[0] != data.shape[0]:",
+        "if False:",
+        ("tests/test_relationship.py::TestImmutability::test_misshaped_counts_rejected",),
+    ),
+    Mutant(
+        "relationship admits a negative count",
+        "ctxnoise/relationship.py",
+        "if not ((counts >= 0) & (counts < math.inf)).all():",
+        "if False:",
+        ("tests/test_relationship.py::TestImmutability::test_negative_or_non_finite_count_rejected",),
+    ),
+    # the method's arithmetic
+    Mutant(
+        "a table entry at the score floor is kept",
+        "ctxnoise/detector.py",
+        "table[table <= SCORE_FLOOR] = 0.0",
+        "table[table < SCORE_FLOOR] = 0.0",
+        ("tests/test_detector.py::TestStarDivergencesConstruction::test_score_at_the_floor_snaps_to_zero",),
+    ),
+    Mutant(
+        "a dissimilarity at the score floor is kept",
+        "ctxnoise/detector.py",
+        "return total if total > SCORE_FLOOR else 0.0",
+        "return total if total >= SCORE_FLOOR else 0.0",
+        ("tests/test_detector.py::TestDissimilarity::test_score_at_the_floor_snaps_to_zero",),
+    ),
+    Mutant(
+        "beta keeps a weight equal to it",
+        "ctxnoise/detector.py",
+        "~(batch_weights(scores) > beta)",
+        "~(batch_weights(scores) >= beta)",
+        ("tests/test_detector.py::TestCnldDetect::test_weight_equal_to_beta_is_removed",),
+    ),
+    Mutant(
+        "ER1 over one correct label too many",
+        "ctxnoise/metrics.py",
+        "er1=(n_removed - mislabeled_removed) / correct_total if",
+        "er1=(n_removed - mislabeled_removed) / (correct_total + 1) if",
+        ("tests/test_metrics.py::TestDetectionMetrics::test_worked_example",),
+    ),
+    Mutant(
+        "ER2 over one mislabeled label too many",
+        "ctxnoise/metrics.py",
+        "er2=(mislabeled_total - mislabeled_removed) / mislabeled_total if",
+        "er2=(mislabeled_total - mislabeled_removed) / (mislabeled_total + 1) if",
+        ("tests/test_metrics.py::TestDetectionMetrics::test_worked_example",),
+    ),
+    Mutant(
+        "NEP over one removal too many",
+        "ctxnoise/metrics.py",
+        "nep=mislabeled_removed / n_removed if",
+        "nep=mislabeled_removed / (n_removed + 1) if",
+        ("tests/test_metrics.py::TestDetectionMetrics::test_worked_example",),
+    ),
+    Mutant(
+        "NCAR may draw the own class",
+        "ctxnoise/noise.py",
+        "np.where(draws < c, draws, draws + 1)",
+        "np.where(draws <= c, draws, draws + 1)",
+        ("tests/test_noise.py::TestInjectNcar::test_exact_per_class_counts_and_no_identity_flips",),
+    ),
+    Mutant(
+        "entropy selection queries the most certain",
+        "ctxnoise/harness.py",
+        "first_k(ordered, k, -H)",
+        "first_k(ordered, k, H)",
+        ("tests/test_harness.py::TestSelectInformative::test_entropy_prefers_uncertain",),
+    ),
+    # dataset and loader checks
+    Mutant(
+        "a NaN attribute observation passes as a distribution",
+        "ctxnoise/dataset.py",
+        "bad_obs = ~((obs >= 0).all(axis=1) & (np.abs(obs.sum(axis=1) - 1.0) <= 1e-9))",
+        "bad_obs = (obs < 0).any(axis=1) | (np.abs(obs.sum(axis=1) - 1.0) > 1e-9)",
+        ("tests/test_dataset.py::TestArrays::test_broken_invariant_rejected_at_construction",),
+    ),
+    Mutant(
+        "a non-finite feature passes",
+        "ctxnoise/dataset.py",
+        "bad_feature = ~np.isfinite(features).all(axis=1)",
+        "bad_feature = np.zeros(n, dtype=bool)",
+        ("tests/test_dataset.py::TestArrays::test_broken_invariant_rejected_at_construction",),
+    ),
+    Mutant(
+        "a repeated CORA id is not named by its line",
+        "ctxnoise/dataset.py",
+        '''            if inst_id in seen:
+                raise CoraFormatError(''',
+        '''            if False:
+                raise CoraFormatError(''',
+        ("tests/test_loader_fuzz.py::test_cora_fault_names_both_lines",),
+    ),
+    Mutant(
+        "a repeated synthetic id is not named by its line",
+        "ctxnoise/dataset.py",
+        '''            if inst_id in seen:
+                raise ValueError(''',
+        '''            if False:
+                raise ValueError(''',
+        ("tests/test_dataset.py::TestSyntheticRoundTrip::test_dataset_error_names_the_path",),
+    ),
+    Mutant(
+        "an unknown synthetic link id is not named by its line",
+        "ctxnoise/dataset.py",
+        "    if unknown.any():\n        k = int(unknown.argmax())",
+        "    if False:\n        k = int(unknown.argmax())",
+        ("tests/test_dataset.py::TestSyntheticRoundTrip::test_dataset_error_names_the_path",),
+    ),
+    Mutant(
+        "a broken synthetic instance is not named by its line",
+        "ctxnoise/dataset.py",
+        "except InstanceError as exc:",
+        "except KeyError as exc:",
+        ("tests/test_dataset.py::TestSyntheticRoundTrip::test_dataset_error_names_the_path",),
+    ),
+    # frozen result records
+    Mutant(
+        "a frozen record keeps its caller's arrays",
+        "ctxnoise/dataset.py",
+        "_read_only(np.array(getattr(record, name), dtype=dtype))",
+        "_read_only(np.asarray(getattr(record, name), dtype=dtype))",
+        ("tests/test_frozen_records.py::test_arrays_are_copies_of_the_given_ones",),
+    ),
+    Mutant(
+        "a noise plan is mutable",
+        "ctxnoise/noise.py",
+        "@dataclass(frozen=True, eq=False)\nclass NoisePlan:",
+        "@dataclass(eq=False)\nclass NoisePlan:",
+        ("tests/test_frozen_records.py::test_record_is_frozen[NoisePlan]",),
+    ),
+    Mutant(
+        "conditionals are mutable",
+        "ctxnoise/relationship.py",
+        "@dataclass(frozen=True, eq=False)\nclass Conditionals:",
+        "@dataclass(eq=False)\nclass Conditionals:",
+        ("tests/test_frozen_records.py::test_record_is_frozen[Conditionals]",),
+    ),
+    Mutant(
+        "detection metrics are mutable",
+        "ctxnoise/metrics.py",
+        "@dataclass(frozen=True)\nclass DetectionMetrics:",
+        "@dataclass\nclass DetectionMetrics:",
+        ("tests/test_frozen_records.py::test_record_is_frozen[DetectionMetrics]",),
+    ),
+    Mutant(
+        "a batch record is mutable",
+        "ctxnoise/harness.py",
+        "@dataclass(frozen=True)\nclass BatchRecord:",
+        "@dataclass\nclass BatchRecord:",
+        ("tests/test_frozen_records.py::test_record_is_frozen[BatchRecord]",),
+    ),
+    Mutant(
+        "a batch record keeps its queried ids as a list",
+        "ctxnoise/harness.py",
+        "*rates, tuple(queried), elapsed",
+        "*rates, list(queried), elapsed",
+        ("tests/test_frozen_records.py::test_record_is_frozen[BatchRecord]",),
+    ),
+    Mutant(
+        "a log is mutable",
+        "ctxnoise/harness.py",
+        "@dataclass(frozen=True)\nclass ExperimentLog:",
+        "@dataclass\nclass ExperimentLog:",
+        ("tests/test_frozen_records.py::test_record_is_frozen[ExperimentLog]",),
+    ),
+    Mutant(
+        "a log keeps its records as a list",
+        "ctxnoise/harness.py",
+        "records=tuple(records)",
+        "records=records",
+        ("tests/test_frozen_records.py::test_record_is_frozen[ExperimentLog]",),
+    ),
+    Mutant(
+        "a detection-suite row is mutable",
+        "ctxnoise/harness.py",
+        "@dataclass(frozen=True)\nclass DetectionSuiteRow:",
+        "@dataclass\nclass DetectionSuiteRow:",
+        ("tests/test_frozen_records.py::test_record_is_frozen[DetectionSuiteRow]",),
     ),
 )

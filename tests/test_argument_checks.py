@@ -12,8 +12,12 @@ from ctxnoise import (
     MlrModel,
     RelationshipModel,
     StarDivergences,
+    TransitionMatrix,
     build_relationship,
     detect_topk,
+    estimate_transition,
+    inject_nar,
+    inject_ncar,
     probabilistic_detect,
     select_informative,
     split_batches,
@@ -101,6 +105,16 @@ CASES = {
     "one batch": (lambda: split_batches(DATASET, 1, 0), "n_batches must be >= 2"),
     "batches past instances": (lambda: split_batches(DATASET, 4, 0), "more batches than instances"),
     "absent class": (lambda: split_batches(DATASET, 2, 0, ids=[0, 1]), r"classes absent from dataset: \[2\]"),
+    # each of these used to be reached only by a test that takes any
+    # ValueError, which numpy raises later on its own
+    "ncar omega": (lambda: inject_ncar([0, 1], 2, 1.5, 0), r"omega must lie in \[0, 1\]"),
+    "transition shape": (lambda: TransitionMatrix(np.full((2, 3), 1 / 3)), "transition matrix must be square"),
+    "transition range": (
+        lambda: TransitionMatrix([[1.2, -0.2], [0.0, 1.0]]), r"transition probabilities must lie in \[0, 1\]"
+    ),
+    "transition rows": (lambda: inject_nar([0], [[0.5, 0.2], [0.1, 0.9]], 0), "transition matrix rows must sum to 1"),
+    "transition pool": (lambda: estimate_transition(np.zeros((3, 1)), [0, 1], 2), "features and labels must align"),
+    "transition class": (lambda: estimate_transition(np.zeros((4, 1)), [0, 0, 0, 0], 2), "class 1 has no samples"),
 }
 
 

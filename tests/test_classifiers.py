@@ -112,7 +112,7 @@ class TestTrainMlr:
             config = SyntheticConfig(
                 n_classes=3, n_features=6, instances_per_class=150, separation=2.5, seed=seed
             )
-            dataset, _ = generate_synthetic(config)
+            dataset = generate_synthetic(config)
             rng = np.random.default_rng(seed)
             perm = rng.permutation(dataset.ids.tolist())
             old, new, test = perm[:100], perm[100:200], perm[200:]

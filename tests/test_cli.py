@@ -220,7 +220,7 @@ def test_mode_of_another_command_names_its_line(tmp_path, capsys, command, mode)
 
 def test_empty_cora_fold_names_its_line(tmp_path, capsys):
     # nine papers in ten folds leave the last fold empty
-    tiny = generate_synthetic(SyntheticConfig(n_classes=3, n_features=2, instances_per_class=3, seed=0))[0]
+    tiny = generate_synthetic(SyntheticConfig(n_classes=3, n_features=2, instances_per_class=3, seed=0))
     tiny = Dataset(
         ids=tiny.ids, labels=tiny.labels, features=(tiny.features > 0).astype(float), links=tiny.links,
         n_classes=3, m_attribute_classes=0, class_names=["a", "b", "c"],
@@ -330,7 +330,7 @@ def test_sweep_shares_one_dataset_and_leaves_it_unchanged(tmp_path, monkeypatch)
     # cnld for every omega x beta, sn, which ignores beta, once per omega
     assert len(used) == 2 * 3 + 2
     assert all(dataset is loaded[0] for dataset in used)
-    assert loaded[0] == generate_synthetic(load_config(config_path).synthetic)[0]
+    assert loaded[0] == generate_synthetic(load_config(config_path).synthetic)
     assert len(built) == 1 and all(start.dataset is loaded[0] for start in built[0].values())
 
 

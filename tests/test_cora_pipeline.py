@@ -22,7 +22,7 @@ from ctxnoise.harness import split_train_test
 def binary_citation_dataset(seed=0, n=3, per=100, d=18):
     """Citation-style corpus: binary word features with per-class signature
     blocks, link topology borrowed from the synthetic generator."""
-    topo, _ = generate_synthetic(
+    topo = generate_synthetic(
         SyntheticConfig(
             n_classes=n,
             n_features=2,
@@ -96,7 +96,7 @@ def test_empty_fold_names_its_key(cora_files):
     # nine instances in ten folds leave the last fold empty
     content, cites, _ = cora_files
     config = cora_config(content, cites, cora_fold=9)
-    tiny = generate_synthetic(SyntheticConfig(n_classes=3, n_features=2, instances_per_class=3, seed=0))[0]
+    tiny = generate_synthetic(SyntheticConfig(n_classes=3, n_features=2, instances_per_class=3, seed=0))
     with pytest.raises(ConfigError) as caught:
         split_train_test(tiny, config, seed=0)
     assert str(caught.value) == "cora_fold leaves the test split empty: 9 train ids, 0 test ids"
@@ -107,7 +107,7 @@ def test_short_train_fold_names_its_key(cora_files):
     # of nine instances in ten folds, fold 0 leaves eight train ids, too few for nine batches
     content, cites, _ = cora_files
     config = cora_config(content, cites, n_batches=9)
-    tiny = generate_synthetic(SyntheticConfig(n_classes=3, n_features=2, instances_per_class=3, seed=0))[0]
+    tiny = generate_synthetic(SyntheticConfig(n_classes=3, n_features=2, instances_per_class=3, seed=0))
     with pytest.raises(ConfigError) as caught:
         split_train_test(tiny, config, seed=0)
     assert str(caught.value) == "cora_fold leaves fewer train ids than n_batches = 9: 8 train ids, 1 test ids"

@@ -23,6 +23,7 @@ from ctxnoise import (
     save_cora,
     save_synthetic,
     split_batches,
+    synthetic_conditionals,
     train_mlr,
 )
 from ctxnoise import dataset as dataset_module
@@ -50,37 +51,37 @@ def make_config(**overrides):
 
 class TestSyntheticGenerator:
     def test_deterministic_given_seed(self, tmp_path):
-        a, _ = generate_synthetic(make_config())
-        b, _ = generate_synthetic(make_config())
+        a = generate_synthetic(make_config())
+        b = generate_synthetic(make_config())
         assert a == b
         save_synthetic(a, tmp_path / "a.txt")
         save_synthetic(b, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     def test_one_hot_concentration_links_stay_in_class(self):
-        dataset, truth = generate_synthetic(make_config(concentration=1.0))
-        assert np.allclose(truth.data_conditionals, np.eye(3))
+        dataset = generate_synthetic(make_config(concentration=1.0))
+        assert np.allclose(synthetic_conditionals(make_config(concentration=1.0))[0], np.eye(3))
         labels = dataset.labels
         assert np.array_equal(labels[dataset.links.values], labels[dataset.links.owners()])
 
     def test_neighbour_frequencies_match_generator_rows(self):
         # >= 2000 links per class: 500 instances/class x 4 draws each
         config = make_config(instances_per_class=500, links_per_instance=4, concentration=0.7)
-        dataset, truth = generate_synthetic(config)
+        dataset = generate_synthetic(config)
         n = config.n_classes
         hist = np.zeros((n, n))
         labels = dataset.labels
         np.add.at(hist, (labels[dataset.links.owners()], labels[dataset.links.values]), 1)
         assert hist.sum(axis=1).min() >= 2000
         rows = hist / hist.sum(axis=1, keepdims=True)
-        tv = 0.5 * np.abs(rows - truth.data_conditionals).sum(axis=1)
+        tv = 0.5 * np.abs(rows - synthetic_conditionals(config)[0]).sum(axis=1)
         assert tv.max() < 0.05
 
     def test_zero_separation_gives_chance_level_classifier(self):
         config = make_config(
             n_classes=4, instances_per_class=500, separation=0.0, noise_scale=1.0, seed=3
         )
-        dataset, _ = generate_synthetic(config)
+        dataset = generate_synthetic(config)
         ids = dataset.ids.tolist()
         rng = np.random.default_rng(0)
         perm = rng.permutation(ids)
@@ -96,8 +97,8 @@ class TestSyntheticGenerator:
 
     def test_attribute_observations_are_smoothed_distributions(self):
         config = make_config(m_attribute_classes=5, attributes_per_instance=2)
-        dataset, truth = generate_synthetic(config)
-        assert truth.attr_conditionals.shape == (3, 5)
+        dataset = generate_synthetic(config)
+        assert synthetic_conditionals(config)[1].shape == (3, 5)
         assert (np.diff(dataset.attributes.indptr) == 2).all()
         for obs in dataset.attributes.values:
             assert obs.min() > 0
@@ -225,19 +226,19 @@ class TestLinkReplay:
             n_classes=4, instances_per_class=per, links_per_instance=5, m_attribute_classes=3, attributes_per_instance=2
         )
         with mock.patch.object(dataset_module, "_link_tails", reference_link_draws):
-            expected, _ = generate_synthetic(config)
-        assert generate_synthetic(config)[0] == expected
+            expected = generate_synthetic(config)
+        assert generate_synthetic(config) == expected
 
 
 class TestSyntheticRoundTrip:
     def test_save_load_identity(self, tmp_path):
-        dataset, _ = generate_synthetic(make_config(m_attribute_classes=4, attributes_per_instance=2))
+        dataset = generate_synthetic(make_config(m_attribute_classes=4, attributes_per_instance=2))
         path = tmp_path / "data.txt"
         save_synthetic(dataset, path)
         assert load_synthetic(path) == dataset
 
     def test_save_is_byte_stable(self, tmp_path):
-        dataset, _ = generate_synthetic(make_config())
+        dataset = generate_synthetic(make_config())
         save_synthetic(dataset, tmp_path / "x.txt")
         save_synthetic(load_synthetic(tmp_path / "x.txt"), tmp_path / "y.txt")
         assert (tmp_path / "x.txt").read_bytes() == (tmp_path / "y.txt").read_bytes()
@@ -264,21 +265,23 @@ class TestSyntheticRoundTrip:
             load_synthetic(path)
 
     @pytest.mark.parametrize(
-        "record, message",
+        "record, where, message",
         [
-            ("1 0 0.5 0.5 |  | 0.5 0.5", "link 0->1 is not symmetric"),
-            ("1 5 0.5 0.5 | 0 | 0.5 0.5", "instance 1: true_label 5 out of range"),
-            ("1 0 0.5 0.5 | 0 | 0.5 0.6", "instance 1: attribute observation is not a distribution"),
-            ("1 0 0.5 0.5 | 0 7 | 0.5 0.5", "unknown instance id 7"),
-            ("0 0 0.5 0.5 | 0 | 0.5 0.5", "duplicate instance ids"),
+            # the one-way link is listed on line 2
+            ("1 0 0.5 0.5 |  | 0.5 0.5", ":2", "link 0->1 is not symmetric"),
+            ("1 5 0.5 0.5 | 0 | 0.5 0.5", ":3", "instance 1: true_label 5 out of range"),
+            ("1 0 0.5 0.5 | 0 | 0.5 0.6", ":3", "instance 1: attribute observation is not a distribution"),
+            ("1 0 nan 0.5 | 0 | 0.5 0.5", ":3", "instance 1: non-finite feature"),
+            ("1 0 0.5 0.5 | 0 7 | 0.5 0.5", ":3", "unknown instance id 7"),
+            ("0 0 0.5 0.5 | 0 | 0.5 0.5", ":3", "duplicate id 0, first on line 2"),
         ],
     )
-    def test_dataset_error_names_the_path(self, tmp_path, record, message):
-        # these came from the Dataset constructor without the file's name;
-        # the unknown id escaped as a KeyError
+    def test_dataset_error_names_the_path(self, tmp_path, record, where, message):
+        # these came from the Dataset constructor with the file's name
+        # alone; the unknown id escaped as a KeyError
         path = tmp_path / "data.txt"
         path.write_text("2 2 2 2 0\n0 1 1.0 2.0 | 1 | 1.0 0.0\n" + record + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + where)}: {re.escape(message)}$"):
             load_synthetic(path)
 
 
@@ -356,6 +359,10 @@ class TestArrays:
             ({"labels": [-1, 0]}, "instance 20: true_label -1 out of range"),
             ({"attributes": CsrIndex([0, 1, 1], [[0.7, 0.7]])}, "instance 20: attribute observation is not a distribution"),
             ({"attributes": CsrIndex([0, 0, 1], [[1.5, -0.5]])}, "instance 10: attribute observation is not a distribution"),
+            # NaN used to pass both the sign and the sum test
+            ({"attributes": CsrIndex([0, 0, 1], [[np.nan, 1.0]])}, "instance 10: attribute observation is not a distribution"),
+            ({"features": [[1.0, 0.0], [np.inf, 1.0]]}, "instance 10: non-finite feature"),
+            ({"features": [[np.nan, 0.0], [0.0, 1.0]]}, "instance 20: non-finite feature"),
             ({"n_classes": 1}, "need at least 2 classes"),
             # used to build, after which save_cora failed with IndexError
             ({"class_names": ["a"]}, "1 class names for 2 classes"),
@@ -479,13 +486,13 @@ class TestCoraLoader:
     def test_non_binary_features_are_not_saved(self, tmp_path):
         # save_cora used to write features.astype(int): a synthetic set's
         # real-valued features became all-zero rows that load_cora accepted
-        dataset, _ = generate_synthetic(make_config())
+        dataset = generate_synthetic(make_config())
         content, cites = tmp_path / "o.content", tmp_path / "o.cites"
         with pytest.raises(ValueError, match=f"^instance {dataset.ids[0]}: CORA format needs features of 0 or 1$"):
             save_cora(dataset, content, cites)
         assert not content.exists() and not cites.exists()
         features = np.ones((len(dataset), dataset.n_features))
-        features[7, 2] = np.nan
+        features[7, 2] = 0.5
         binary_but_one = dataclasses.replace(dataset, features=features)
         with pytest.raises(ValueError, match=f"^instance {dataset.ids[7]}: "):
             save_cora(binary_but_one, content, cites)
@@ -493,33 +500,33 @@ class TestCoraLoader:
 
 class TestSplitBatches:
     def test_equal_sizes(self):
-        dataset, _ = generate_synthetic(make_config(instances_per_class=34, n_classes=3))
+        dataset = generate_synthetic(make_config(instances_per_class=34, n_classes=3))
         ids = dataset.ids.tolist()[:100]
         batches = split_batches(dataset, 10, seed=1, ids=ids)
         assert [len(b) for b in batches] == [10] * 10
 
     def test_partition_property(self):
-        dataset, _ = generate_synthetic(make_config())
+        dataset = generate_synthetic(make_config())
         flat = [i for batch in split_batches(dataset, 7, seed=5) for i in batch]
         assert sorted(flat) == sorted(dataset.ids.tolist())
         assert len(set(flat)) == len(flat)
 
     def test_batch0_covers_all_classes(self):
-        dataset, _ = generate_synthetic(make_config(n_classes=5, instances_per_class=20))
+        dataset = generate_synthetic(make_config(n_classes=5, instances_per_class=20))
         for seed in range(10):
             batches = split_batches(dataset, 10, seed=seed)
             classes = set(dataset.true_labels(batches[0]).tolist())
             assert classes == set(range(5))
 
     def test_singleton_batches_cannot_cover(self):
-        dataset, _ = generate_synthetic(make_config(n_classes=3, instances_per_class=5))
+        dataset = generate_synthetic(make_config(n_classes=3, instances_per_class=5))
         with pytest.raises(ValueError):
             split_batches(dataset, len(dataset), seed=0)
 
     def test_too_small_initial_batch_names_n_batches(self):
         # 15 ids in 8 batches leave one id for batch 0; this used to say only
         # "initial batch too small to cover every class"
-        dataset, _ = generate_synthetic(make_config(n_classes=3, instances_per_class=5))
+        dataset = generate_synthetic(make_config(n_classes=3, instances_per_class=5))
         with pytest.raises(ConfigError) as info:
             split_batches(dataset, 8, seed=0)
         assert info.value.key == "n_batches"
@@ -531,7 +538,7 @@ class TestSplitBatches:
         assert sorted({0, 1, 2} - set(dataset.true_labels(batch0).tolist())) == [int(c) for c in lacking.groups()]
 
     def test_seed_determinism(self):
-        dataset, _ = generate_synthetic(make_config(instances_per_class=17))
+        dataset = generate_synthetic(make_config(instances_per_class=17))
         ids = dataset.ids.tolist()[:50]
         a = split_batches(dataset, 5, seed=3, ids=ids)
         b = split_batches(dataset, 5, seed=3, ids=ids)

@@ -70,6 +70,15 @@ class TestDissimilarity:
         assert abs(value - 0.2554) < 1e-4
         assert abs(value - 0.25541281188299535) < 1e-12
 
+    def test_score_at_the_floor_snaps_to_zero(self, monkeypatch):
+        # a score at or below SCORE_FLOOR is 0; one just above it is kept
+        prior, posterior = conds([[0.9, 0.1], [0.1, 0.9]]), post([[0.5, 0.5], [0.1, 0.9]])
+        value = dissimilarity(prior, posterior, 0)
+        monkeypatch.setattr(detector, "SCORE_FLOOR", value)
+        assert dissimilarity(prior, posterior, 0) == 0.0
+        monkeypatch.setattr(detector, "SCORE_FLOOR", np.nextafter(value, 0.0))
+        assert dissimilarity(prior, posterior, 0) == value
+
     def test_attribute_part_weighted_by_attribute_count(self):
         prior_d = [[0.5, 0.5], [0.5, 0.5]]
         prior_a = [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]
@@ -203,6 +212,17 @@ class TestCnldDetect:
         removed, scores = cnld_detect(queried, plan.assigned, star_divergences(queried, dataset, model, rel), beta=0.0)
         assert np.array_equal(removed, batch_weights(scores) == 0.0)
         assert removed.sum() >= 1
+
+    def test_weight_equal_to_beta_is_removed(self):
+        # scores 0, 0.5 and 1 give the exact weights 1, 0.5 and 0; a label
+        # is kept only when its weight exceeds beta
+        table = detector.StarDivergences(
+            ids=[1, 2, 3], has_context=[True, True, True], data_kl=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+            attr_kl=None, n_classes=2, m_attribute_classes=0,
+        )
+        removed, scores = cnld_detect([1, 2, 3], [0, 0, 0], table, beta=0.5)
+        assert scores.tolist() == [0.0, 0.5, 1.0]
+        assert removed.tolist() == [False, True, True]
 
     def test_flipped_instances_score_higher(self, trained_setup):
         dataset, pool, rest, model = trained_setup
@@ -465,6 +485,16 @@ class TestStarDivergencesConstruction:
         for name in ("ids", "has_context", "data_kl", "dissimilarities"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(table, name)[0] = 0
+
+    def test_score_at_the_floor_snaps_to_zero(self):
+        # label 0 hinges 2e-12 over n = 2 classes, exactly SCORE_FLOOR
+        def table(gap):
+            kl = [[gap, 0.0]]
+            return detector.StarDivergences(ids=[5], has_context=[True], data_kl=kl, attr_kl=None, n_classes=2,
+                                            m_attribute_classes=0)
+        assert 2e-12 / 2 == detector.SCORE_FLOOR
+        assert table(2e-12).dissimilarities.tolist() == [[0.0, 0.0]]
+        assert table(np.nextafter(2e-12, 1.0)).dissimilarities[0, 0] > detector.SCORE_FLOOR
 
     BAD_TABLES = {
         "2-D ids": (

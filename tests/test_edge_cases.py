@@ -70,7 +70,7 @@ def test_detect_topk_can_be_forced_to_remove_unfilterable():
 def saturated_setup():
     """Single-link graph and a classifier scaled until softmax underflows to
     exact zeros; 24 of the 60 batch labels are flipped."""
-    dataset, _ = generate_synthetic(
+    dataset = generate_synthetic(
         SyntheticConfig(n_classes=3, n_features=6, instances_per_class=80, links_per_instance=1, seed=5)
     )
     ids = [int(i) for i in np.random.default_rng(0).permutation(dataset.ids.tolist())]

@@ -99,7 +99,7 @@ SYNTHETIC_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
 def test_synthetic_dataset_matches_golden(name, tmp_path):
-    dataset, _ = generate_synthetic(SyntheticConfig(**SYNTHETIC_CASES[name]))
+    dataset = generate_synthetic(SyntheticConfig(**SYNTHETIC_CASES[name]))
     save_synthetic(dataset, tmp_path / "dataset.txt")
     assert (tmp_path / "dataset.txt").read_bytes() == (GOLDEN / f"synthetic-{name}.txt").read_bytes()
 

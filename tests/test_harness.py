@@ -366,14 +366,16 @@ class TestRunDetectionSuite:
         config = small_config(omegas=[0.1, 0.3], seeds=[0, 1])
         rows = run_detection_suite(config)
         assert len(rows) == 2 * 2 * 4  # omegas x seeds x methods
+        test_size = round(0.3 * 3 * 80)
         for row in rows:
             m = row.metrics
-            assert m.correct_removed + m.mislabeled_removed == m.removed
-            assert m.mislabeled_removed + m.mislabeled_kept == m.mislabeled_total
-            if m.nep is not None:
-                assert m.nep * m.removed == pytest.approx(m.mislabeled_removed)
-            if m.er1 is not None:
-                assert m.er1 * m.correct_total == pytest.approx(m.correct_removed)
+            assert m.correct_total + m.mislabeled_total == test_size
+            if m.nep is not None:  # the mislabeled removed, plus the mislabeled kept and the correct removed
+                mislabeled_removed = m.nep * m.removed
+                if m.er2 is not None:
+                    assert mislabeled_removed + m.er2 * m.mislabeled_total == pytest.approx(m.mislabeled_total)
+                if m.er1 is not None:
+                    assert mislabeled_removed + m.er1 * m.correct_total == pytest.approx(m.removed)
 
     def test_removal_budget_is_injected_fraction(self):
         config = small_config(omegas=[0.2], seeds=[0])

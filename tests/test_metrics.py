@@ -55,20 +55,21 @@ class TestDetectionMetrics:
         flipped = np.array(flips)
         removed = np.isin(np.arange(len(flips)), sorted(removed_raw))
         m = detection_metrics(removed, flipped)
-        counts = (m.correct_removed, m.mislabeled_kept, m.mislabeled_removed, m.removed, m.correct_total,
-                  m.mislabeled_total)
         # numpy scalars would print as np.int64(...) and np.float64(...) in the result files
-        assert all(type(c) is int for c in counts)
+        assert all(type(c) is int for c in (m.removed, m.correct_total, m.mislabeled_total))
         assert all(type(v) is float for v in (m.er1, m.er2, m.nep) if v is not None)
-        assert m.mislabeled_removed + m.mislabeled_kept == m.mislabeled_total
-        assert m.correct_removed + m.mislabeled_removed == m.removed
+        mislabeled_removed = int((removed & flipped).sum())
+        assert (m.removed, m.mislabeled_total) == (removed.sum(), flipped.sum())
         assert m.correct_total + m.mislabeled_total == len(flips)
         for value in (m.er1, m.er2, m.nep):
             if value is not None:
                 assert 0.0 <= value <= 1.0
-        if m.removed == m.mislabeled_total and m.er2 is not None and m.nep is not None:
-            assert m.er2 * m.mislabeled_total == pytest.approx(m.mislabeled_kept)
-            assert m.nep * m.removed == pytest.approx(m.mislabeled_removed)
+        if m.er1 is not None:
+            assert m.er1 * m.correct_total == pytest.approx(m.removed - mislabeled_removed)
+        if m.er2 is not None:
+            assert m.er2 * m.mislabeled_total == pytest.approx(m.mislabeled_total - mislabeled_removed)
+        if m.nep is not None:
+            assert m.nep * m.removed == pytest.approx(mislabeled_removed)
 
 
 class TestAccuracy:

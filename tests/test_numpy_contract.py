@@ -24,6 +24,16 @@ member, into its column of one interleaved index.  The matmul probe runs
 at the shape of a detect-linked seed's pools (N = 441, d = 16, n = 7),
 with the five or ten members of one detection suite call; the permuted
 probe at N = 441 and at the small and one-row pools of the sweeps.
+
+Class-major softmax: the lock-step trainer writes W X_b^T, which must give
+the bits of (X_b W^T)^T, and reduces it over its outer class axis, whose
+max and sum must match a contiguous row's below 8 classes, where numpy
+adds a row left to right.  The hinge loop's class-major form rests on the
+same product at its shapes.
+
+Ragged steps: a lock-step loop over members with different row counts
+pads each member's step with zero rows, which must leave each member's
+G^T X_b and W X_b^T with the bits of its unpadded products.
 """
 
 import numpy as np
@@ -103,3 +113,60 @@ def test_permuted_out_draws_the_permutations_of_as_many_permutation_calls(N, str
         blocked.permuted(np.broadcast_to(np.arange(N), (E, N)), axis=1, out=out)
         assert out.tolist() == expected.tolist()
         assert blocked.bit_generator.state == sequential.bit_generator.state
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_zero_padded_rows_give_each_member_its_unpadded_bits(interleaved):
+    # members of k = 7..17 rows padded with zero rows to K = 17, as a ragged
+    # lock-step step would hold them: G^T X_b and W X_b^T of the padded
+    # stack give each member the bits of its own unpadded products
+    R, K, d, n = 20, 17, 12, 5
+    rng = np.random.default_rng(K)
+    for _ in range(5):
+        k = rng.integers(7, K + 1, R)
+        pad = np.arange(K)[None, :] >= k[:, None]  # (R, K): the padded rows
+        rows = rng.standard_normal((K, R, d) if interleaved else (R, K, d))
+        X = rows.swapaxes(0, 1) if interleaved else rows
+        X[pad] = 0.0
+        G = rng.standard_normal((R, K, n)) * 10.0 ** rng.integers(-3, 4, (R, K, n))
+        G[pad] = 0.0
+        W = rng.standard_normal((R, n, d))
+        GTX, WXT = np.empty((R, n, d)), np.empty((R, n, K))
+        np.matmul(G.swapaxes(1, 2), X, GTX)
+        np.matmul(W, X.swapaxes(1, 2), WXT)
+        for r in range(R):
+            Xr = np.ascontiguousarray(X[r, : k[r]])
+            assert GTX[r].tobytes() == (G[r, : k[r]].T @ Xr).tobytes()
+            assert WXT[r, :, : k[r]].tobytes() == np.ascontiguousarray(W[r] @ Xr.T).tobytes()
+
+
+def test_class_major_product_gives_the_transposed_row_major_bits():
+    # W X^T against (X W^T)^T at the hinge loop's shape: a detect-linked
+    # seed's pools (N = 441, d = 16, n = 7), five members stacked
+    R, N, d, n = 5, 441, 16, 7
+    rng = np.random.default_rng(3)
+    X, W = rng.standard_normal((R, N, d)), rng.standard_normal((R, n, d))
+    Zc, Z = np.empty((R, n, N)), np.empty((R, N, n))
+    np.matmul(W, X.swapaxes(1, 2), Zc)
+    np.matmul(X, W.swapaxes(1, 2), Z)
+    assert Zc.tobytes() == np.ascontiguousarray(Z.swapaxes(1, 2)).tobytes()
+    for r in range(R):
+        assert Zc[r].tobytes() == np.ascontiguousarray((X[r] @ W[r].T).T).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_outer_axis_reductions_add_left_to_right_below_8_classes(n):
+    # a class-major (n, M) block reduced over its outer axis gives the max
+    # and the left-to-right sum of each column, which are the bits of the
+    # contiguous row max and sum of its row-major copy below 8 classes
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, 300)) * 10.0 ** rng.integers(-8, 9, (n, 300))
+    total, top = np.empty((1, 300)), np.empty((1, 300))
+    np.add.reduce(a, -2, None, total, True)
+    np.maximum.reduce(a, -2, None, top, True)
+    left_to_right = a[0].copy()
+    for row in a[1:]:
+        left_to_right += row
+    rows = np.ascontiguousarray(a.T)
+    assert total[0].tobytes() == left_to_right.tobytes() == rows.sum(axis=-1).tobytes()
+    assert top[0].tobytes() == rows.max(axis=-1).tobytes()

@@ -13,6 +13,7 @@ from ctxnoise import (
     build_relationship,
     generate_synthetic,
     prior_conditionals,
+    synthetic_conditionals,
     update_relationship,
 )
 
@@ -84,11 +85,11 @@ class TestBuildRelationship:
             n_classes=3, n_features=4, instances_per_class=500, concentration=0.7,
             links_per_instance=4, seed=2,
         )
-        dataset, truth = generate_synthetic(config)
+        dataset = generate_synthetic(config)
         model = build_relationship(dataset, dict(zip(dataset.ids.tolist(), dataset.labels.tolist())))
         assert model.data_counts.sum(axis=1).min() >= 2000
         rows = prior_conditionals(model).data_rows
-        tv = 0.5 * np.abs(rows - truth.data_conditionals).sum(axis=1)
+        tv = 0.5 * np.abs(rows - synthetic_conditionals(config)[0]).sum(axis=1)
         assert tv.max() < 0.05
 
 
@@ -110,7 +111,7 @@ class TestUpdateRelationship:
             n_classes=3, n_features=3, instances_per_class=10, concentration=0.6,
             links_per_instance=3, seed=5,
         )
-        dataset, _ = generate_synthetic(config)
+        dataset = generate_synthetic(config)
         labels = dict(zip(dataset.ids.tolist(), dataset.labels.tolist()))
         full = build_relationship(dataset, labels)
         ids = sorted(labels)
